@@ -12,11 +12,12 @@ from .model import (
     eval_codes,
     forward_codes,
     init_model,
+    layer_eval,
     load_checkpoint,
-    neuron_eval,
     predict,
     save_checkpoint,
     spec_from_profile,
+    validate_model,
     validate_spec,
 )
 from .netlist import (
@@ -35,7 +36,8 @@ from .netlist import (
 )
 from .quantize import BatchNormParams, Quantizer, bn_apply, dequantize, quantize
 from .rtl import RtlBundle, check_bundle, emit_bundle, emit_golden_vectors, write_bundle
-from .tables import TruthTable, dump_tables, load_tables, tabulate_model, tabulate_neuron, verify_table
+from .tables import (TruthTable, dump_tables, load_tables, tabulate_layer, tabulate_model,
+                     tabulate_neuron, verify_table)
 from .trainer import TrainConfig, TrainingDiverged, sgdr_lr, train
 
 __version__ = "0.1.0"

@@ -10,12 +10,18 @@ broken by descending lexicographic order on the exponent tuple.  For
 
 The constant term doubles as the bias, so a degree-1 basis reproduces the
 plain affine neuron exactly.
+
+One index table, MonomialBasis.lowered, drives evaluation and
+differentiation: expand builds term i as its parent lowered[i, v] times
+x_v (v the last variable of the term), and d m_i / d x_j is
+e_ij * m[lowered[i, j]], a gather of computed terms.  No power is taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +33,14 @@ _INT64_MAX = (1 << 63) - 1
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Ordered exponent vectors of degree <= degree over fan_in variables."""
+    """Ordered exponent vectors of degree <= degree over fan_in variables,
+    and lowered[i, j]: the index of term i with the exponent of variable
+    j lowered by one, or 0 when e_ij == 0."""
 
     fan_in: int
     degree: int
     exponents: np.ndarray  # (M, fan_in) non-negative ints
+    lowered: np.ndarray  # (M, fan_in) term indices
 
     def __len__(self) -> int:
         return self.exponents.shape[0]
@@ -43,6 +52,13 @@ class MonomialBasis:
             and self.degree == other.degree
             and np.array_equal(self.exponents, other.exponents)
         )
+
+    @cached_property
+    def steps(self) -> list:
+        """(parent, v) per term after the constant: term i is term
+        lowered[i, v] times x_v, where v is the last variable of term i."""
+        last = [int(np.flatnonzero(e)[-1]) for e in self.exponents[1:]]
+        return [(int(self.lowered[i, v]), v) for i, v in enumerate(last, start=1)]
 
 
 def count_monomials(fan_in: int, degree: int) -> int:
@@ -74,8 +90,6 @@ def _gen_exponents(fan_in: int, total: int):
 
 def enumerate_basis(fan_in: int, degree: int, max_terms: int = MAX_TERMS) -> MonomialBasis:
     """Build the graded-lex monomial basis for (fan_in, degree)."""
-    if fan_in < 1:
-        raise ValueError(f"fan_in must be >= 1, got {fan_in}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     n = count_monomials(fan_in, degree)
@@ -86,42 +100,63 @@ def enumerate_basis(fan_in: int, degree: int, max_terms: int = MAX_TERMS) -> Mon
         rows.extend(_gen_exponents(fan_in, d))
     exps = np.array(rows, dtype=np.int64)
     assert exps.shape == (n, fan_in)
+    index = {row: i for i, row in enumerate(rows)}  # a lowered 0 exponent is absent
+    lowered = np.array([[index.get(r[:j] + (r[j] - 1,) + r[j + 1 :], 0) for j in range(fan_in)]
+                        for r in rows], dtype=np.int64)
     exps.setflags(write=False)
-    return MonomialBasis(fan_in=fan_in, degree=degree, exponents=exps)
+    lowered.setflags(write=False)
+    return MonomialBasis(fan_in=fan_in, degree=degree, exponents=exps, lowered=lowered)
 
 
 def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Evaluate every basis monomial at x.
 
     x may be a length-F vector or any array whose last axis has length F;
-    the result appends an axis of length M in place of it.  Term i is
-    prod_j x_j ** e_ij, with 0**0 == 1, so the leading output is always 1.
+    the result appends an axis of length M in place of it.  Term 0 is 1;
+    every later term is one earlier term times one variable, which
+    multiplies out each monomial left to right (x0*x0*x1 for x0^2*x1).
+    The terms are stored one after another (the result is a view of an
+    (M, ...) array), so each term is contiguous.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != basis.fan_in:
         raise ValueError(f"expected last axis {basis.fan_in}, got {x.shape[-1]}")
-    exps = basis.exponents
-    out = np.ones(x.shape[:-1] + (exps.shape[0],), dtype=np.float64)
-    for j in range(basis.fan_in):
-        out *= x[..., j : j + 1] ** exps[:, j]
-    return out
+    xt = np.moveaxis(x, -1, 0).copy()
+    out = np.empty((len(basis),) + x.shape[:-1], dtype=np.float64)
+    out[0] = 1.0
+    for i, (parent, v) in enumerate(basis.steps, start=1):
+        np.multiply(out[parent], xt[v], out=out[i, ...])
+    return np.moveaxis(out, 0, -1)
 
 
 def expand_grad(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """Jacobian of expand: entry (i, j) is d m_i / d x_j at x.
+    """Jacobian of expand: entry (i, j) is d m_i / d x_j = e_ij * m[lowered[i, j]].
 
-    x is a length-F vector; returns an (M, F) matrix.  The derivative of
-    x**0 is 0 and 0**0 is treated as 1, so constant terms contribute
-    all-zero rows.
+    x is a length-F vector; returns an (M, F) matrix.  Constant terms
+    contribute all-zero rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (basis.fan_in,):
         raise ValueError(f"expected shape ({basis.fan_in},), got {x.shape}")
-    exps = basis.exponents
-    m, f = exps.shape
-    grad = np.empty((m, f), dtype=np.float64)
-    for j in range(f):
-        lowered = exps.copy()
-        lowered[:, j] = np.maximum(lowered[:, j] - 1, 0)
-        grad[:, j] = exps[:, j] * np.prod(x ** lowered, axis=1)
-    return grad
+    return basis.exponents * expand(x, basis)[basis.lowered]
+
+
+def expand_vjp(m: np.ndarray, dm: np.ndarray, basis: MonomialBasis) -> np.ndarray:
+    """Pull a gradient dm with respect to the monomials m = expand(x) back
+    to x: entry j is sum_i dm_i * e_ij * m[lowered[i, j]]."""
+    out = np.empty(m.shape[:-1] + (basis.fan_in,), dtype=np.float64)
+    for j, e in enumerate(basis.exponents.T):
+        i = np.flatnonzero(e)
+        out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., basis.lowered[i, j]], e[i])
+    return out
+
+
+def weighted_sum(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z[..., k] = sum_i w[k, i] * m[..., k, i] (m's neuron axis may be 1),
+    summed term by term in basis order with elementwise multiply-adds, so
+    a row's result depends on neither the batch size nor the BLAS kernel."""
+    wt = np.ascontiguousarray(w.T)
+    z = m[..., 0] * wt[0]
+    for i in range(1, len(wt)):
+        z += m[..., i] * wt[i]
+    return z

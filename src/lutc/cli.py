@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import data as data_mod
 from .model import (
     NetworkSpec,
@@ -22,8 +20,6 @@ from .model import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    spec_from_profile,
-    validate_spec,
 )
 from .netlist import (
     build_netlist,
@@ -105,13 +101,9 @@ def build_spec(cfg: dict) -> NetworkSpec:
     fields = {k: v for k, v in cfg["spec"].items()
               if k in NetworkSpec.__dataclass_fields__}
     try:
-        spec = NetworkSpec(**fields)
+        return NetworkSpec(**fields)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"spec: {e}") from None
-    violations = validate_spec(spec)
-    if violations:
-        raise ConfigError("spec: " + "; ".join(violations))
-    return spec
 
 
 def load_dataset(cfg: dict):
@@ -180,7 +172,7 @@ def cmd_train(args) -> int:
     model = init_model(spec)
     try:
         trained, history = train(model, train_ds, test_ds, tc)
-    except TrainingDiverged as e:
+    except (TrainingDiverged, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
 
@@ -203,8 +195,11 @@ def cmd_train(args) -> int:
 def cmd_compile(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    model = load_checkpoint(args.checkpoint)
-    tables = tabulate_model(model)
+    try:
+        model = load_checkpoint(args.checkpoint)
+        tables = tabulate_model(model)
+    except ValueError as e:
+        raise ConfigError(f"checkpoint {args.checkpoint}: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     dump_tables(tables, args.out)
     net = build_netlist(model, tables)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

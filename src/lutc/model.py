@@ -7,20 +7,25 @@ vector, batch norm, an activation, and a learned-scale quantizer.  Hidden
 layers use quantized ReLU (unsigned codes); the output layer uses batch
 norm + identity with a signed quantizer, and classification is argmax
 over the output codes.
+
+layer_eval, which evaluates all neurons of a layer at once, is the one
+inference path: forward_codes chains it, tabulation enumerates it and
+the equivalence check replays it.  Its weighted sum runs in basis order
+with elementwise multiply-adds, so a code depends on neither the batch
+nor the BLAS kernel.
 """
 
 from __future__ import annotations
 
-import io
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import MonomialBasis, count_monomials, enumerate_basis, expand
+from .basis import count_monomials, enumerate_basis, expand, weighted_sum
 from .quantize import (
     BatchNormParams,
     Quantizer,
+    bn_apply,
     bn_identity,
     dequantize,
     quantize,
@@ -28,6 +33,9 @@ from .quantize import (
 
 # Hard cap on beta * fan_in so a single truth table never exceeds 2**24 entries.
 ENUM_GUARD_BITS = 24
+
+# layer_eval works on row chunks of at most this many rows x W x M elements.
+CHUNK_ELEMENTS = 1 << 20
 
 CHECKPOINT_VERSION = 1
 
@@ -164,15 +172,15 @@ def _covered_draw(rng, width: int, prev: int, fan: int) -> np.ndarray:
     return out
 
 
-def build_masks(spec: NetworkSpec, seed: int, max_retries: int = 2000) -> list[np.ndarray]:
+def build_masks(spec: NetworkSpec, seed: int) -> list[np.ndarray]:
     """Draw per-neuron fixed fan-in wiring, one (width, F) index array per layer.
 
     Indices are distinct and sorted per neuron.  Whenever a layer draws at
     least as many wires as its predecessor has outputs, every predecessor
     output must be used at least once; such layers are drawn with
-    _covered_draw (coverage by construction — whole-layer rejection is
-    hopeless at benchmark scale), with a bounded redraw loop kept as a
-    defensive backstop.  Narrower layers draw each neuron uniformly.
+    _covered_draw, which covers them by construction (whole-layer
+    rejection is hopeless at benchmark scale).  Narrower layers draw each
+    neuron uniformly.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     masks = []
@@ -180,20 +188,11 @@ def build_masks(spec: NetworkSpec, seed: int, max_retries: int = 2000) -> list[n
         width = spec.layer_widths[layer]
         prev = spec.prev_width(layer)
         fan = spec.layer_fan_in(layer)
-        need_coverage = fan * width >= prev
-        for attempt in range(max(1, max_retries)):
-            if need_coverage:
-                m = _covered_draw(rng, width, prev, fan)
-            else:
-                m = np.stack([np.sort(rng.choice(prev, size=fan, replace=False))
-                              for _ in range(width)])
-            if not need_coverage or len(np.unique(m)) == prev:
-                break
+        if fan * width >= prev:
+            m = _covered_draw(rng, width, prev, fan)
         else:
-            raise RuntimeError(
-                f"layer {layer}: could not cover all {prev} predecessor outputs "
-                f"after {max_retries} redraws"
-            )
+            m = np.stack([np.sort(rng.choice(prev, size=fan, replace=False))
+                          for _ in range(width)])
         m.setflags(write=False)
         masks.append(m)
     return masks
@@ -225,10 +224,8 @@ class TrainedModel:
         if len(self.masks) != self.spec.n_layers or len(self.params) != self.spec.n_layers:
             raise ValueError("masks/params length must equal the layer count")
         if not self.bases:
-            self.bases = [
-                enumerate_basis(self.spec.layer_fan_in(l), self.spec.degree)
-                for l in range(self.spec.n_layers)
-            ]
+            fans = [self.spec.layer_fan_in(l) for l in range(self.spec.n_layers)]
+            self.bases = [enumerate_basis(fan, self.spec.degree) for fan in fans]
 
     def layer_quantizer(self, layer: int) -> Quantizer:
         signed = layer == self.spec.n_layers - 1
@@ -265,52 +262,59 @@ def init_model(spec: NetworkSpec, seed: int | None = None) -> TrainedModel:
 
 
 # ---------------------------------------------------------------------------
-# Bit-exact inference path (shared verbatim by tabulation and verification)
+# Bit-exact inference path
 
 
-def neuron_preact(model: TrainedModel, layer: int, neuron: int,
-                  codes_in: np.ndarray) -> np.ndarray:
-    """Pre-quantization real output of one neuron for signed/unsigned codes.
-
-    codes_in has shape (n, F) holding the codes of exactly the neuron's
-    masked sources, in mask order.
-    """
-    qin = model.source_quantizer(layer)
-    v = dequantize(codes_in, qin)
-    m = expand(v, model.bases[layer])
-    z = m @ model.params[layer].weights[neuron]
-    h = np.asarray(
-        model.params[layer].bn.gamma[neuron]
-        * (z - model.params[layer].bn.running_mean[neuron])
-        / np.sqrt(model.params[layer].bn.running_var[neuron] + model.params[layer].bn.eps)
-        + model.params[layer].bn.beta_shift[neuron]
-    )
-    if layer < model.spec.n_layers - 1:
-        h = np.maximum(h, 0.0)
-    return h
+def row_chunks(n: int, row_elements: int) -> list:
+    """Slices of max(1, CHUNK_ELEMENTS // row_elements) rows covering range(n), or [0:0]."""
+    step = max(1, CHUNK_ELEMENTS // max(1, row_elements))
+    return [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
 
 
-def neuron_eval(model: TrainedModel, layer: int, neuron: int,
-                codes_in: np.ndarray) -> np.ndarray:
-    """Quantized output codes of one neuron.  This is THE inference path:
-    tabulation enumerates it and equivalence checking replays it."""
-    return quantize(neuron_preact(model, layer, neuron, codes_in),
-                    model.layer_quantizer(layer))
+def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
+               neurons=None) -> np.ndarray:
+    """Quantized output codes (n, W) of the layer's neurons (or of the
+    subset `neurons`).  codes (n, W, F) holds each neuron's masked source
+    codes in mask order; (n, 1, F) codes are shared by all W neurons."""
+    p = model.params[layer]
+    sel = slice(None) if neurons is None else np.asarray(neurons, dtype=np.int64)
+    w = p.weights[sel]
+    width, terms = w.shape
+    codes, fan = np.asarray(codes, dtype=np.int64), model.spec.layer_fan_in(layer)
+    if codes.ndim != 3 or codes.shape[1] not in (1, width) or codes.shape[2] != fan:
+        raise ValueError(f"layer {layer}: expected (n, {width} or 1, {fan}) codes")
+    qin, qout = model.source_quantizer(layer), model.layer_quantizer(layer)
+    hidden = layer < model.spec.n_layers - 1
+    out = np.empty((codes.shape[0], width), dtype=np.int64)
+    for rows in row_chunks(codes.shape[0], width * terms):
+        z = weighted_sum(expand(dequantize(codes[rows], qin), model.bases[layer]), w)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = bn_apply(z, p.bn, sel)
+        bad = ~np.isfinite(h).all(axis=0)
+        if bad.any():
+            neuron = np.arange(len(p.weights))[sel][np.argmax(bad)]
+            raise ValueError(f"layer {layer} neuron {neuron}: non-finite pre-activation")
+        out[rows] = quantize(np.maximum(h, 0.0) if hidden else h, qout)
+    return out
 
 
-def forward_codes(model: TrainedModel, codes0: np.ndarray) -> np.ndarray:
-    """Layer-by-layer quantized inference from input codes to output codes."""
+def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = False):
+    """Layer-by-layer quantized inference from input codes to output codes,
+    or (output codes, per-layer codes) with trace=True.  Row chunks go
+    through every layer, so the gathered (rows, W, F) codes stay bounded."""
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
-    for layer in range(model.spec.n_layers):
-        width = model.spec.layer_widths[layer]
-        out = np.empty((acts.shape[0], width), dtype=np.int64)
-        mask = model.masks[layer]
-        for j in range(width):
-            out[:, j] = neuron_eval(model, layer, j, acts[:, mask[j]])
-        acts = out
-    return acts
+    widest = max(w * len(b) for w, b in zip(model.spec.layer_widths, model.bases))
+    chunks = []
+    for rows in row_chunks(acts.shape[0], widest):
+        a, layers = acts[rows], []
+        for layer, mask in enumerate(model.masks):
+            a = layer_eval(model, layer, a[:, mask])
+            layers.append(a)
+        chunks.append(layers if trace else [a])
+    outs = [np.concatenate(c) for c in zip(*chunks)]
+    return (outs[-1], outs) if trace else outs[-1]
 
 
 def eval_codes(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -332,6 +336,38 @@ def labels_from_codes(out_codes: np.ndarray) -> np.ndarray:
 
 def accuracy(model: TrainedModel, features: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predict(model, features) == labels))
+
+
+def validate_model(model: TrainedModel) -> list[str]:
+    """Return every violated parameter invariant, naming the layer and the
+    neuron (empty list means the model is sound)."""
+    v: list[str] = []
+    spec = model.spec
+    for layer, (mask, p) in enumerate(zip(model.masks, model.params)):
+        width, fan = spec.layer_widths[layer], spec.layer_fan_in(layer)
+        prev, mask = spec.prev_width(layer), np.asarray(mask)
+        if mask.shape != (width, fan) or not np.issubdtype(mask.dtype, np.integer):
+            v.append(f"layer {layer}: mask is {mask.dtype} {mask.shape}, "
+                     f"expected integer {(width, fan)}")
+        else:
+            bad = (((mask < 0) | (mask >= prev)).any(axis=1)
+                   | (np.diff(mask, axis=1) <= 0).any(axis=1))
+            v += [f"layer {layer} neuron {j}: mask {mask[j].tolist()} is not sorted "
+                  f"distinct sources below {prev}" for j in np.flatnonzero(bad)]
+        terms = count_monomials(fan, spec.degree)
+        stats = [p.bn.gamma, p.bn.beta_shift, p.bn.running_mean, p.bn.running_var]
+        if p.weights.shape != (width, terms) or any(a.shape != (width,) for a in stats):
+            v.append(f"layer {layer}: weights {p.weights.shape} or batch-norm shapes "
+                     f"do not match {width} neurons of {terms} monomials")
+            continue
+        rows = np.column_stack([p.weights] + stats)
+        v += [f"layer {layer} neuron {j}: non-finite parameter"
+              for j in np.flatnonzero(~np.isfinite(rows).all(axis=1))]
+        v += [f"layer {layer} neuron {j}: batch-norm variance + eps is not positive"
+              for j in np.flatnonzero(~(p.bn.running_var + p.bn.eps > 0))]
+        if not (np.isfinite(p.quant_scale) and p.quant_scale > 0):
+            v.append(f"layer {layer}: quantizer scale {p.quant_scale} is not positive")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +418,12 @@ def load_checkpoint(path) -> TrainedModel:
         masks, params = [], []
         for layer in range(spec.n_layers):
             masks.append(z[f"mask_{layer}"])
-            bn = z[f"bn_{layer}"]
-            params.append(
-                LayerParams(
-                    weights=z[f"w_{layer}"],
-                    bn=BatchNormParams(
-                        gamma=bn[0], beta_shift=bn[1],
-                        running_mean=bn[2], running_var=bn[3],
-                        eps=float(z[f"bn_eps_{layer}"]),
-                    ),
-                    quant_scale=float(z[f"scale_{layer}"]),
-                )
-            )
+            gamma, shift, mean, var = z[f"bn_{layer}"]
+            bn = BatchNormParams(gamma, shift, mean, var, eps=float(z[f"bn_eps_{layer}"]))
+            params.append(LayerParams(z[f"w_{layer}"], bn, float(z[f"scale_{layer}"])))
         iq = input_quantizer_for(spec).with_scale(float(z["input_scale"]))
-    return TrainedModel(spec=spec, masks=masks, params=params, input_quantizer=iq)
+    model = TrainedModel(spec=spec, masks=masks, params=params, input_quantizer=iq)
+    violations = validate_model(model)
+    if violations:
+        raise ValueError("invalid checkpoint: " + "; ".join(violations))
+    return model

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_codes
-from .quantize import decode_bits, encode_bits
-from .tables import TruthTable, load_tables, pack_address
+from .model import TrainedModel, forward_codes, labels_from_codes
+from .quantize import decode_bits, encode_bits, quantize
+from .tables import TruthTable, decode_address, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
 EXHAUSTIVE_LIMIT_BITS = 20
@@ -157,13 +157,6 @@ class EquivalenceReport:
         return self.n_mismatches == 0
 
 
-def _netlist_labels(out_patterns: np.ndarray, model: TrainedModel) -> np.ndarray:
-    codes = decode_bits(out_patterns, model.layer_quantizer(model.spec.n_layers - 1))
-    if codes.shape[1] == 1:
-        return (codes[:, 0] > 0).astype(np.int64)
-    return np.argmax(codes, axis=1)
-
-
 def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
                       budget: int = 10000, seed: int = 0,
                       exhaustive_limit: int = EXHAUSTIVE_LIMIT_BITS) -> EquivalenceReport:
@@ -179,14 +172,9 @@ def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
     labels = None
     if total_bits <= exhaustive_limit:
         addrs = np.arange(1 << total_bits, dtype=np.int64)
-        fields = np.empty((addrs.size, spec.input_count), dtype=np.int64)
-        mask = (1 << netlist.input_bits) - 1
-        for j in range(spec.input_count):
-            fields[:, j] = (addrs >> (j * netlist.input_bits)) & mask
-        patterns.append(fields)
+        patterns.append(decode_address(addrs, netlist.input_bits, spec.input_count))
     else:
         if dataset is not None:
-            from .quantize import quantize
             codes = quantize(dataset.features, model.input_quantizer)
             patterns.append(encode_bits(codes, model.input_quantizer).astype(np.int64))
             labels = dataset.labels
@@ -197,49 +185,27 @@ def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
         )
     stim = np.concatenate(patterns)
 
-    codes_in = decode_bits(stim, model.input_quantizer)
-    model_codes = forward_codes(model, codes_in)
-    model_patterns = encode_bits(model_codes, model.layer_quantizer(spec.n_layers - 1))
+    model_codes, model_trace = forward_codes(model, decode_bits(stim, model.input_quantizer),
+                                             trace=True)
     net_patterns, traces = simulate(netlist, stim, trace=True)
-
-    bad = np.any(net_patterns != model_patterns.astype(np.int64), axis=1)
-    faulty = []
-    if np.any(bad):
-        # locate the first diverging node for each mismatching vector
-        bad_idx = np.nonzero(bad)[0][:64]
-        model_trace = _model_trace(model, codes_in[bad_idx])
-        for row, _ in enumerate(bad_idx):
-            for layer in range(spec.n_layers):
-                diff = np.nonzero(traces[layer][bad_idx[row]] != model_trace[layer][row])[0]
-                if diff.size:
-                    faulty.append((layer, int(diff[0])))
-                    break
-        faulty = sorted(set(faulty))
+    diffs = [t != encode_bits(c, model.layer_quantizer(layer))
+             for layer, (t, c) in enumerate(zip(traces, model_trace))]
+    bad = diffs[-1].any(axis=1)
+    faulty = set()
+    # locate the first diverging node for each of the first 64 mismatching vectors
+    for row in np.flatnonzero(bad)[:64]:
+        layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
+        faulty.add((layer, int(np.argmax(diffs[layer][row]))))
 
     net_acc = mod_acc = None
     if labels is not None:
         nd = labels.shape[0]
-        net_acc = float(np.mean(_netlist_labels(net_patterns[:nd], model) == labels))
-        from .model import labels_from_codes
+        net_codes = decode_bits(net_patterns[:nd], model.layer_quantizer(spec.n_layers - 1))
+        net_acc = float(np.mean(labels_from_codes(net_codes) == labels))
         mod_acc = float(np.mean(labels_from_codes(model_codes[:nd]) == labels))
     return EquivalenceReport(n_checked=stim.shape[0], n_mismatches=int(bad.sum()),
-                             faulty_nodes=faulty, netlist_accuracy=net_acc,
+                             faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
                              model_accuracy=mod_acc)
-
-
-def _model_trace(model: TrainedModel, codes0: np.ndarray) -> list:
-    """Per-layer output bit patterns of the quantized model path."""
-    from .model import neuron_eval
-    acts = np.asarray(codes0, dtype=np.int64)
-    out = []
-    for layer in range(model.spec.n_layers):
-        width = model.spec.layer_widths[layer]
-        codes = np.empty((acts.shape[0], width), dtype=np.int64)
-        for j in range(width):
-            codes[:, j] = neuron_eval(model, layer, j, acts[:, model.masks[layer][j]])
-        out.append(encode_bits(codes, model.layer_quantizer(layer)).astype(np.int64))
-        acts = codes
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,8 @@ def bn_apply(x: np.ndarray, p: BatchNormParams, channel: int | None = None) -> n
     """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta.
 
     With channel=None, x's last axis indexes channels; with a channel
-    index, x is normalized by that channel's statistics alone.
+    index (or index array), x is normalized by those channels' statistics.
     """
-    if channel is None:
-        g, b = p.gamma, p.beta_shift
-        mu, var = p.running_mean, p.running_var
-    else:
-        g, b = p.gamma[channel], p.beta_shift[channel]
-        mu, var = p.running_mean[channel], p.running_var[channel]
+    c = slice(None) if channel is None else channel
+    g, b, mu, var = p.gamma[c], p.beta_shift[c], p.running_mean[c], p.running_var[c]
     return g * (x - mu) / np.sqrt(var + p.eps) + b

@@ -1,10 +1,15 @@
 """Neuron-to-truth-table conversion by exhaustive enumeration.
 
 Each neuron becomes one logical LUT: 2**(input_bits) entries of
-output_bits-wide codes.  Address packing puts input 0 in the least
-significant bit slice, input j in bits [j*b, (j+1)*b); signed codes are
-stored as two's-complement bit patterns.  The emitted RTL uses the same
-convention, so simulation and hardware agree bit for bit.
+output_bits-wide codes.  All neurons of a layer read the same address
+space through the same quantizer, so a layer is tabulated at once: each
+chunk of addresses is decoded and expanded into monomials once, then
+weighted by every neuron of the layer (model.layer_eval).
+
+Address packing puts input 0 in the least significant bit slice, input j
+in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
+patterns.  The emitted RTL uses the same convention, so simulation and
+hardware agree bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, neuron_eval
+from .model import TrainedModel, layer_eval, row_chunks
 from .quantize import decode_bits, encode_bits
-
-# enumerate/evaluate at most this many addresses at a time
-CHUNK = 1 << 16
 
 
 @dataclass
@@ -69,35 +71,41 @@ def pack_address(fields: np.ndarray, bits_per_input: int) -> np.ndarray:
     return addrs
 
 
-def tabulate_neuron(model: TrainedModel, layer: int, neuron: int) -> TruthTable:
-    """Enumerate every input combination through the bit-exact model path."""
+def _entries(model: TrainedModel, layer: int, addrs: np.ndarray, neurons) -> np.ndarray:
+    """Bit patterns (n, W) of the neurons' outputs at packed addresses."""
     spec = model.spec
-    bits_in = spec.layer_input_bits(layer)
-    fan = spec.layer_fan_in(layer)
-    addr_bits = bits_in * fan
+    fields = decode_address(addrs, spec.layer_input_bits(layer), spec.layer_fan_in(layer))
+    codes = decode_bits(fields, model.source_quantizer(layer))[:, None, :]
+    return encode_bits(layer_eval(model, layer, codes, neurons), model.layer_quantizer(layer))
+
+
+def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> list:
+    """Tables of a layer's neurons (default all of them), enumerating the
+    layer's address space once through the bit-exact model path."""
+    spec = model.spec
+    addr_bits = spec.table_address_bits(layer)
     if addr_bits > spec.enum_guard:
         raise ValueError(
             f"layer {layer}: {addr_bits} address bits exceed the enumeration "
             f"guard ({spec.enum_guard})"
         )
-    qin = model.source_quantizer(layer)
-    qout = model.layer_quantizer(layer)
-    total = 1 << addr_bits
-    entries = np.empty(total, dtype=np.uint32)
-    for start in range(0, total, CHUNK):
-        addrs = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        codes_in = decode_bits(decode_address(addrs, bits_in, fan), qin)
-        codes_out = neuron_eval(model, layer, neuron, codes_in)
-        entries[start : start + addrs.size] = encode_bits(codes_out, qout)
-    return TruthTable(input_bits=addr_bits, output_bits=spec.beta, entries=entries)
+    width = spec.layer_widths[layer] if neurons is None else len(neurons)
+    entries = np.empty((width, 1 << addr_bits), dtype=np.uint32)
+    for rows in row_chunks(1 << addr_bits, width * len(model.bases[layer])):
+        addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
+        entries[:, rows] = _entries(model, layer, addrs, neurons).T
+    return [TruthTable(input_bits=addr_bits, output_bits=spec.beta, entries=e)
+            for e in entries]
+
+
+def tabulate_neuron(model: TrainedModel, layer: int, neuron: int) -> TruthTable:
+    """Enumerate every input combination of one neuron."""
+    return tabulate_layer(model, layer, [neuron])[0]
 
 
 def tabulate_model(model: TrainedModel) -> list:
     """One table per neuron, grouped per layer."""
-    return [
-        [tabulate_neuron(model, layer, j) for j in range(width)]
-        for layer, width in enumerate(model.spec.layer_widths)
-    ]
+    return [tabulate_layer(model, layer) for layer in range(model.spec.n_layers)]
 
 
 def verify_table(model: TrainedModel, table: TruthTable, layer: int, neuron: int,
@@ -110,13 +118,7 @@ def verify_table(model: TrainedModel, table: TruthTable, layer: int, neuron: int
     else:
         rng = np.random.default_rng(np.random.PCG64(seed))
         addrs = rng.integers(0, total, size=sample_count, dtype=np.int64)
-    bits_in = model.spec.layer_input_bits(layer)
-    fan = model.spec.layer_fan_in(layer)
-    qin = model.source_quantizer(layer)
-    qout = model.layer_quantizer(layer)
-    codes_in = decode_bits(decode_address(addrs, bits_in, fan), qin)
-    expect = encode_bits(neuron_eval(model, layer, neuron, codes_in), qout)
-    return addrs[table.entries[addrs] != expect]
+    return addrs[table.entries[addrs] != _entries(model, layer, addrs, [neuron])[:, 0]]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ seed, the trained model and history are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import expand
+from .basis import expand, expand_vjp, weighted_sum
 from .model import TrainedModel, accuracy
 from .quantize import dequantize, quantize, ste_mask
 
@@ -96,21 +96,19 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
     if linear and spec.degree != 1:
         raise ValueError("linear reference path requires degree == 1")
 
-    if quant_bypass:
-        a = x
-    else:
-        a = dequantize(quantize(x, model.input_quantizer), model.input_quantizer)
+    q0 = model.input_quantizer
+    a = x if quant_bypass else dequantize(quantize(x, q0), q0)
 
     caches = []
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        if linear:
-            ones = np.ones(xg.shape[:2] + (1,), dtype=np.float64)
-            m = np.concatenate([ones, xg], axis=2)
+        if linear:  # a constant bias term, then the inputs, stored like expand's terms
+            terms = np.concatenate([np.ones((1,) + xg.shape[:2]), np.moveaxis(xg, 2, 0)])
+            m = np.moveaxis(terms, 0, 2)
         else:
             m = expand(xg, model.bases[layer])
-        z = np.einsum("nwm,wm->nw", m, p.weights)
+        z = weighted_sum(m, p.weights)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError(f"non-finite activation in layer {layer} {context}")
 
@@ -122,9 +120,13 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
                 p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
         else:
             mu, var = p.bn.running_mean, p.bn.running_var
-        invstd = 1.0 / np.sqrt(var + p.bn.eps)
-        xhat = (z - mu) * invstd
-        h = p.bn.gamma * xhat + p.bn.beta_shift
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            invstd = 1.0 / np.sqrt(var + p.bn.eps)
+            xhat = (z - mu) * invstd
+            h = p.bn.gamma * xhat + p.bn.beta_shift
+        if not np.all(np.isfinite(h)):
+            raise FloatingPointError(
+                f"non-finite batch-norm output in layer {layer} {context}")
 
         last = layer == spec.n_layers - 1
         r = h if last else np.maximum(h, 0.0)
@@ -137,7 +139,7 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
             ste = ste_mask(r, q)
             a = c * q.scale
 
-        caches.append(dict(xg=xg, m=m, invstd=invstd, xhat=xhat, h=h,
+        caches.append(dict(m=m, invstd=invstd, xhat=xhat, h=h,
                            c=c, ste=ste, batch_stats=training, last=last))
     return a, caches
 
@@ -179,26 +181,10 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         if layer == 0:
             continue
         dm = dz[:, :, None] * p.weights[None, :, :]
-        xg = cache["xg"]
-        fan = xg.shape[2]
-        dxg = np.empty_like(xg)
-        if linear:
-            dxg[:] = dm[:, :, 1:]
-        else:
-            exps = model.bases[layer].exponents
-            for j in range(fan):
-                lowered = exps.copy()
-                lowered[:, j] = np.maximum(lowered[:, j] - 1, 0)
-                pj = np.ones_like(m)
-                for k in range(fan):
-                    pj *= xg[..., k : k + 1] ** lowered[:, k]
-                dxg[..., j] = np.einsum(
-                    "nwm,m->nw", dm * pj, exps[:, j].astype(np.float64)
-                )
+        dxg = dm[:, :, 1:] if linear else expand_vjp(m, dm, model.bases[layer])
         # scatter-add through the sparsity mask into the previous activations
-        n = xg.shape[0]
-        prev_width = spec.layer_widths[layer - 1]
-        da_t = np.zeros((prev_width, n))
+        n = dxg.shape[0]
+        da_t = np.zeros((spec.layer_widths[layer - 1], n))
         np.add.at(da_t, model.masks[layer].ravel(),
                   dxg.transpose(1, 2, 0).reshape(-1, n))
         da = da_t.T
@@ -258,8 +244,8 @@ def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float,
     decay_keys; batch-norm parameters and quantizer scales stay exempt."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - math.pow(state.beta1, t)
+    bc2 = 1.0 - math.pow(state.beta2, t)
     for key, g in grads.items():
         g = np.asarray(g, dtype=np.float64)
         if key not in state.m:
@@ -292,22 +278,8 @@ def apply_param_dict(model: TrainedModel, params: dict) -> None:
         p.quant_scale = max(float(params[f"s{layer}"]), SCALE_FLOOR)
 
 
-def weight_keys(model: TrainedModel) -> set:
-    return {f"w{layer}" for layer in range(model.spec.n_layers)}
-
-
 # ---------------------------------------------------------------------------
 # Training loop
-
-
-def copy_model(model: TrainedModel) -> TrainedModel:
-    return TrainedModel(
-        spec=model.spec,
-        masks=list(model.masks),
-        params=[p.copy() for p in model.params],
-        input_quantizer=model.input_quantizer,
-        bases=list(model.bases),
-    )
 
 
 def init_scales(model: TrainedModel, warm_batch: np.ndarray, *,
@@ -330,7 +302,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     history holds one dict per epoch: epoch, lr, train_loss,
     test_accuracy.  Deterministic given (model, data, config).
     """
-    model = copy_model(model)
+    model = replace(model, params=[p.copy() for p in model.params])
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     feats, labels = train_ds.features, train_ds.labels
     n = feats.shape[0]
@@ -338,7 +310,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     init_scales(model, feats[: min(config.batch_size, n)], linear=linear)
 
     opt_state = OptimizerState()
-    decay = weight_keys(model)
+    decay = {f"w{layer}" for layer in range(model.spec.n_layers)}
     history = []
     for epoch in range(config.epochs):
         lr = sgdr_lr(epoch, config)

@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from lutc.basis import MonomialBasis, count_monomials, enumerate_basis, expand, expand_grad
+from lutc.basis import (
+    count_monomials,
+    enumerate_basis,
+    expand,
+    expand_grad,
+    expand_vjp,
+    weighted_sum,
+)
 
 
 def brute_force_exponents(fan_in, degree):
@@ -139,3 +146,46 @@ def test_expand_grad_matches_finite_differences():
                 1e-6, np.maximum(np.abs(fd), np.abs(grad[:, j]))
             )
             assert rel.max() < 1e-6
+
+
+def test_lowered_table():
+    for fan_in, degree in [(1, 3), (2, 3), (4, 2)]:
+        basis = enumerate_basis(fan_in, degree)
+        rows = [tuple(r) for r in basis.exponents]
+        for i, row in enumerate(rows):
+            for j in range(fan_in):
+                if row[j] == 0:
+                    assert basis.lowered[i, j] == 0
+                else:
+                    down = row[:j] + (row[j] - 1,) + row[j + 1 :]
+                    assert rows[basis.lowered[i, j]] == down
+
+
+def test_expand_multiplies_left_to_right():
+    # x0^2*x1 must be (x0*x0)*x1 in floating point, not x0*(x0*x1)
+    basis = enumerate_basis(2, 3)
+    x = np.array([0.1, 0.7])
+    i = [tuple(r) for r in basis.exponents].index((2, 1))
+    assert expand(x, basis)[i] == (x[0] * x[0]) * x[1]
+
+
+def test_expand_vjp_matches_jacobian():
+    rng = np.random.default_rng(2)
+    basis = enumerate_basis(3, 3)
+    x = rng.normal(size=(4, 3))
+    dm = rng.normal(size=(4, len(basis)))
+    got = expand_vjp(expand(x, basis), dm, basis)
+    want = np.stack([dm[r] @ expand_grad(x[r], basis) for r in range(4)])
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_weighted_sum_is_sequential_in_basis_order():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 2, 7))
+    w = rng.normal(size=(2, 7))
+    want = np.zeros((5, 2))
+    for i in range(7):
+        want = want + w[:, i] * m[..., i]
+    assert np.array_equal(weighted_sum(m, w), want)
+    # monomials shared by every neuron broadcast over the neurons
+    assert np.array_equal(weighted_sum(m[:, :1], w), weighted_sum(np.repeat(m[:, :1], 2, 1), w))

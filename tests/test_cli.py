@@ -154,6 +154,43 @@ def test_compile_exit1_on_injected_fault(pipeline_dirs, tmp_path, monkeypatch):
     assert code == EXIT_VERIFY
 
 
+def corrupt_checkpoint(src, dst, key, edit):
+    with np.load(src) as z:
+        arrays = {k: z[k].copy() for k in z.files}
+    edit(arrays[key])
+    np.savez(dst, **arrays)
+    return dst
+
+
+@pytest.mark.parametrize("key, edit, where", [
+    ("w_0", lambda w: w.__setitem__((1, 2), np.nan), "layer 0 neuron 1"),
+    ("w_1", lambda w: w.__setitem__((0, 0), np.nan), "layer 1 neuron 0"),
+    ("mask_1", lambda m: m.__setitem__(0, [3, 3]), "layer 1 neuron 0: mask [3, 3]"),
+], ids=["nan-hidden-weight", "nan-output-weight", "duplicate-mask"])
+def test_compile_rejects_corrupt_checkpoint(pipeline_dirs, tmp_path, capsys,
+                                            key, edit, where):
+    ck = corrupt_checkpoint(pipeline_dirs / "run" / "checkpoint.npz",
+                            tmp_path / "bad.npz", key, edit)
+    code = run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert where in err
+    assert not (tmp_path / "net").exists()
+
+
+def test_train_exit1_on_nonfinite_activation(tmp_path, monkeypatch, capsys):
+    import lutc.cli as cli_mod
+
+    def diverging(*args, **kwargs):
+        raise FloatingPointError("non-finite batch-norm output in layer 0")
+
+    monkeypatch.setattr(cli_mod, "train", diverging)
+    code = run(["train", "--config", write_config(tmp_path), "--out", tmp_path / "o"])
+    assert code == EXIT_VERIFY
+    assert "error: non-finite batch-norm output in layer 0" in capsys.readouterr().err
+
+
 def test_emit_outputs(pipeline_dirs):
     out = pipeline_dirs / "rtl"
     assert run(["emit", "--netlist", pipeline_dirs / "net", "--out", out]) == EXIT_OK

@@ -8,10 +8,11 @@ from lutc.model import (
     init_model,
     input_quantizer_for,
     labels_from_codes,
+    layer_eval,
     load_checkpoint,
-    neuron_eval,
     save_checkpoint,
     spec_from_profile,
+    validate_model,
     validate_spec,
 )
 
@@ -154,12 +155,57 @@ def test_layer_quantizer_signedness():
     assert model.layer_quantizer(1).signed  # output layer
 
 
-def test_neuron_eval_zero_weights():
+def test_layer_eval_zero_weights():
     model = init_model(small_spec())
     model.params[0].weights[:] = 0.0
-    codes_in = np.zeros((5, 2), dtype=np.int64)
-    out = neuron_eval(model, 0, 0, codes_in)
+    codes_in = np.zeros((5, 4, 2), dtype=np.int64)
+    out = layer_eval(model, 0, codes_in)
+    assert out.shape == (5, 4)
     assert np.all(out == 0)  # quantize(ReLU(BN(0))) with identity BN
+
+
+def test_layer_eval_shared_codes_match_per_neuron_codes():
+    model = init_model(small_spec())
+    rng = np.random.default_rng(0)
+    codes = rng.integers(-2, 2, size=(7, 1, 2))
+    shared = layer_eval(model, 0, codes)
+    per_neuron = layer_eval(model, 0, np.repeat(codes, 4, axis=1))
+    assert np.array_equal(shared, per_neuron)
+    assert np.array_equal(layer_eval(model, 0, codes, [3, 1]), shared[:, [3, 1]])
+
+
+def test_layer_eval_rejects_bad_shape():
+    model = init_model(small_spec())
+    with pytest.raises(ValueError, match="layer 0"):
+        layer_eval(model, 0, np.zeros((5, 3, 2), dtype=np.int64))
+
+
+def test_layer_eval_nonfinite_names_layer_and_neuron():
+    model = init_model(small_spec())
+    model.params[1].weights[1, 0] = np.nan
+    with pytest.raises(ValueError, match="layer 1 neuron 1: non-finite"):
+        layer_eval(model, 1, np.zeros((3, 1, 2), dtype=np.int64))
+    model.params[1].weights[1, 0] = 0.0
+    model.params[1].bn.running_var[0] = 0.0
+    model.params[1].bn.eps = 0.0
+    with pytest.raises(ValueError, match="layer 1 neuron 0: non-finite"):
+        layer_eval(model, 1, np.zeros((3, 1, 2), dtype=np.int64))
+
+
+def test_validate_model_names_every_violation():
+    model = init_model(small_spec())
+    assert validate_model(model) == []
+    model.masks[1] = np.array([[1, 1], [0, 4]])
+    model.params[0].weights[2, 1] = np.inf
+    model.params[1].bn.running_var[1] = -1.0
+    v = validate_model(model)
+    assert any(s.startswith("layer 1 neuron 0: mask [1, 1]") for s in v)
+    assert any(s.startswith("layer 1 neuron 1: mask [0, 4]") for s in v)
+    assert "layer 0 neuron 2: non-finite parameter" in v
+    assert "layer 1 neuron 1: batch-norm variance + eps is not positive" in v
+    model = init_model(small_spec())
+    model.params[1].weights = model.params[1].weights[:, :-1]
+    assert any("weights (2, 5)" in s for s in validate_model(model))
 
 
 def test_labels_from_codes():
@@ -190,6 +236,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
                               model.params[layer].bn.running_var)
         assert back.params[layer].quant_scale == model.params[layer].quant_scale
         assert back.params[layer].bn.eps == model.params[layer].bn.eps
+
+
+def test_checkpoint_rejects_nonfinite_weight(tmp_path):
+    model = init_model(small_spec())
+    model.params[1].weights[0, 3] = np.nan
+    path = tmp_path / "ck.npz"
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match="layer 1 neuron 0: non-finite"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_version_guard(tmp_path):

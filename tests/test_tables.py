@@ -9,6 +9,7 @@ from lutc.tables import (
     dump_tables,
     load_tables,
     pack_address,
+    tabulate_layer,
     tabulate_model,
     tabulate_neuron,
     verify_table,
@@ -63,7 +64,7 @@ def test_truth_table_hash_tracks_content():
 
 def test_entry_count_beta3_fan4():
     model = init_model(spec_from_profile("jsc-m"))
-    table = tabulate_neuron(model, 1, 0)
+    table = tabulate_layer(model, 1)[0]
     assert table.input_bits == 12
     assert table.entries.size == 4096  # 2**(beta * F)
 
@@ -71,8 +72,8 @@ def test_entry_count_beta3_fan4():
 def test_zero_weights_constant_table():
     model = small_model()
     model.params[0].weights[:] = 0.0
-    table = tabulate_neuron(model, 0, 0)
-    assert np.all(table.entries == table.entries[0])
+    for table in tabulate_layer(model, 0):
+        assert np.all(table.entries == table.entries[0])
 
 
 def test_d1_passthrough_neuron():
@@ -84,7 +85,7 @@ def test_d1_passthrough_neuron():
     model.params[layer].weights[:] = 0.0
     model.params[layer].weights[0, 1] = 1.0  # basis [1, x0, x1] -> select x0
     model.params[layer].quant_scale = model.params[layer - 1].quant_scale
-    table = tabulate_neuron(model, layer, 0)
+    table = tabulate_layer(model, layer)[0]
     qin = model.source_quantizer(layer)
     for addr in range(table.entries.size):
         code0 = decode_bits(np.array(addr & 0b11), qin)
@@ -115,22 +116,29 @@ def test_enum_guard_enforced():
     model = small_model()
     object.__setattr__(model.spec, "enum_guard", 3)
     with pytest.raises(ValueError, match="guard"):
-        tabulate_neuron(model, 0, 0)
+        tabulate_layer(model, 0)
 
 
 # ---------------------------------------------------------------------------
 # Verification
 
 
+def test_tabulate_neuron_is_a_layer_row():
+    model = small_model()
+    layer = tabulate_layer(model, 0)
+    assert [tabulate_neuron(model, 0, j) for j in range(3)] == layer
+    assert tabulate_layer(model, 0, [2, 0]) == [layer[2], layer[0]]
+
+
 def test_verify_fresh_table_clean():
     model = small_model()
-    table = tabulate_neuron(model, 0, 1)
-    assert verify_table(model, table, 0, 1).size == 0
+    for j, table in enumerate(tabulate_layer(model, 0)):
+        assert verify_table(model, table, 0, j).size == 0
 
 
 def test_verify_flipped_entry():
     model = small_model()
-    table = tabulate_neuron(model, 0, 1)
+    table = tabulate_layer(model, 0)[1]
     table.entries[5] ^= 1
     bad = verify_table(model, table, 0, 1)
     assert bad.tolist() == [5]
@@ -138,7 +146,7 @@ def test_verify_flipped_entry():
 
 def test_verify_exhaustive_16():
     model = small_model()  # beta=2, F=2 -> 16 addresses, exhaustive
-    table = tabulate_neuron(model, 1, 0)
+    table = tabulate_layer(model, 1)[0]
     assert table.entries.size == 16
     assert verify_table(model, table, 1, 0).size == 0
 

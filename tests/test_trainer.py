@@ -156,9 +156,17 @@ def test_backward_zero_upstream():
 
 def test_backward_shape_mismatch():
     model = make_model([2], fan_in=2, degree=1, input_count=2)
-    _, caches = forward(model, np.zeros((3, 2)))
+    x = np.array([[0.5, -0.5], [-0.25, 0.75], [1.0, 0.0]])  # batch variance > 0
+    _, caches = forward(model, x)
     with pytest.raises(ValueError):
         backward(model, caches, np.zeros((3, 5)))
+
+
+def test_forward_nonfinite_batch_norm_names_layer():
+    # a constant batch has variance 0; with eps == 0 batch norm divides by 0
+    model = make_model([2, 2], fan_in=2, degree=1, input_count=2)
+    with pytest.raises(FloatingPointError, match="layer 0"):
+        forward(model, np.zeros((3, 2)))
 
 
 def test_backward_matches_logistic_regression():
