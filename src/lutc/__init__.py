@@ -23,7 +23,7 @@ from .model import (
 from .netlist import (
     CostReport,
     EquivalenceReport,
-    LutNode,
+    LutLayer,
     Netlist,
     build_netlist,
     equivalence_check,

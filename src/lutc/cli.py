@@ -203,6 +203,7 @@ def cmd_compile(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dump_tables(tables, args.out)
     net = build_netlist(model, tables)
+    del tables  # the netlist holds its own stacked copy
     save_netlist(net, args.out)
 
     rep = equivalence_check(net, model, budget=args.budget,

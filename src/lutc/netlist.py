@@ -1,10 +1,12 @@
 """Layered LUT netlists: assembly, bit-exact simulation, equivalence
 checking against the trained model, and cost/latency/Pareto reporting.
 
-A netlist node holds one truth table and the ids of its sources; wiring
-copies the training-time sparsity masks.  Simulation is a pure integer
-path (packed-address lookups, no floating point), one pipeline stage per
-layer.
+A layer is W truth tables of 2**(F*b) entries each, read through one
+(W, F) wiring matrix of source indices into the previous layer (the
+primary inputs for layer 0); the wiring copies the training-time
+sparsity masks.  Simulation is a pure integer path (one packed-address
+gather per layer, no floating point), one pipeline stage per layer.
+Global node ids exist only in the netlist.json file format.
 """
 
 from __future__ import annotations
@@ -15,28 +17,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_codes, labels_from_codes
+from .model import TrainedModel, forward_codes, labels_from_codes, row_chunks
 from .quantize import decode_bits, encode_bits, quantize
-from .tables import TruthTable, decode_address, load_tables, pack_address
+from .tables import decode_address, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
 EXHAUSTIVE_LIMIT_BITS = 20
 
 
-@dataclass
-class LutNode:
-    id: int
-    layer: int
-    index: int
-    table: TruthTable
-    sources: tuple  # global ids: previous-layer nodes, or primary inputs for layer 0
+@dataclass(eq=False)
+class LutLayer:
+    """W lookup tables with F sources each, input 0 in the least
+    significant address slice."""
+
+    tables: np.ndarray  # (W, 2**address_bits) uint32 output bit patterns
+    sources: np.ndarray  # (W, F) int64 indices into the previous layer
+    output_bits: int
+
+    @property
+    def width(self) -> int:
+        return self.tables.shape[0]
+
+    @property
+    def address_bits(self) -> int:
+        return self.tables.shape[1].bit_length() - 1
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, LutNode)
-            and (self.id, self.layer, self.index, self.sources)
-            == (other.id, other.layer, other.index, other.sources)
-            and self.table == other.table
+            isinstance(other, LutLayer)
+            and self.output_bits == other.output_bits
+            and np.array_equal(self.tables, other.tables)
+            and np.array_equal(self.sources, other.sources)
         )
 
 
@@ -44,22 +55,24 @@ class LutNode:
 class Netlist:
     input_count: int
     input_bits: int  # code width of each primary input
-    layers: list  # list of list[LutNode]
+    layers: list  # list[LutLayer]
     clock_period_ns: float
 
     def __post_init__(self):
-        next_id = self.input_count
-        for layer, nodes in enumerate(self.layers):
-            lo = 0 if layer == 0 else self.layers[layer - 1][0].id
-            hi = self.input_count if layer == 0 else lo + len(self.layers[layer - 1])
-            for node in nodes:
-                if node.id != next_id:
-                    raise ValueError(f"node ids must be dense; expected {next_id}")
-                if any(s < lo or s >= hi for s in node.sources):
-                    raise ValueError(
-                        f"node {node.id} (layer {layer}) wires outside layer {layer - 1}"
-                    )
-                next_id += 1
+        prev, bits = self.input_count, self.input_bits
+        for layer, lut in enumerate(self.layers):
+            tables, sources = lut.tables, lut.sources
+            if len(sources) != len(tables) or tables.shape[1] != 1 << (sources.shape[1] * bits):
+                raise ValueError(f"layer {layer}: {sources.shape} sources of {bits} bits "
+                                 f"do not address {tables.shape} tables")
+            ordered = np.sort(sources, axis=1)
+            bad = (((sources < 0) | (sources >= prev)).any(axis=1)
+                   | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ValueError(f"layer {layer} neuron {j}: sources {sources[j].tolist()} "
+                                 f"are not distinct indices below {prev}")
+            prev, bits = len(tables), lut.output_bits
 
     @property
     def n_layers(self) -> int:
@@ -67,52 +80,30 @@ class Netlist:
 
     @property
     def n_nodes(self) -> int:
-        return sum(len(nodes) for nodes in self.layers)
+        return sum(lut.width for lut in self.layers)
 
     @property
     def output_bits(self) -> int:
-        return self.layers[-1][0].table.output_bits
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Netlist)
-            and (self.input_count, self.input_bits) == (other.input_count, other.input_bits)
-            and self.clock_period_ns == other.clock_period_ns
-            and self.layers == other.layers
-        )
+        return self.layers[-1].output_bits
 
 
 def build_netlist(model: TrainedModel, tables: list) -> Netlist:
-    """Wire the per-neuron tables according to the sparsity masks."""
+    """Stack each layer's tables and wire them according to the sparsity masks."""
     spec = model.spec
     if len(tables) != spec.n_layers:
         raise ValueError("one table list per layer required")
     layers = []
-    next_id = spec.input_count
-    base = 0  # global id of the first node in the previous layer
-    for layer in range(spec.n_layers):
-        width = spec.layer_widths[layer]
-        if len(tables[layer]) != width:
-            raise ValueError(f"layer {layer}: expected {width} tables, got {len(tables[layer])}")
-        fan = spec.layer_fan_in(layer)
-        nodes = []
-        for j in range(width):
-            table = tables[layer][j]
-            if table.input_bits != spec.table_address_bits(layer):
-                raise ValueError(
-                    f"layer {layer} neuron {j}: table input_bits {table.input_bits} "
-                    f"does not match {spec.table_address_bits(layer)}"
-                )
-            mask = model.masks[layer][j]
-            if len(mask) != fan:
-                raise ValueError(f"layer {layer} neuron {j}: mask arity mismatch")
-            nodes.append(
-                LutNode(id=next_id, layer=layer, index=j, table=table,
-                        sources=tuple(int(base + s) for s in mask))
-            )
-            next_id += 1
-        base = nodes[0].id
-        layers.append(nodes)
+    for layer, (width, layer_tables) in enumerate(zip(spec.layer_widths, tables)):
+        if len(layer_tables) != width:
+            raise ValueError(f"layer {layer}: expected {width} tables, got {len(layer_tables)}")
+        shape = (spec.table_address_bits(layer), spec.beta)
+        for j, table in enumerate(layer_tables):
+            if (table.input_bits, table.output_bits) != shape:
+                raise ValueError(f"layer {layer} neuron {j}: table (input_bits, output_bits) "
+                                 f"{(table.input_bits, table.output_bits)} is not {shape}")
+        layers.append(LutLayer(tables=np.stack([t.entries for t in layer_tables]),
+                               sources=np.array(model.masks[layer], dtype=np.int64),
+                               output_bits=spec.beta))
     return Netlist(input_count=spec.input_count, input_bits=spec.layer_input_bits(0),
                    layers=layers, clock_period_ns=spec.clock_period_ns)
 
@@ -129,16 +120,13 @@ def simulate(netlist: Netlist, inputs: np.ndarray, *, trace: bool = False):
     if np.any(vals < 0) or np.any(vals >= (1 << netlist.input_bits)):
         raise ValueError(f"input pattern outside {netlist.input_bits}-bit range")
     traces = []
-    base = 0
-    for layer, nodes in enumerate(netlist.layers):
-        bits_in = netlist.input_bits if layer == 0 else netlist.layers[layer - 1][0].table.output_bits
-        out = np.empty((vals.shape[0], len(nodes)), dtype=np.int64)
-        for j, node in enumerate(nodes):
-            fields = vals[:, [s - base for s in node.sources]]
-            addrs = pack_address(fields, bits_in)
-            out[:, j] = node.table.entries[addrs]
-        base = nodes[0].id
-        vals = out
+    bits = netlist.input_bits
+    for lut in netlist.layers:
+        out = np.empty((vals.shape[0], lut.width), dtype=np.int64)
+        neurons = np.arange(lut.width)
+        for rows in row_chunks(vals.shape[0], lut.sources.size):
+            out[rows] = lut.tables[neurons, pack_address(vals[rows][:, lut.sources], bits)]
+        vals, bits = out, lut.output_bits
         if trace:
             traces.append(out.copy())
     return (vals, traces) if trace else vals
@@ -249,11 +237,8 @@ class CostReport:
 
 def report(netlist: Netlist, target_k: int = DEFAULT_K) -> CostReport:
     """Total estimated LUT cost plus the layers-times-clock latency model."""
-    per_layer = []
-    for nodes in netlist.layers:
-        per_layer.append(sum(
-            lut_cost(n.table.input_bits, target_k) * n.table.output_bits for n in nodes
-        ))
+    per_layer = [lut.width * lut.output_bits * lut_cost(lut.address_bits, target_k)
+                 for lut in netlist.layers]
     cycles = netlist.n_layers
     return CostReport(per_layer_luts=per_layer, total_luts=sum(per_layer),
                       cycles=cycles, latency_ns=cycles * netlist.clock_period_ns,
@@ -293,17 +278,24 @@ def pareto_front(points: list) -> list:
 
 
 def save_netlist(netlist: Netlist, out_dir) -> str:
-    """Write netlist.json; the table dumps live in the same directory."""
+    """Write netlist.json; the table dumps live in the same directory.
+
+    The file numbers the primary inputs 0..input_count-1 and then every
+    node in layer order, and names each node's sources by those ids.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    layers = []
+    base, next_id = 0, netlist.input_count  # global ids of source 0 and of the next node
+    for lut in netlist.layers:
+        layers.append([{"id": next_id + j, "sources": [base + s for s in row]}
+                       for j, row in enumerate(lut.sources.tolist())])
+        base, next_id = next_id, next_id + lut.width
     doc = {
         "format": "lut-netlist v1",
         "input_count": netlist.input_count,
         "input_bits": netlist.input_bits,
         "clock_period_ns": netlist.clock_period_ns,
-        "layers": [
-            [{"id": n.id, "sources": list(n.sources)} for n in nodes]
-            for nodes in netlist.layers
-        ],
+        "layers": layers,
     }
     path = os.path.join(out_dir, "netlist.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -313,19 +305,42 @@ def save_netlist(netlist: Netlist, out_dir) -> str:
 
 
 def load_netlist(in_dir) -> Netlist:
+    """Read netlist.json and the table dumps beside it.  A malformed or
+    inconsistent file raises ValueError naming the layer and neuron."""
     with open(os.path.join(in_dir, "netlist.json"), "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != "lut-netlist v1":
-        raise ValueError(f"unrecognized netlist format {doc.get('format')!r}")
+    if not isinstance(doc, dict) or doc.get("format") != "lut-netlist v1":
+        raise ValueError("netlist.json is not in the lut-netlist v1 format")
+    try:
+        input_count, input_bits = int(doc["input_count"]), int(doc["input_bits"])
+        clock_period_ns = float(doc["clock_period_ns"])
+        doc_layers = [list(nodes) for nodes in doc["layers"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"netlist.json: missing or invalid field {e}") from None
     tables = load_tables(in_dir)
+    if len(doc_layers) != len(tables):
+        raise ValueError(f"netlist.json has {len(doc_layers)} layers, "
+                         f"the table dumps {len(tables)}")
     layers = []
-    for layer, nodes in enumerate(doc["layers"]):
-        if len(nodes) != len(tables[layer]):
-            raise ValueError(f"layer {layer}: table dump does not match the netlist")
-        layers.append([
-            LutNode(id=int(n["id"]), layer=layer, index=j,
-                    table=tables[layer][j], sources=tuple(int(s) for s in n["sources"]))
-            for j, n in enumerate(nodes)
-        ])
-    return Netlist(input_count=int(doc["input_count"]), input_bits=int(doc["input_bits"]),
-                   layers=layers, clock_period_ns=float(doc["clock_period_ns"]))
+    base, next_id, bits = 0, input_count, input_bits
+    for layer, (nodes, layer_tables) in enumerate(zip(doc_layers, tables)):
+        if not 0 < len(nodes) == len(layer_tables):
+            raise ValueError(f"layer {layer}: {len(nodes)} nodes in netlist.json, "
+                             f"{len(layer_tables)} tables in the dump")
+        addr_bits, sources = layer_tables[0].input_bits, []
+        for j, node in enumerate(nodes):
+            try:
+                sources.append([s - base for s in node["sources"]])
+                ok = node["id"] == next_id + j and len(sources[-1]) * bits == addr_bits
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                raise ValueError(f"layer {layer} neuron {j}: expected id {next_id + j} and "
+                                 f"{bits}-bit sources filling {addr_bits} address bits, "
+                                 f"got {node}")
+        layers.append(LutLayer(tables=np.stack([t.entries for t in layer_tables]),
+                               sources=np.array(sources, dtype=np.int64),
+                               output_bits=layer_tables[0].output_bits))
+        base, next_id, bits = next_id, next_id + len(nodes), layers[-1].output_bits
+    return Netlist(input_count=input_count, input_bits=input_bits, layers=layers,
+                   clock_period_ns=clock_period_ns)

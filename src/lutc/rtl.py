@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netlist import Netlist, simulate
+from .tables import TruthTable
 
 
 @dataclass
@@ -67,7 +68,7 @@ def emit_top(netlist: Netlist, name: str = "top") -> str:
     [i*b, (i+1)*b), matching the truth-table packing.
     """
     in_w = netlist.input_count * netlist.input_bits
-    out_w = len(netlist.layers[-1]) * netlist.output_bits
+    out_w = netlist.layers[-1].width * netlist.output_bits
     lines = [
         f"module {name} (",
         "    input  wire clk,",
@@ -75,28 +76,24 @@ def emit_top(netlist: Netlist, name: str = "top") -> str:
         f"    output wire {_bus(out_w)} out_data",
         ");",
     ]
-    base = 0
-    for layer, nodes in enumerate(netlist.layers):
-        bits_in = netlist.input_bits if layer == 0 else netlist.layers[layer - 1][0].table.output_bits
-        bits_out = nodes[0].table.output_bits
+    bits_in = netlist.input_bits
+    for layer, lut in enumerate(netlist.layers):
+        bits_out = lut.output_bits
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
-        lines.append(f"    wire {_bus(len(nodes) * bits_out)} layer{layer}_data;")
-        for node in nodes:
-            locals_ = [s - base for s in node.sources]
-            if len(locals_) * bits_in != node.table.input_bits:
-                raise ValueError(f"node {node.id}: dangling or mis-sized wiring")
+        lines.append(f"    wire {_bus(lut.width * bits_out)} layer{layer}_data;")
+        for j, sources in enumerate(lut.sources.tolist()):
             # input 0 is the least significant slice, hence last in the concat
             concat = ", ".join(
-                f"{src_bus}[{s}*{bits_in} +: {bits_in}]" for s in reversed(locals_)
+                f"{src_bus}[{s}*{bits_in} +: {bits_in}]" for s in reversed(sources)
             )
-            mod = _module_name(layer, node.index)
-            lines.append(f"    wire {_bus(node.table.input_bits)} {mod}_addr;")
+            mod = _module_name(layer, j)
+            lines.append(f"    wire {_bus(lut.address_bits)} {mod}_addr;")
             lines.append(f"    assign {mod}_addr = {{{concat}}};")
             lines.append(
                 f"    {mod} u_{mod} (.clk(clk), .addr({mod}_addr), "
-                f".data(layer{layer}_data[{node.index}*{bits_out} +: {bits_out}]));"
+                f".data(layer{layer}_data[{j}*{bits_out} +: {bits_out}]));"
             )
-        base = nodes[0].id
+        bits_in = bits_out
     lines.append(f"    assign out_data = layer{netlist.n_layers - 1}_data;")
     lines.extend(["endmodule", ""])
     return "\n".join(lines)
@@ -113,7 +110,7 @@ def emit_golden_vectors(netlist: Netlist, vectors: np.ndarray) -> str:
     in_words = pack_words(vectors, netlist.input_bits)
     out_words = pack_words(outs, netlist.output_bits)
     in_w = netlist.input_count * netlist.input_bits
-    out_w = len(netlist.layers[-1]) * netlist.output_bits
+    out_w = netlist.layers[-1].width * netlist.output_bits
     in_digits = (in_w + 3) // 4
     out_digits = (out_w + 3) // 4
     return "".join(
@@ -137,7 +134,7 @@ def parse_golden_vectors(text: str):
 def emit_testbench(netlist: Netlist, top_name: str = "top") -> str:
     """Self-checking testbench replaying vectors.hex against the pipeline."""
     in_w = netlist.input_count * netlist.input_bits
-    out_w = len(netlist.layers[-1]) * netlist.output_bits
+    out_w = netlist.layers[-1].width * netlist.output_bits
     depth = netlist.n_layers
     return f"""`timescale 1ns/1ps
 module tb;
@@ -177,12 +174,22 @@ endmodule
 
 def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
                 top_name: str = "top") -> RtlBundle:
-    names: set = set()
     modules = {}
-    for nodes in netlist.layers:
-        for node in nodes:
-            name = _module_name(node.layer, node.index)
-            modules[name] = emit_neuron(node.table, name, names)
+    manifest_lines = [
+        "rtl-manifest v1",
+        f"top {top_name} in_bits {netlist.input_count * netlist.input_bits} "
+        f"out_bits {netlist.layers[-1].width * netlist.output_bits} "
+        f"stages {netlist.n_layers}",
+    ]
+    for layer, lut in enumerate(netlist.layers):
+        for j in range(lut.width):
+            name = _module_name(layer, j)
+            table = TruthTable(lut.address_bits, lut.output_bits, lut.tables[j])
+            modules[name] = emit_neuron(table, name)
+            manifest_lines.append(
+                f"module {name} input_bits {table.input_bits} "
+                f"output_bits {table.output_bits} sha256 {table.sha256()}"
+            )
     top = emit_top(netlist, top_name)
     if vectors is None:
         rng = np.random.default_rng(np.random.PCG64(0))
@@ -190,19 +197,6 @@ def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
                                size=(64, netlist.input_count)).astype(np.int64)
     vec_text = emit_golden_vectors(netlist, vectors)
     tb = emit_testbench(netlist, top_name)
-    manifest_lines = [
-        "rtl-manifest v1",
-        f"top {top_name} in_bits {netlist.input_count * netlist.input_bits} "
-        f"out_bits {len(netlist.layers[-1]) * netlist.output_bits} "
-        f"stages {netlist.n_layers}",
-    ]
-    for nodes in netlist.layers:
-        for node in nodes:
-            name = _module_name(node.layer, node.index)
-            manifest_lines.append(
-                f"module {name} input_bits {node.table.input_bits} "
-                f"output_bits {node.table.output_bits} sha256 {node.table.sha256()}"
-            )
     return RtlBundle(modules=modules, top=top, testbench=tb, vectors=vec_text,
                      manifest="\n".join(manifest_lines) + "\n")
 
@@ -239,71 +233,54 @@ _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
 def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
     """Return structural problems (empty list means the bundle is sound).
 
-    Checks: unique module names, registered outputs, one case arm per
+    Checks: module declarations, registered outputs, one case arm per
     address, port widths, and mask-faithful top-level wiring.
     """
     problems: list[str] = []
-    seen = set()
-    expected = {}
-    for nodes in netlist.layers:
-        for node in nodes:
-            expected[_module_name(node.layer, node.index)] = node
-
-    for name, text in bundle.modules.items():
-        m = _MODULE_RE.search(text)
-        if not m or m.group(1) != name:
-            problems.append(f"{name}: missing or mismatched module declaration")
-            continue
-        if name in seen:
-            problems.append(f"{name}: duplicate module name")
-        seen.add(name)
-        node = expected.get(name)
-        if node is None:
-            problems.append(f"{name}: not present in the netlist")
-            continue
-        am = _ADDR_RE.search(text)
-        dm = _DATA_RE.search(text)
-        if not am or int(am.group(1)) + 1 != node.table.input_bits:
-            problems.append(f"{name}: addr port width != {node.table.input_bits}")
-        if not dm or int(dm.group(1)) + 1 != node.table.output_bits:
-            problems.append(f"{name}: data is not a registered "
-                            f"{node.table.output_bits}-bit output")
-        if "always @(posedge clk)" not in text:
-            problems.append(f"{name}: output is not clocked")
-        arms = len(_ARM_RE.findall(text))
-        if arms != (1 << node.table.input_bits):
-            problems.append(
-                f"{name}: {arms} case arms, expected {1 << node.table.input_bits}"
-            )
-        if "default:" not in text:
-            problems.append(f"{name}: missing default arm")
-
-    missing = set(expected) - set(bundle.modules)
-    if missing:
-        problems.append(f"missing modules: {sorted(missing)}")
-
-    # top wiring vs the masks
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(bundle.top)}
-    base = 0
-    for layer, nodes in enumerate(netlist.layers):
-        bits_in = netlist.input_bits if layer == 0 else netlist.layers[layer - 1][0].table.output_bits
+    names = set()
+    bits_in = netlist.input_bits
+    for layer, lut in enumerate(netlist.layers):
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
-        for node in nodes:
-            name = _module_name(node.layer, node.index)
+        for j, sources in enumerate(lut.sources.tolist()):
+            name = _module_name(layer, j)
+            names.add(name)
+            problems += _module_problems(name, bundle.modules.get(name, ""),
+                                         lut.address_bits, lut.output_bits)
             concat = wires.get(name)
             if concat is None:
                 problems.append(f"top: no address assign for {name}")
                 continue
-            slices = _SLICE_RE.findall(concat)
             got = []
-            for bus, idx, width, width2 in reversed(slices):  # concat is MSB first
+            for bus, idx, width, width2 in reversed(_SLICE_RE.findall(concat)):  # MSB first
                 if bus != src_bus or width != width2 or int(width) != bits_in:
                     problems.append(f"top: {name} reads from unexpected slice "
                                     f"{bus}[{idx}*{width} +: {width2}]")
-                got.append(int(idx) + base)
-            if tuple(got) != node.sources:
-                problems.append(
-                    f"top: {name} wiring {tuple(got)} != mask {node.sources}"
-                )
-        base = nodes[0].id
+                got.append(int(idx))
+            if got != sources:
+                problems.append(f"top: {name} wiring {got} != mask {sources}")
+        bits_in = lut.output_bits
+    problems += [f"{name}: not present in the netlist" for name in bundle.modules
+                 if name not in names]
+    return problems
+
+
+def _module_problems(name: str, text: str, addr_bits: int, data_bits: int) -> list:
+    m = _MODULE_RE.search(text)
+    if not m or m.group(1) != name:
+        return [f"{name}: missing or mismatched module declaration"]
+    problems = []
+    am = _ADDR_RE.search(text)
+    dm = _DATA_RE.search(text)
+    if not am or int(am.group(1)) + 1 != addr_bits:
+        problems.append(f"{name}: addr port width != {addr_bits}")
+    if not dm or int(dm.group(1)) + 1 != data_bits:
+        problems.append(f"{name}: data is not a registered {data_bits}-bit output")
+    if "always @(posedge clk)" not in text:
+        problems.append(f"{name}: output is not clocked")
+    arms = len(_ARM_RE.findall(text))
+    if arms != (1 << addr_bits):
+        problems.append(f"{name}: {arms} case arms, expected {1 << addr_bits}")
+    if "default:" not in text:
+        problems.append(f"{name}: missing default arm")
     return problems

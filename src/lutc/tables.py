@@ -161,28 +161,34 @@ def load_tables(in_dir) -> list:
 
     tables = []
     for layer in range(len(found)):
-        with open(found[layer], "r", encoding="utf-8") as f:
+        path = found[layer]
+        with open(path, "r", encoding="utf-8") as f:
             lines = [ln.strip() for ln in f if ln.strip()]
-        if lines[0] != "lut-tables v1":
-            raise ValueError(f"{found[layer]}: bad header {lines[0]!r}")
-        head = dict(ln.split() for ln in lines[1:5])
-        n_neurons = int(head["neurons"])
-        input_bits = int(head["input_bits"])
-        output_bits = int(head["output_bits"])
-        size = 1 << input_bits
-        layer_tables = []
-        pos = 5
+        if not lines or lines[0] != "lut-tables v1":
+            raise ValueError(f"{path}: bad header {lines[:1]}")
+        try:
+            head = dict(ln.split() for ln in lines[1:5])
+            n_neurons, input_bits, output_bits = (
+                int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
+        except (KeyError, ValueError) as e:
+            raise ValueError(f"layer {layer}: {path}: bad header field {e}") from None
+        layer_tables, pos = [], 5
         for j in range(n_neurons):
-            if lines[pos] != f"neuron {j}":
-                raise ValueError(f"{found[layer]}: expected 'neuron {j}', got {lines[pos]!r}")
+            got = lines[pos] if pos < len(lines) else "end of file"
+            if got != f"neuron {j}":
+                raise ValueError(f"layer {layer} neuron {j}: {path}: got {got!r}")
             pos += 1
             vals = []
-            while len(vals) < size:
-                vals.extend(int(v, 16) for v in lines[pos].split())
+            while len(vals) < (1 << input_bits) and pos < len(lines) \
+                    and not lines[pos].startswith("neuron"):
+                vals.extend(lines[pos].split())
                 pos += 1
-            layer_tables.append(
-                TruthTable(input_bits=input_bits, output_bits=output_bits,
-                           entries=np.array(vals, dtype=np.uint32))
-            )
+            try:  # a truncated dump leaves too few entries
+                layer_tables.append(TruthTable(input_bits=input_bits, output_bits=output_bits,
+                                               entries=[int(v, 16) for v in vals]))
+            except (ValueError, OverflowError) as e:
+                raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
+        if pos != len(lines):
+            raise ValueError(f"layer {layer}: {path}: unexpected line {lines[pos]!r}")
         tables.append(layer_tables)
     return tables

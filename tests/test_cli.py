@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -204,6 +205,57 @@ def test_emit_deterministic(pipeline_dirs):
     run(["emit", "--netlist", pipeline_dirs / "net", "--out", pipeline_dirs / "r2"])
     for p in sorted((pipeline_dirs / "r1").iterdir()):
         assert p.read_bytes() == (pipeline_dirs / "r2" / p.name).read_bytes()
+
+
+def edit_netlist(edit):
+    """Corruption that rewrites netlist.json through edit(doc)."""
+    def corrupt(net_dir):
+        path = net_dir / "netlist.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return corrupt
+
+
+def truncate_dump(net_dir):
+    path = net_dir / "layer1_tables.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-3]), encoding="utf-8")
+
+
+def set_source(layer, node, k, value):
+    return edit_netlist(lambda doc: doc["layers"][layer][node]["sources"].__setitem__(k, value))
+
+
+# pipeline_dirs' netlist: inputs are ids 0-1, layer 0 ids 2-5, layer 1 ids 6-7
+@pytest.mark.parametrize("corrupt, where", [
+    (edit_netlist(lambda doc: doc["layers"][1][0]["sources"].append(2)), "layer 1 neuron 0"),
+    (set_source(0, 1, 0, 2), "layer 0 neuron 1"),
+    (set_source(1, 1, 1, 9), "layer 1 neuron 1"),
+    (edit_netlist(lambda doc: doc["layers"][1][0].__setitem__("sources", [3, 3])),
+     "layer 1 neuron 0"),
+    (edit_netlist(lambda doc: doc["layers"][1][1].__setitem__("id", 8)), "layer 1 neuron 1"),
+    (edit_netlist(lambda doc: doc["layers"][1][0].pop("sources")), "layer 1 neuron 0"),
+    (edit_netlist(lambda doc: doc["layers"].append(doc["layers"][1])),
+     "netlist.json has 3 layers, the table dumps 2"),
+    (lambda net_dir: (net_dir / "layer1_tables.txt").unlink(),
+     "netlist.json has 2 layers, the table dumps 1"),
+    (edit_netlist(lambda doc: doc.pop("input_bits")), "input_bits"),
+    (edit_netlist(lambda doc: doc["layers"].__setitem__(1, 5)), "netlist.json: missing or invalid"),
+    (truncate_dump, "layer 1 neuron 1"),
+], ids=["extra-source", "source-past-inputs", "source-past-layer", "duplicate-source",
+        "non-dense-id", "missing-sources", "extra-layer", "missing-dump",
+        "missing-input-bits", "layer-not-a-list", "truncated-dump"])
+def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt, where):
+    net_dir = tmp_path / "net"
+    shutil.copytree(pipeline_dirs / "net", net_dir)
+    corrupt(net_dir)
+    code = run(["emit", "--netlist", net_dir, "--out", tmp_path / "rtl"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert where in err
+    assert not (tmp_path / "rtl").exists()
 
 
 # ---------------------------------------------------------------------------

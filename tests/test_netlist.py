@@ -35,16 +35,19 @@ def test_build_shapes():
     assert net.n_layers == 2
     assert net.n_nodes == 5
     assert net.input_count == 2 and net.input_bits == 2
-    # wiring copies the masks, shifted to global ids
-    assert net.layers[0][0].sources == tuple(model.masks[0][0])
-    base = net.layers[0][0].id
-    assert net.layers[1][1].sources == tuple(base + s for s in model.masks[1][1])
+    # wiring copies the masks: local indices into the previous layer
+    assert np.array_equal(net.layers[0].sources, model.masks[0])
+    assert np.array_equal(net.layers[1].sources, model.masks[1])
+    assert net.layers[0].tables.shape == (3, 16) and net.layers[0].tables.dtype == np.uint32
+    for layer in range(2):
+        for j, table in enumerate(tables[layer]):
+            assert np.array_equal(net.layers[layer].tables[j], table.entries)
 
 
 def test_build_single_node():
     _, _, net = compiled(layer_widths=(1,))
     assert net.n_nodes == 1
-    assert net.layers[0][0].sources == (0, 1)  # fed by primary inputs
+    assert net.layers[0].sources.tolist() == [[0, 1]]  # fed by primary inputs
 
 
 def test_build_rejects_wrong_table_count():
@@ -53,15 +56,38 @@ def test_build_rejects_wrong_table_count():
         build_netlist(model, tables[:1])
     with pytest.raises(ValueError):
         build_netlist(model, [tables[0][:2], tables[1]])
+    wrong = TruthTable(input_bits=2, output_bits=2, entries=np.zeros(4))
+    with pytest.raises(ValueError, match="layer 1 neuron 1"):
+        build_netlist(model, [tables[0], [tables[1][0], wrong]])
+
+
+def rebuilt(net):
+    return Netlist(input_count=net.input_count, input_bits=net.input_bits,
+                   layers=net.layers, clock_period_ns=net.clock_period_ns)
 
 
 def test_netlist_rejects_cross_layer_wiring():
     model, tables, net = compiled()
-    nodes = [n for layer in net.layers for n in layer]
-    nodes[-1].sources = (0,) * len(nodes[-1].sources)  # primary input, not layer 0
-    with pytest.raises(ValueError):
-        Netlist(input_count=net.input_count, input_bits=net.input_bits,
-                layers=net.layers, clock_period_ns=net.clock_period_ns)
+    net.layers[1].sources[1] = [0, 3]  # layer 0 has 3 nodes: index 3 is past its end
+    with pytest.raises(ValueError, match="layer 1 neuron 1"):
+        rebuilt(net)
+    net.layers[1].sources[1] = [-1, 0]
+    with pytest.raises(ValueError, match="layer 1 neuron 1"):
+        rebuilt(net)
+
+
+def test_netlist_rejects_duplicate_sources():
+    model, tables, net = compiled()
+    net.layers[0].sources[2] = [1, 1]
+    with pytest.raises(ValueError, match="layer 0 neuron 2"):
+        rebuilt(net)
+
+
+def test_netlist_rejects_mis_sized_tables():
+    model, tables, net = compiled()
+    net.layers[1].sources = net.layers[1].sources[:, :1]  # 1 source of 2 bits: 4 entries
+    with pytest.raises(ValueError, match="layer 1"):
+        rebuilt(net)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +96,8 @@ def test_netlist_rejects_cross_layer_wiring():
 
 def test_simulate_constant_tables():
     model, tables, net = compiled()
-    for nodes in net.layers:
-        for node in nodes:
-            node.table.entries[:] = 2
+    for lut in net.layers:
+        lut.tables[:] = 2
     out = simulate(net, np.array([[0, 0], [3, 1], [2, 2]]))
     assert np.all(out == 2)
 
@@ -118,7 +143,7 @@ def test_equivalence_clean_exhaustive():
 
 def test_equivalence_locates_injected_fault():
     model, tables, net = compiled(layer_widths=(4, 3, 2))
-    net.layers[2][1].table.entries[:] ^= 1  # output node: every lookup wrong
+    net.layers[2].tables[1] ^= 1  # output node: every lookup wrong
     rep = equivalence_check(net, model)
     assert not rep.ok
     assert rep.n_mismatches == rep.n_checked

@@ -1,5 +1,5 @@
-"""Property tests: invariances of the layer-wise inference path and
-round trips of the bit-level codecs."""
+"""Property tests: invariances of the layer-wise inference path and of
+netlist simulation, and round trips of the bit-level codecs."""
 
 from contextlib import contextmanager
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import lutc.model as model_mod
 from lutc.basis import enumerate_basis, expand
 from lutc.model import NetworkSpec, forward_codes, init_model
+from lutc.netlist import LutLayer, Netlist, simulate
 from lutc.quantize import Quantizer, decode_bits, encode_bits
 from lutc.tables import decode_address, pack_address, tabulate_model
 from lutc.trainer import init_scales
@@ -98,3 +99,54 @@ def test_code_bits_round_trip(bits, signed, seed):
     assert np.array_equal(decode_bits(patterns, q), codes)
     every = np.arange(1 << bits)
     assert np.array_equal(encode_bits(decode_bits(every, q), q), every)
+
+
+def random_netlist(seed):
+    """A netlist of random tables and random distinct wiring, with input
+    and output code widths that differ from layer to layer."""
+    rng = np.random.default_rng(seed)
+    prev, bits = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    net_in = (prev, bits)
+    layers = []
+    for _ in range(int(rng.integers(1, 4))):
+        width, out_bits = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        fan = int(rng.integers(1, min(prev, 9 // bits) + 1))
+        sources = np.array([rng.permutation(prev)[:fan] for _ in range(width)])
+        tables = rng.integers(0, 1 << out_bits, size=(width, 1 << (fan * bits)))
+        layers.append(LutLayer(tables=tables.astype(np.uint32), sources=sources,
+                               output_bits=out_bits))
+        prev, bits = width, out_bits
+    return Netlist(input_count=net_in[0], input_bits=net_in[1], layers=layers,
+                   clock_period_ns=1.0)
+
+
+def simulate_per_neuron(net, inputs):
+    """Reference: one table lookup per neuron and row, addresses packed
+    one source at a time."""
+    vals, bits = inputs, net.input_bits
+    for lut in net.layers:
+        out = np.empty((len(vals), lut.width), dtype=np.int64)
+        for j in range(lut.width):
+            for r in range(len(vals)):
+                addr = 0
+                for k, s in enumerate(lut.sources[j]):
+                    addr |= int(vals[r, s]) << (k * bits)
+                out[r, j] = lut.tables[j, addr]
+        vals, bits = out, lut.output_bits
+    return vals
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16), n=st.integers(0, 60), split=st.integers(1, 60),
+       chunk=st.integers(1, 200))
+def test_simulate_matches_per_neuron_lookups(seed, n, split, chunk):
+    net = random_netlist(seed)
+    rng = np.random.default_rng(seed)
+    inputs = rng.integers(0, 1 << net.input_bits, size=(n, net.input_count))
+    want = simulate_per_neuron(net, inputs)
+    assert np.array_equal(simulate(net, inputs), want)
+    perm = rng.permutation(n)
+    with chunk_elements(chunk):
+        assert np.array_equal(simulate(net, inputs[perm]), want[perm])
+    batches = [simulate(net, inputs[s : s + split]) for s in range(0, n, split)]
+    assert np.array_equal(np.concatenate([want[:0]] + batches), want)
