@@ -330,15 +330,18 @@ def load_netlist(in_dir) -> Netlist:
         addr_bits, sources = layer_tables[0].input_bits, []
         for j, node in enumerate(nodes):
             try:
-                sources.append([s - base for s in node["sources"]])
-                ok = node["id"] == next_id + j and len(sources[-1]) * bits == addr_bits
+                ids = node["sources"]
+                ok = (node["id"] == next_id + j and len(ids) * bits == addr_bits
+                      and len(set(ids)) == len(ids) and all(base <= s < next_id for s in ids))
+                sources.append([s - base for s in ids])
             except (KeyError, TypeError):
                 ok = False
             if not ok:
                 raise ValueError(f"layer {layer} neuron {j}: expected id {next_id + j} and "
-                                 f"{bits}-bit sources filling {addr_bits} address bits, "
-                                 f"got {node}")
-        layers.append(LutLayer(tables=np.stack([t.entries for t in layer_tables]),
+                                 f"distinct {bits}-bit sources among ids {base}..{next_id - 1} "
+                                 f"filling {addr_bits} address bits, got {node}")
+        # the rows of layer_tables are views of one (W, 2**N) array: no copy
+        layers.append(LutLayer(tables=layer_tables[0].entries.base,
                                sources=np.array(sources, dtype=np.int64),
                                output_bits=layer_tables[0].output_bits))
         base, next_id, bits = next_id, next_id + len(nodes), layers[-1].output_bits

@@ -3,6 +3,10 @@ top module wired per the sparsity masks, golden vectors, a testbench for
 external HDL simulators, and a structural self-checker that re-parses the
 emitted text (entry counts, port widths, wiring) without external tools.
 
+The ROMs are formatted one layer at a time: the case-arm prefixes are
+built once per layer and shared by its neurons, and only the distinct
+values of the layer's (W, 2**N) tables are formatted (tables.hex_rows).
+
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netlist import Netlist, simulate
-from .tables import TruthTable
+from .tables import TruthTable, hex_rows
 
 
 @dataclass
@@ -39,21 +43,23 @@ def emit_neuron(table, name: str, existing_names: set | None = None) -> str:
         if name in existing_names:
             raise ValueError(f"module name collision: {name}")
         existing_names.add(name)
-    n, b = table.input_bits, table.output_bits
-    lines = [
-        f"module {name} (",
-        "    input  wire clk,",
-        f"    input  wire {_bus(n)} addr,",
-        f"    output reg  {_bus(b)} data",
-        ");",
-        "    always @(posedge clk) begin",
-        "        case (addr)",
-    ]
-    for addr, val in enumerate(table.entries):
-        lines.append(f"            {n}'h{addr:x}: data <= {b}'h{int(val):x};")
-    lines.append(f"            default: data <= {b}'h0;")
-    lines.extend(["        endcase", "    end", "endmodule", ""])
-    return "\n".join(lines)
+    return next(_rom_modules(table.entries[None], table.input_bits, table.output_bits, [name]))
+
+
+def _rom_modules(tables: np.ndarray, n: int, b: int, names: list):
+    """Yield the ROM module text of each row of a layer's (W, 2**n) tables
+    of b-bit entries, named by names."""
+    parts = [None] * (2 + 2 * tables.shape[1])
+    parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h"
+                     for addr in range(tables.shape[1])]
+    parts[-1] = (f"            default: data <= {b}'h0;\n"
+                 "        endcase\n    end\nendmodule\n")
+    for name, values in zip(names, hex_rows(tables, ";\n")):
+        parts[0] = (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
+                    f"    output reg  {_bus(b)} data\n);\n"
+                    "    always @(posedge clk) begin\n        case (addr)\n")
+        parts[2:-1:2] = values
+        yield "".join(parts)
 
 
 def _module_name(layer: int, index: int) -> str:
@@ -182,10 +188,11 @@ def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
         f"stages {netlist.n_layers}",
     ]
     for layer, lut in enumerate(netlist.layers):
-        for j in range(lut.width):
-            name = _module_name(layer, j)
-            table = TruthTable(lut.address_bits, lut.output_bits, lut.tables[j])
-            modules[name] = emit_neuron(table, name)
+        names = [_module_name(layer, j) for j in range(lut.width)]
+        texts = _rom_modules(lut.tables, lut.address_bits, lut.output_bits, names)
+        for name, entries, text in zip(names, lut.tables, texts):
+            table = TruthTable(lut.address_bits, lut.output_bits, entries)
+            modules[name] = text
             manifest_lines.append(
                 f"module {name} input_bits {table.input_bits} "
                 f"output_bits {table.output_bits} sha256 {table.sha256()}"

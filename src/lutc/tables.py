@@ -10,6 +10,11 @@ Address packing puts input 0 in the least significant bit slice, input j
 in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
 patterns.  The emitted RTL uses the same convention, so simulation and
 hardware agree bit for bit.
+
+Table text is written and read one layer at a time: hex_rows formats
+only the distinct values of a layer's (W, 2**N) array (the dumps and the
+Verilog ROMs both use it), and load_tables parses each distinct token
+once, filling one such array per layer.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -125,29 +131,66 @@ def verify_table(model: TrainedModel, table: TruthTable, layer: int, neuron: int
 # Dump format: one text file per layer, header + hex entries
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; np.unique would import numpy.ma on first use."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
+def hex_rows(rows, suffix: str = ""):
+    """Yield each of a layer's table rows as a list of lowercase hex
+    strings, each followed by suffix.  Only the layer's distinct values are
+    formatted, and index arrays are built one row at a time."""
+    values = _distinct(np.concatenate([_distinct(row) for row in rows]))
+    strings = np.array([f"{v:x}{suffix}" for v in values.tolist()], dtype=object)
+    for row in rows:
+        yield strings[np.searchsorted(values, row)].tolist()
+
+
 def dump_tables(tables: list, out_dir) -> list:
     """Write layer{l}_tables.txt files; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for layer, layer_tables in enumerate(tables):
+        size = layer_tables[0].entries.size
+        # "neuron j" line, then each entry and its separator: entry k ends
+        # its line when it is the 16th of the line or the last
+        parts = [None] * (1 + 2 * size)
+        parts[2::2] = ["\n" if k % 16 == 15 or k == size - 1 else " " for k in range(size)]
         path = os.path.join(out_dir, f"layer{layer}_tables.txt")
         with open(path, "w", encoding="utf-8") as f:
-            f.write("lut-tables v1\n")
-            f.write(f"layer {layer}\n")
-            f.write(f"neurons {len(layer_tables)}\n")
-            f.write(f"input_bits {layer_tables[0].input_bits}\n")
-            f.write(f"output_bits {layer_tables[0].output_bits}\n")
-            for j, table in enumerate(layer_tables):
-                f.write(f"neuron {j}\n")
-                ent = table.entries
-                for start in range(0, ent.size, 16):
-                    f.write(" ".join(f"{v:x}" for v in ent[start : start + 16]) + "\n")
+            f.write(f"lut-tables v1\nlayer {layer}\nneurons {len(layer_tables)}\n"
+                    f"input_bits {layer_tables[0].input_bits}\n"
+                    f"output_bits {layer_tables[0].output_bits}\n")
+            for j, row in enumerate(hex_rows([t.entries for t in layer_tables])):
+                parts[0] = f"neuron {j}\n"
+                parts[1::2] = row
+                f.write("".join(parts))
         paths.append(path)
     return paths
 
 
+class _HexTokens(dict):
+    """Token -> table entry: int(token, 16), parsed once per distinct
+    token, so every token int() accepts (upper case, leading zeros) loads."""
+
+    def __init__(self, output_bits: int):
+        super().__init__()
+        self.output_bits = output_bits
+
+    def __missing__(self, token: str) -> int:
+        value = int(token, 16)
+        if value >= 1 << self.output_bits:
+            raise ValueError(f"entry {token!r} exceeds {self.output_bits}-bit range")
+        self[token] = value
+        return value
+
+
 def load_tables(in_dir) -> list:
-    """Read back every layer{l}_tables.txt in layer order."""
+    """Read back every layer{l}_tables.txt in layer order.
+
+    The entries of a layer's tables are the rows of one (W, 2**input_bits)
+    uint32 array, their `.base`, which load_netlist uses without a copy."""
     pattern = re.compile(r"layer(\d+)_tables\.txt$")
     found = {}
     for name in os.listdir(in_dir):
@@ -158,37 +201,53 @@ def load_tables(in_dir) -> list:
         raise FileNotFoundError(f"no table dumps found in {in_dir}")
     if sorted(found) != list(range(len(found))):
         raise ValueError(f"non-contiguous layer dumps in {in_dir}: {sorted(found)}")
+    return [_load_layer(found[layer], layer) for layer in range(len(found))]
 
-    tables = []
-    for layer in range(len(found)):
-        path = found[layer]
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if not lines or lines[0] != "lut-tables v1":
-            raise ValueError(f"{path}: bad header {lines[:1]}")
-        try:
-            head = dict(ln.split() for ln in lines[1:5])
-            n_neurons, input_bits, output_bits = (
-                int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
-        except (KeyError, ValueError) as e:
-            raise ValueError(f"layer {layer}: {path}: bad header field {e}") from None
-        layer_tables, pos = [], 5
-        for j in range(n_neurons):
-            got = lines[pos] if pos < len(lines) else "end of file"
-            if got != f"neuron {j}":
-                raise ValueError(f"layer {layer} neuron {j}: {path}: got {got!r}")
+
+def _load_layer(path, layer: int) -> list:
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [ln for ln in map(str.strip, f) if ln]
+    if not lines or lines[0] != "lut-tables v1":
+        raise ValueError(f"{path}: bad header {lines[:1]}")
+    try:
+        head = dict(ln.split() for ln in lines[1:5])
+        n_neurons, input_bits, output_bits = (
+            int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
+        size, tokens = 1 << input_bits, _HexTokens(output_bits)
+    except (KeyError, ValueError) as e:
+        raise ValueError(f"layer {layer}: {path}: bad header field {e}") from None
+    # Find each neuron's value lines first, so that the layer array holds no
+    # more entries than the file does.  A fault ends the walk and is raised
+    # after the neurons before it are parsed: the first bad neuron is named.
+    spans, fault, pos = [], None, 5
+    for j in range(n_neurons):
+        got = lines[pos] if pos < len(lines) else "end of file"
+        if got != f"neuron {j}":
+            fault = f"layer {layer} neuron {j}: {path}: got {got!r}"
+            break
+        start = pos = pos + 1
+        count = 0
+        while count < size and pos < len(lines) and not lines[pos].startswith("neuron"):
+            count += len(lines[pos].split())
             pos += 1
-            vals = []
-            while len(vals) < (1 << input_bits) and pos < len(lines) \
-                    and not lines[pos].startswith("neuron"):
-                vals.extend(lines[pos].split())
-                pos += 1
-            try:  # a truncated dump leaves too few entries
-                layer_tables.append(TruthTable(input_bits=input_bits, output_bits=output_bits,
-                                               entries=[int(v, 16) for v in vals]))
-            except (ValueError, OverflowError) as e:
-                raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
-        if pos != len(lines):
-            raise ValueError(f"layer {layer}: {path}: unexpected line {lines[pos]!r}")
-        tables.append(layer_tables)
-    return tables
+        if count != size:
+            fault = f"layer {layer} neuron {j}: {path}: expected {size} entries, got {count}"
+            break
+        spans.append((start, pos))
+    else:
+        if pos < len(lines):
+            fault = f"layer {layer}: {path}: unexpected line {lines[pos]!r}"
+        elif pos > len(lines):
+            fault = f"layer {layer}: {path}: header shorter than 5 lines"
+    # no rows, no allocation: a header's input_bits may exceed numpy's limits
+    entries = np.empty((len(spans), size if spans else 0), dtype=np.uint32)
+    for j, (start, stop) in enumerate(spans):
+        try:
+            values = chain.from_iterable(map(str.split, lines[start:stop]))
+            entries[j] = np.fromiter(map(tokens.__getitem__, values), dtype=np.uint32, count=size)
+        except (ValueError, OverflowError) as e:
+            raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
+    if fault is not None:
+        raise ValueError(fault)
+    return [TruthTable(input_bits=input_bits, output_bits=output_bits, entries=row)
+            for row in entries]

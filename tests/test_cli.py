@@ -258,6 +258,20 @@ def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt
     assert not (tmp_path / "rtl").exists()
 
 
+@pytest.mark.parametrize("sources", [[2, 9], [3, 3], [1, 6]],
+                         ids=["past-layer", "duplicate", "an-input"])
+def test_emit_error_quotes_file_ids(pipeline_dirs, tmp_path, capsys, sources):
+    # layer 1 reads layer 0's ids 2-5; the error shows the ids as written
+    net_dir = tmp_path / "net"
+    shutil.copytree(pipeline_dirs / "net", net_dir)
+    edit_netlist(lambda doc: doc["layers"][1][1].__setitem__("sources", sources))(net_dir)
+    assert run(["emit", "--netlist", net_dir, "--out", tmp_path / "rtl"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "layer 1 neuron 1" in err
+    assert f"'sources': {sources}" in err
+    assert "ids 2..5" in err
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 

@@ -1,5 +1,5 @@
-"""Golden artifacts: the bytes of every file compile and emit write for a
-fixed netlist.  The tables are integers drawn from a seeded generator
+"""Golden artifacts: the bytes of every file compile and emit write for
+fixed netlists.  The tables are integers drawn from a seeded generator
 (no floating point), wired by the masks of a small `init_model`, so the
 digests below change only when a file format or the emission changes."""
 
@@ -33,11 +33,29 @@ GOLDEN_SHA256 = {
 }
 
 
-def golden_netlist():
-    spec = NetworkSpec(layer_widths=[4, 3, 2], beta=2, fan_in=2, degree=2,
-                       input_count=3, input_beta=3, input_fan_in=3, seed=5)
+# 8-entry layer-0 tables (one short dump line per neuron), 5-bit codes
+# (two hex digits) and one constant table
+NARROW_SHA256 = {
+    "net/layer0_tables.txt": "0af4b9ff1e2f1662334429041b7a9f9509f6aa07191ca8e7fceaeaf938a54692",
+    "net/layer1_tables.txt": "396709b830f114e626e1c8d3a75c4c72f3995b4560fe760d84d17e9dbbc79e72",
+    "net/netlist.json": "545b7371e4d823967a1a7d5a72dee1ad6a8f29abbb9d752f3f842553ccf8a6db",
+    "rtl/layer0_n0.v": "5bd2b4ed56532c16ba273b33a4e6f3515f03fa18ceef715253690c0a5789861e",
+    "rtl/layer0_n1.v": "b8bb352aa83a74dfdc14c23f55d51f9e3948a9c97291f318201a771b0818b057",
+    "rtl/layer0_n2.v": "ac6e66cbe6363c7dc04d3c2b39236d003cbfee1fe98045dcc303564506db88a1",
+    "rtl/layer1_n0.v": "a9e202d01018cf5bf49dbc8897d68d3e97ab1cf979bd9eb6d819642ec9b670b6",
+    "rtl/layer1_n1.v": "b959be59b46f980e065cefd879b66d8d53c73c85da599c2dbc00ea6e21b9543c",
+    "rtl/manifest.txt": "344b791efdf7b9aecd8a445083b7153d03c47ec6fa0484d809f40c6d16392459",
+    "rtl/tb.v": "eb7d67f104f4a7a0cbfdae92ca4f8741a47791c4e5be55fcfaea210cab2ac019",
+    "rtl/top.v": "4f8d3498e4102bcc3342618f736e73ddd0e835ea8f644e88e27d976adccba14d",
+    "rtl/vectors.hex": "fb0a7067b7502cd567549d2bbe1ba2b10f56ea14f0023ea56b4f85cf4a941528",
+}
+
+
+def golden_netlist(spec, seed, constant=None):
+    """Seeded random tables for spec; constant=(layer, neuron, value) pins
+    one table to a single value."""
     model = init_model(spec)
-    rng = np.random.default_rng(np.random.PCG64(11))
+    rng = np.random.default_rng(np.random.PCG64(seed))
     tables = [
         [TruthTable(input_bits=spec.table_address_bits(layer), output_bits=spec.beta,
                     entries=rng.integers(0, 1 << spec.beta,
@@ -45,14 +63,28 @@ def golden_netlist():
          for _ in range(width)]
         for layer, width in enumerate(spec.layer_widths)
     ]
+    if constant is not None:
+        layer, neuron, value = constant
+        tables[layer][neuron].entries[:] = value
     return tables, build_netlist(model, tables)
 
 
+def artifact_digests(tables, net, out_dir):
+    dump_tables(tables, out_dir / "net")
+    save_netlist(net, out_dir / "net")
+    write_bundle(emit_bundle(net), out_dir / "rtl")
+    return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.glob("*/*"))}
+
+
 def test_artifacts_match_golden_digests(tmp_path):
-    tables, net = golden_netlist()
-    dump_tables(tables, tmp_path / "net")
-    save_netlist(net, tmp_path / "net")
-    write_bundle(emit_bundle(net), tmp_path / "rtl")
-    got = {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.glob("*/*"))}
-    assert got == GOLDEN_SHA256
+    spec = NetworkSpec(layer_widths=[4, 3, 2], beta=2, fan_in=2, degree=2,
+                       input_count=3, input_beta=3, input_fan_in=3, seed=5)
+    assert artifact_digests(*golden_netlist(spec, 11), tmp_path) == GOLDEN_SHA256
+
+
+def test_narrow_artifacts_match_golden_digests(tmp_path):
+    spec = NetworkSpec(layer_widths=[3, 2], beta=5, fan_in=2, degree=2,
+                       input_count=2, input_beta=3, input_fan_in=1, seed=3)
+    tables, net = golden_netlist(spec, 13, constant=(0, 2, 0x1d))
+    assert artifact_digests(tables, net, tmp_path) == NARROW_SHA256

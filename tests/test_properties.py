@@ -1,6 +1,10 @@
 """Property tests: invariances of the layer-wise inference path and of
-netlist simulation, and round trips of the bit-level codecs."""
+netlist simulation, round trips of the bit-level codecs, and the
+layer-wise table text (dumps and Verilog ROMs) against per-entry
+references."""
 
+import os
+import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -12,7 +16,9 @@ from lutc.basis import enumerate_basis, expand
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
 from lutc.quantize import Quantizer, decode_bits, encode_bits
-from lutc.tables import decode_address, pack_address, tabulate_model
+from lutc.rtl import emit_neuron
+from lutc.tables import (TruthTable, decode_address, dump_tables, load_tables, pack_address,
+                         tabulate_model)
 from lutc.trainer import init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -150,3 +156,142 @@ def test_simulate_matches_per_neuron_lookups(seed, n, split, chunk):
         assert np.array_equal(simulate(net, inputs[perm]), want[perm])
     batches = [simulate(net, inputs[s : s + split]) for s in range(0, n, split)]
     assert np.array_equal(np.concatenate([want[:0]] + batches), want)
+
+
+@st.composite
+def table_layers(draw):
+    """One to three layers of 1-3 tables; entries come from a pool of 1-40
+    values, so constant tables and repeated values are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        addr_bits, out_bits = draw(st.integers(1, 10)), draw(st.integers(1, 32))
+        pool = rng.integers(0, 1 << out_bits, size=draw(st.integers(1, 40)), dtype=np.uint64)
+        entries = rng.choice(pool, size=(draw(st.integers(1, 3)), 1 << addr_bits))
+        layers.append([TruthTable(addr_bits, out_bits, row.astype(np.uint32))
+                       for row in entries])
+    return layers
+
+
+@SETTINGS
+@given(layers=table_layers())
+def test_dump_load_round_trip(layers):
+    with tempfile.TemporaryDirectory() as out:
+        dump_tables(layers, out)
+        back = load_tables(out)
+    assert back == layers
+    for layer in back:  # one array per layer, its rows the table entries
+        assert all(t.entries.base is layer[0].entries.base for t in layer)
+
+
+def emit_neuron_per_entry(table, name):
+    """Reference: one f-string per table entry."""
+    n, b = table.input_bits, table.output_bits
+    lines = [f"module {name} (", "    input  wire clk,", f"    input  wire [{n - 1}:0] addr,",
+             f"    output reg  [{b - 1}:0] data", ");", "    always @(posedge clk) begin",
+             "        case (addr)"]
+    for addr, val in enumerate(table.entries):
+        lines.append(f"            {n}'h{addr:x}: data <= {b}'h{int(val):x};")
+    lines.append(f"            default: data <= {b}'h0;")
+    lines.extend(["        endcase", "    end", "endmodule", ""])
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(layers=table_layers())
+def test_emit_neuron_matches_per_entry_reference(layers):
+    for layer in layers:
+        for j, table in enumerate(layer):
+            got, want = emit_neuron(table, f"n{j}"), emit_neuron_per_entry(table, f"n{j}")
+            assert got.split("\n") == want.split("\n")  # a list diff stays cheap
+
+
+def load_layer_v1(path, layer):
+    """Reference: the v1 reader, one int(token, 16) per entry.  Returns the
+    entries, or the part of the error message before the path."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [ln.strip() for ln in f if ln.strip()]
+    if not lines or lines[0] != "lut-tables v1":
+        return path
+    try:
+        head = dict(ln.split() for ln in lines[1:5])
+        n_neurons, input_bits, output_bits = (
+            int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
+    except (KeyError, ValueError):
+        return f"layer {layer}"
+    rows, pos = [], 5
+    for j in range(n_neurons):
+        got = lines[pos] if pos < len(lines) else "end of file"
+        if got != f"neuron {j}":
+            return f"layer {layer} neuron {j}"
+        pos += 1
+        vals = []
+        while len(vals) < (1 << input_bits) and pos < len(lines) \
+                and not lines[pos].startswith("neuron"):
+            vals.extend(lines[pos].split())
+            pos += 1
+        try:
+            rows.append(TruthTable(input_bits, output_bits, [int(v, 16) for v in vals]))
+        except (ValueError, OverflowError):
+            return f"layer {layer} neuron {j}"
+    if pos != len(lines):
+        return f"layer {layer}"
+    return rows
+
+
+def edit_token(token, kind, rng):
+    if kind == "upper":
+        return token.upper()
+    if kind == "zeros":
+        return "0" * int(rng.integers(1, 4)) + token
+    if kind == "prefix":
+        return "0x" + token
+    if kind == "bad":
+        return "zz"
+    if kind == "wide":
+        return "1" + "0" * 8  # 2**32
+    return "-" + token
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers=table_layers(), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["upper", "zeros", "prefix", "bad", "wide", "negative",
+                             "drop-token", "extra-token", "drop-line", "split-line",
+                             "extra-line"]))
+def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
+    """Non-canonical tokens load to the entries the v1 reader gives, and a
+    file the v1 reader rejects is rejected naming the same layer and neuron."""
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as out:
+        dump_tables(layers, out)
+        layer = int(rng.integers(len(layers)))
+        path = os.path.join(out, f"layer{layer}_tables.txt")
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+        k = int(rng.integers(5, len(lines) - 1))
+        while lines[k].startswith("neuron") and kind not in ("drop-line", "extra-line"):
+            k += 1
+        tokens = lines[k].split(" ")
+        t = int(rng.integers(len(tokens)))
+        if kind == "drop-token":
+            del tokens[t]
+        elif kind == "extra-token":
+            tokens.insert(t, tokens[t])
+        elif kind not in ("drop-line", "split-line", "extra-line"):
+            tokens = [edit_token(tok, kind, rng) if rng.random() < 0.5 or i == t else tok
+                      for i, tok in enumerate(tokens)]
+        lines[k] = " ".join(tokens)
+        if kind == "drop-line":
+            del lines[k]
+        elif kind == "split-line":
+            lines[k] = "\n\t".join(tokens)
+        elif kind == "extra-line":
+            lines.insert(k, lines[k])
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines))
+        want = load_layer_v1(path, layer)
+        try:
+            got = load_tables(out)[layer]
+        except ValueError as e:
+            got = str(e).split(":")[0]
+    assert got == want

@@ -155,6 +155,22 @@ def test_checker_flags_missing_arm():
     assert any("case arms" in p for p in problems)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda arms: [arms[0].replace("4'h0:", "4'hzz:")] + arms[1:],
+    lambda arms: arms[:1] + arms,
+], ids=["malformed-address", "duplicated-arm"])
+def test_checker_flags_bad_arm(edit):
+    _, net = compiled(layer_widths=(1,))  # 4 address bits
+    bundle = emit_bundle(net)
+    name = next(iter(bundle.modules))
+    lines = bundle.modules[name].splitlines()
+    first = next(i for i, ln in enumerate(lines) if ": data <=" in ln)
+    arms = lines[first:first + 16]
+    bundle.modules[name] = "\n".join(lines[:first] + edit(arms) + lines[first + 16:]) + "\n"
+    problems = check_bundle(bundle, net)
+    assert any(p.startswith(f"{name}: ") and "case arm" in p for p in problems)
+
+
 def test_checker_flags_unclocked_output():
     _, net = compiled(layer_widths=(1,))
     bundle = emit_bundle(net)

@@ -175,3 +175,17 @@ def test_load_tables_non_contiguous(tmp_path):
     (tmp_path / "layer0_tables.txt").rename(tmp_path / "layer9_tables.txt")
     with pytest.raises(ValueError, match="non-contiguous"):
         load_tables(tmp_path)
+
+
+@pytest.mark.parametrize("text, where", [
+    # no "layer" line and no neurons: the walk ends before line 5
+    ("lut-tables v1\nneurons 0\ninput_bits 1\noutput_bits 1\n",
+     "layer 0: .*header shorter than 5 lines"),
+    # 2**70 entries per table: more than numpy can allocate, even for no rows
+    ("lut-tables v1\nlayer 0\nneurons 1\ninput_bits 70\noutput_bits 1\nneuron 0\n1 0\n",
+     "layer 0 neuron 0: .*expected 1180591620717411303424 entries, got 2"),
+], ids=["short-header", "huge-input-bits"])
+def test_load_tables_rejects_bad_header(tmp_path, text, where):
+    (tmp_path / "layer0_tables.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=where):
+        load_tables(tmp_path)
