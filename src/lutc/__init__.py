@@ -1,7 +1,7 @@
 """lutc: compile sparse, quantized, piecewise-polynomial neural networks
 into bit-exact LUT netlists and synthesizable Verilog."""
 
-from .basis import MonomialBasis, count_monomials, enumerate_basis, expand, expand_grad
+from .basis import MonomialBasis, count_monomials, enumerate_basis, expand
 from .data import Dataset, DataFormatError, gen_spirals, load_csv, load_idx, split_normalize
 from .model import (
     NetworkSpec,
@@ -37,7 +37,7 @@ from .netlist import (
 from .quantize import BatchNormParams, Quantizer, bn_apply, dequantize, quantize
 from .rtl import RtlBundle, check_bundle, emit_bundle, emit_golden_vectors, write_bundle
 from .tables import (TruthTable, dump_tables, load_tables, tabulate_layer, tabulate_model,
-                     tabulate_neuron, verify_table)
+                     tabulate_neuron)
 from .trainer import TrainConfig, TrainingDiverged, sgdr_lr, train
 
 __version__ = "0.1.0"

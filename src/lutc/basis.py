@@ -60,6 +60,12 @@ class MonomialBasis:
         last = [int(np.flatnonzero(e)[-1]) for e in self.exponents[1:]]
         return [(int(self.lowered[i, v]), v) for i, v in enumerate(last, start=1)]
 
+    @cached_property
+    def vjp_terms(self) -> list:
+        """(i, lowered[i, j], e_ij) per variable j over the terms i holding x_j."""
+        return [(i, self.lowered[i, j], e[i]) for j, e in enumerate(self.exponents.T)
+                for i in [np.flatnonzero(e)]]
+
 
 def count_monomials(fan_in: int, degree: int) -> int:
     """Number of monomials of total degree <= degree in fan_in variables.
@@ -121,33 +127,21 @@ def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != basis.fan_in:
         raise ValueError(f"expected last axis {basis.fan_in}, got {x.shape[-1]}")
-    xt = np.moveaxis(x, -1, 0).copy()
+    lead = tuple(range(x.ndim - 1))
+    xt = x.transpose((x.ndim - 1,) + lead).copy()
     out = np.empty((len(basis),) + x.shape[:-1], dtype=np.float64)
     out[0] = 1.0
     for i, (parent, v) in enumerate(basis.steps, start=1):
         np.multiply(out[parent], xt[v], out=out[i, ...])
-    return np.moveaxis(out, 0, -1)
-
-
-def expand_grad(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """Jacobian of expand: entry (i, j) is d m_i / d x_j = e_ij * m[lowered[i, j]].
-
-    x is a length-F vector; returns an (M, F) matrix.  Constant terms
-    contribute all-zero rows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (basis.fan_in,):
-        raise ValueError(f"expected shape ({basis.fan_in},), got {x.shape}")
-    return basis.exponents * expand(x, basis)[basis.lowered]
+    return out.transpose(tuple(a + 1 for a in lead) + (0,))
 
 
 def expand_vjp(m: np.ndarray, dm: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Pull a gradient dm with respect to the monomials m = expand(x) back
     to x: entry j is sum_i dm_i * e_ij * m[lowered[i, j]]."""
     out = np.empty(m.shape[:-1] + (basis.fan_in,), dtype=np.float64)
-    for j, e in enumerate(basis.exponents.T):
-        i = np.flatnonzero(e)
-        out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., basis.lowered[i, j]], e[i])
+    for j, (i, parent, e) in enumerate(basis.vjp_terms):
+        out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., parent], e)
     return out
 
 

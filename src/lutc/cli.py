@@ -59,21 +59,19 @@ def resolve_config(args) -> dict:
     cfg: dict = {"spec": {}, "dataset": None, "train": {}}
     if getattr(args, "config", None):
         file_cfg = _load_json(args.config)
-        profile = file_cfg.get("profile")
-        if profile:
-            cfg["spec"].update(PROFILES.get(profile) or _bad_profile(profile))
-            if profile == "spiral":
-                cfg["dataset"] = dict(SPIRAL_DATASET)
-        cfg["spec"].update(file_cfg.get("spec", {}))
-        if "dataset" in file_cfg:
-            cfg["dataset"] = file_cfg["dataset"]
-        cfg["train"].update(file_cfg.get("train", {}))
     elif getattr(args, "profile", None):
-        cfg["spec"].update(PROFILES.get(args.profile) or _bad_profile(args.profile))
-        if args.profile == "spiral":
-            cfg["dataset"] = dict(SPIRAL_DATASET)
+        file_cfg = {"profile": args.profile}
     else:
         raise ConfigError("one of --config or --profile is required")
+    profile = file_cfg.get("profile")
+    if profile:
+        cfg["spec"].update(PROFILES.get(profile) or _bad_profile(profile))
+        if profile == "spiral":
+            cfg["dataset"] = dict(SPIRAL_DATASET)
+    cfg["spec"].update(file_cfg.get("spec", {}))
+    if "dataset" in file_cfg:
+        cfg["dataset"] = file_cfg["dataset"]
+    cfg["train"].update(file_cfg.get("train", {}))
 
     if getattr(args, "degree", None) is not None:
         cfg["spec"]["degree"] = args.degree

@@ -10,7 +10,8 @@ over the output codes.
 
 layer_eval, which evaluates all neurons of a layer at once, is the one
 inference path: forward_codes chains it, tabulation enumerates it and
-the equivalence check replays it.  Its weighted sum runs in basis order
+the equivalence check replays it; its last step, activate (ReLU and one
+rounding), is the trainer's too.  Its weighted sum runs in basis order
 with elementwise multiply-adds, so a code depends on neither the batch
 nor the BLAS kernel.
 """
@@ -29,6 +30,7 @@ from .quantize import (
     bn_identity,
     dequantize,
     quantize,
+    round_half_away,
 )
 
 # Hard cap on beta * fan_in so a single truth table never exceeds 2**24 entries.
@@ -208,9 +210,6 @@ class LayerParams:
     bn: BatchNormParams
     quant_scale: float
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bn.copy(), self.quant_scale)
-
 
 @dataclass
 class TrainedModel:
@@ -294,8 +293,16 @@ def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
         if bad.any():
             neuron = np.arange(len(p.weights))[sel][np.argmax(bad)]
             raise ValueError(f"layer {layer} neuron {neuron}: non-finite pre-activation")
-        out[rows] = quantize(np.maximum(h, 0.0) if hidden else h, qout)
+        out[rows] = activate(h, qout, hidden)[0]
     return out
+
+
+def activate(h: np.ndarray, q: Quantizer, hidden: bool):
+    """The step after batch norm, shared by layer_eval and the trainer: ReLU
+    on hidden layers, then the quantizer with one rounding.  Returns the
+    codes (float64) and u = round(r / s); codes == u where no clamp acted."""
+    u = round_half_away((np.maximum(h, 0.0) if hidden else h) / q.scale)
+    return np.clip(u, q.code_min, q.code_max), u
 
 
 def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = False):

@@ -79,10 +79,6 @@ class Netlist:
         return len(self.layers)
 
     @property
-    def n_nodes(self) -> int:
-        return sum(lut.width for lut in self.layers)
-
-    @property
     def output_bits(self) -> int:
         return self.layers[-1].output_bits
 

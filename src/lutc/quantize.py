@@ -61,26 +61,6 @@ def dequantize(c: np.ndarray, q: Quantizer) -> np.ndarray:
     return c.astype(np.float64) * q.scale
 
 
-def ste_mask(v: np.ndarray, q: Quantizer) -> np.ndarray:
-    """True where round(v / s) lands inside the code range without clamping."""
-    codes = round_half_away(np.asarray(v, dtype=np.float64) / q.scale)
-    return (codes >= q.code_min) & (codes <= q.code_max)
-
-
-def ste_backward(upstream_grad: np.ndarray, v: np.ndarray, q: Quantizer) -> np.ndarray:
-    """Straight-through estimator: pass the gradient where unclamped, else 0."""
-    return np.where(ste_mask(v, q), upstream_grad, 0.0)
-
-
-def scale_grad(v: np.ndarray, q: Quantizer) -> np.ndarray:
-    """Gradient of the dequantized output w.r.t. the scale.
-
-    d(c(v) * s)/ds with c treated as locally constant equals the (clamped)
-    code itself, including at the clamp rails.
-    """
-    return quantize(v, q).astype(np.float64)
-
-
 def encode_bits(c: np.ndarray, q: Quantizer) -> np.ndarray:
     """Code -> raw bit pattern (two's complement for signed codes)."""
     c = np.asarray(c, dtype=np.int64)
@@ -105,15 +85,6 @@ class BatchNormParams:
     running_mean: np.ndarray
     running_var: np.ndarray
     eps: float = 1e-5
-
-    def copy(self) -> "BatchNormParams":
-        return BatchNormParams(
-            gamma=self.gamma.copy(),
-            beta_shift=self.beta_shift.copy(),
-            running_mean=self.running_mean.copy(),
-            running_var=self.running_var.copy(),
-            eps=self.eps,
-        )
 
 
 def bn_identity(width: int, eps: float = 1e-5) -> BatchNormParams:

@@ -114,19 +114,6 @@ def tabulate_model(model: TrainedModel) -> list:
     return [tabulate_layer(model, layer) for layer in range(model.spec.n_layers)]
 
 
-def verify_table(model: TrainedModel, table: TruthTable, layer: int, neuron: int,
-                 sample_count: int = 4096, seed: int = 0) -> np.ndarray:
-    """Re-evaluate addresses through the model path; returns mismatching
-    addresses.  Exhaustive when the table has at most 2**16 entries."""
-    total = table.entries.size
-    if total <= (1 << 16):
-        addrs = np.arange(total, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        addrs = rng.integers(0, total, size=sample_count, dtype=np.int64)
-    return addrs[table.entries[addrs] != _entries(model, layer, addrs, [neuron])[:, 0]]
-
-
 # ---------------------------------------------------------------------------
 # Dump format: one text file per layer, header + hex entries
 

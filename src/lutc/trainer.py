@@ -1,11 +1,18 @@
 """Quantization-aware training of sparse polynomial networks.
 
 Forward per layer: gather masked (dequantized) inputs, expand into the
-monomial basis, weight, batch-normalize, ReLU (hidden layers only), then
-quantize with the layer's learned scale.  The backward pass is derived by
-hand; the rounding step uses the straight-through estimator, passing
-upstream gradients inside the unclamped code interval and the clamped
-code itself as the scale gradient.
+monomial basis, weight, batch-normalize, then model.activate: ReLU
+(hidden layers only) and the layer's learned-scale quantizer, which
+rounds once; the straight-through mask is where that rounding needed no
+clamp.  The backward pass is derived by hand: the straight-through
+estimator passes upstream gradients inside the code interval and takes
+the clamped code itself as the scale gradient.
+
+While training, every trained parameter (all weights, then batch-norm
+gammas, shifts and quantizer scales) lives in one flat float64 vector:
+the model's arrays are views of it (param_views), backward fills a
+gradient vector of the same layout, and AdamW updates it with a few
+whole-vector operations.  Features are quantized once, not per batch.
 
 The whole loop is deterministic: given the same spec, data, config, and
 seed, the trained model and history are bit-identical.
@@ -14,13 +21,13 @@ seed, the trained model and history are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import expand, expand_vjp, weighted_sum
-from .model import TrainedModel, accuracy
-from .quantize import dequantize, quantize, ste_mask
+from .model import LayerParams, TrainedModel, accuracy, activate
+from .quantize import BatchNormParams, bn_apply, dequantize, quantize
 
 BN_MOMENTUM = 0.1
 SCALE_FLOOR = 1e-6
@@ -45,12 +52,16 @@ class TrainConfig:
     loss_kind: str = "softmax"  # "softmax" | "bce"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for key in ("epochs", "batch_size", "restart_period", "restart_mult", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         if not (0 < self.min_lr <= self.base_lr):
             raise ValueError("need 0 < min_lr <= base_lr")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.restart_period < 1 or self.restart_mult < 1:
             raise ValueError("restart_period and restart_mult must be >= 1")
         if self.loss_kind not in ("softmax", "bce"):
@@ -71,6 +82,33 @@ def sgdr_lr(step: int, config: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Flat parameter vector
+
+
+def _trained(model: TrainedModel) -> list:
+    """(key, value) of every trained parameter in flat-vector order: all
+    weights first, so that weight decay covers one prefix, then the
+    batch-norm gammas, the batch-norm shifts and the quantizer scales."""
+    ps = model.params
+    return ([(f"w{l}", p.weights) for l, p in enumerate(ps)]
+            + [(f"gamma{l}", p.bn.gamma) for l, p in enumerate(ps)]
+            + [(f"beta{l}", p.bn.beta_shift) for l, p in enumerate(ps)]
+            + [(f"s{l}", np.float64(p.quant_scale)) for l, p in enumerate(ps)])
+
+
+def param_views(model: TrainedModel, flat: np.ndarray | None = None) -> dict:
+    """Views of a flat vector (a new one when flat is None) keyed w{l},
+    gamma{l}, beta{l} and s{l} (0-d), laid out like the model's parameters."""
+    entries, views, at = _trained(model), {}, 0
+    if flat is None:
+        flat = np.empty(sum(np.size(value) for _, value in entries))
+    for key, value in entries:
+        views[key] = flat[at : at + np.size(value)].reshape(np.shape(value))
+        at += np.size(value)
+    return views
+
+
+# ---------------------------------------------------------------------------
 # Forward / backward
 
 
@@ -79,27 +117,33 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
             linear: bool = False, context: str = ""):
     """Run the batch forward pass, returning (logits, per-layer caches).
 
-    training selects batch statistics for batch norm (vs running stats);
-    track_stats (defaults to training) updates the running statistics.
-    quant_bypass turns every quantize-dequantize into the identity, which
-    makes the loss differentiable end to end for gradient checking.
-    linear replaces the basis expansion with an explicit bias + linear
-    map (only valid for degree-1 specs); used as the strict-generalization
-    reference implementation.
+    xb holds real features, or input codes (an integer array), which are
+    only dequantized: train quantizes its features once.  training selects
+    batch statistics for batch norm; with running stats instead, the codes
+    are forward_codes'.  track_stats (defaults to training) updates the
+    running statistics.  quant_bypass turns every quantize-dequantize
+    into the identity, which makes the loss differentiable end to end for
+    gradient checking.  linear replaces the basis expansion with an
+    explicit bias + linear map (only valid for degree-1 specs); used as
+    the strict-generalization reference.
     """
     if track_stats is None:
         track_stats = training
     spec = model.spec
-    x = np.asarray(xb, dtype=np.float64)
+    x = np.asarray(xb)
     if x.ndim != 2 or x.shape[1] != spec.input_count:
         raise ValueError(f"expected batch of shape (n, {spec.input_count})")
     if linear and spec.degree != 1:
         raise ValueError("linear reference path requires degree == 1")
 
     q0 = model.input_quantizer
-    a = x if quant_bypass else dequantize(quantize(x, q0), q0)
+    if np.issubdtype(x.dtype, np.integer):
+        a = dequantize(x, q0)
+    else:
+        x = x.astype(np.float64, copy=False)
+        a = x if quant_bypass else dequantize(quantize(x, q0), q0)
 
-    caches = []
+    n, caches = x.shape[0], []
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
@@ -109,34 +153,34 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
         else:
             m = expand(xg, model.bases[layer])
         z = weighted_sum(m, p.weights)
-        if not np.all(np.isfinite(z)):
-            raise FloatingPointError(f"non-finite activation in layer {layer} {context}")
 
-        if training:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            if track_stats:
-                p.bn.running_mean = (1 - BN_MOMENTUM) * p.bn.running_mean + BN_MOMENTUM * mu
-                p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
-        else:
-            mu, var = p.bn.running_mean, p.bn.running_var
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            invstd = 1.0 / np.sqrt(var + p.bn.eps)
-            xhat = (z - mu) * invstd
-            h = p.bn.gamma * xhat + p.bn.beta_shift
-        if not np.all(np.isfinite(h)):
-            raise FloatingPointError(
-                f"non-finite batch-norm output in layer {layer} {context}")
+            if training:  # the operation order of np.mean and np.var
+                mu = np.add.reduce(z, axis=0) / n
+                xhat = z - mu  # scaled by invstd below
+                var = np.add.reduce(xhat * xhat, axis=0) / n
+                invstd = 1.0 / np.sqrt(var + p.bn.eps)
+                xhat *= invstd
+                h = p.bn.gamma * xhat + p.bn.beta_shift
+            else:
+                invstd = 1.0 / np.sqrt(p.bn.running_var + p.bn.eps)
+                xhat = (z - p.bn.running_mean) * invstd
+                h = bn_apply(z, p.bn)
+        if not np.isfinite(h).all():
+            what = "batch-norm output" if np.isfinite(z).all() else "activation"
+            raise FloatingPointError(f"non-finite {what} in layer {layer} {context}")
+        if training and track_stats:
+            p.bn.running_mean = (1 - BN_MOMENTUM) * p.bn.running_mean + BN_MOMENTUM * mu
+            p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
 
         last = layer == spec.n_layers - 1
-        r = h if last else np.maximum(h, 0.0)
-
-        q = model.layer_quantizer(layer)
         if quant_bypass:
-            c, ste, a = None, None, r
+            c = ste = None
+            a = h if last else np.maximum(h, 0.0)
         else:
-            c = quantize(r, q)
-            ste = ste_mask(r, q)
+            q = model.layer_quantizer(layer)
+            c, u = activate(h, q, not last)
+            ste = c == u  # where the rounded code needed no clamping
             a = c * q.scale
 
         caches.append(dict(m=m, invstd=invstd, xhat=xhat, h=h,
@@ -145,45 +189,44 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
 
 
 def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
-             *, linear: bool = False) -> dict:
-    """Chain rule through every layer; returns gradients keyed like
-    params_as_dict (weights, bn gamma/shift, per-layer quantizer scale)."""
+             *, linear: bool = False, out: dict | None = None) -> dict:
+    """Chain rule through every layer into one flat gradient vector laid
+    out like the trained parameters; returns its param_views (weights,
+    batch-norm gamma/shift and each layer's quantizer scale).  out, when
+    given, is the param_views of the vector to fill."""
     spec = model.spec
     da = np.asarray(dlogits, dtype=np.float64)
     if da.shape != (caches[-1]["h"].shape[0], spec.layer_widths[-1]):
         raise ValueError("upstream gradient shape does not match the output layer")
-    grads: dict[str, np.ndarray] = {}
+    grads = param_views(model) if out is None else out
+    n = da.shape[0]
     for layer in reversed(range(spec.n_layers)):
         cache = caches[layer]
         p = model.params[layer]
-        if cache["c"] is None:  # quantizer bypassed on this path
-            dr = da
-            grads[f"s{layer}"] = np.float64(0.0)
-        else:
-            grads[f"s{layer}"] = np.float64(np.sum(da * cache["c"]))
-            dr = da * cache["ste"]
+        bypass = cache["c"] is None  # quantizer bypassed on this path
+        grads[f"s{layer}"][...] = 0.0 if bypass else np.add.reduce(da * cache["c"], axis=None)
+        dr = da if bypass else da * cache["ste"]
         dh = dr if cache["last"] else dr * (cache["h"] > 0)
 
         xhat = cache["xhat"]
-        grads[f"gamma{layer}"] = np.sum(dh * xhat, axis=0)
-        grads[f"beta{layer}"] = np.sum(dh, axis=0)
+        np.add.reduce(dh * xhat, axis=0, out=grads[f"gamma{layer}"])
+        np.add.reduce(dh, axis=0, out=grads[f"beta{layer}"])
         dxhat = dh * p.bn.gamma
-        if cache["batch_stats"]:
-            dz = cache["invstd"] * (
-                dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-            )
+        if cache["batch_stats"]:  # the operation order of np.mean
+            dz = dxhat - np.add.reduce(dxhat, axis=0) / n
+            dz -= xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)
+            dz *= cache["invstd"]
         else:
             dz = dxhat * cache["invstd"]
 
-        m = cache["m"]
-        grads[f"w{layer}"] = np.einsum("nwm,nw->wm", m, dz)
+        m = cache["m"]  # einsum's out= into the view runs ~10x slower than this copy
+        grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", m, dz)
 
         if layer == 0:
             continue
         dm = dz[:, :, None] * p.weights[None, :, :]
         dxg = dm[:, :, 1:] if linear else expand_vjp(m, dm, model.bases[layer])
         # scatter-add through the sparsity mask into the previous activations
-        n = dxg.shape[0]
         da_t = np.zeros((spec.layer_widths[layer - 1], n))
         np.add.at(da_t, model.masks[layer].ravel(),
                   dxg.transpose(1, 2, 0).reshape(-1, n))
@@ -197,12 +240,13 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
 
 def softmax_ce(logits: np.ndarray, labels: np.ndarray):
     n = logits.shape[0]
-    zs = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    zs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(zs), axis=1, keepdims=True))
     logp = zs - logz
-    loss = -float(np.mean(logp[np.arange(n), labels]))
+    rows = np.arange(n)
+    loss = -float(np.add.reduce(logp[rows, labels]) / n)  # np.mean's operation order
     d = np.exp(logp)
-    d[np.arange(n), labels] -= 1.0
+    d[rows, labels] -= 1.0
     return loss, d / n
 
 
@@ -228,54 +272,44 @@ def compute_loss(logits, labels, loss_kind: str):
 
 
 @dataclass
-class OptimizerState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    step: int = 0
+class AdamWState:
+    """Moments and scratch buffers of AdamW over a flat vector of `size`
+    entries, whose first `n_decay` entries weight decay multiplies."""
+
+    size: int
+    n_decay: int
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    step: int = 0
+
+    def __post_init__(self):
+        self.m, self.v = np.zeros(self.size), np.zeros(self.size)
+        self.buf = np.empty((2, self.size))
 
 
-def adamw_step(params: dict, grads: dict, state: OptimizerState, lr: float,
-               weight_decay: float, decay_keys: set) -> None:
-    """One AdamW update in place.  Decay multiplies the parameter directly
-    (decoupled from the adaptive gradient step) and only touches keys in
-    decay_keys; batch-norm parameters and quantizer scales stay exempt."""
+def adamw_step(theta: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float,
+               weight_decay: float) -> None:
+    """One AdamW update of the flat vector theta in place: m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g*g, theta -= lr*mhat / (sqrt(vhat) + eps), in that
+    operation order, into preallocated buffers.  Decay multiplies
+    theta[:state.n_decay] directly (decoupled from the adaptive step); the
+    entries after it (batch-norm parameters and scales) stay exempt."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - math.pow(state.beta1, t)
     bc2 = 1.0 - math.pow(state.beta2, t)
-    for key, g in grads.items():
-        g = np.asarray(g, dtype=np.float64)
-        if key not in state.m:
-            state.m[key] = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        mhat = state.m[key] / bc1
-        vhat = state.v[key] / bc2
-        params[key] = params[key] - lr * mhat / (np.sqrt(vhat) + state.eps)
-        if key in decay_keys and weight_decay > 0.0:
-            params[key] = params[key] * (1.0 - lr * weight_decay)
-
-
-def params_as_dict(model: TrainedModel) -> dict:
-    out = {}
-    for layer, p in enumerate(model.params):
-        out[f"w{layer}"] = p.weights
-        out[f"gamma{layer}"] = p.bn.gamma
-        out[f"beta{layer}"] = p.bn.beta_shift
-        out[f"s{layer}"] = np.float64(p.quant_scale)
-    return out
-
-
-def apply_param_dict(model: TrainedModel, params: dict) -> None:
-    for layer, p in enumerate(model.params):
-        p.weights = params[f"w{layer}"]
-        p.bn.gamma = params[f"gamma{layer}"]
-        p.bn.beta_shift = params[f"beta{layer}"]
-        p.quant_scale = max(float(params[f"s{layer}"]), SCALE_FLOOR)
+    m, v, (a, b) = state.m, state.v, state.buf
+    m *= state.beta1
+    m += np.multiply(grad, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    v += np.multiply(np.multiply(grad, 1.0 - state.beta2, out=a), grad, out=a)
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += state.eps
+    np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+    theta -= np.divide(a, b, out=a)
+    if weight_decay != 0.0:
+        theta[: state.n_decay] *= 1.0 - lr * weight_decay
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +336,25 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     history holds one dict per epoch: epoch, lr, train_loss,
     test_accuracy.  Deterministic given (model, data, config).
     """
-    model = replace(model, params=[p.copy() for p in model.params])
+    # a copy of the model whose weights and batch-norm gammas and shifts are
+    # views of theta; theta holds the scales too, which quant_scale mirrors
+    theta = np.concatenate([np.ravel(value) for _, value in _trained(model)])
+    v = param_views(model, theta)
+    model = replace(model, params=[LayerParams(v[f"w{l}"], BatchNormParams(
+        v[f"gamma{l}"], v[f"beta{l}"], p.bn.running_mean.copy(), p.bn.running_var.copy(),
+        p.bn.eps), p.quant_scale) for l, p in enumerate(model.params)])
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     feats, labels = train_ds.features, train_ds.labels
     n = feats.shape[0]
 
     init_scales(model, feats[: min(config.batch_size, n)], linear=linear)
+    scales = theta[-model.spec.n_layers :]  # the last entries, one per layer
+    scales[:] = [p.quant_scale for p in model.params]
+    codes = quantize(feats, model.input_quantizer)  # the input scale is not trained
 
-    opt_state = OptimizerState()
-    decay = {f"w{layer}" for layer in range(model.spec.n_layers)}
+    grad = np.empty_like(theta)
+    grads = param_views(model, grad)
+    opt_state = AdamWState(theta.size, sum(p.weights.size for p in model.params))
     history = []
     for epoch in range(config.epochs):
         lr = sgdr_lr(epoch, config)
@@ -318,15 +362,17 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, caches = forward(model, feats[idx], training=True,
+            logits, caches = forward(model, codes[idx], training=True,
                                      linear=linear, context=f"at epoch {epoch}")
             loss, dlogits = compute_loss(logits, labels[idx], config.loss_kind)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            grads = backward(model, caches, dlogits, linear=linear)
-            params = params_as_dict(model)
-            adamw_step(params, grads, opt_state, lr, config.weight_decay, decay)
-            apply_param_dict(model, params)
+            backward(model, caches, dlogits, linear=linear, out=grads)
+            del logits, caches, dlogits  # two batches' caches are never alive at once
+            adamw_step(theta, grad, opt_state, lr, config.weight_decay)
+            np.maximum(scales, SCALE_FLOOR, out=scales)
+            for p, s in zip(model.params, scales.tolist()):
+                p.quant_scale = s
             losses.append(loss)
         entry = dict(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
                      test_accuracy=math.nan)

@@ -7,10 +7,17 @@ from lutc.basis import (
     count_monomials,
     enumerate_basis,
     expand,
-    expand_grad,
     expand_vjp,
     weighted_sum,
 )
+
+
+def expand_grad(x, basis):
+    """Jacobian oracle of expand at a length-F vector: entry (i, j) is
+    d m_i / d x_j = e_ij * m[lowered[i, j]], an (M, F) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    assert x.shape == (basis.fan_in,)
+    return basis.exponents * expand(x, basis)[basis.lowered]
 
 
 def brute_force_exponents(fan_in, degree):

@@ -77,6 +77,23 @@ def test_invalid_spec_override(tmp_path):
                 "--out", tmp_path / "o"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("key,value", [
+    ("epochs", 1.5), ("batch_size", 32.0), ("restart_period", "10"), ("restart_mult", True),
+    ("seed", 2.5), ("weight_decay", -5.0), ("weight_decay", float("nan")),
+    ("weight_decay", float("inf")),
+])
+def test_train_rejects_bad_train_config(tmp_path, capsys, key, value):
+    # epochs 1.5 or seed 2.5 used to crash with a TypeError, and weight_decay -5
+    # to train without decay
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    cfg["train"][key] = value
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    assert f"error: train: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # Train
 

@@ -1,7 +1,7 @@
 """Property tests: invariances of the layer-wise inference path and of
-netlist simulation, round trips of the bit-level codecs, and the
-layer-wise table text (dumps and Verilog ROMs) against per-entry
-references."""
+netlist simulation, the training forward pass against that path, round
+trips of the quantizer and the bit-level codecs, and the layer-wise
+table text (dumps and Verilog ROMs) against per-entry references."""
 
 import os
 import tempfile
@@ -15,11 +15,12 @@ import lutc.model as model_mod
 from lutc.basis import enumerate_basis, expand
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
-from lutc.quantize import Quantizer, decode_bits, encode_bits
+from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
+                           round_half_away)
 from lutc.rtl import emit_neuron
 from lutc.tables import (TruthTable, decode_address, dump_tables, load_tables, pack_address,
                          tabulate_model)
-from lutc.trainer import init_scales
+from lutc.trainer import forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -105,6 +106,63 @@ def test_code_bits_round_trip(bits, signed, seed):
     assert np.array_equal(decode_bits(patterns, q), codes)
     every = np.arange(1 << bits)
     assert np.array_equal(encode_bits(decode_bits(every, q), q), every)
+
+
+@SETTINGS
+@given(bits=st.integers(1, 8), signed=st.booleans(),
+       scale=st.floats(min_value=1e-30, max_value=1e30))
+def test_quantize_dequantize_round_trip(bits, signed, scale):
+    q = Quantizer(bits=bits, signed=signed, scale=scale)
+    codes = np.arange(q.code_min, q.code_max + 1)
+    assert np.array_equal(quantize(dequantize(codes, q), q), codes)
+
+
+def random_model(seed):
+    """An untrained model of random shape whose scales spread its codes over
+    the range, then shrink so that some codes clamp, with random
+    running statistics and batch-norm affine parameters."""
+    rng = np.random.default_rng(seed)
+    fan = int(rng.integers(1, 4))
+    spec = NetworkSpec(layer_widths=rng.integers(fan, 6, size=rng.integers(1, 4)).tolist(),
+                       beta=int(rng.integers(2, 5)), fan_in=fan, degree=int(rng.integers(1, 4)),
+                       input_count=fan + int(rng.integers(0, 3)),
+                       input_beta=int(rng.integers(2, 7)), seed=seed)
+    model = init_model(spec)
+    init_scales(model, rng.uniform(-1.0, 1.0, size=(32, spec.input_count)))
+    for p in model.params:
+        p.quant_scale *= rng.uniform(0.3, 1.5)
+        width = len(p.weights)
+        p.bn.gamma, p.bn.beta_shift = rng.uniform(0.5, 2.0, width), rng.normal(0, 0.3, width)
+        p.bn.running_mean = rng.normal(0, 0.3, width)
+        p.bn.running_var = rng.uniform(0.2, 2.0, width)
+    return model, rng.uniform(-1.2, 1.2, size=(int(rng.integers(2, 60)), spec.input_count))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_forward_inference_codes_are_forward_codes(seed):
+    model, x = random_model(seed)
+    _, want = forward_codes(model, quantize(x, model.input_quantizer), trace=True)
+    for xb in (x, quantize(x, model.input_quantizer)):  # features, or input codes
+        _, caches = forward(model, xb, training=False)
+        for layer, cache in enumerate(caches):
+            assert np.array_equal(cache["c"], want[layer])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_straight_through_mask_is_where_the_clamp_did_not_act(seed):
+    model, x = random_model(seed)
+    _, caches = forward(model, x, training=True, track_stats=False)
+    for layer, cache in enumerate(caches):
+        q = model.layer_quantizer(layer)
+        r = cache["h"] if cache["last"] else np.maximum(cache["h"], 0.0)
+        u = round_half_away(r / q.scale)
+        assert np.array_equal(cache["c"], np.clip(u, q.code_min, q.code_max))
+        assert np.array_equal(cache["ste"], np.clip(u, q.code_min, q.code_max) == u)
+        # the two roundings this step replaced: quantize, and the range test
+        assert np.array_equal(cache["c"], quantize(r, q))
+        assert np.array_equal(cache["ste"], (u >= q.code_min) & (u <= q.code_max))
 
 
 def random_netlist(seed):

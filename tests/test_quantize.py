@@ -10,10 +10,25 @@ from lutc.quantize import (
     dequantize,
     encode_bits,
     quantize,
-    scale_grad,
-    ste_backward,
-    ste_mask,
+    round_half_away,
 )
+
+
+def ste_mask(v, q):
+    """Straight-through oracle: True where round(v / s) lands inside the
+    code range without clamping."""
+    codes = round_half_away(np.asarray(v, dtype=np.float64) / q.scale)
+    return (codes >= q.code_min) & (codes <= q.code_max)
+
+
+def ste_backward(upstream_grad, v, q):
+    """Pass the gradient where the code is unclamped, else 0."""
+    return np.where(ste_mask(v, q), upstream_grad, 0.0)
+
+
+def scale_grad(v, q):
+    """d(c(v) * s)/ds with c held constant: the clamped code itself."""
+    return quantize(v, q).astype(np.float64)
 
 
 def q_unsigned(bits, scale=1.0):

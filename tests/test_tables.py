@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lutc.model import NetworkSpec, init_model, spec_from_profile
-from lutc.quantize import bn_identity, decode_bits
+from lutc.model import NetworkSpec, init_model, layer_eval, spec_from_profile
+from lutc.quantize import bn_identity, decode_bits, encode_bits
 from lutc.tables import (
     TruthTable,
     decode_address,
@@ -12,7 +12,6 @@ from lutc.tables import (
     tabulate_layer,
     tabulate_model,
     tabulate_neuron,
-    verify_table,
 )
 
 
@@ -20,6 +19,17 @@ def small_model(**overrides):
     kwargs = dict(layer_widths=[3, 2], beta=2, fan_in=2, degree=2, input_count=2)
     kwargs.update(overrides)
     return init_model(NetworkSpec(**kwargs))
+
+
+def verify_table(model, table, layer, neuron):
+    """Re-evaluate every address through layer_eval; returns the
+    mismatching addresses."""
+    spec, addrs = model.spec, np.arange(table.entries.size, dtype=np.int64)
+    fields = decode_address(addrs, spec.layer_input_bits(layer), spec.layer_fan_in(layer))
+    codes = decode_bits(fields, model.source_quantizer(layer))[:, None, :]
+    want = encode_bits(layer_eval(model, layer, codes, [neuron])[:, 0],
+                       model.layer_quantizer(layer))
+    return addrs[table.entries[addrs] != want]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from lutc.data import gen_spirals, split_normalize
 from lutc.model import NetworkSpec, init_model
 from lutc.quantize import bn_identity
 from lutc.trainer import (
-    OptimizerState,
+    AdamWState,
     TrainConfig,
     TrainingDiverged,
     adamw_step,
@@ -68,36 +68,32 @@ def test_sgdr_never_below_min():
 
 
 def test_adamw_first_step_identity():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([2.0])}
-    adamw_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.0,
-               decay_keys={"w"})
+    theta, grad = np.array([1.0]), np.array([2.0])
+    adamw_step(theta, grad, AdamWState(size=1, n_decay=1), lr=0.1, weight_decay=0.0)
     # bias-corrected first step: w' = 1 - 0.1 * g / (sqrt(g^2) + eps)
-    assert params["w"][0] == pytest.approx(0.9, abs=1e-3)
+    assert theta[0] == pytest.approx(0.9, abs=1e-3)
 
 
 def test_adamw_zero_grad_no_motion():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
-    adamw_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.0,
-               decay_keys={"w"})
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    theta = np.array([1.0, -2.0])
+    adamw_step(theta, np.zeros(2), AdamWState(size=2, n_decay=2), lr=0.1,
+               weight_decay=0.0)
+    assert np.array_equal(theta, [1.0, -2.0])
 
 
 def test_adamw_decoupled_decay():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.zeros(1)}
-    adamw_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.1,
-               decay_keys={"w"})
-    assert params["w"][0] == pytest.approx(0.99, abs=1e-12)
+    theta = np.array([1.0])
+    adamw_step(theta, np.zeros(1), AdamWState(size=1, n_decay=1), lr=0.1,
+               weight_decay=0.1)
+    assert theta[0] == pytest.approx(0.99, abs=1e-12)
 
 
 def test_adamw_exempt_keys_not_decayed():
-    params = {"gamma0": np.array([1.0])}
-    grads = {"gamma0": np.zeros(1)}
-    adamw_step(params, grads, OptimizerState(), lr=0.1, weight_decay=0.1,
-               decay_keys={"w0"})
-    assert params["gamma0"][0] == 1.0
+    theta = np.array([1.0, 1.0])  # a weight, then a batch-norm gamma
+    adamw_step(theta, np.zeros(2), AdamWState(size=2, n_decay=1), lr=0.1,
+               weight_decay=0.1)
+    assert theta[0] == pytest.approx(0.99, abs=1e-12)
+    assert theta[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
