@@ -1,6 +1,6 @@
 # From netlist to Verilog: emit one case-statement ROM per neuron, a top
 # module wired by the sparsity masks, golden vectors, and a self-checking
-# testbench -- then re-parse our own output to prove it structurally sound.
+# testbench -- then read our own output back to prove it holds the netlist.
 #
 # Run:  python3 demos/rtl_emission_tour.py [out_dir]
 
@@ -51,10 +51,12 @@ pairs = parse_golden_vectors(bundle.vectors)
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 
-# The structural self-checker re-parses the emitted text: entry counts,
-# port widths, clocked outputs, unique names, mask-faithful wiring.
+# The self-checker reads the emitted text back: every ROM's arms become a
+# table that must equal the netlist's (and match its manifest digest), the
+# top-level wiring must follow the masks, and the golden vectors are
+# replayed through the netlist read back from the Verilog.
 problems = check_bundle(bundle, netlist)
-print(f"structural self-check: {len(problems)} problems")
+print(f"read-back self-check: {len(problems)} problems")
 assert not problems
 
 out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="rtl_")

@@ -233,7 +233,7 @@ def cmd_emit(args) -> int:
     problems = check_bundle(bundle, net)
     write_bundle(bundle, args.out)
     if problems:
-        print("structural check failed:", file=sys.stderr)
+        print("RTL check failed:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return EXIT_VERIFY

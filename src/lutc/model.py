@@ -111,8 +111,9 @@ def validate_spec(spec) -> list[str]:
         v.append("at least one layer required")
     if any(w < 1 for w in widths):
         v.append("all layer widths must be >= 1")
-    if not (1 <= spec.beta <= 8):
-        v.append(f"beta must be in [1, 8], got {spec.beta}")
+    if not (2 <= spec.beta <= 8):
+        v.append(f"beta must be in [2, 8], got {spec.beta}: a signed "
+                 f"{spec.beta}-bit output layer has no positive code")
     if spec.input_beta is not None and not (1 <= spec.input_beta <= 8):
         v.append(f"input_beta must be in [1, 8], got {spec.input_beta}")
     if spec.fan_in < 1:

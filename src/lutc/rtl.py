@@ -1,7 +1,14 @@
 """Verilog-2001 emission: one registered case-statement ROM per neuron, a
 top module wired per the sparsity masks, golden vectors, a testbench for
-external HDL simulators, and a structural self-checker that re-parses the
-emitted text (entry counts, port widths, wiring) without external tools.
+external HDL simulators, and a self-checker that needs no external tools.
+
+The checker reads the emitted text back into a netlist: every ROM's case
+arms into its table (numpy over the ASCII bytes of each module, a window
+of lines at a time), and the sources and output slice of every instance
+from top.v.  Those tables must equal the netlist's and match the
+manifest digests, the wiring must follow the masks, and top.v and tb.v
+must be byte-exact.  vectors.hex is replayed through the netlist read
+back, the offline stand-in for running tb.v in a simulator.
 
 The ROMs are formatted one layer at a time: the case-arm prefixes are
 built once per layer and shared by its neurons, and only the distinct
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netlist import Netlist, simulate
+from .netlist import LutLayer, Netlist, simulate
 from .tables import TruthTable, hex_rows
 
 
@@ -36,13 +43,9 @@ def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
 
 
-def emit_neuron(table, name: str, existing_names: set | None = None) -> str:
+def emit_neuron(table, name: str) -> str:
     """Synchronous ROM module: registered output, full case coverage plus a
     default arm; address bit order matches the table packing convention."""
-    if existing_names is not None:
-        if name in existing_names:
-            raise ValueError(f"module name collision: {name}")
-        existing_names.add(name)
     return next(_rom_modules(table.entries[None], table.input_bits, table.output_bits, [name]))
 
 
@@ -52,14 +55,18 @@ def _rom_modules(tables: np.ndarray, n: int, b: int, names: list):
     parts = [None] * (2 + 2 * tables.shape[1])
     parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h"
                      for addr in range(tables.shape[1])]
-    parts[-1] = (f"            default: data <= {b}'h0;\n"
-                 "        endcase\n    end\nendmodule\n")
+    parts[-1] = _rom_tail(b)
     for name, values in zip(names, hex_rows(tables, ";\n")):
         parts[0] = (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
                     f"    output reg  {_bus(b)} data\n);\n"
                     "    always @(posedge clk) begin\n        case (addr)\n")
         parts[2:-1:2] = values
         yield "".join(parts)
+
+
+def _rom_tail(b: int) -> str:
+    """A ROM module's text after its last address arm."""
+    return f"            default: data <= {b}'h0;\n        endcase\n    end\nendmodule\n"
 
 
 def _module_name(layer: int, index: int) -> str:
@@ -178,25 +185,29 @@ endmodule
 """
 
 
-def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
-                top_name: str = "top") -> RtlBundle:
-    modules = {}
-    manifest_lines = [
+def _manifest(netlist: Netlist, top_name: str) -> str:
+    """manifest.txt: the top module's widths, then each ROM's table digest."""
+    lines = [
         "rtl-manifest v1",
         f"top {top_name} in_bits {netlist.input_count * netlist.input_bits} "
         f"out_bits {netlist.layers[-1].width * netlist.output_bits} "
         f"stages {netlist.n_layers}",
     ]
     for layer, lut in enumerate(netlist.layers):
-        names = [_module_name(layer, j) for j in range(lut.width)]
-        texts = _rom_modules(lut.tables, lut.address_bits, lut.output_bits, names)
-        for name, entries, text in zip(names, lut.tables, texts):
+        for j, entries in enumerate(lut.tables):
             table = TruthTable(lut.address_bits, lut.output_bits, entries)
-            modules[name] = text
-            manifest_lines.append(
-                f"module {name} input_bits {table.input_bits} "
-                f"output_bits {table.output_bits} sha256 {table.sha256()}"
-            )
+            lines.append(f"module {_module_name(layer, j)} input_bits {table.input_bits} "
+                         f"output_bits {table.output_bits} sha256 {table.sha256()}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
+                top_name: str = "top") -> RtlBundle:
+    modules = {}
+    for layer, lut in enumerate(netlist.layers):
+        names = [_module_name(layer, j) for j in range(lut.width)]
+        modules.update(zip(names, _rom_modules(lut.tables, lut.address_bits,
+                                               lut.output_bits, names)))
     top = emit_top(netlist, top_name)
     if vectors is None:
         rng = np.random.default_rng(np.random.PCG64(0))
@@ -205,7 +216,7 @@ def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
     vec_text = emit_golden_vectors(netlist, vectors)
     tb = emit_testbench(netlist, top_name)
     return RtlBundle(modules=modules, top=top, testbench=tb, vectors=vec_text,
-                     manifest="\n".join(manifest_lines) + "\n")
+                     manifest=_manifest(netlist, top_name))
 
 
 def write_bundle(bundle: RtlBundle, out_dir) -> list:
@@ -227,67 +238,284 @@ def write_bundle(bundle: RtlBundle, out_dir) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Structural self-checker (a light parser over our own emission)
+# Self-checker: read the emitted text back into a netlist
 
 _MODULE_RE = re.compile(r"^module\s+(\w+)\s*\(", re.M)
 _ADDR_RE = re.compile(r"input\s+wire\s+\[(\d+):0\]\s+addr")
 _DATA_RE = re.compile(r"output\s+reg\s+\[(\d+):0\]\s+data")
-_ARM_RE = re.compile(r"^\s*\d+'h[0-9a-f]+\s*:\s*data\s*<=", re.M)
 _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
+_INSTANCE_RE = re.compile(
+    r"^ *(\w+) u_(\w+) \(\.clk\(clk\), \.addr\((\w+)_addr\), \.data\(([^()]*)\)\);$", re.M)
 _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
+_CASE_HEAD = "        case (addr)\n"
+_DEFAULT_ARM = "\n            default:"
+_WINDOW = 1 << 18  # bytes of case arms read at once: bounds the temporary arrays
+# byte -> value of a lowercase hex digit, 16 for every other byte
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 
 
 def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
-    """Return structural problems (empty list means the bundle is sound).
+    """Return the bundle's problems (an empty list means it is sound), each
+    naming the module, top.v, tb.v, manifest.txt or vectors.hex at fault.
 
-    Checks: module declarations, registered outputs, one case arm per
-    address, port widths, and mask-faithful top-level wiring.
+    Every ROM is read back: its declaration, port widths and clocked output
+    are checked, and its case arms must follow the emitted template, one
+    arm per address in address order, each address and value a canonical
+    hex token, then a default arm.  The values read back must equal the
+    netlist's tables, and manifest.txt must list their sha256 digests.
+    Each instance's address concatenation and .data slice are read back
+    from top.v and must follow the masks, and top.v and tb.v must be
+    exactly what emit_top and emit_testbench write.  The ROMs and wiring
+    read back form a netlist, and every vectors.hex line is replayed
+    through it: the offline stand-in for running tb.v.
     """
     problems: list[str] = []
+    top = _MODULE_RE.search(bundle.top)
+    if top is None:
+        problems.append("top.v: missing module declaration")
+    else:
+        problems += _first_difference("top.v", bundle.top, emit_top(netlist, top.group(1)))
+        problems += _first_difference("tb.v", bundle.testbench,
+                                      emit_testbench(netlist, top.group(1)))
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(bundle.top)}
-    names = set()
-    bits_in = netlist.input_bits
+    instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(bundle.top)}
+    layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
     for layer, lut in enumerate(netlist.layers):
+        n, b = lut.address_bits, lut.output_bits
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
-        for j, sources in enumerate(lut.sources.tolist()):
+        # the read-back tables share the netlist's until a ROM reads back differently
+        tables, sources = lut.tables, np.empty_like(lut.sources)
+        complete = True
+        for j in range(lut.width):
             name = _module_name(layer, j)
-            names.add(name)
-            problems += _module_problems(name, bundle.modules.get(name, ""),
-                                         lut.address_bits, lut.output_bits)
-            concat = wires.get(name)
-            if concat is None:
-                problems.append(f"top: no address assign for {name}")
-                continue
-            got = []
-            for bus, idx, width, width2 in reversed(_SLICE_RE.findall(concat)):  # MSB first
-                if bus != src_bus or width != width2 or int(width) != bits_in:
-                    problems.append(f"top: {name} reads from unexpected slice "
-                                    f"{bus}[{idx}*{width} +: {width2}]")
-                got.append(int(idx))
-            if got != sources:
-                problems.append(f"top: {name} wiring {got} != mask {sources}")
-        bits_in = lut.output_bits
+            values = _read_rom(name, bundle.modules.get(name, ""), n, b, problems)
+            complete &= values is not None
+            if values is not None and not np.array_equal(values, lut.tables[j]):
+                diff = np.flatnonzero(values != lut.tables[j])
+                problems.append(f"{name}: {len(diff)} case arm values differ from the "
+                                f"netlist table, first at address {diff[0]:x}")
+                tables = lut.tables.copy() if tables is lut.tables else tables
+                tables[j] = values
+            complete &= _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
+                                     lut.sources[j].tolist(), sources[j], problems)
+            complete &= _read_instance(name, instances.get(name), f"layer{layer}_data", j, b,
+                                       lut.width, problems)
+        if complete:
+            layers.append(LutLayer(tables=tables, sources=sources, output_bits=b))
+        bits_in, prev = b, lut.width
+    names = {_module_name(layer, j) for layer, lut in enumerate(netlist.layers)
+             for j in range(lut.width)}
     problems += [f"{name}: not present in the netlist" for name in bundle.modules
                  if name not in names]
+    if len(layers) == netlist.n_layers:
+        try:
+            readback = Netlist(input_count=netlist.input_count, input_bits=netlist.input_bits,
+                               layers=layers, clock_period_ns=netlist.clock_period_ns)
+        except ValueError as e:
+            problems.append(f"top.v: {e}")
+        else:
+            if top is not None:
+                problems += _first_difference("manifest.txt", bundle.manifest,
+                                              _manifest(readback, top.group(1)))
+            problems += _vector_problems(bundle.vectors, readback)
     return problems
 
 
-def _module_problems(name: str, text: str, addr_bits: int, data_bits: int) -> list:
+def _read_rom(name: str, text: str, n: int, b: int, problems: list):
+    """The table read back from a ROM module, or None (with a problem) if
+    it cannot be read."""
     m = _MODULE_RE.search(text)
     if not m or m.group(1) != name:
-        return [f"{name}: missing or mismatched module declaration"]
-    problems = []
+        problems.append(f"{name}: missing or mismatched module declaration")
+        return None
     am = _ADDR_RE.search(text)
     dm = _DATA_RE.search(text)
-    if not am or int(am.group(1)) + 1 != addr_bits:
-        problems.append(f"{name}: addr port width != {addr_bits}")
-    if not dm or int(dm.group(1)) + 1 != data_bits:
-        problems.append(f"{name}: data is not a registered {data_bits}-bit output")
+    if not am or int(am.group(1)) + 1 != n:
+        problems.append(f"{name}: addr port width != {n}")
+    if not dm or int(dm.group(1)) + 1 != b:
+        problems.append(f"{name}: data is not a registered {b}-bit output")
     if "always @(posedge clk)" not in text:
         problems.append(f"{name}: output is not clocked")
-    arms = len(_ARM_RE.findall(text))
-    if arms != (1 << addr_bits):
-        problems.append(f"{name}: {arms} case arms, expected {1 << addr_bits}")
-    if "default:" not in text:
-        problems.append(f"{name}: missing default arm")
-    return problems
+    if not text.endswith("\n" + _rom_tail(b)):
+        problems.append(f"{name}: does not end with the default arm and endmodule")
+    values = _read_arms(text, n, b)
+    if isinstance(values, str):
+        problems.append(f"{name}: {values}")
+        return None
+    return values
+
+
+def _read_arms(text: str, n: int, b: int):
+    """A ROM's case-arm values in address order, or what prevents reading
+    them.  The arms are read as ASCII bytes, a window of whole lines at a
+    time: the lines end at the newlines, each holds one ':', and around
+    its address and value hex tokens lie the template's fixed bytes."""
+    head = text.find(_CASE_HEAD)
+    if head < 0:
+        return f"no {_CASE_HEAD.strip()!r} line"
+    start, stop = head + len(_CASE_HEAD), text.rfind(_DEFAULT_ARM) + 1
+    if stop <= start:
+        return "missing default arm"
+    count = text.count("\n", start, stop)
+    if count != 1 << n:
+        return f"{count} case arms, expected {1 << n}"
+    prefix, infix = f"            {n}'h".encode(), f": data <= {b}'h".encode()
+    # padding keeps every fixed-offset read of a short or bad line in bounds
+    pad = "\0" * (len(prefix) + len(infix) + 16)
+    values = np.empty(count, dtype=np.int64)
+    first = 0
+    while start < stop:
+        cut = text.find("\n", min(start + _WINDOW, stop) - 1, stop) + 1
+        try:
+            buf = np.frombuffer((text[start:cut] + pad).encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            return "non-ASCII case arms"
+        ends = np.flatnonzero(buf[:cut - start] == ord("\n"))
+        fault = _parse_arms(buf, first, ends, prefix, infix, n, b,
+                            values[first:first + len(ends)])
+        if fault:
+            return fault
+        first, start = first + len(ends), cut
+    return values
+
+
+def _parse_arms(buf: np.ndarray, first: int, ends: np.ndarray, prefix: bytes, infix: bytes,
+                n: int, b: int, out: np.ndarray) -> str:
+    """Parse the arm lines of buf, which end at ends, into out, the values
+    of addresses first onwards; returns what is wrong with the first bad
+    line, or ''."""
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    colons = np.flatnonzero(buf[:ends[-1]] == ord(":"))
+    if len(colons) != len(ends) or (colons > ends).any() or (colons < starts).any():
+        once = np.diff(np.searchsorted(colons, ends), prepend=0) == 1
+        return _bad_arm(buf, first, starts, ends, once)
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    addr_start, value_start = starts + len(prefix), colons + len(infix)
+    addrs, ok = _hex_tokens(buf, addr_start, colons - addr_start, max(1, (n + 3) // 4))
+    values, value_ok = _hex_tokens(buf, value_start, ends - 1 - value_start, (b + 3) // 4)
+    ok &= (value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
+           & _template_at(words, starts, prefix) & _template_at(words, colons, infix))
+    if not ok.all():
+        return _bad_arm(buf, first, starts, ends, ok)
+    wrong = np.flatnonzero(addrs != np.arange(first, first + len(ends)))
+    if len(wrong):
+        i = first + wrong[0]
+        return f"case arm {i} has address {addrs[wrong[0]]:x}, expected {i:x}"
+    out[:] = values
+    return ""
+
+
+def _template_at(words: np.ndarray, starts: np.ndarray, template: bytes) -> np.ndarray:
+    """Whether template (8 bytes or more) begins at each start, compared as
+    8-byte words; words holds the little-endian word at each byte offset."""
+    ok = np.ones(len(starts), dtype=bool)
+    for k in sorted({*range(0, len(template) - 8, 8), len(template) - 8}):
+        ok &= words[starts + k] == int.from_bytes(template[k:k + 8], "little")
+    return ok
+
+
+def _hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, digits: int):
+    """Values of the hex tokens buf[starts:starts + lengths], and a mask of
+    those that are 1 to digits lowercase hex digits without a leading zero."""
+    ok = (lengths >= 1) & (lengths <= digits)
+    ok &= (_HEX_VALUE[buf[starts]] != 0) | (lengths == 1)
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(digits):
+        digit = _HEX_VALUE[buf[starts + k]]
+        inside = lengths > k
+        ok &= (digit < 16) | ~inside
+        values = np.where(inside, values * 16 + digit, values)
+    return values, ok
+
+
+def _bad_arm(buf: np.ndarray, first: int, starts: np.ndarray, ends: np.ndarray,
+             ok: np.ndarray) -> str:
+    i = int(np.argmin(ok))
+    return f"case arm {first + i} is malformed: {buf[starts[i]:ends[i]].tobytes().decode()!r}"
+
+
+def _slice_index(text: str, bus: str, bits: int, count: int) -> int:
+    """k if text is the slice bus[k*bits +: bits] of a bus of count slices,
+    else -1."""
+    m = _SLICE_RE.fullmatch(text)
+    if m and m.group(1) == bus and int(m.group(3)) == bits and int(m.group(4)) == bits:
+        k = int(m.group(2))
+        return k if k < count else -1
+    return -1
+
+
+def _read_wiring(name: str, concat, src_bus: str, bits: int, count: int, want: list,
+                 out: np.ndarray, problems: list) -> bool:
+    """Read a module's sources from its address concatenation in top.v
+    (input 0 is the last slice) into out and report where they differ from
+    want; returns whether out was filled."""
+    if concat is None:
+        problems.append(f"top.v: no address assign for {name}")
+        return False
+    got = []
+    for part in reversed(concat.split(", ")):
+        got.append(_slice_index(part, src_bus, bits, count))
+        if got[-1] < 0:
+            problems.append(f"top.v: {name} reads from unexpected slice {part}")
+    if got != want:
+        problems.append(f"top.v: {name} wiring {got} != mask {want}")
+    if len(got) != len(out) or min(got) < 0:
+        return False
+    out[:] = got
+    return True
+
+
+def _read_instance(name: str, instance, bus: str, j: int, b: int, width: int,
+                   problems: list) -> bool:
+    """Whether module name's instance is u_{name}, reads {name}_addr and
+    drives slice j of bus; reports where it does not."""
+    if instance is None:
+        problems.append(f"top.v: no instance u_{name}")
+        return False
+    module, _, wire, data = instance
+    if module != name or wire != name:
+        problems.append(f"top.v: u_{name} instantiates {module} on {wire}_addr")
+    if _slice_index(data, bus, b, width) != j:
+        problems.append(f"top.v: u_{name} drives {data}, expected {bus}[{j}*{b} +: {b}]")
+        return False
+    return module == name and wire == name
+
+
+def _first_difference(fname: str, got: str, want: str) -> list:
+    """A problem naming the first line where got differs from want, if any."""
+    if got == want:
+        return []
+    got, want = got.split("\n"), want.split("\n")
+    k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
+             min(len(got), len(want)))
+    got_k, want_k = ((repr(lines[k]) if k < len(lines) else "the end of the file")
+                     for lines in (got, want))
+    return [f"{fname}: line {k + 1} is {got_k}, expected {want_k}"]
+
+
+def _vector_problems(text: str, readback: Netlist) -> list:
+    """Replay every vectors.hex input word through the read-back netlist;
+    each line must be what emit_golden_vectors writes for that word."""
+    in_w = readback.input_count * readback.input_bits
+    lines = text.split("\n")
+    if lines.pop() != "":
+        return ["vectors.hex: does not end with a newline"]
+    fields = np.empty((len(lines), readback.input_count), dtype=np.int64)
+    mask = (1 << readback.input_bits) - 1
+    for k, line in enumerate(lines):
+        try:
+            word = int(line.split(" ")[0], 16)
+        except ValueError:
+            word = -1
+        if not 0 <= word < 1 << in_w:
+            return [f"vectors.hex: line {k + 1} {line!r} has no {in_w}-bit input word"]
+        fields[k] = [(word >> (i * readback.input_bits)) & mask
+                     for i in range(readback.input_count)]
+    want = emit_golden_vectors(readback, fields).split("\n")
+    bad = [k for k, (g, w) in enumerate(zip(lines, want)) if g != w]
+    if not bad:
+        return []
+    return [f"vectors.hex: {len(bad)} of {len(lines)} lines disagree with the read-back "
+            f"netlist, first line {bad[0] + 1}: {lines[bad[0]]!r}, expected {want[bad[0]]!r}"]

@@ -77,6 +77,15 @@ def test_invalid_spec_override(tmp_path):
                 "--out", tmp_path / "o"]) == EXIT_USAGE
 
 
+def test_train_rejects_one_bit_beta(tmp_path, capsys):
+    # beta 1 used to end in a ZeroDivisionError from init_scales
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral",
+                                "spec": {"beta": 1, "layer_widths": [4, 2]}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    assert "beta must be in [2, 8], got 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("epochs", 1.5), ("batch_size", 32.0), ("restart_period", "10"), ("restart_mult", True),
     ("seed", 2.5), ("weight_decay", -5.0), ("weight_decay", float("nan")),

@@ -1,7 +1,8 @@
 """Property tests: invariances of the layer-wise inference path and of
 netlist simulation, the training forward pass against that path, round
-trips of the quantizer and the bit-level codecs, and the layer-wise
-table text (dumps and Verilog ROMs) against per-entry references."""
+trips of the quantizer and the bit-level codecs, the layer-wise
+table text (dumps and Verilog ROMs) against per-entry references, and
+the RTL checker's read-back of emitted and edited bundles."""
 
 import os
 import tempfile
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lutc.model as model_mod
+import lutc.rtl as rtl_mod
 from lutc.basis import enumerate_basis, expand
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
 from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
                            round_half_away)
-from lutc.rtl import emit_neuron
+from lutc.rtl import check_bundle, emit_bundle, emit_neuron
 from lutc.tables import (TruthTable, decode_address, dump_tables, load_tables, pack_address,
                          tabulate_model)
 from lutc.trainer import forward, init_scales
@@ -353,3 +355,69 @@ def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
         except ValueError as e:
             got = str(e).split(":")[0]
     assert got == want
+
+
+def edit_bundle(bundle, net, kind, rng):
+    """Make one edit of the given kind to a random module, wire, manifest
+    digest or vector; returns the module or file check_bundle must blame."""
+    layer = int(rng.integers(net.n_layers))
+    lut = net.layers[layer]
+    j = int(rng.integers(lut.width))
+    name = f"layer{layer}_n{j}"
+    if kind in ("arm", "value"):
+        lines = bundle.modules[name].split("\n")
+        arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
+        a, c = (arms[i] for i in rng.choice(len(arms), size=2, replace=False))
+        if kind == "arm":
+            lines[a], lines[c] = lines[c], lines[a]
+        else:
+            head, _, token = lines[a].rpartition("'h")
+            size = 1 << lut.output_bits
+            value = (int(token[:-1], 16) + int(rng.integers(1, size))) % size
+            lines[a] = f"{head}'h{value:x};"
+        bundle.modules[name] = "\n".join(lines)
+        return name
+    if kind == "wire":
+        lines = bundle.top.split("\n")
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"    assign {name}_addr ="))
+        s = int(rng.choice(lut.sources[j]))
+        lines[k] = lines[k].replace(f"[{s}*", f"[{s + 1}*")
+        bundle.top = "\n".join(lines)
+        return "top.v"
+    if kind == "digest":
+        lines = bundle.manifest.split("\n")
+        k = 2 + sum(other.width for other in net.layers[:layer]) + j
+        lines[k] = lines[k][:-1] + ("1" if lines[k].endswith("0") else "0")
+        bundle.manifest = "\n".join(lines)
+        return "manifest.txt"
+    lines = bundle.vectors.split("\n")
+    k = int(rng.integers(len(lines) - 1))
+    word_in, word_out = lines[k].split()
+    lines[k] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
+    bundle.vectors = "\n".join(lines)
+    return "vectors.hex"
+
+
+@contextmanager
+def rtl_window(value):
+    """Set rtl._WINDOW, the bytes of case arms read at once, for the block."""
+    saved = rtl_mod._WINDOW
+    rtl_mod._WINDOW = value
+    try:
+        yield
+    finally:
+        rtl_mod._WINDOW = saved
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["arm", "value", "wire", "digest", "vector"]),
+       window=st.sampled_from([1, 37, 512, rtl_mod._WINDOW]))
+def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind, window):
+    net = random_netlist(seed)
+    bundle = emit_bundle(net)
+    with rtl_window(window):
+        assert check_bundle(bundle, net) == []
+        blamed = edit_bundle(bundle, net, kind, np.random.default_rng(seed))
+        problems = check_bundle(bundle, net)
+    assert any(p.startswith(f"{blamed}: ") for p in problems), problems

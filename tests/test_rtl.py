@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lutc.model import NetworkSpec, init_model
-from lutc.netlist import build_netlist, simulate
+from lutc.netlist import LutLayer, Netlist, build_netlist, simulate
 from lutc.rtl import (
     check_bundle,
     emit_bundle,
@@ -44,14 +44,6 @@ def test_emit_neuron_constant_table():
     arms = [ln for ln in text.splitlines() if ": data <=" in ln and "default" not in ln]
     assert len(arms) == 4
     assert all(ln.strip().endswith("data <= 2'h3;") for ln in arms)
-
-
-def test_emit_neuron_name_collision():
-    table = TruthTable(input_bits=2, output_bits=2, entries=np.zeros(4))
-    names = set()
-    emit_neuron(table, "n0", names)
-    with pytest.raises(ValueError, match="collision"):
-        emit_neuron(table, "n0", names)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +172,130 @@ def test_checker_flags_unclocked_output():
     )
     problems = check_bundle(bundle, net)
     assert any("clocked" in p for p in problems)
+
+
+def arm_lines(text):
+    """A ROM's lines and the indices of its case arms (not the default)."""
+    lines = text.split("\n")
+    return lines, [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
+
+
+def change_arm_value(bundle):
+    lines, arms = arm_lines(bundle.modules["layer1_n0"])
+    head, _, value = lines[arms[3]].rpartition("'h")
+    lines[arms[3]] = f"{head}'h{int(value[:-1], 16) ^ 1:x};"
+    bundle.modules["layer1_n0"] = "\n".join(lines)
+    return "layer1_n0"
+
+
+def swap_arms(bundle):
+    lines, arms = arm_lines(bundle.modules["layer1_n0"])
+    lines[arms[1]], lines[arms[2]] = lines[arms[2]], lines[arms[1]]
+    bundle.modules["layer1_n0"] = "\n".join(lines)
+    return "layer1_n0"
+
+
+def swap_data_outputs(bundle):
+    first, second = ".data(layer0_data[0*2 +: 2])", ".data(layer0_data[1*2 +: 2])"
+    assert first in bundle.top and second in bundle.top
+    bundle.top = bundle.top.replace(first, "@").replace(second, first).replace("@", second)
+    return "top.v: u_layer0_n0 drives layer0_data[1*2 +: 2]"
+
+
+def narrow_address_wire(bundle):
+    assert "wire [3:0] layer1_n0_addr;" in bundle.top
+    bundle.top = bundle.top.replace("wire [3:0] layer1_n0_addr;", "wire [2:0] layer1_n0_addr;")
+    return "top.v"
+
+
+def edit_testbench(bundle):
+    assert "@(posedge clk);" in bundle.testbench
+    bundle.testbench = bundle.testbench.replace("@(posedge clk);", "@(negedge clk);")
+    return "tb.v"
+
+
+def wrong_digest(bundle):
+    lines = bundle.manifest.split("\n")
+    lines[2] = lines[2][:-1] + ("1" if lines[2].endswith("0") else "0")
+    bundle.manifest = "\n".join(lines)
+    return "manifest.txt"
+
+
+def edit_vector(bundle):
+    lines = bundle.vectors.split("\n")
+    word_in, word_out = lines[5].split()
+    lines[5] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
+    bundle.vectors = "\n".join(lines)
+    return "vectors.hex"
+
+
+@pytest.mark.parametrize("tamper", [change_arm_value, swap_arms, swap_data_outputs,
+                                    narrow_address_wire, edit_testbench, wrong_digest,
+                                    edit_vector],
+                         ids=lambda tamper: tamper.__name__)
+def test_checker_flags_tampering(tamper):
+    _, net = compiled(layer_widths=(3, 2))  # layer 1: 4 address bits
+    bundle = emit_bundle(net)
+    assert check_bundle(bundle, net) == []
+    blamed = tamper(bundle)
+    problems = check_bundle(bundle, net)
+    assert any(p.startswith(blamed if ": " in blamed else f"{blamed}: ")
+               for p in problems), problems
+
+
+@pytest.mark.parametrize("edit", [
+    lambda arm: arm.replace("6'ha:", "6'h0a:"),
+    lambda arm: arm.replace("6'ha:", "6'hA:"),
+    lambda arm: arm.replace("5'h7", "5'h07"),
+    lambda arm: arm.replace(";", ","),
+    lambda arm: arm.replace("data <=", "date <="),
+    lambda arm: arm.replace("            6'h", "\t           6'h"),
+], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "no-semicolon",
+        "wrong-register", "tab-indent"])
+def test_checker_flags_noncanonical_arm(edit):
+    # 6 address bits and 5-bit values: two-digit tokens, so that a leading
+    # zero keeps a token within its width
+    tables = np.arange(2 * 64, dtype=np.uint32).reshape(2, 64) % 32
+    tables[0, 10] = 7
+    net = Netlist(input_count=2, input_bits=3, clock_period_ns=1.0, layers=[
+        LutLayer(tables=tables, sources=np.array([[0, 1], [1, 0]]), output_bits=5)])
+    bundle = emit_bundle(net)
+    lines, arms = arm_lines(bundle.modules["layer0_n0"])
+    assert lines[arms[10]] == "            6'ha: data <= 5'h7;"
+    lines[arms[10]] = edit(lines[arms[10]])
+    bundle.modules["layer0_n0"] = "\n".join(lines)
+    assert check_bundle(bundle, net) == ["layer0_n0: case arm 10 is malformed: "
+                                         f"{lines[arms[10]]!r}"]
+
+
+def test_checker_reads_roms_larger_than_a_read_window():
+    # 14 address bits: 16384 arms of about 35 bytes, read in three windows
+    rng = np.random.default_rng(0)
+    layer = LutLayer(tables=rng.integers(0, 8, size=(2, 1 << 14)).astype(np.uint32),
+                     sources=np.array([[0, 1], [1, 0]]), output_bits=3)
+    net = Netlist(input_count=2, input_bits=7, layers=[layer], clock_period_ns=1.0)
+    assert check_bundle(emit_bundle(net), net) == []
+    bundle = emit_bundle(net)
+    lines, arms = arm_lines(bundle.modules["layer0_n1"])
+    lines[arms[12000]], lines[arms[12001]] = lines[arms[12001]], lines[arms[12000]]
+    bundle.modules["layer0_n1"] = "\n".join(lines)
+    assert check_bundle(bundle, net) == ["layer0_n1: case arm 12000 has address 2ee1, "
+                                         "expected 2ee0"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(text[text.index("case (addr)\n") + 12:
+                                   text.index("            default:")], ""),
+    lambda text: text.replace("4'h3:", "4'h\u0663:"),
+    lambda text: text[:text.index("default:") + 10],
+    lambda text: text.replace("case (addr)", "case(addr)"),
+], ids=["empty-case-body", "non-ascii-address", "truncated-default-arm", "no-case-line"])
+def test_checker_reports_unreadable_rom(edit):
+    _, net = compiled(layer_widths=(1,))  # 4 address bits
+    bundle = emit_bundle(net)
+    bundle.modules["layer0_n0"] = edit(bundle.modules["layer0_n0"])
+    problems = check_bundle(bundle, net)
+    assert any(p.startswith("layer0_n0: ") for p in problems), problems
 
 
 def test_write_bundle_files(tmp_path):
