@@ -55,12 +55,13 @@ print(f"trained {config.epochs} epochs: "
 # ----------------------------------------------------------------------
 # 4. Tabulation.  Each neuron becomes one 2^(beta*F)-entry truth table by
 #    exhaustively enumerating its quantized inputs through the *same*
-#    inference path the model itself uses.
+#    inference path the model itself uses.  A layer's tables are the rows
+#    of one (neurons, entries) array.
 
 tables = tabulate_model(model)
 n_tables = sum(len(t) for t in tables)
 print(f"tabulated {n_tables} neurons, "
-      f"{tables[1][0].entries.size} entries each in the hidden layers")
+      f"{tables[1].shape[1]} entries each in the hidden layers")
 
 # ----------------------------------------------------------------------
 # 5. Netlist + equivalence.  Wiring copies the training-time sparsity

@@ -31,7 +31,7 @@ from .netlist import (
     save_netlist,
 )
 from .rtl import check_bundle, emit_bundle, write_bundle
-from .tables import dump_tables, tabulate_model
+from .tables import tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, train, write_history_csv
 
 EXIT_OK = 0
@@ -195,13 +195,9 @@ def cmd_compile(args) -> int:
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     try:
         model = load_checkpoint(args.checkpoint)
-        tables = tabulate_model(model)
+        net = build_netlist(model, tabulate_model(model))
     except ValueError as e:
         raise ConfigError(f"checkpoint {args.checkpoint}: {e}") from None
-    os.makedirs(args.out, exist_ok=True)
-    dump_tables(tables, args.out)
-    net = build_netlist(model, tables)
-    del tables  # the netlist holds its own stacked copy
     save_netlist(net, args.out)
 
     rep = equivalence_check(net, model, budget=args.budget,

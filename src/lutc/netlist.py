@@ -1,11 +1,14 @@
 """Layered LUT netlists: assembly, bit-exact simulation, equivalence
 checking against the trained model, and cost/latency/Pareto reporting.
 
-A layer is W truth tables of 2**(F*b) entries each, read through one
+A layer is W truth tables of 2**(F*b) entries each, the rows of one
+(W, 2**(F*b)) uint32 array as tabulation returns it, read through one
 (W, F) wiring matrix of source indices into the previous layer (the
 primary inputs for layer 0); the wiring copies the training-time
-sparsity masks.  Simulation is a pure integer path (one packed-address
-gather per layer, no floating point), one pipeline stage per layer.
+sparsity masks.  Every way of making a Netlist checks the layer chain
+and that each entry fits its layer's output bits.  Simulation is a pure
+integer path (one packed-address gather per layer, no floating point),
+one pipeline stage per layer.
 Global node ids exist only in the netlist.json file format.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .model import TrainedModel, forward_codes, labels_from_codes, row_chunks
 from .quantize import decode_bits, encode_bits, quantize
-from .tables import decode_address, load_tables, pack_address
+from .tables import decode_address, dump_tables, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
 EXHAUSTIVE_LIMIT_BITS = 20
@@ -62,9 +65,15 @@ class Netlist:
         prev, bits = self.input_count, self.input_bits
         for layer, lut in enumerate(self.layers):
             tables, sources = lut.tables, lut.sources
-            if len(sources) != len(tables) or tables.shape[1] != 1 << (sources.shape[1] * bits):
+            if (tables.dtype != np.uint32 or len(sources) != len(tables)
+                    or tables.shape[1] != 1 << (sources.shape[1] * bits)):
                 raise ValueError(f"layer {layer}: {sources.shape} sources of {bits} bits "
-                                 f"do not address {tables.shape} tables")
+                                 f"do not address {tables.shape} {tables.dtype} tables")
+            over = tables.max(axis=1) >= 1 << lut.output_bits
+            if over.any():
+                j = int(np.argmax(over))
+                raise ValueError(f"layer {layer} neuron {j}: entry {tables[j].max()} "
+                                 f"exceeds the {lut.output_bits}-bit range")
             ordered = np.sort(sources, axis=1)
             bad = (((sources < 0) | (sources >= prev)).any(axis=1)
                    | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
@@ -84,20 +93,18 @@ class Netlist:
 
 
 def build_netlist(model: TrainedModel, tables: list) -> Netlist:
-    """Stack each layer's tables and wire them according to the sparsity masks."""
+    """Wire each layer's (W, 2**N) table array, as tabulate_model returns
+    it and without a copy, according to the sparsity masks."""
     spec = model.spec
     if len(tables) != spec.n_layers:
-        raise ValueError("one table list per layer required")
+        raise ValueError("one table array per layer required")
     layers = []
     for layer, (width, layer_tables) in enumerate(zip(spec.layer_widths, tables)):
-        if len(layer_tables) != width:
-            raise ValueError(f"layer {layer}: expected {width} tables, got {len(layer_tables)}")
-        shape = (spec.table_address_bits(layer), spec.beta)
-        for j, table in enumerate(layer_tables):
-            if (table.input_bits, table.output_bits) != shape:
-                raise ValueError(f"layer {layer} neuron {j}: table (input_bits, output_bits) "
-                                 f"{(table.input_bits, table.output_bits)} is not {shape}")
-        layers.append(LutLayer(tables=np.stack([t.entries for t in layer_tables]),
+        shape = (width, 1 << spec.table_address_bits(layer))
+        if layer_tables.shape != shape:
+            raise ValueError(f"layer {layer}: tables of shape {layer_tables.shape}, "
+                             f"expected {shape}")
+        layers.append(LutLayer(tables=layer_tables,
                                sources=np.array(model.masks[layer], dtype=np.int64),
                                output_bits=spec.beta))
     return Netlist(input_count=spec.input_count, input_bits=spec.layer_input_bits(0),
@@ -274,7 +281,8 @@ def pareto_front(points: list) -> list:
 
 
 def save_netlist(netlist: Netlist, out_dir) -> str:
-    """Write netlist.json; the table dumps live in the same directory.
+    """Write netlist.json and, beside it, the table dumps; returns the
+    path of netlist.json.
 
     The file numbers the primary inputs 0..input_count-1 and then every
     node in layer order, and names each node's sources by those ids.
@@ -297,6 +305,7 @@ def save_netlist(netlist: Netlist, out_dir) -> str:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
+    dump_tables(netlist.layers, out_dir)
     return path
 
 
@@ -319,11 +328,11 @@ def load_netlist(in_dir) -> Netlist:
                          f"the table dumps {len(tables)}")
     layers = []
     base, next_id, bits = 0, input_count, input_bits
-    for layer, (nodes, layer_tables) in enumerate(zip(doc_layers, tables)):
+    for layer, (nodes, (layer_tables, output_bits)) in enumerate(zip(doc_layers, tables)):
         if not 0 < len(nodes) == len(layer_tables):
             raise ValueError(f"layer {layer}: {len(nodes)} nodes in netlist.json, "
                              f"{len(layer_tables)} tables in the dump")
-        addr_bits, sources = layer_tables[0].input_bits, []
+        addr_bits, sources = layer_tables.shape[1].bit_length() - 1, []
         for j, node in enumerate(nodes):
             try:
                 ids = node["sources"]
@@ -336,10 +345,8 @@ def load_netlist(in_dir) -> Netlist:
                 raise ValueError(f"layer {layer} neuron {j}: expected id {next_id + j} and "
                                  f"distinct {bits}-bit sources among ids {base}..{next_id - 1} "
                                  f"filling {addr_bits} address bits, got {node}")
-        # the rows of layer_tables are views of one (W, 2**N) array: no copy
-        layers.append(LutLayer(tables=layer_tables[0].entries.base,
-                               sources=np.array(sources, dtype=np.int64),
-                               output_bits=layer_tables[0].output_bits))
+        layers.append(LutLayer(tables=layer_tables, sources=np.array(sources, dtype=np.int64),
+                               output_bits=output_bits))
         base, next_id, bits = next_id, next_id + len(nodes), layers[-1].output_bits
     return Netlist(input_count=input_count, input_bits=input_bits, layers=layers,
                    clock_period_ns=clock_period_ns)

@@ -1,18 +1,21 @@
 """Verilog-2001 emission: one registered case-statement ROM per neuron, a
-top module wired per the sparsity masks, golden vectors, a testbench for
-external HDL simulators, and a self-checker that needs no external tools.
+top module `top` wired per the sparsity masks, golden vectors, a
+testbench for external HDL simulators, and a self-checker that needs no
+external tools.
 
 The checker reads the emitted text back into a netlist: every ROM's case
 arms into its table (numpy over the ASCII bytes of each module, a window
 of lines at a time), and the sources and output slice of every instance
 from top.v.  Those tables must equal the netlist's and match the
-manifest digests, the wiring must follow the masks, and top.v and tb.v
-must be byte-exact.  vectors.hex is replayed through the netlist read
-back, the offline stand-in for running tb.v in a simulator.
+manifest digests, the wiring must follow the masks, and each ROM's text
+around its arms, top.v and tb.v must be byte-exact.  vectors.hex is
+replayed through the netlist read back, the offline stand-in for running
+tb.v in a simulator.
 
-The ROMs are formatted one layer at a time: the case-arm prefixes are
-built once per layer and shared by its neurons, and only the distinct
-values of the layer's (W, 2**N) tables are formatted (tables.hex_rows).
+The ROMs are written from each layer's (W, 2**N) table array of the
+netlist, one layer at a time: the case-arm prefixes are built once per
+layer and shared by its neurons, and only the distinct values of the
+array are formatted (tables.hex_rows).
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -20,6 +23,7 @@ files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netlist import LutLayer, Netlist, simulate
-from .tables import TruthTable, hex_rows
+from .tables import hex_rows
 
 
 @dataclass
@@ -43,25 +47,25 @@ def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
 
 
-def emit_neuron(table, name: str) -> str:
-    """Synchronous ROM module: registered output, full case coverage plus a
-    default arm; address bit order matches the table packing convention."""
-    return next(_rom_modules(table.entries[None], table.input_bits, table.output_bits, [name]))
-
-
 def _rom_modules(tables: np.ndarray, n: int, b: int, names: list):
-    """Yield the ROM module text of each row of a layer's (W, 2**n) tables
-    of b-bit entries, named by names."""
+    """Yield a synchronous ROM module for each row of a layer's (W, 2**n)
+    tables of b-bit entries, named by names: a registered output, one case
+    arm per address in the table packing convention, then a default arm."""
     parts = [None] * (2 + 2 * tables.shape[1])
     parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h"
                      for addr in range(tables.shape[1])]
     parts[-1] = _rom_tail(b)
     for name, values in zip(names, hex_rows(tables, ";\n")):
-        parts[0] = (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
-                    f"    output reg  {_bus(b)} data\n);\n"
-                    "    always @(posedge clk) begin\n        case (addr)\n")
+        parts[0] = _rom_head(name, n, b)
         parts[2:-1:2] = values
         yield "".join(parts)
+
+
+def _rom_head(name: str, n: int, b: int) -> str:
+    """A ROM module's text before its first address arm."""
+    return (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
+            f"    output reg  {_bus(b)} data\n);\n"
+            "    always @(posedge clk) begin\n        case (addr)\n")
 
 
 def _rom_tail(b: int) -> str:
@@ -73,7 +77,7 @@ def _module_name(layer: int, index: int) -> str:
     return f"layer{layer}_n{index}"
 
 
-def emit_top(netlist: Netlist, name: str = "top") -> str:
+def emit_top(netlist: Netlist) -> str:
     """Instantiate every neuron ROM; inter-layer wiring follows the masks.
 
     The neuron ROMs register their outputs, so the pipeline depth equals
@@ -83,7 +87,7 @@ def emit_top(netlist: Netlist, name: str = "top") -> str:
     in_w = netlist.input_count * netlist.input_bits
     out_w = netlist.layers[-1].width * netlist.output_bits
     lines = [
-        f"module {name} (",
+        "module top (",
         "    input  wire clk,",
         f"    input  wire {_bus(in_w)} in_data,",
         f"    output wire {_bus(out_w)} out_data",
@@ -144,7 +148,7 @@ def parse_golden_vectors(text: str):
     return pairs
 
 
-def emit_testbench(netlist: Netlist, top_name: str = "top") -> str:
+def emit_testbench(netlist: Netlist) -> str:
     """Self-checking testbench replaying vectors.hex against the pipeline."""
     in_w = netlist.input_count * netlist.input_bits
     out_w = netlist.layers[-1].width * netlist.output_bits
@@ -158,7 +162,7 @@ module tb;
     reg [{in_w - 1}:0] stim_in;
     reg [{out_w - 1}:0] expect_out;
 
-    {top_name} dut (.clk(clk), .in_data(in_data), .out_data(out_data));
+    top dut (.clk(clk), .in_data(in_data), .out_data(out_data));
 
     always #5 clk = ~clk;
 
@@ -185,38 +189,37 @@ endmodule
 """
 
 
-def _manifest(netlist: Netlist, top_name: str) -> str:
-    """manifest.txt: the top module's widths, then each ROM's table digest."""
+def _manifest(netlist: Netlist) -> str:
+    """manifest.txt: the top module's widths, then the sha256 digest of
+    each ROM's table, its entries as little-endian uint32 words."""
     lines = [
         "rtl-manifest v1",
-        f"top {top_name} in_bits {netlist.input_count * netlist.input_bits} "
+        f"top top in_bits {netlist.input_count * netlist.input_bits} "
         f"out_bits {netlist.layers[-1].width * netlist.output_bits} "
         f"stages {netlist.n_layers}",
     ]
     for layer, lut in enumerate(netlist.layers):
-        for j, entries in enumerate(lut.tables):
-            table = TruthTable(lut.address_bits, lut.output_bits, entries)
-            lines.append(f"module {_module_name(layer, j)} input_bits {table.input_bits} "
-                         f"output_bits {table.output_bits} sha256 {table.sha256()}")
+        for j, row in enumerate(lut.tables):
+            digest = hashlib.sha256(np.ascontiguousarray(row, dtype="<u4")).hexdigest()
+            lines.append(f"module {_module_name(layer, j)} input_bits {lut.address_bits} "
+                         f"output_bits {lut.output_bits} sha256 {digest}")
     return "\n".join(lines) + "\n"
 
 
-def emit_bundle(netlist: Netlist, vectors: np.ndarray | None = None,
-                top_name: str = "top") -> RtlBundle:
+def emit_bundle(netlist: Netlist) -> RtlBundle:
+    """Every file of the bundle; vectors.hex holds 64 seeded random input
+    words and the netlist's outputs for them."""
     modules = {}
     for layer, lut in enumerate(netlist.layers):
         names = [_module_name(layer, j) for j in range(lut.width)]
         modules.update(zip(names, _rom_modules(lut.tables, lut.address_bits,
                                                lut.output_bits, names)))
-    top = emit_top(netlist, top_name)
-    if vectors is None:
-        rng = np.random.default_rng(np.random.PCG64(0))
-        vectors = rng.integers(0, 1 << netlist.input_bits,
-                               size=(64, netlist.input_count)).astype(np.int64)
-    vec_text = emit_golden_vectors(netlist, vectors)
-    tb = emit_testbench(netlist, top_name)
-    return RtlBundle(modules=modules, top=top, testbench=tb, vectors=vec_text,
-                     manifest=_manifest(netlist, top_name))
+    rng = np.random.default_rng(np.random.PCG64(0))
+    vectors = rng.integers(0, 1 << netlist.input_bits, size=(64, netlist.input_count))
+    return RtlBundle(modules=modules, top=emit_top(netlist),
+                     testbench=emit_testbench(netlist),
+                     vectors=emit_golden_vectors(netlist, vectors),
+                     manifest=_manifest(netlist))
 
 
 def write_bundle(bundle: RtlBundle, out_dir) -> list:
@@ -240,14 +243,10 @@ def write_bundle(bundle: RtlBundle, out_dir) -> list:
 # ---------------------------------------------------------------------------
 # Self-checker: read the emitted text back into a netlist
 
-_MODULE_RE = re.compile(r"^module\s+(\w+)\s*\(", re.M)
-_ADDR_RE = re.compile(r"input\s+wire\s+\[(\d+):0\]\s+addr")
-_DATA_RE = re.compile(r"output\s+reg\s+\[(\d+):0\]\s+data")
 _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
 _INSTANCE_RE = re.compile(
     r"^ *(\w+) u_(\w+) \(\.clk\(clk\), \.addr\((\w+)_addr\), \.data\(([^()]*)\)\);$", re.M)
 _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
-_CASE_HEAD = "        case (addr)\n"
 _DEFAULT_ARM = "\n            default:"
 _WINDOW = 1 << 18  # bytes of case arms read at once: bounds the temporary arrays
 # byte -> value of a lowercase hex digit, 16 for every other byte
@@ -259,10 +258,10 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
     """Return the bundle's problems (an empty list means it is sound), each
     naming the module, top.v, tb.v, manifest.txt or vectors.hex at fault.
 
-    Every ROM is read back: its declaration, port widths and clocked output
-    are checked, and its case arms must follow the emitted template, one
-    arm per address in address order, each address and value a canonical
-    hex token, then a default arm.  The values read back must equal the
+    Every ROM is read back: it must begin and end with the emitted text,
+    and its case arms must follow the emitted template, one arm per
+    address in address order, each address and value a canonical hex
+    token.  The values read back must equal the
     netlist's tables, and manifest.txt must list their sha256 digests.
     Each instance's address concatenation and .data slice are read back
     from top.v and must follow the masks, and top.v and tb.v must be
@@ -270,14 +269,8 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
     read back form a netlist, and every vectors.hex line is replayed
     through it: the offline stand-in for running tb.v.
     """
-    problems: list[str] = []
-    top = _MODULE_RE.search(bundle.top)
-    if top is None:
-        problems.append("top.v: missing module declaration")
-    else:
-        problems += _first_difference("top.v", bundle.top, emit_top(netlist, top.group(1)))
-        problems += _first_difference("tb.v", bundle.testbench,
-                                      emit_testbench(netlist, top.group(1)))
+    problems = _first_difference("top.v", bundle.top, emit_top(netlist))
+    problems += _first_difference("tb.v", bundle.testbench, emit_testbench(netlist))
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(bundle.top)}
     instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(bundle.top)}
     layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
@@ -315,9 +308,7 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
         except ValueError as e:
             problems.append(f"top.v: {e}")
         else:
-            if top is not None:
-                problems += _first_difference("manifest.txt", bundle.manifest,
-                                              _manifest(readback, top.group(1)))
+            problems += _first_difference("manifest.txt", bundle.manifest, _manifest(readback))
             problems += _vector_problems(bundle.vectors, readback)
     return problems
 
@@ -325,37 +316,27 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
 def _read_rom(name: str, text: str, n: int, b: int, problems: list):
     """The table read back from a ROM module, or None (with a problem) if
     it cannot be read."""
-    m = _MODULE_RE.search(text)
-    if not m or m.group(1) != name:
-        problems.append(f"{name}: missing or mismatched module declaration")
+    head = _rom_head(name, n, b)
+    if not text.startswith(head):
+        problems += _first_difference(name, text[:len(head)], head)
         return None
-    am = _ADDR_RE.search(text)
-    dm = _DATA_RE.search(text)
-    if not am or int(am.group(1)) + 1 != n:
-        problems.append(f"{name}: addr port width != {n}")
-    if not dm or int(dm.group(1)) + 1 != b:
-        problems.append(f"{name}: data is not a registered {b}-bit output")
-    if "always @(posedge clk)" not in text:
-        problems.append(f"{name}: output is not clocked")
     if not text.endswith("\n" + _rom_tail(b)):
         problems.append(f"{name}: does not end with the default arm and endmodule")
-    values = _read_arms(text, n, b)
+    values = _read_arms(text, len(head), n, b)
     if isinstance(values, str):
         problems.append(f"{name}: {values}")
         return None
     return values
 
 
-def _read_arms(text: str, n: int, b: int):
+def _read_arms(text: str, start: int, n: int, b: int):
     """A ROM's case-arm values in address order, or what prevents reading
-    them.  The arms are read as ASCII bytes, a window of whole lines at a
-    time: the lines end at the newlines, each holds one ':', and around
-    its address and value hex tokens lie the template's fixed bytes."""
-    head = text.find(_CASE_HEAD)
-    if head < 0:
-        return f"no {_CASE_HEAD.strip()!r} line"
-    start, stop = head + len(_CASE_HEAD), text.rfind(_DEFAULT_ARM) + 1
-    if stop <= start:
+    them; the arms begin at start.  They are read as ASCII bytes, a window
+    of whole lines at a time: the lines end at the newlines, each holds one
+    ':', and around its address and value hex tokens lie the template's
+    fixed bytes."""
+    stop = text.rfind(_DEFAULT_ARM, start - 1) + 1
+    if stop < start:
         return "missing default arm"
     count = text.count("\n", start, stop)
     if count != 1 << n:

@@ -1,10 +1,13 @@
 """Neuron-to-truth-table conversion by exhaustive enumeration.
 
 Each neuron becomes one logical LUT: 2**(input_bits) entries of
-output_bits-wide codes.  All neurons of a layer read the same address
-space through the same quantizer, so a layer is tabulated at once: each
-chunk of addresses is decoded and expanded into monomials once, then
-weighted by every neuron of the layer (model.layer_eval).
+output_bits-wide codes.  A layer's tables are one (W, 2**input_bits)
+uint32 array, row j the table of neuron j; the netlist holds that array
+as it is, and the dumps and the Verilog ROMs are written from it.  All
+neurons of a layer read the same address space through the same
+quantizer, so a layer is tabulated at once: each chunk of addresses is
+decoded and expanded into monomials once, then weighted by every neuron
+of the layer (model.layer_eval).
 
 Address packing puts input 0 in the least significant bit slice, input j
 in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
@@ -19,43 +22,14 @@ once, filling one such array per layer.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .model import TrainedModel, layer_eval, row_chunks
 from .quantize import decode_bits, encode_bits
-
-
-@dataclass
-class TruthTable:
-    input_bits: int
-    output_bits: int
-    entries: np.ndarray  # (2**input_bits,) uint32 bit patterns
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.uint32)
-        if self.entries.shape != (1 << self.input_bits,):
-            raise ValueError(
-                f"expected {1 << self.input_bits} entries, got {self.entries.shape}"
-            )
-        if self.entries.size and int(self.entries.max()) >= (1 << self.output_bits):
-            raise ValueError(f"entry exceeds {self.output_bits}-bit range")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.input_bits == other.input_bits
-            and self.output_bits == other.output_bits
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.entries.astype("<u4").tobytes()).hexdigest()
 
 
 def decode_address(addrs: np.ndarray, bits_per_input: int, fan_in: int) -> np.ndarray:
@@ -85,9 +59,10 @@ def _entries(model: TrainedModel, layer: int, addrs: np.ndarray, neurons) -> np.
     return encode_bits(layer_eval(model, layer, codes, neurons), model.layer_quantizer(layer))
 
 
-def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> list:
-    """Tables of a layer's neurons (default all of them), enumerating the
-    layer's address space once through the bit-exact model path."""
+def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> np.ndarray:
+    """The (W, 2**N) uint32 tables of a layer's neurons (default all of
+    them), enumerating the layer's address space once through the
+    bit-exact model path."""
     spec = model.spec
     addr_bits = spec.table_address_bits(layer)
     if addr_bits > spec.enum_guard:
@@ -100,17 +75,16 @@ def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> list:
     for rows in row_chunks(1 << addr_bits, width * len(model.bases[layer])):
         addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
         entries[:, rows] = _entries(model, layer, addrs, neurons).T
-    return [TruthTable(input_bits=addr_bits, output_bits=spec.beta, entries=e)
-            for e in entries]
+    return entries
 
 
-def tabulate_neuron(model: TrainedModel, layer: int, neuron: int) -> TruthTable:
-    """Enumerate every input combination of one neuron."""
+def tabulate_neuron(model: TrainedModel, layer: int, neuron: int) -> np.ndarray:
+    """Enumerate every input combination of one neuron: its table row."""
     return tabulate_layer(model, layer, [neuron])[0]
 
 
 def tabulate_model(model: TrainedModel) -> list:
-    """One table per neuron, grouped per layer."""
+    """One (W, 2**N) table array per layer."""
     return [tabulate_layer(model, layer) for layer in range(model.spec.n_layers)]
 
 
@@ -134,22 +108,22 @@ def hex_rows(rows, suffix: str = ""):
         yield strings[np.searchsorted(values, row)].tolist()
 
 
-def dump_tables(tables: list, out_dir) -> list:
-    """Write layer{l}_tables.txt files; returns the written paths."""
+def dump_tables(layers: list, out_dir) -> list:
+    """Write the tables of each netlist layer (netlist.LutLayer) to
+    layer{l}_tables.txt; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for layer, layer_tables in enumerate(tables):
-        size = layer_tables[0].entries.size
+    for layer, lut in enumerate(layers):
+        size = lut.tables.shape[1]
         # "neuron j" line, then each entry and its separator: entry k ends
         # its line when it is the 16th of the line or the last
         parts = [None] * (1 + 2 * size)
         parts[2::2] = ["\n" if k % 16 == 15 or k == size - 1 else " " for k in range(size)]
         path = os.path.join(out_dir, f"layer{layer}_tables.txt")
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f"lut-tables v1\nlayer {layer}\nneurons {len(layer_tables)}\n"
-                    f"input_bits {layer_tables[0].input_bits}\n"
-                    f"output_bits {layer_tables[0].output_bits}\n")
-            for j, row in enumerate(hex_rows([t.entries for t in layer_tables])):
+            f.write(f"lut-tables v1\nlayer {layer}\nneurons {lut.width}\n"
+                    f"input_bits {lut.address_bits}\noutput_bits {lut.output_bits}\n")
+            for j, row in enumerate(hex_rows(lut.tables)):
                 parts[0] = f"neuron {j}\n"
                 parts[1::2] = row
                 f.write("".join(parts))
@@ -174,10 +148,9 @@ class _HexTokens(dict):
 
 
 def load_tables(in_dir) -> list:
-    """Read back every layer{l}_tables.txt in layer order.
-
-    The entries of a layer's tables are the rows of one (W, 2**input_bits)
-    uint32 array, their `.base`, which load_netlist uses without a copy."""
+    """Read back every layer{l}_tables.txt in layer order: one
+    (tables, output_bits) pair per layer, tables a (W, 2**input_bits)
+    uint32 array."""
     pattern = re.compile(r"layer(\d+)_tables\.txt$")
     found = {}
     for name in os.listdir(in_dir):
@@ -191,7 +164,7 @@ def load_tables(in_dir) -> list:
     return [_load_layer(found[layer], layer) for layer in range(len(found))]
 
 
-def _load_layer(path, layer: int) -> list:
+def _load_layer(path, layer: int) -> tuple:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln for ln in map(str.strip, f) if ln]
     if not lines or lines[0] != "lut-tables v1":
@@ -236,5 +209,4 @@ def _load_layer(path, layer: int) -> list:
             raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
     if fault is not None:
         raise ValueError(fault)
-    return [TruthTable(input_bits=input_bits, output_bits=output_bits, entries=row)
-            for row in entries]
+    return entries, output_bits

@@ -224,7 +224,7 @@ def test_criterion_5_degree_benefit():
 def test_criterion_6_tabulation_scale():
     model = init_model(spec_from_profile("jsc-m"))
     single = tabulate_neuron(model, 0, 0)
-    entries_ok = single.entries.size == 4096  # beta=3, F=4
+    entries_ok = single.size == 4096  # beta=3, F=4
     t0 = time.perf_counter()
     layer0 = [tabulate_neuron(model, 0, j) for j in range(64)]
     elapsed = time.perf_counter() - t0

@@ -171,7 +171,7 @@ def test_compile_exit1_on_injected_fault(pipeline_dirs, tmp_path, monkeypatch):
 
     def corrupted(model):
         tables = real_tabulate(model)
-        tables[1][0].entries[:] ^= 1  # every lookup through this node is wrong
+        tables[1][0] ^= 1  # every lookup through this node is wrong
         return tables
 
     monkeypatch.setattr(cli_mod, "tabulate_model", corrupted)

@@ -16,7 +16,6 @@ from lutc.data import Dataset, gen_spirals, split_normalize
 from lutc.model import NetworkSpec, init_model, save_checkpoint, spec_from_profile
 from lutc.netlist import build_netlist, save_netlist
 from lutc.rtl import emit_bundle, write_bundle
-from lutc.tables import TruthTable, dump_tables
 from lutc.trainer import TrainConfig, train, write_history_csv
 
 GOLDEN_SHA256 = {
@@ -63,21 +62,19 @@ def golden_netlist(spec, seed, constant=None):
     one table to a single value."""
     model = init_model(spec)
     rng = np.random.default_rng(np.random.PCG64(seed))
+    # one neuron's table at a time, in the order the digests were recorded with
     tables = [
-        [TruthTable(input_bits=spec.table_address_bits(layer), output_bits=spec.beta,
-                    entries=rng.integers(0, 1 << spec.beta,
-                                         size=1 << spec.table_address_bits(layer)))
-         for _ in range(width)]
+        np.array([rng.integers(0, 1 << spec.beta, size=1 << spec.table_address_bits(layer))
+                  for _ in range(width)], dtype=np.uint32)
         for layer, width in enumerate(spec.layer_widths)
     ]
     if constant is not None:
         layer, neuron, value = constant
-        tables[layer][neuron].entries[:] = value
-    return tables, build_netlist(model, tables)
+        tables[layer][neuron] = value
+    return build_netlist(model, tables)
 
 
-def artifact_digests(tables, net, out_dir):
-    dump_tables(tables, out_dir / "net")
+def artifact_digests(net, out_dir):
     save_netlist(net, out_dir / "net")
     write_bundle(emit_bundle(net), out_dir / "rtl")
     return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
@@ -87,14 +84,14 @@ def artifact_digests(tables, net, out_dir):
 def test_artifacts_match_golden_digests(tmp_path):
     spec = NetworkSpec(layer_widths=[4, 3, 2], beta=2, fan_in=2, degree=2,
                        input_count=3, input_beta=3, input_fan_in=3, seed=5)
-    assert artifact_digests(*golden_netlist(spec, 11), tmp_path) == GOLDEN_SHA256
+    assert artifact_digests(golden_netlist(spec, 11), tmp_path) == GOLDEN_SHA256
 
 
 def test_narrow_artifacts_match_golden_digests(tmp_path):
     spec = NetworkSpec(layer_widths=[3, 2], beta=5, fan_in=2, degree=2,
                        input_count=2, input_beta=3, input_fan_in=1, seed=3)
-    tables, net = golden_netlist(spec, 13, constant=(0, 2, 0x1d))
-    assert artifact_digests(tables, net, tmp_path) == NARROW_SHA256
+    net = golden_netlist(spec, 13, constant=(0, 2, 0x1d))
+    assert artifact_digests(net, tmp_path) == NARROW_SHA256
 
 
 TRAINING_SHA256 = {

@@ -14,7 +14,7 @@ from lutc.netlist import (
     simulate,
 )
 from lutc.quantize import encode_bits, quantize
-from lutc.tables import TruthTable, dump_tables, tabulate_model
+from lutc.tables import tabulate_model
 
 
 def n_nodes(net):
@@ -43,9 +43,11 @@ def test_build_shapes():
     assert np.array_equal(net.layers[0].sources, model.masks[0])
     assert np.array_equal(net.layers[1].sources, model.masks[1])
     assert net.layers[0].tables.shape == (3, 16) and net.layers[0].tables.dtype == np.uint32
-    for layer in range(2):
-        for j, table in enumerate(tables[layer]):
-            assert np.array_equal(net.layers[layer].tables[j], table.entries)
+
+
+def test_build_wraps_tabulated_arrays():
+    _, tables, net = compiled()
+    assert [lut.tables is t for lut, t in zip(net.layers, tables)] == [True, True]
 
 
 def test_build_single_node():
@@ -58,11 +60,10 @@ def test_build_rejects_wrong_table_count():
     model, tables, _ = compiled()
     with pytest.raises(ValueError):
         build_netlist(model, tables[:1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"layer 0: tables of shape \(2, 16\)"):
         build_netlist(model, [tables[0][:2], tables[1]])
-    wrong = TruthTable(input_bits=2, output_bits=2, entries=np.zeros(4))
-    with pytest.raises(ValueError, match="layer 1 neuron 1"):
-        build_netlist(model, [tables[0], [tables[1][0], wrong]])
+    with pytest.raises(ValueError, match=r"layer 1: tables of shape \(2, 4\)"):
+        build_netlist(model, [tables[0], tables[1][:, :4]])
 
 
 def rebuilt(net):
@@ -91,6 +92,19 @@ def test_netlist_rejects_mis_sized_tables():
     model, tables, net = compiled()
     net.layers[1].sources = net.layers[1].sources[:, :1]  # 1 source of 2 bits: 4 entries
     with pytest.raises(ValueError, match="layer 1"):
+        rebuilt(net)
+
+
+def test_netlist_rejects_out_of_range_entries():
+    model, tables, net = compiled()  # 2-bit codes
+    net.layers[0].tables[2, 5] = 3
+    rebuilt(net)
+    net.layers[0].tables[2, 5] = 4
+    with pytest.raises(ValueError, match="layer 0 neuron 2: entry 4 exceeds the 2-bit range"):
+        rebuilt(net)
+    net.layers[0].tables[2, 5] = 0
+    net.layers[1].tables = net.layers[1].tables.astype(np.int64)
+    with pytest.raises(ValueError, match="layer 1: .* int64 tables"):
         rebuilt(net)
 
 
@@ -258,15 +272,15 @@ def test_pareto_output_is_nondominated():
 
 def test_save_load_roundtrip(tmp_path):
     model, tables, net = compiled(layer_widths=(3, 2), clock_period_ns=2.5)
-    dump_tables(tables, tmp_path)
     save_netlist(net, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "layer0_tables.txt", "layer1_tables.txt", "netlist.json"]
     back = load_netlist(tmp_path)
     assert back == net
 
 
 def test_load_rejects_bad_format(tmp_path):
     model, tables, net = compiled()
-    dump_tables(tables, tmp_path)
     save_netlist(net, tmp_path)
     path = tmp_path / "netlist.json"
     path.write_text(path.read_text().replace("lut-netlist v1", "v0"))

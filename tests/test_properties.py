@@ -19,9 +19,8 @@ from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
 from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
                            round_half_away)
-from lutc.rtl import check_bundle, emit_bundle, emit_neuron
-from lutc.tables import (TruthTable, decode_address, dump_tables, load_tables, pack_address,
-                         tabulate_model)
+from lutc.rtl import check_bundle, emit_bundle
+from lutc.tables import decode_address, dump_tables, load_tables, pack_address, tabulate_model
 from lutc.trainer import forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -60,7 +59,8 @@ def test_tables_do_not_depend_on_chunk_size(seed, chunk):
     model = calibrated_model(seed)
     want = tabulate_model(model)
     with chunk_elements(chunk):
-        assert tabulate_model(model) == want
+        got = tabulate_model(model)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @SETTINGS
@@ -221,15 +221,17 @@ def test_simulate_matches_per_neuron_lookups(seed, n, split, chunk):
 @st.composite
 def table_layers(draw):
     """One to three layers of 1-3 tables; entries come from a pool of 1-40
-    values, so constant tables and repeated values are common."""
+    values, so constant tables and repeated values are common.  Each
+    layer's neurons read the 1-bit inputs 0..N-1 in order."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     layers = []
     for _ in range(draw(st.integers(1, 3))):
         addr_bits, out_bits = draw(st.integers(1, 10)), draw(st.integers(1, 32))
         pool = rng.integers(0, 1 << out_bits, size=draw(st.integers(1, 40)), dtype=np.uint64)
-        entries = rng.choice(pool, size=(draw(st.integers(1, 3)), 1 << addr_bits))
-        layers.append([TruthTable(addr_bits, out_bits, row.astype(np.uint32))
-                       for row in entries])
+        width = draw(st.integers(1, 3))
+        tables = rng.choice(pool, size=(width, 1 << addr_bits)).astype(np.uint32)
+        layers.append(LutLayer(tables=tables, output_bits=out_bits,
+                               sources=np.tile(np.arange(addr_bits), (width, 1))))
     return layers
 
 
@@ -239,18 +241,16 @@ def test_dump_load_round_trip(layers):
     with tempfile.TemporaryDirectory() as out:
         dump_tables(layers, out)
         back = load_tables(out)
-    assert back == layers
-    for layer in back:  # one array per layer, its rows the table entries
-        assert all(t.entries.base is layer[0].entries.base for t in layer)
+    assert [(t.dtype, t.tolist(), b) for t, b in back] == \
+        [(np.uint32, lut.tables.tolist(), lut.output_bits) for lut in layers]
 
 
-def emit_neuron_per_entry(table, name):
+def rom_per_entry(table, n, b, name):
     """Reference: one f-string per table entry."""
-    n, b = table.input_bits, table.output_bits
     lines = [f"module {name} (", "    input  wire clk,", f"    input  wire [{n - 1}:0] addr,",
              f"    output reg  [{b - 1}:0] data", ");", "    always @(posedge clk) begin",
              "        case (addr)"]
-    for addr, val in enumerate(table.entries):
+    for addr, val in enumerate(table):
         lines.append(f"            {n}'h{addr:x}: data <= {b}'h{int(val):x};")
     lines.append(f"            default: data <= {b}'h0;")
     lines.extend(["        endcase", "    end", "endmodule", ""])
@@ -259,11 +259,16 @@ def emit_neuron_per_entry(table, name):
 
 @SETTINGS
 @given(layers=table_layers())
-def test_emit_neuron_matches_per_entry_reference(layers):
-    for layer in layers:
-        for j, table in enumerate(layer):
-            got, want = emit_neuron(table, f"n{j}"), emit_neuron_per_entry(table, f"n{j}")
-            assert got.split("\n") == want.split("\n")  # a list diff stays cheap
+def test_roms_match_per_entry_reference(layers):
+    for lut in layers:  # each layer as the only layer of a netlist of 1-bit inputs
+        net = Netlist(input_count=lut.address_bits, input_bits=1, layers=[lut],
+                      clock_period_ns=1.0)
+        modules = emit_bundle(net).modules
+        assert list(modules) == [f"layer0_n{j}" for j in range(lut.width)]
+        for j, table in enumerate(lut.tables):
+            name = f"layer0_n{j}"
+            want = rom_per_entry(table, lut.address_bits, lut.output_bits, name)
+            assert modules[name].split("\n") == want.split("\n")  # a list diff stays cheap
 
 
 def load_layer_v1(path, layer):
@@ -291,12 +296,15 @@ def load_layer_v1(path, layer):
             vals.extend(lines[pos].split())
             pos += 1
         try:
-            rows.append(TruthTable(input_bits, output_bits, [int(v, 16) for v in vals]))
-        except (ValueError, OverflowError):
+            row = [int(v, 16) for v in vals]
+        except ValueError:
             return f"layer {layer} neuron {j}"
+        if len(row) != 1 << input_bits or not 0 <= min(row) <= max(row) < 1 << output_bits:
+            return f"layer {layer} neuron {j}"
+        rows.append(row)
     if pos != len(lines):
         return f"layer {layer}"
-    return rows
+    return rows, output_bits
 
 
 def edit_token(token, kind, rng):
@@ -351,7 +359,8 @@ def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
             f.write("\n".join(lines))
         want = load_layer_v1(path, layer)
         try:
-            got = load_tables(out)[layer]
+            tables, output_bits = load_tables(out)[layer]
+            got = tables.tolist(), output_bits
         except ValueError as e:
             got = str(e).split(":")[0]
     assert got == want

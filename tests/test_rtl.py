@@ -7,12 +7,11 @@ from lutc.rtl import (
     check_bundle,
     emit_bundle,
     emit_golden_vectors,
-    emit_neuron,
     emit_top,
     parse_golden_vectors,
     write_bundle,
 )
-from lutc.tables import TruthTable, tabulate_model
+from lutc.tables import tabulate_model
 
 
 def compiled(layer_widths=(3, 2), beta=2, fan_in=2, degree=2, input_count=2,
@@ -27,10 +26,17 @@ def compiled(layer_widths=(3, 2), beta=2, fan_in=2, degree=2, input_count=2,
 # Neuron modules
 
 
-def test_emit_neuron_entry_count():
-    table = TruthTable(input_bits=4, output_bits=2,
-                       entries=np.arange(16) % 4)
-    text = emit_neuron(table, "n0")
+def one_layer_netlist(tables, output_bits, input_bits=1):
+    """tables (W, 2**N) as the only layer, each neuron reading N primary
+    inputs of input_bits bits in order."""
+    fan = (tables.shape[1].bit_length() - 1) // input_bits
+    layer = LutLayer(tables=np.asarray(tables, dtype=np.uint32),
+                     sources=np.tile(np.arange(fan), (len(tables), 1)), output_bits=output_bits)
+    return Netlist(input_count=fan, input_bits=input_bits, layers=[layer], clock_period_ns=1.0)
+
+
+def test_rom_entry_count():
+    text = emit_bundle(one_layer_netlist(np.arange(16)[None] % 4, 2)).modules["layer0_n0"]
     assert text.count("data <=") == 16 + 1  # all arms + default
     assert "case (addr)" in text
     assert "always @(posedge clk)" in text
@@ -38,9 +44,8 @@ def test_emit_neuron_entry_count():
     assert "output reg  [1:0] data" in text
 
 
-def test_emit_neuron_constant_table():
-    table = TruthTable(input_bits=2, output_bits=2, entries=np.full(4, 3))
-    text = emit_neuron(table, "n0")
+def test_rom_constant_table():
+    text = emit_bundle(one_layer_netlist(np.full((1, 4), 3), 2)).modules["layer0_n0"]
     arms = [ln for ln in text.splitlines() if ": data <=" in ln and "default" not in ln]
     assert len(arms) == 4
     assert all(ln.strip().endswith("data <= 2'h3;") for ln in arms)
@@ -170,8 +175,31 @@ def test_checker_flags_unclocked_output():
     bundle.modules[name] = bundle.modules[name].replace(
         "always @(posedge clk)", "always @(*)"
     )
+    assert check_bundle(bundle, net) == [
+        f"{name}: line 6 is '    always @(*) begin', expected '    always @(posedge clk) begin'"]
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("input  wire clk", "input  wire lk", 2),
+    ("input  wire clk", "input wire clk", 2),
+    (");", ")x;", 5),
+    ("begin", "begin // x", 6),
+], ids=["port-name", "port-spacing", "declaration-end", "comment"])
+def test_checker_flags_edited_rom_header(old, new, line):
+    _, net = compiled(layer_widths=(3, 2))
+    bundle = emit_bundle(net)
+    assert bundle.modules["layer1_n1"].count(old) == 1
+    bundle.modules["layer1_n1"] = bundle.modules["layer1_n1"].replace(old, new)
     problems = check_bundle(bundle, net)
-    assert any("clocked" in p for p in problems)
+    assert len(problems) == 1 and problems[0].startswith(f"layer1_n1: line {line} is ")
+
+
+def test_checker_flags_renamed_top_module():
+    _, net = compiled(layer_widths=(3, 2))
+    bundle = emit_bundle(net)
+    bundle.top = bundle.top.replace("module top (", "module top2 (")
+    assert check_bundle(bundle, net) == [
+        "top.v: line 1 is 'module top2 (', expected 'module top ('"]
 
 
 def arm_lines(text):

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from lutc.model import NetworkSpec, init_model, layer_eval, spec_from_profile
+from lutc.netlist import build_netlist
 from lutc.quantize import bn_identity, decode_bits, encode_bits
+from lutc.rtl import emit_bundle
 from lutc.tables import (
-    TruthTable,
     decode_address,
     dump_tables,
     load_tables,
@@ -22,14 +25,14 @@ def small_model(**overrides):
 
 
 def verify_table(model, table, layer, neuron):
-    """Re-evaluate every address through layer_eval; returns the
-    mismatching addresses."""
-    spec, addrs = model.spec, np.arange(table.entries.size, dtype=np.int64)
+    """Re-evaluate every address of a table row through layer_eval;
+    returns the mismatching addresses."""
+    spec, addrs = model.spec, np.arange(table.size, dtype=np.int64)
     fields = decode_address(addrs, spec.layer_input_bits(layer), spec.layer_fan_in(layer))
     codes = decode_bits(fields, model.source_quantizer(layer))[:, None, :]
     want = encode_bits(layer_eval(model, layer, codes, [neuron])[:, 0],
                        model.layer_quantizer(layer))
-    return addrs[table.entries[addrs] != want]
+    return addrs[table[addrs] != want]
 
 
 # ---------------------------------------------------------------------------
@@ -50,22 +53,30 @@ def test_input0_is_least_significant():
 
 
 # ---------------------------------------------------------------------------
-# TruthTable container
+# Table rows
 
 
 def test_truth_table_validation():
-    with pytest.raises(ValueError):
-        TruthTable(input_bits=2, output_bits=2, entries=np.zeros(3))
-    with pytest.raises(ValueError):
-        TruthTable(input_bits=2, output_bits=2, entries=np.full(4, 7))
+    """A netlist table row holds 2**N entries, each below 2**output_bits."""
+    model = small_model()  # 2-bit codes, 16-entry tables
+    tables = tabulate_model(model)
+    with pytest.raises(ValueError, match="layer 1: tables of shape"):
+        build_netlist(model, [tables[0], tables[1][:, :15]])
+    tables[1][1, 9] = 7
+    with pytest.raises(ValueError, match="layer 1 neuron 1: entry 7 exceeds the 2-bit range"):
+        build_netlist(model, tables)
 
 
 def test_truth_table_hash_tracks_content():
-    a = TruthTable(input_bits=2, output_bits=2, entries=np.array([0, 1, 2, 3]))
-    b = TruthTable(input_bits=2, output_bits=2, entries=np.array([0, 1, 2, 3]))
-    c = TruthTable(input_bits=2, output_bits=2, entries=np.array([0, 1, 2, 2]))
-    assert a == b and a.sha256() == b.sha256()
-    assert a != c and a.sha256() != c.sha256()
+    """manifest.txt digests each row's entries as little-endian uint32 words."""
+    model = small_model(layer_widths=[3])
+    tables = tabulate_model(model)
+    tables[0][1] = tables[0][0]
+    tables[0][2] = tables[0][0] ^ (np.arange(16) == 5)
+    lines = emit_bundle(build_netlist(model, tables)).manifest.split("\n")[2:5]
+    digests = [line.rsplit(" ", 1)[1] for line in lines]
+    assert digests[0] == hashlib.sha256(tables[0][0].astype("<u4").tobytes()).hexdigest()
+    assert digests[0] == digests[1] != digests[2]
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +85,16 @@ def test_truth_table_hash_tracks_content():
 
 def test_entry_count_beta3_fan4():
     model = init_model(spec_from_profile("jsc-m"))
-    table = tabulate_layer(model, 1)[0]
-    assert table.input_bits == 12
-    assert table.entries.size == 4096  # 2**(beta * F)
+    tables = tabulate_layer(model, 1)
+    assert tables.shape == (32, 4096)  # 2**(beta * F) = 2**12 entries per neuron
+    assert tables.dtype == np.uint32
 
 
 def test_zero_weights_constant_table():
     model = small_model()
     model.params[0].weights[:] = 0.0
     for table in tabulate_layer(model, 0):
-        assert np.all(table.entries == table.entries[0])
+        assert np.all(table == table[0])
 
 
 def test_d1_passthrough_neuron():
@@ -97,9 +108,9 @@ def test_d1_passthrough_neuron():
     model.params[layer].quant_scale = model.params[layer - 1].quant_scale
     table = tabulate_layer(model, layer)[0]
     qin = model.source_quantizer(layer)
-    for addr in range(table.entries.size):
+    for addr in range(table.size):
         code0 = decode_bits(np.array(addr & 0b11), qin)
-        assert table.entries[addr] == code0  # unsigned codes pass through
+        assert table[addr] == code0  # unsigned codes pass through
 
 
 def test_tabulate_model_counts():
@@ -119,7 +130,7 @@ def test_tabulate_deterministic():
     model = small_model()
     t1 = tabulate_model(model)
     t2 = tabulate_model(model)
-    assert all(a == b for la, lb in zip(t1, t2) for a, b in zip(la, lb))
+    assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
 
 def test_enum_guard_enforced():
@@ -136,8 +147,8 @@ def test_enum_guard_enforced():
 def test_tabulate_neuron_is_a_layer_row():
     model = small_model()
     layer = tabulate_layer(model, 0)
-    assert [tabulate_neuron(model, 0, j) for j in range(3)] == layer
-    assert tabulate_layer(model, 0, [2, 0]) == [layer[2], layer[0]]
+    assert np.array_equal([tabulate_neuron(model, 0, j) for j in range(3)], layer)
+    assert np.array_equal(tabulate_layer(model, 0, [2, 0]), layer[[2, 0]])
 
 
 def test_verify_fresh_table_clean():
@@ -149,7 +160,7 @@ def test_verify_fresh_table_clean():
 def test_verify_flipped_entry():
     model = small_model()
     table = tabulate_layer(model, 0)[1]
-    table.entries[5] ^= 1
+    table[5] ^= 1
     bad = verify_table(model, table, 0, 1)
     assert bad.tolist() == [5]
 
@@ -157,7 +168,7 @@ def test_verify_flipped_entry():
 def test_verify_exhaustive_16():
     model = small_model()  # beta=2, F=2 -> 16 addresses, exhaustive
     table = tabulate_layer(model, 1)[0]
-    assert table.entries.size == 16
+    assert table.size == 16
     assert verify_table(model, table, 1, 0).size == 0
 
 
@@ -167,11 +178,12 @@ def test_verify_exhaustive_16():
 
 def test_dump_load_roundtrip(tmp_path):
     model = small_model()
-    tables = tabulate_model(model)
-    paths = dump_tables(tables, tmp_path)
+    net = build_netlist(model, tabulate_model(model))
+    paths = dump_tables(net.layers, tmp_path)
     assert [p.endswith("_tables.txt") for p in paths] == [True, True]
     back = load_tables(tmp_path)
-    assert all(a == b for la, lb in zip(tables, back) for a, b in zip(la, lb))
+    assert [(t.dtype, t.tolist(), b) for t, b in back] == \
+        [(np.uint32, lut.tables.tolist(), 2) for lut in net.layers]
 
 
 def test_load_tables_missing_dir(tmp_path):
@@ -181,7 +193,7 @@ def test_load_tables_missing_dir(tmp_path):
 
 def test_load_tables_non_contiguous(tmp_path):
     model = small_model()
-    dump_tables(tabulate_model(model), tmp_path)
+    dump_tables(build_netlist(model, tabulate_model(model)).layers, tmp_path)
     (tmp_path / "layer0_tables.txt").rename(tmp_path / "layer9_tables.txt")
     with pytest.raises(ValueError, match="non-contiguous"):
         load_tables(tmp_path)
