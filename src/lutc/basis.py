@@ -95,7 +95,9 @@ def _gen_exponents(fan_in: int, total: int):
 
 
 def enumerate_basis(fan_in: int, degree: int, max_terms: int = MAX_TERMS) -> MonomialBasis:
-    """Build the graded-lex monomial basis for (fan_in, degree)."""
+    """Build the graded-lex monomial basis for (fan_in, degree).  The result
+    is frozen, with read-only arrays, so one object can serve every layer of
+    that shape."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     n = count_monomials(fan_in, degree)

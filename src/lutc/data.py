@@ -61,17 +61,20 @@ def load_csv(path, label_column: str, feature_columns: list | None = None) -> Da
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if label_column not in header:
+        column = {}  # name -> index of its first occurrence
+        for i, h in enumerate(header):
+            column.setdefault(h, i)
+        if label_column not in column:
             raise DataFormatError(f"{path}: label column {label_column!r} not in header")
         if feature_columns is None:
             feature_columns = [h for h in header if h != label_column]
         if not feature_columns:
             raise DataFormatError(f"{path}: empty feature selection")
-        missing = [c for c in feature_columns if c not in header]
+        missing = [c for c in feature_columns if c not in column]
         if missing:
             raise DataFormatError(f"{path}: missing feature columns {missing}")
-        feat_idx = [header.index(c) for c in feature_columns]
-        lab_idx = header.index(label_column)
+        feat_idx = [column[c] for c in feature_columns]
+        lab_idx = column[label_column]
 
         rows, raw_labels = [], []
         for lineno, row in enumerate(reader, start=2):

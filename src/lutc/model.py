@@ -169,8 +169,9 @@ def _covered_draw(rng, width: int, prev: int, fan: int) -> np.ndarray:
     for n, r in enumerate(rows):
         missing = fan - len(r)
         if missing:
-            pool = np.setdiff1d(np.arange(prev), r)
-            r = r + rng.choice(pool, size=missing, replace=False).tolist()
+            free = np.ones(prev, dtype=bool)
+            free[r] = False
+            r = r + rng.choice(np.flatnonzero(free), size=missing, replace=False).tolist()
         out[n] = np.sort(r)
     return out
 
@@ -225,7 +226,8 @@ class TrainedModel:
             raise ValueError("masks/params length must equal the layer count")
         if not self.bases:
             fans = [self.spec.layer_fan_in(l) for l in range(self.spec.n_layers)]
-            self.bases = [enumerate_basis(fan, self.spec.degree) for fan in fans]
+            shared = {fan: enumerate_basis(fan, self.spec.degree) for fan in set(fans)}
+            self.bases = [shared[fan] for fan in fans]
 
     def layer_quantizer(self, layer: int) -> Quantizer:
         signed = layer == self.spec.n_layers - 1

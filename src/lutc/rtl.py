@@ -5,8 +5,10 @@ external tools.
 
 The checker reads the emitted text back into a netlist: every ROM's case
 arms into its table (numpy over the ASCII bytes of each module, a window
-of lines at a time), and the sources and output slice of every instance
-from top.v.  Those tables must equal the netlist's and match the
+of lines at a time, the lower-case hex tokens through tables.hex_tokens,
+the reader of the table dumps, with the emitted form's checks on top: no
+leading zero, no more digits than the width needs), and the sources and
+output slice of every instance from top.v.  Those tables must equal the netlist's and match the
 manifest digests, the wiring must follow the masks, and each ROM's text
 around its arms, top.v and tb.v must be byte-exact.  vectors.hex is
 replayed through the netlist read back, the offline stand-in for running
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netlist import LutLayer, Netlist, simulate
-from .tables import hex_rows
+from .tables import hex_rows, hex_tokens
 
 
 @dataclass
@@ -249,9 +251,6 @@ _INSTANCE_RE = re.compile(
 _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
 _DEFAULT_ARM = "\n            default:"
 _WINDOW = 1 << 18  # bytes of case arms read at once: bounds the temporary arrays
-# byte -> value of a lowercase hex digit, 16 for every other byte
-_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
-_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 
 
 def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
@@ -374,9 +373,12 @@ def _parse_arms(buf: np.ndarray, first: int, ends: np.ndarray, prefix: bytes, in
         return _bad_arm(buf, first, starts, ends, once)
     words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     addr_start, value_start = starts + len(prefix), colons + len(infix)
-    addrs, ok = _hex_tokens(buf, addr_start, colons - addr_start, max(1, (n + 3) // 4))
-    values, value_ok = _hex_tokens(buf, value_start, ends - 1 - value_start, (b + 3) // 4)
+    addr_len, value_len = colons - addr_start, ends - 1 - value_start
+    addrs, ok = hex_tokens(buf, addr_start, addr_len)
+    values, value_ok = hex_tokens(buf, value_start, value_len)
     ok &= (value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
+           & _canonical(buf, addr_start, addr_len, max(1, (n + 3) // 4))
+           & _canonical(buf, value_start, value_len, (b + 3) // 4)
            & _template_at(words, starts, prefix) & _template_at(words, colons, infix))
     if not ok.all():
         return _bad_arm(buf, first, starts, ends, ok)
@@ -397,18 +399,11 @@ def _template_at(words: np.ndarray, starts: np.ndarray, template: bytes) -> np.n
     return ok
 
 
-def _hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, digits: int):
-    """Values of the hex tokens buf[starts:starts + lengths], and a mask of
-    those that are 1 to digits lowercase hex digits without a leading zero."""
-    ok = (lengths >= 1) & (lengths <= digits)
-    ok &= (_HEX_VALUE[buf[starts]] != 0) | (lengths == 1)
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(digits):
-        digit = _HEX_VALUE[buf[starts + k]]
-        inside = lengths > k
-        ok &= (digit < 16) | ~inside
-        values = np.where(inside, values * 16 + digit, values)
-    return values, ok
+def _canonical(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               digits: int) -> np.ndarray:
+    """Whether each hex token buf[starts:starts + lengths] has at most
+    digits digits and no leading zero."""
+    return (lengths <= digits) & ((buf[starts] != ord("0")) | (lengths == 1))
 
 
 def _bad_arm(buf: np.ndarray, first: int, starts: np.ndarray, ends: np.ndarray,

@@ -14,17 +14,21 @@ in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
 patterns.  The emitted RTL uses the same convention, so simulation and
 hardware agree bit for bit.
 
-Table text is written and read one layer at a time: hex_rows formats
+Table text is written and read one layer at a time.  hex_rows formats
 only the distinct values of a layer's (W, 2**N) array (the dumps and the
-Verilog ROMs both use it), and load_tables parses each distinct token
-once, filling one such array per layer.
+Verilog ROMs both use it).  load_tables reads a dump's bytes with numpy:
+token and line bounds come from whitespace and line-end masks, each
+neuron's value lines from a walk over per-line token counts, and the
+values from hex_tokens, the hex reader rtl.check_bundle also uses.  Only
+a token that is not lower-case hex digits (1F, 0x1f, +5, 1_0) goes
+through int(token, 16).  A dump must be ASCII.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import chain
+from bisect import bisect_left
 
 import numpy as np
 
@@ -92,6 +96,13 @@ def tabulate_model(model: TrainedModel) -> list:
 # Dump format: one text file per layer, header + hex entries
 
 
+# byte -> value of a lower-case hex digit, 16 for every other byte
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_DIGITS = 15  # the most hex digits hex_tokens reads into an int64
+_WINDOW = 1 << 18  # bytes of a dump searched for token bounds at once
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values; np.unique would import numpy.ma on first use."""
     values = np.sort(values)
@@ -131,22 +142,6 @@ def dump_tables(layers: list, out_dir) -> list:
     return paths
 
 
-class _HexTokens(dict):
-    """Token -> table entry: int(token, 16), parsed once per distinct
-    token, so every token int() accepts (upper case, leading zeros) loads."""
-
-    def __init__(self, output_bits: int):
-        super().__init__()
-        self.output_bits = output_bits
-
-    def __missing__(self, token: str) -> int:
-        value = int(token, 16)
-        if value >= 1 << self.output_bits:
-            raise ValueError(f"entry {token!r} exceeds {self.output_bits}-bit range")
-        self[token] = value
-        return value
-
-
 def load_tables(in_dir) -> list:
     """Read back every layer{l}_tables.txt in layer order: one
     (tables, output_bits) pair per layer, tables a (W, 2**input_bits)
@@ -165,48 +160,140 @@ def load_tables(in_dir) -> list:
 
 
 def _load_layer(path, layer: int) -> tuple:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in map(str.strip, f) if ln]
+    with open(path, "rb") as f:
+        data = f.read()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if len(buf) and buf.max() >= 0x80:
+        raise ValueError(f"layer {layer}: {path}: non-ASCII byte at offset "
+                         f"{int(np.argmax(buf >= 0x80))}")
+    # firsts[k] is the first token of the k-th line that holds any: the lines
+    # of a text-mode read after strip, empty ones dropped; firsts[-1] counts all
+    starts, lengths, firsts = _tokens(buf)
+    # the lines that start with "neuron", each ending the value lines before it
+    at = starts[firsts[:-1]]
+    heads = np.flatnonzero(lengths[firsts[:-1]] >= 6)
+    for k, byte in enumerate(b"neuron"):
+        heads = heads[buf[at[heads] + k] == byte]
+    firsts = firsts.tolist()
+    n_lines = len(firsts) - 1
+    heads = heads.tolist() + [n_lines]
+
+    def line(k: int) -> str:
+        last = firsts[k + 1] - 1
+        return data[starts[firsts[k]]:starts[last] + lengths[last]].decode("ascii")
+
+    lines = [line(k) for k in range(min(n_lines, 5))]
     if not lines or lines[0] != "lut-tables v1":
         raise ValueError(f"{path}: bad header {lines[:1]}")
     try:
         head = dict(ln.split() for ln in lines[1:5])
         n_neurons, input_bits, output_bits = (
             int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
-        size, tokens = 1 << input_bits, _HexTokens(output_bits)
+        size = 1 << input_bits
     except (KeyError, ValueError) as e:
         raise ValueError(f"layer {layer}: {path}: bad header field {e}") from None
     # Find each neuron's value lines first, so that the layer array holds no
-    # more entries than the file does.  A fault ends the walk and is raised
-    # after the neurons before it are parsed: the first bad neuron is named.
+    # more entries than the file does: they run to the first line at which
+    # the neuron holds size entries, the next "neuron" line or the end.  A
+    # fault ends the walk and is raised after the neurons before it are
+    # parsed: the first bad neuron is named.
     spans, fault, pos = [], None, 5
     for j in range(n_neurons):
-        got = lines[pos] if pos < len(lines) else "end of file"
+        got = line(pos) if pos < n_lines else "end of file"
         if got != f"neuron {j}":
             fault = f"layer {layer} neuron {j}: {path}: got {got!r}"
             break
-        start = pos = pos + 1
-        count = 0
-        while count < size and pos < len(lines) and not lines[pos].startswith("neuron"):
-            count += len(lines[pos].split())
-            pos += 1
+        start = pos + 1
+        pos = min(bisect_left(firsts, firsts[start] + size, start),
+                  heads[bisect_left(heads, start)])
+        count = firsts[pos] - firsts[start]
         if count != size:
             fault = f"layer {layer} neuron {j}: {path}: expected {size} entries, got {count}"
             break
-        spans.append((start, pos))
+        spans.append(firsts[start])
     else:
-        if pos < len(lines):
-            fault = f"layer {layer}: {path}: unexpected line {lines[pos]!r}"
-        elif pos > len(lines):
+        if pos < n_lines:
+            fault = f"layer {layer}: {path}: unexpected line {line(pos)!r}"
+        elif pos > n_lines:
             fault = f"layer {layer}: {path}: header shorter than 5 lines"
     # no rows, no allocation: a header's input_bits may exceed numpy's limits
     entries = np.empty((len(spans), size if spans else 0), dtype=np.uint32)
-    for j, (start, stop) in enumerate(spans):
+    for j, first in enumerate(spans):
         try:
-            values = chain.from_iterable(map(str.split, lines[start:stop]))
-            entries[j] = np.fromiter(map(tokens.__getitem__, values), dtype=np.uint32, count=size)
-        except (ValueError, OverflowError) as e:
+            entries[j] = _row(buf, starts[first:first + size], lengths[first:first + size],
+                              output_bits)
+        except ValueError as e:
             raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
     if fault is not None:
         raise ValueError(fault)
     return entries, output_bits
+
+
+def _tokens(buf: np.ndarray) -> tuple:
+    """The start and length of each token of buf, split as str.split splits,
+    and the index of the first token of each line that holds any, then the
+    token count.  A line ends at "\n", "\r\n" or "\r", as in a text-mode
+    read."""
+    # str.split's ASCII whitespace is 9-13 and 28-32 (uint8 differences wrap)
+    space = (buf - np.uint8(9) <= 13 - 9) | (buf - np.uint8(28) <= 32 - 28)
+    change = np.diff(space, prepend=True, append=True)
+    # the positions where change is set alternate between token starts and
+    # token ends; they are found a window at a time, so that the only array
+    # of all of them holds int32
+    dtype = np.int32 if len(buf) < 1 << 31 else np.int64
+    edges, filled = np.empty(np.count_nonzero(change), dtype=dtype), 0
+    for a in range(0, len(change), _WINDOW):
+        found = np.flatnonzero(change[a:a + _WINDOW])
+        np.add(found, a, out=edges[filled:filled + len(found)], casting="unsafe")
+        filled += len(found)
+    starts = edges[0::2]
+    lengths = edges[1::2] - starts
+    eol = buf == ord("\n")
+    cr = np.flatnonzero(buf == ord("\r"))
+    eol[cr[~eol[np.minimum(cr + 1, len(buf) - 1)]]] = True  # unless an LF follows
+    ends = np.flatnonzero(eol).astype(dtype)
+    # tokens before each line end, so before each line and after the last
+    bounds = np.concatenate(([0], np.searchsorted(starts, ends), [len(starts)]))
+    return starts, lengths, np.append(bounds[:-1][bounds[1:] > bounds[:-1]], len(starts))
+
+
+def _row(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, output_bits: int):
+    """The entries of a table row from its tokens: tokens of lower-case hex
+    digits through hex_tokens, any other token (upper case, 0x1f, +5, 1_0)
+    through int(token, 16)."""
+    values, ok = hex_tokens(buf, starts, lengths)
+    bits = min(output_bits, 32)  # the array's entries are uint32
+    over = np.flatnonzero(ok & (values >= 1 << bits))[:1]
+    stop = over[0] if len(over) else len(ok)
+    # the other tokens before the first hex token out of range, then that one
+    for i in np.flatnonzero(~ok[:stop]).tolist() + over.tolist():
+        token = buf[starts[i]:starts[i] + lengths[i]].tobytes().decode("ascii")
+        value = int(token, 16)
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"entry {token!r} is outside the {bits}-bit range")
+        values[i] = value
+    return values
+
+
+def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Values of the tokens buf[starts:starts + lengths] read as hex, and a
+    mask of the tokens that are 1 to 15 lower-case hex digits, the form
+    hex_rows writes (an int64 holds any such value); the other tokens'
+    values are meaningless.  The tokens are read a length at a time, and
+    only those of 1 to 15 bytes, so each reads only its own bytes."""
+    values = np.zeros(len(starts), dtype=np.int64)
+    ok = np.zeros(len(starts), dtype=bool)
+    for width in range(1, min(int(lengths.max(initial=0)), _HEX_DIGITS) + 1):
+        sel = np.flatnonzero(lengths == width)
+        if not len(sel):
+            continue
+        at = starts[sel]
+        worst = digit = _HEX_VALUE[buf[at]]
+        value = digit.astype(np.int64)
+        for k in range(1, width):
+            digit = _HEX_VALUE[buf[at + k]]
+            value = value * 16 + digit
+            worst = np.maximum(worst, digit)
+        values[sel] = value
+        ok[sel] = worst < 16
+    return values, ok

@@ -50,6 +50,30 @@ def test_load_csv_column_subset(tmp_path):
     assert np.array_equal(ds.features, [[2.5], [0.5], [-1.5]])
 
 
+def test_load_csv_duplicate_names_read_the_first_column(tmp_path):
+    text = "a,label,a,b,label\n1,x,2,3,y\n4,y,5,6,x\n"
+    ds = load_csv(write_csv(tmp_path, text), "label")
+    # the default selection names "a" twice; both read column 0
+    assert np.array_equal(ds.features, [[1, 1, 3], [4, 4, 6]])
+    assert np.array_equal(ds.labels, [0, 1])  # labels from column 1
+    ds = load_csv(write_csv(tmp_path, text), "label", ["b", "a"])
+    assert np.array_equal(ds.features, [[3, 1], [6, 4]])
+
+
+def test_load_csv_wide_header(tmp_path):
+    names = [f"c{i}" for i in range(2000)]
+    rows = np.arange(3 * 2000).reshape(3, 2000) % 97
+    text = "\n".join([",".join(names + ["label"])]
+                     + [",".join(map(str, row.tolist() + [k % 2])) for k, row in enumerate(rows)])
+    path = write_csv(tmp_path, text + "\n")
+    ds = load_csv(path, "label")
+    assert np.array_equal(ds.features, rows)
+    ds = load_csv(path, "label", ["c1999", "c0", "c1000"])
+    assert np.array_equal(ds.features, rows[:, [1999, 0, 1000]])
+    with pytest.raises(DataFormatError, match=r"missing feature columns \['c2000'\]"):
+        load_csv(path, "label", ["c5", "c2000"])
+
+
 def test_load_csv_missing_label_column(tmp_path):
     with pytest.raises(DataFormatError, match="label column"):
         load_csv(write_csv(tmp_path, CSV_FIXTURE), "nope")

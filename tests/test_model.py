@@ -127,8 +127,46 @@ def test_masks_coverage_at_benchmark_scale():
         assert len(set(row.tolist())) == 4
 
 
+def masks_by_set_difference(spec, seed):
+    """Reference for build_masks: the same draws, each neuron's pool of
+    unused predecessors built with np.setdiff1d."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    masks = []
+    for layer in range(spec.n_layers):
+        width, prev, fan = (spec.layer_widths[layer], spec.prev_width(layer),
+                            spec.layer_fan_in(layer))
+        if fan * width < prev:
+            masks.append(np.stack([np.sort(rng.choice(prev, size=fan, replace=False))
+                                   for _ in range(width)]))
+            continue
+        rows = [[] for _ in range(width)]
+        order = rng.permutation(width)
+        for pos, p in enumerate(rng.permutation(prev)):
+            rows[order[pos % width]].append(int(p))
+        for n, r in enumerate(rows):
+            if len(r) < fan:
+                pool = np.setdiff1d(np.arange(prev), r)
+                rows[n] = r + rng.choice(pool, size=fan - len(r), replace=False).tolist()
+        masks.append(np.sort(np.array(rows, dtype=np.int64), axis=1))
+    return masks
+
+
+@pytest.mark.parametrize("profile", ["hdr", "nid-lite", "jsc-xl", "jsc-m", "spiral"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 7919])
+def test_masks_match_set_difference_reference(profile, seed):
+    spec = spec_from_profile(profile, seed=seed)
+    got, want = build_masks(spec, seed), masks_by_set_difference(spec, seed)
+    assert [(m.dtype, m.tolist()) for m in got] == [(m.dtype, m.tolist()) for m in want]
+
+
 # ---------------------------------------------------------------------------
 # Model construction and inference helpers
+
+
+def test_layers_of_one_shape_share_a_basis():
+    model = init_model(spec_from_profile("hdr"))
+    assert model.bases[1] is model.bases[2]
+    assert not model.bases[1].exponents.flags.writeable
 
 
 def test_init_model_shapes():

@@ -318,18 +318,57 @@ def edit_token(token, kind, rng):
         return "zz"
     if kind == "wide":
         return "1" + "0" * 8  # 2**32
+    if kind == "plus":
+        return "+" + token
+    if kind == "underscore":
+        return token[0] + "_" + (token[1:] or "0")
     return "-" + token
 
 
-@settings(max_examples=100, deadline=None)
-@given(layers=table_layers(), seed=st.integers(0, 2**16),
-       kind=st.sampled_from(["upper", "zeros", "prefix", "bad", "wide", "negative",
-                             "drop-token", "extra-token", "drop-line", "split-line",
-                             "extra-line"]))
-def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
-    """Non-canonical tokens load to the entries the v1 reader gives, and a
-    file the v1 reader rejects is rejected naming the same layer and neuron."""
-    rng = np.random.default_rng(seed)
+def respace(text, kind, rng):
+    """Rewrite some line ends of a dump as "\r\n" ("crlf") or "\r" ("cr"),
+    or some spaces as runs of other ASCII whitespace and add runs around
+    some lines ("tabs"): a text-mode read and str.split see the same lines
+    and tokens."""
+    if kind == "tabs":
+        def run():
+            return "".join(rng.choice(list(" \t\x0b\x0c\x1c\x1f"), size=rng.integers(1, 4)))
+        parts = text.split(" ")
+        text = "".join(p + (run() if rng.random() < 0.5 else " ") for p in parts[:-1]) \
+            + parts[-1]
+        return "\n".join(run() + ln + run() if rng.random() < 0.3 else ln
+                         for ln in text.split("\n"))
+    end = "\r\n" if kind == "crlf" else "\r"
+    parts = text.split("\n")
+    return "".join(p + (end if rng.random() < 0.5 else "\n") for p in parts[:-1]) + parts[-1]
+
+
+def rewrap(lines, rng):
+    """Re-cut the value lines between "neuron" lines into lines of 1 to 20
+    entries."""
+    out, values = [], []
+    for ln in lines + ["neuron"]:
+        if ln.startswith("neuron"):
+            while values:
+                n = int(rng.integers(1, 21))
+                out.append(" ".join(values[:n]))
+                values = values[n:]
+            out.append(ln)
+        else:
+            values += ln.split()
+    return out[:-1]
+
+
+EDIT_KINDS = ["upper", "zeros", "prefix", "bad", "wide", "negative", "plus", "underscore",
+              "drop-token", "extra-token", "drop-line", "split-line", "extra-line", "rewrap",
+              "crlf", "cr", "tabs"]
+
+
+def read_edited_dump(layers, kind, rng):
+    """Dump the layers, make one edit of the given kind to one layer's
+    dump, and read that layer back with load_tables and with the v1
+    reader: (entries and output bits, or the error message before the
+    path; the v1 reader's result)."""
     with tempfile.TemporaryDirectory() as out:
         dump_tables(layers, out)
         layer = int(rng.integers(len(layers)))
@@ -345,7 +384,8 @@ def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
             del tokens[t]
         elif kind == "extra-token":
             tokens.insert(t, tokens[t])
-        elif kind not in ("drop-line", "split-line", "extra-line"):
+        elif kind not in ("drop-line", "split-line", "extra-line", "rewrap", "crlf", "cr",
+                          "tabs"):
             tokens = [edit_token(tok, kind, rng) if rng.random() < 0.5 or i == t else tok
                       for i, tok in enumerate(tokens)]
         lines[k] = " ".join(tokens)
@@ -355,15 +395,31 @@ def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed, kind):
             lines[k] = "\n\t".join(tokens)
         elif kind == "extra-line":
             lines.insert(k, lines[k])
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines))
+        elif kind == "rewrap":
+            lines = lines[:5] + rewrap(lines[5:], rng)
+        text = "\n".join(lines)
+        if kind in ("crlf", "cr", "tabs"):
+            text = respace(text, kind, rng)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
         want = load_layer_v1(path, layer)
         try:
             tables, output_bits = load_tables(out)[layer]
             got = tables.tolist(), output_bits
         except ValueError as e:
             got = str(e).split(":")[0]
-    assert got == want
+    return got, want
+
+
+@settings(max_examples=20, deadline=None)
+@given(layers=table_layers(), seed=st.integers(0, 2**16))
+def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed):
+    """Under every kind of edit, non-canonical tokens load to the entries
+    the v1 reader gives, and a file the v1 reader rejects is rejected
+    naming the same layer and neuron.  Each example runs every kind."""
+    for kind in EDIT_KINDS:
+        got, want = read_edited_dump(layers, kind, np.random.default_rng(seed))
+        assert got == want, kind
 
 
 def edit_bundle(bundle, net, kind, rng):

@@ -275,11 +275,12 @@ def test_checker_flags_tampering(tamper):
     lambda arm: arm.replace("6'ha:", "6'h0a:"),
     lambda arm: arm.replace("6'ha:", "6'hA:"),
     lambda arm: arm.replace("5'h7", "5'h07"),
+    lambda arm: arm.replace("5'h7", "5'hB"),
     lambda arm: arm.replace(";", ","),
     lambda arm: arm.replace("data <=", "date <="),
     lambda arm: arm.replace("            6'h", "\t           6'h"),
-], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "no-semicolon",
-        "wrong-register", "tab-indent"])
+], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "upper-case-value",
+        "no-semicolon", "wrong-register", "tab-indent"])
 def test_checker_flags_noncanonical_arm(edit):
     # 6 address bits and 5-bit values: two-digit tokens, so that a leading
     # zero keeps a token within its width

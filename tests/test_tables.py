@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lutc.model import NetworkSpec, init_model, layer_eval, spec_from_profile
-from lutc.netlist import build_netlist
+from lutc.netlist import LutLayer, build_netlist
 from lutc.quantize import bn_identity, decode_bits, encode_bits
 from lutc.rtl import emit_bundle
+from lutc import tables as tables_mod
 from lutc.tables import (
     decode_address,
     dump_tables,
@@ -210,4 +211,37 @@ def test_load_tables_non_contiguous(tmp_path):
 def test_load_tables_rejects_bad_header(tmp_path, text, where):
     (tmp_path / "layer0_tables.txt").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=where):
+        load_tables(tmp_path)
+
+
+def test_load_tables_rejects_non_ascii(tmp_path):
+    model = small_model()
+    dump_tables(build_netlist(model, tabulate_model(model)).layers, tmp_path)
+    path = tmp_path / "layer1_tables.txt"
+    # a no-break space between two entries: str.split would split on it, the
+    # reader rejects it
+    path.write_text("\u00a0".join(path.read_text(encoding="utf-8").rsplit(" ", 1)),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^layer 1: .*non-ASCII byte at offset \d+$"):
+        load_tables(tmp_path)
+
+
+def test_load_tables_reads_a_layer_wider_than_a_window(tmp_path):
+    rng = np.random.default_rng(3)
+    tables = rng.integers(0, 256, size=(3, 1 << 16)).astype(np.uint32)
+    lut = LutLayer(tables=tables, output_bits=8, sources=np.tile(np.arange(16), (3, 1)))
+    dump_tables([lut], tmp_path)
+    path = tmp_path / "layer0_tables.txt"
+    text = path.read_text(encoding="utf-8")
+    assert len(text) > 2 * tables_mod._WINDOW  # tokens straddle window edges
+    (back, bits), = load_tables(tmp_path)
+    assert back.tolist() == tables.tolist() and bits == 8
+    # a bad token past the first window is found, and its neuron named
+    lines = text.split("\n")
+    k = len(lines) * 2 // 3
+    assert len("\n".join(lines[:k])) > tables_mod._WINDOW
+    lines[k] = "1g" + lines[k][lines[k].index(" "):]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    neuron = sum(ln.startswith("neuron ") for ln in lines[:k]) - 1
+    with pytest.raises(ValueError, match=rf"^layer 0 neuron {neuron}: .*'1g'"):
         load_tables(tmp_path)
