@@ -76,7 +76,7 @@ def resolve_config(args) -> dict:
     if getattr(args, "degree", None) is not None:
         cfg["spec"]["degree"] = args.degree
     if getattr(args, "layers", None):
-        cfg["spec"]["layer_widths"] = [int(w) for w in args.layers.split(",")]
+        cfg["spec"]["layer_widths"] = args.layers
     if getattr(args, "clock_ns", None) is not None:
         cfg["spec"]["clock_period_ns"] = args.clock_ns
     if getattr(args, "seed", None) is not None:
@@ -241,22 +241,16 @@ def cmd_emit(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     base_spec = build_spec(cfg)
-    depths = [int(d) for d in args.depths.split(",")]
-    degrees = [int(d) for d in args.degrees.split(",")]
-    if not depths or not degrees:
-        raise ConfigError("empty sweep grid")
     train_ds, test_ds = load_dataset(cfg)
 
     widths = list(base_spec.layer_widths)
     hidden, out_width = widths[:-1], widths[-1]
 
     rows = []
-    for depth in depths:
-        if depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {depth}")
+    for depth in args.depths:
         h = (hidden + [hidden[-1]] * depth)[: depth - 1] if depth > 1 else []
         layer_widths = h + [out_width]
-        for degree in degrees:
+        for degree in args.degrees:
             spec_kwargs = dict(cfg["spec"])
             spec_kwargs.update(layer_widths=layer_widths, degree=degree)
             spec = build_spec({"spec": spec_kwargs})
@@ -309,6 +303,21 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ints(least: int, many: bool = False):
+    """An argparse type: an integer >= least, or with many a comma list of
+    them; anything else exits 2 before the command runs."""
+    def parse(text: str):
+        try:
+            values = [int(v) for v in text.split(",")] if many else [int(text)]
+        except ValueError:
+            values = []
+        if not values or min(values) < least:
+            kind = "a comma list of integers" if many else "an integer"
+            raise argparse.ArgumentTypeError(f"expected {kind} >= {least}, got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lutc",
@@ -323,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="named architecture preset")
         sp.add_argument("--seed", type=int, help="override spec and trainer seeds")
         sp.add_argument("--degree", type=int, help="override polynomial degree")
-        sp.add_argument("--layers", help="override layer widths, e.g. 8,8,2")
+        sp.add_argument("--layers", type=_ints(1, many=True),
+                        help="override layer widths, e.g. 8,8,2")
         sp.add_argument("--clock-ns", type=float, dest="clock_ns",
                         help="target clock period in ns")
 
@@ -336,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabulate, build + verify the netlist, report costs")
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--budget", type=int, default=10000,
+    sp.add_argument("--budget", type=_ints(0), default=10000,
                     help="random vectors when exhaustive checking is infeasible")
     sp.add_argument("--exhaustive-limit", type=int, default=20,
                     dest="exhaustive_limit",
                     help="max total input bits for exhaustive equivalence")
-    sp.add_argument("--target-k", type=int, default=6, dest="target_k")
+    sp.add_argument("--target-k", type=_ints(2), default=6, dest="target_k")
     sp.set_defaults(func=cmd_compile)
 
     sp = sub.add_parser("emit", help="emit the Verilog bundle from a compiled netlist")
@@ -351,10 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="train a depth x degree grid and report fronts")
     common(sp)
-    sp.add_argument("--depths", required=True, help="comma list, e.g. 2,3,4,5")
-    sp.add_argument("--degrees", required=True, help="comma list, e.g. 1,2,3")
+    sp.add_argument("--depths", required=True, type=_ints(1, many=True),
+                    help="comma list, e.g. 2,3,4,5")
+    sp.add_argument("--degrees", required=True, type=_ints(1, many=True),
+                    help="comma list, e.g. 1,2,3")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--target-k", type=int, default=6, dest="target_k")
+    sp.add_argument("--target-k", type=_ints(2), default=6, dest="target_k")
     sp.set_defaults(func=cmd_sweep)
     return p
 

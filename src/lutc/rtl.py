@@ -5,14 +5,14 @@ external tools.
 
 The checker reads the emitted text back into a netlist: every ROM's case
 arms into its table (numpy over the ASCII bytes of each module, a window
-of lines at a time, the lower-case hex tokens through tables.hex_tokens,
-the reader of the table dumps, with the emitted form's checks on top: no
-leading zero, no more digits than the width needs), and the sources and
-output slice of every instance from top.v.  Those tables must equal the netlist's and match the
-manifest digests, the wiring must follow the masks, and each ROM's text
-around its arms, top.v and tb.v must be byte-exact.  vectors.hex is
-replayed through the netlist read back, the offline stand-in for running
-tb.v in a simulator.
+of lines at a time, the canonical hex tokens through tables.hex_tokens,
+the reader of the table dumps; arm i must carry address i and every
+value must fit the width, which bounds their digits), and the sources
+and output slice of every instance from top.v.  Those tables must equal
+the netlist's and match the manifest digests, the wiring must follow the
+masks, and each ROM's text around its arms, top.v and tb.v must be
+byte-exact.  vectors.hex is replayed through the netlist read back, the
+offline stand-in for running tb.v in a simulator.
 
 The ROMs are written from each layer's (W, 2**N) table array of the
 netlist, one layer at a time: the case-arm prefixes are built once per
@@ -377,8 +377,6 @@ def _parse_arms(buf: np.ndarray, first: int, ends: np.ndarray, prefix: bytes, in
     addrs, ok = hex_tokens(buf, addr_start, addr_len)
     values, value_ok = hex_tokens(buf, value_start, value_len)
     ok &= (value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
-           & _canonical(buf, addr_start, addr_len, max(1, (n + 3) // 4))
-           & _canonical(buf, value_start, value_len, (b + 3) // 4)
            & _template_at(words, starts, prefix) & _template_at(words, colons, infix))
     if not ok.all():
         return _bad_arm(buf, first, starts, ends, ok)
@@ -397,13 +395,6 @@ def _template_at(words: np.ndarray, starts: np.ndarray, template: bytes) -> np.n
     for k in sorted({*range(0, len(template) - 8, 8), len(template) - 8}):
         ok &= words[starts + k] == int.from_bytes(template[k:k + 8], "little")
     return ok
-
-
-def _canonical(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-               digits: int) -> np.ndarray:
-    """Whether each hex token buf[starts:starts + lengths] has at most
-    digits digits and no leading zero."""
-    return (lengths <= digits) & ((buf[starts] != ord("0")) | (lengths == 1))
 
 
 def _bad_arm(buf: np.ndarray, first: int, starts: np.ndarray, ends: np.ndarray,

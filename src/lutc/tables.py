@@ -16,19 +16,16 @@ hardware agree bit for bit.
 
 Table text is written and read one layer at a time.  hex_rows formats
 only the distinct values of a layer's (W, 2**N) array (the dumps and the
-Verilog ROMs both use it).  load_tables reads a dump's bytes with numpy:
-token and line bounds come from whitespace and line-end masks, each
-neuron's value lines from a walk over per-line token counts, and the
-values from hex_tokens, the hex reader rtl.check_bundle also uses.  Only
-a token that is not lower-case hex digits (1F, 0x1f, +5, 1_0) goes
-through int(token, 16).  A dump must be ASCII.
+Verilog ROMs both use it).  load_tables reads back only what dump_tables
+writes, byte for byte: the header, then each neuron's line and value
+lines at fixed line numbers, one neuron at a time, its values through
+hex_tokens, the canonical hex reader rtl.check_bundle also uses.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from bisect import bisect_left
 
 import numpy as np
 
@@ -100,7 +97,9 @@ def tabulate_model(model: TrainedModel) -> list:
 _HEX_VALUE = np.full(256, 16, dtype=np.uint8)
 _HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _HEX_DIGITS = 15  # the most hex digits hex_tokens reads into an int64
-_WINDOW = 1 << 18  # bytes of a dump searched for token bounds at once
+# a dump's header; its numbers are plain decimal below 10**9
+_HEADER = re.compile(rb"lut-tables v1\nlayer (0|[1-9][0-9]{0,8})\nneurons ([1-9][0-9]{0,8})\n"
+                     rb"input_bits (0|[1-9][0-9]{0,8})\noutput_bits ([1-9][0-9]{0,8})\n")
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -145,11 +144,11 @@ def dump_tables(layers: list, out_dir) -> list:
 def load_tables(in_dir) -> list:
     """Read back every layer{l}_tables.txt in layer order: one
     (tables, output_bits) pair per layer, tables a (W, 2**input_bits)
-    uint32 array."""
-    pattern = re.compile(r"layer(\d+)_tables\.txt$")
+    uint32 array.  Only the file names dump_tables writes are read."""
+    pattern = re.compile(r"layer(0|[1-9][0-9]*)_tables\.txt")
     found = {}
     for name in os.listdir(in_dir):
-        m = pattern.match(name)
+        m = pattern.fullmatch(name)
         if m:
             found[int(m.group(1))] = os.path.join(in_dir, name)
     if not found:
@@ -160,127 +159,69 @@ def load_tables(in_dir) -> list:
 
 
 def _load_layer(path, layer: int) -> tuple:
+    """A dump's tables and output bits, if its bytes are exactly what
+    dump_tables writes.  The lines sit at fixed places: the header, then
+    for neuron j the line "neuron j" and its entries, 16 to a line.  The
+    neurons are read in order, one at a time, and a fault past the header
+    names the neuron whose lines hold it: neuron 0's lines begin after the
+    header, and neuron j's run on to the place of "neuron j+1", the last
+    neuron's to the end of the file."""
     with open(path, "rb") as f:
         data = f.read()
+
+    def fault(j: int, what: str) -> ValueError:
+        return ValueError(f"layer {layer} neuron {j}: {path}: {what}")
+
+    m = _HEADER.match(data)
+    if not m or int(m[1]) != layer or not 1 <= int(m[4]) <= 32:
+        raise ValueError(f"layer {layer}: {path}: not a lut-tables v1 header for layer {layer}")
+    width, input_bits, output_bits = int(m[2]), int(m[3]), int(m[4])
+    if input_bits >= len(data).bit_length():  # 2**N entries take over 2**N bytes
+        raise fault(0, f"{len(data)} bytes cannot hold 2**{input_bits} entries")
+    size = 1 << input_bits
+    rows = -(-size // 16)
+    stride = 1 + rows  # a neuron's lines: "neuron j", then its value lines
     buf = np.frombuffer(data, dtype=np.uint8)
-    if len(buf) and buf.max() >= 0x80:
-        raise ValueError(f"layer {layer}: {path}: non-ASCII byte at offset "
-                         f"{int(np.argmax(buf >= 0x80))}")
-    # firsts[k] is the first token of the k-th line that holds any: the lines
-    # of a text-mode read after strip, empty ones dropped; firsts[-1] counts all
-    starts, lengths, firsts = _tokens(buf)
-    # the lines that start with "neuron", each ending the value lines before it
-    at = starts[firsts[:-1]]
-    heads = np.flatnonzero(lengths[firsts[:-1]] >= 6)
-    for k, byte in enumerate(b"neuron"):
-        heads = heads[buf[at[heads] + k] == byte]
-    firsts = firsts.tolist()
-    n_lines = len(firsts) - 1
-    heads = heads.tolist() + [n_lines]
-
-    def line(k: int) -> str:
-        last = firsts[k + 1] - 1
-        return data[starts[firsts[k]]:starts[last] + lengths[last]].decode("ascii")
-
-    lines = [line(k) for k in range(min(n_lines, 5))]
-    if not lines or lines[0] != "lut-tables v1":
-        raise ValueError(f"{path}: bad header {lines[:1]}")
-    try:
-        head = dict(ln.split() for ln in lines[1:5])
-        n_neurons, input_bits, output_bits = (
-            int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
-        size = 1 << input_bits
-    except (KeyError, ValueError) as e:
-        raise ValueError(f"layer {layer}: {path}: bad header field {e}") from None
-    # Find each neuron's value lines first, so that the layer array holds no
-    # more entries than the file does: they run to the first line at which
-    # the neuron holds size entries, the next "neuron" line or the end.  A
-    # fault ends the walk and is raised after the neurons before it are
-    # parsed: the first bad neuron is named.
-    spans, fault, pos = [], None, 5
-    for j in range(n_neurons):
-        got = line(pos) if pos < n_lines else "end of file"
-        if got != f"neuron {j}":
-            fault = f"layer {layer} neuron {j}: {path}: got {got!r}"
-            break
-        start = pos + 1
-        pos = min(bisect_left(firsts, firsts[start] + size, start),
-                  heads[bisect_left(heads, start)])
-        count = firsts[pos] - firsts[start]
-        if count != size:
-            fault = f"layer {layer} neuron {j}: {path}: expected {size} entries, got {count}"
-            break
-        spans.append(firsts[start])
-    else:
-        if pos < n_lines:
-            fault = f"layer {layer}: {path}: unexpected line {line(pos)!r}"
-        elif pos > n_lines:
-            fault = f"layer {layer}: {path}: header shorter than 5 lines"
-    # no rows, no allocation: a header's input_bits may exceed numpy's limits
-    entries = np.empty((len(spans), size if spans else 0), dtype=np.uint32)
-    for j, first in enumerate(spans):
-        try:
-            entries[j] = _row(buf, starts[first:first + size], lengths[first:first + size],
-                              output_bits)
-        except ValueError as e:
-            raise ValueError(f"layer {layer} neuron {j}: {path}: {e}") from None
-    if fault is not None:
-        raise ValueError(fault)
+    # line k ends at ends[k]: the newlines, then the end of a last line without one
+    ends = np.append(np.flatnonzero(buf == ord("\n")), len(data))
+    held = min(width, (len(ends) - 6) // stride)  # neurons with all their lines
+    entries = np.empty((held, size), dtype=np.uint32)
+    # the separator after each entry: a newline after every 16th and the last
+    want = np.full(size, ord(" "), dtype=np.uint8)
+    want[15::16] = want[-1] = ord("\n")
+    for j in range(width):
+        head = 5 + j * stride
+        line = data[ends[head - 1] + 1:ends[head]]
+        if line != b"neuron %d" % j:
+            raise fault(max(j - 1, 0), f"line {head + 1} is {line!r}, not 'neuron {j}'")
+        if j == held:
+            raise fault(j, f"the file ends inside its {rows} value lines")
+        seg = buf[ends[head] + 1:ends[head + rows] + 1]
+        seps = np.flatnonzero((seg == ord(" ")) | (seg == ord("\n")))
+        if len(seps) != size or not np.array_equal(seg[seps], want):
+            raise fault(j, f"its {rows} value lines do not hold {size} entries one space "
+                        "apart, 16 to a line")
+        starts = np.append(0, seps[:-1] + 1)
+        values, ok = hex_tokens(seg, starts, seps - starts)
+        ok &= values < 1 << output_bits
+        if not ok.all():
+            k = int(np.argmin(ok))
+            token = seg[starts[k]:seps[k]].tobytes().decode("ascii", "backslashreplace")
+            raise fault(j, f"entry {k} is {token!r}, not lower-case hex below "
+                        f"2**{output_bits} without leading zeros")
+        entries[j] = values
+    if ends[4 + width * stride] != len(data) - 1:
+        raise fault(width - 1, f"the file goes on after its {rows} value lines")
     return entries, output_bits
-
-
-def _tokens(buf: np.ndarray) -> tuple:
-    """The start and length of each token of buf, split as str.split splits,
-    and the index of the first token of each line that holds any, then the
-    token count.  A line ends at "\n", "\r\n" or "\r", as in a text-mode
-    read."""
-    # str.split's ASCII whitespace is 9-13 and 28-32 (uint8 differences wrap)
-    space = (buf - np.uint8(9) <= 13 - 9) | (buf - np.uint8(28) <= 32 - 28)
-    change = np.diff(space, prepend=True, append=True)
-    # the positions where change is set alternate between token starts and
-    # token ends; they are found a window at a time, so that the only array
-    # of all of them holds int32
-    dtype = np.int32 if len(buf) < 1 << 31 else np.int64
-    edges, filled = np.empty(np.count_nonzero(change), dtype=dtype), 0
-    for a in range(0, len(change), _WINDOW):
-        found = np.flatnonzero(change[a:a + _WINDOW])
-        np.add(found, a, out=edges[filled:filled + len(found)], casting="unsafe")
-        filled += len(found)
-    starts = edges[0::2]
-    lengths = edges[1::2] - starts
-    eol = buf == ord("\n")
-    cr = np.flatnonzero(buf == ord("\r"))
-    eol[cr[~eol[np.minimum(cr + 1, len(buf) - 1)]]] = True  # unless an LF follows
-    ends = np.flatnonzero(eol).astype(dtype)
-    # tokens before each line end, so before each line and after the last
-    bounds = np.concatenate(([0], np.searchsorted(starts, ends), [len(starts)]))
-    return starts, lengths, np.append(bounds[:-1][bounds[1:] > bounds[:-1]], len(starts))
-
-
-def _row(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, output_bits: int):
-    """The entries of a table row from its tokens: tokens of lower-case hex
-    digits through hex_tokens, any other token (upper case, 0x1f, +5, 1_0)
-    through int(token, 16)."""
-    values, ok = hex_tokens(buf, starts, lengths)
-    bits = min(output_bits, 32)  # the array's entries are uint32
-    over = np.flatnonzero(ok & (values >= 1 << bits))[:1]
-    stop = over[0] if len(over) else len(ok)
-    # the other tokens before the first hex token out of range, then that one
-    for i in np.flatnonzero(~ok[:stop]).tolist() + over.tolist():
-        token = buf[starts[i]:starts[i] + lengths[i]].tobytes().decode("ascii")
-        value = int(token, 16)
-        if not 0 <= value < 1 << bits:
-            raise ValueError(f"entry {token!r} is outside the {bits}-bit range")
-        values[i] = value
-    return values
 
 
 def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
     """Values of the tokens buf[starts:starts + lengths] read as hex, and a
-    mask of the tokens that are 1 to 15 lower-case hex digits, the form
-    hex_rows writes (an int64 holds any such value); the other tokens'
-    values are meaningless.  The tokens are read a length at a time, and
-    only those of 1 to 15 bytes, so each reads only its own bytes."""
+    mask of the canonical ones, the form hex_rows writes: 1 to 15
+    lower-case hex digits (an int64 holds any such value) and no leading
+    zero unless the token is 0.  The other tokens' values are meaningless.
+    The tokens are read a length at a time, and only those of 1 to 15
+    bytes, so each reads only its own bytes."""
     values = np.zeros(len(starts), dtype=np.int64)
     ok = np.zeros(len(starts), dtype=bool)
     for width in range(1, min(int(lengths.max(initial=0)), _HEX_DIGITS) + 1):
@@ -288,12 +229,12 @@ def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tupl
         if not len(sel):
             continue
         at = starts[sel]
-        worst = digit = _HEX_VALUE[buf[at]]
-        value = digit.astype(np.int64)
+        first = worst = _HEX_VALUE[buf[at]]
+        value = first.astype(np.int64)
         for k in range(1, width):
             digit = _HEX_VALUE[buf[at + k]]
             value = value * 16 + digit
             worst = np.maximum(worst, digit)
         values[sel] = value
-        ok[sel] = worst < 16
+        ok[sel] = (worst < 16) & ((first > 0) | (width == 1))
     return values, ok

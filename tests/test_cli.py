@@ -12,6 +12,7 @@ from lutc.cli import (
     config_hash,
     main,
 )
+from lutc.netlist import load_netlist, save_netlist
 
 
 def write_config(tmp_path, name="config.json"):
@@ -129,6 +130,31 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
             assert np.array_equal(za[key], zb[key]), key
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["train", "--layers", "8,x,2"], "--layers"),
+    (["sweep", "--layers", "8,x,2", "--depths", "2", "--degrees", "1"], "--layers"),
+    (["sweep", "--depths", "2,a", "--degrees", "1"], "--depths"),
+    (["sweep", "--depths", "", "--degrees", "1"], "--depths"),
+    (["sweep", "--depths", "2,0", "--degrees", "1"], "--depths"),
+    (["sweep", "--depths", "2", "--degrees", "1,"], "--degrees"),
+    (["sweep", "--depths", "2", "--degrees", "1", "--target-k", "1"], "--target-k"),
+    (["compile", "--target-k", "1"], "--target-k"),
+    (["compile", "--budget", "-5"], "--budget"),
+], ids=["train-layers", "sweep-layers", "depths-not-int", "depths-empty", "depth-0",
+        "degrees-trailing-comma", "sweep-target-k", "compile-target-k", "compile-budget"])
+def test_bad_option_value_exits_2_before_any_work(pipeline_dirs, tmp_path, capsys,
+                                                   argv, option):
+    if argv[0] == "compile":
+        argv = argv + ["--checkpoint", pipeline_dirs / "run" / "checkpoint.npz"]
+    else:
+        argv = argv + ["--config", write_config(tmp_path)]
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--out", tmp_path / "out"])
+    assert e.value.code == EXIT_USAGE
+    assert f"error: argument {option}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override_changes_model(tmp_path):
     cfg = write_config(tmp_path)
     run(["train", "--config", cfg, "--out", tmp_path / "a"])
@@ -231,6 +257,15 @@ def test_emit_deterministic(pipeline_dirs):
     run(["emit", "--netlist", pipeline_dirs / "net", "--out", pipeline_dirs / "r2"])
     for p in sorted((pipeline_dirs / "r1").iterdir()):
         assert p.read_bytes() == (pipeline_dirs / "r2" / p.name).read_bytes()
+
+
+def test_netlist_round_trip_is_byte_exact(pipeline_dirs, tmp_path):
+    net_dir = pipeline_dirs / "net"
+    save_netlist(load_netlist(net_dir), tmp_path)
+    names = ["netlist.json"] + sorted(p.name for p in net_dir.glob("layer*_tables.txt"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (net_dir / name).read_bytes(), name
 
 
 def edit_netlist(edit):

@@ -271,42 +271,6 @@ def test_roms_match_per_entry_reference(layers):
             assert modules[name].split("\n") == want.split("\n")  # a list diff stays cheap
 
 
-def load_layer_v1(path, layer):
-    """Reference: the v1 reader, one int(token, 16) per entry.  Returns the
-    entries, or the part of the error message before the path."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != "lut-tables v1":
-        return path
-    try:
-        head = dict(ln.split() for ln in lines[1:5])
-        n_neurons, input_bits, output_bits = (
-            int(head[k]) for k in ("neurons", "input_bits", "output_bits"))
-    except (KeyError, ValueError):
-        return f"layer {layer}"
-    rows, pos = [], 5
-    for j in range(n_neurons):
-        got = lines[pos] if pos < len(lines) else "end of file"
-        if got != f"neuron {j}":
-            return f"layer {layer} neuron {j}"
-        pos += 1
-        vals = []
-        while len(vals) < (1 << input_bits) and pos < len(lines) \
-                and not lines[pos].startswith("neuron"):
-            vals.extend(lines[pos].split())
-            pos += 1
-        try:
-            row = [int(v, 16) for v in vals]
-        except ValueError:
-            return f"layer {layer} neuron {j}"
-        if len(row) != 1 << input_bits or not 0 <= min(row) <= max(row) < 1 << output_bits:
-            return f"layer {layer} neuron {j}"
-        rows.append(row)
-    if pos != len(lines):
-        return f"layer {layer}"
-    return rows, output_bits
-
-
 def edit_token(token, kind, rng):
     if kind == "upper":
         return token.upper()
@@ -366,15 +330,20 @@ EDIT_KINDS = ["upper", "zeros", "prefix", "bad", "wide", "negative", "plus", "un
 
 def read_edited_dump(layers, kind, rng):
     """Dump the layers, make one edit of the given kind to one layer's
-    dump, and read that layer back with load_tables and with the v1
-    reader: (entries and output bits, or the error message before the
-    path; the v1 reader's result)."""
+    dump, and read the dumps back with load_tables.  Returns the edited
+    layer, whether its edited bytes equal the dumped ones, the neuron whose
+    lines hold the first line that differs (-1 for a header line), and the
+    tables read back or the error message.  Neuron 0's lines begin after
+    the header, and neuron j's run on to the place of "neuron j+1", the
+    last neuron's to the end of the file: a wrong line where "neuron j+1"
+    belongs ends neuron j's value lines wrongly."""
     with tempfile.TemporaryDirectory() as out:
         dump_tables(layers, out)
         layer = int(rng.integers(len(layers)))
         path = os.path.join(out, f"layer{layer}_tables.txt")
         with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+            original = f.read()
+        lines = original.split("\n")
         k = int(rng.integers(5, len(lines) - 1))
         while lines[k].startswith("neuron") and kind not in ("drop-line", "extra-line"):
             k += 1
@@ -402,24 +371,32 @@ def read_edited_dump(layers, kind, rng):
             text = respace(text, kind, rng)
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-        want = load_layer_v1(path, layer)
         try:
-            tables, output_bits = load_tables(out)[layer]
-            got = tables.tolist(), output_bits
+            got = [(t.tolist(), b) for t, b in load_tables(out)]
         except ValueError as e:
-            got = str(e).split(":")[0]
-    return got, want
+            got = str(e)
+    old, new = original.split("\n"), text.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    lut = layers[layer]
+    stride = 1 + -(-lut.tables.shape[1] // 16)  # "neuron j" and its value lines
+    neuron = min(max((first - 6) // stride, 0), lut.width - 1) if first >= 5 else -1
+    return layer, text == original, neuron, got
 
 
 @settings(max_examples=20, deadline=None)
 @given(layers=table_layers(), seed=st.integers(0, 2**16))
-def test_load_tables_agrees_with_v1_reader_on_edited_dumps(layers, seed):
-    """Under every kind of edit, non-canonical tokens load to the entries
-    the v1 reader gives, and a file the v1 reader rejects is rejected
-    naming the same layer and neuron.  Each example runs every kind."""
+def test_load_tables_reads_only_the_dumped_bytes(layers, seed):
+    """Under every kind of edit, a dump loads exactly when its bytes are
+    still those dump_tables wrote, and a rejection names the layer, and
+    the neuron whose lines hold the first line that differs.  Each example
+    runs every kind."""
     for kind in EDIT_KINDS:
-        got, want = read_edited_dump(layers, kind, np.random.default_rng(seed))
-        assert got == want, kind
+        layer, same, neuron, got = read_edited_dump(layers, kind, np.random.default_rng(seed))
+        if same:
+            assert got == [(lut.tables.tolist(), lut.output_bits) for lut in layers], kind
+        else:
+            where = f"layer {layer} neuron {neuron}: " if neuron >= 0 else f"layer {layer}: "
+            assert isinstance(got, str) and got.startswith(where), (kind, got)
 
 
 def edit_bundle(bundle, net, kind, rng):

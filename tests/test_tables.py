@@ -7,7 +7,6 @@ from lutc.model import NetworkSpec, init_model, layer_eval, spec_from_profile
 from lutc.netlist import LutLayer, build_netlist
 from lutc.quantize import bn_identity, decode_bits, encode_bits
 from lutc.rtl import emit_bundle
-from lutc import tables as tables_mod
 from lutc.tables import (
     decode_address,
     dump_tables,
@@ -200,13 +199,24 @@ def test_load_tables_non_contiguous(tmp_path):
         load_tables(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["layer01_tables.txt", "layer\u0661_tables.txt"],
+                         ids=["leading-zero", "arabic-indic-digit"])
+def test_load_tables_reads_only_dumped_file_names(tmp_path, name):
+    # another name for layer 1's dump, which int() would read as 1
+    model = small_model()
+    layers = build_netlist(model, tabulate_model(model)).layers
+    dump_tables(layers, tmp_path)
+    (tmp_path / "layer1_tables.txt").rename(tmp_path / name)
+    assert [t.tolist() for t, _ in load_tables(tmp_path)] == [layers[0].tables.tolist()]
+
+
 @pytest.mark.parametrize("text, where", [
-    # no "layer" line and no neurons: the walk ends before line 5
+    # no "layer" line and no neurons
     ("lut-tables v1\nneurons 0\ninput_bits 1\noutput_bits 1\n",
-     "layer 0: .*header shorter than 5 lines"),
+     "layer 0: .*not a lut-tables v1 header for layer 0"),
     # 2**70 entries per table: more than numpy can allocate, even for no rows
     ("lut-tables v1\nlayer 0\nneurons 1\ninput_bits 70\noutput_bits 1\nneuron 0\n1 0\n",
-     "layer 0 neuron 0: .*expected 1180591620717411303424 entries, got 2"),
+     r"layer 0 neuron 0: .*cannot hold 2\*\*70 entries"),
 ], ids=["short-header", "huge-input-bits"])
 def test_load_tables_rejects_bad_header(tmp_path, text, where):
     (tmp_path / "layer0_tables.txt").write_text(text, encoding="utf-8")
@@ -218,28 +228,41 @@ def test_load_tables_rejects_non_ascii(tmp_path):
     model = small_model()
     dump_tables(build_netlist(model, tabulate_model(model)).layers, tmp_path)
     path = tmp_path / "layer1_tables.txt"
-    # a no-break space between two entries: str.split would split on it, the
-    # reader rejects it
+    # a no-break space between the last two entries: str.split would split on
+    # it, the reader rejects it
     path.write_text("\u00a0".join(path.read_text(encoding="utf-8").rsplit(" ", 1)),
                     encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^layer 1: .*non-ASCII byte at offset \d+$"):
+    with pytest.raises(ValueError, match=r"^layer 1 neuron 1: .*one space apart"):
         load_tables(tmp_path)
 
 
-def test_load_tables_reads_a_layer_wider_than_a_window(tmp_path):
+def test_load_tables_rejects_value_lines_not_cut_16_to_a_line(tmp_path):
+    lut = LutLayer(tables=np.arange(64, dtype=np.uint32).reshape(2, 32), output_bits=8,
+                   sources=np.tile(np.arange(5), (2, 1)))
+    dump_tables([lut], tmp_path)
+    path = tmp_path / "layer0_tables.txt"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    # neuron 1's 32 entries in its two lines, cut 20 + 12
+    assert lines[8] == "neuron 1"
+    values = " ".join(lines[9:11]).split(" ")
+    lines[9:11] = [" ".join(values[:20]), " ".join(values[20:])]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^layer 0 neuron 1: .*16 to a line"):
+        load_tables(tmp_path)
+
+
+def test_load_tables_reads_a_wide_layer(tmp_path):
     rng = np.random.default_rng(3)
     tables = rng.integers(0, 256, size=(3, 1 << 16)).astype(np.uint32)
     lut = LutLayer(tables=tables, output_bits=8, sources=np.tile(np.arange(16), (3, 1)))
     dump_tables([lut], tmp_path)
     path = tmp_path / "layer0_tables.txt"
     text = path.read_text(encoding="utf-8")
-    assert len(text) > 2 * tables_mod._WINDOW  # tokens straddle window edges
     (back, bits), = load_tables(tmp_path)
     assert back.tolist() == tables.tolist() and bits == 8
-    # a bad token past the first window is found, and its neuron named
+    # a bad token two thirds into the file is found, and its neuron named
     lines = text.split("\n")
     k = len(lines) * 2 // 3
-    assert len("\n".join(lines[:k])) > tables_mod._WINDOW
     lines[k] = "1g" + lines[k][lines[k].index(" "):]
     path.write_text("\n".join(lines), encoding="utf-8")
     neuron = sum(ln.startswith("neuron ") for ln in lines[:k]) - 1
