@@ -4,6 +4,7 @@
 #
 # Run:  python3 demos/rtl_emission_tour.py [out_dir]
 
+import os
 import sys
 import tempfile
 
@@ -19,7 +20,7 @@ from lutc import (
     tabulate_model,
     train,
 )
-from lutc.rtl import parse_golden_vectors, write_bundle
+from lutc.rtl import parse_golden_vectors
 
 # A deliberately small network keeps the emitted text skimmable: 2-bit
 # codes and fan-in 2 give 16-entry ROMs.
@@ -31,34 +32,39 @@ model, _ = train(init_model(spec), train_ds, test_ds,
                  TrainConfig(epochs=20, batch_size=128, seed=0))
 netlist = build_netlist(model, tabulate_model(model))
 
-bundle = emit_bundle(netlist)
-print(f"emitted {len(bundle.modules)} neuron ROMs")
+# The bundle is the directory emit_bundle writes: each ROM file goes to
+# disk as soon as its text is formatted.
+out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="rtl_")
+written = emit_bundle(netlist, out_dir)
+print(f"wrote {len(written) - 4} neuron ROMs, top.v, tb.v, vectors.hex and "
+      f"manifest.txt to {out_dir}")
+
+
+def read(fname):
+    with open(os.path.join(out_dir, fname), encoding="utf-8") as f:
+        return f.read()
+
 
 # Every neuron module is a synchronous ROM: registered output, full case
 # coverage plus a default arm.  Here is the first one:
-first = next(iter(bundle.modules))
-print(f"\n--- {first}.v " + "-" * 40)
-print(bundle.modules[first])
+print("\n--- layer0_n0.v " + "-" * 40)
+print(read("layer0_n0.v"))
 
 # The top module concatenates address slices per the activation masks;
 # input 0 of a neuron is the least significant slice.
 print("--- top.v (wiring excerpt) " + "-" * 30)
-print("\n".join(ln for ln in bundle.top.splitlines() if "assign" in ln)[:800])
+print("\n".join(ln for ln in read("top.v").splitlines() if "assign" in ln)[:800])
 
 # Golden vectors pair packed input words with the bit-exact simulator's
 # packed outputs; the emitted tb.v replays them in any Verilog simulator.
-pairs = parse_golden_vectors(bundle.vectors)
+pairs = parse_golden_vectors(read("vectors.hex"))
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 
-# The self-checker reads the emitted text back: every ROM's arms become a
+# The self-checker reads the written files back: every ROM's arms become a
 # table that must equal the netlist's (and match its manifest digest), the
 # top-level wiring must follow the masks, and the golden vectors are
 # replayed through the netlist read back from the Verilog.
-problems = check_bundle(bundle, netlist)
+problems = check_bundle(out_dir, netlist)
 print(f"read-back self-check: {len(problems)} problems")
 assert not problems
-
-out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="rtl_")
-written = write_bundle(bundle, out_dir)
-print(f"wrote {len(written)} files to {out_dir}")

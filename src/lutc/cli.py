@@ -30,7 +30,7 @@ from .netlist import (
     report,
     save_netlist,
 )
-from .rtl import check_bundle, emit_bundle, write_bundle
+from .rtl import check_bundle, emit_bundle
 from .tables import tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, train, write_history_csv
 
@@ -214,6 +214,9 @@ def cmd_compile(args) -> int:
         f.write(f"total,{cost.total_luts}\n")
     print(cost.as_text())
     print(f"equivalence: {rep.n_checked} vectors, mismatches: {rep.n_mismatches}")
+    if rep.n_checked == 0:
+        print("error: 0 equivalence vectors checked, nothing was verified", file=sys.stderr)
+        return EXIT_VERIFY
     if not rep.ok:
         print(f"faulty nodes: {rep.faulty_nodes}", file=sys.stderr)
         return EXIT_VERIFY
@@ -225,15 +228,14 @@ def cmd_emit(args) -> int:
         net = load_netlist(args.netlist)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load netlist from {args.netlist}: {e}") from None
-    bundle = emit_bundle(net)
-    problems = check_bundle(bundle, net)
-    write_bundle(bundle, args.out)
+    emit_bundle(net, args.out)
+    problems = check_bundle(args.out, net)
     if problems:
         print("RTL check failed:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"emitted {len(bundle.modules)} neuron modules + top.v, tb.v, "
+    print(f"emitted {sum(lut.width for lut in net.layers)} neuron modules + top.v, tb.v, "
           f"vectors.hex, manifest.txt to {args.out}")
     return EXIT_OK
 

@@ -3,7 +3,7 @@ top module `top` wired per the sparsity masks, golden vectors, a
 testbench for external HDL simulators, and a self-checker that needs no
 external tools.
 
-The checker reads the emitted text back into a netlist: every ROM's case
+The checker reads the emitted files back into a netlist: every ROM's case
 arms into its table (numpy over the ASCII bytes of each module, a window
 of lines at a time, the canonical hex tokens through tables.hex_tokens,
 the reader of the table dumps; arm i must carry address i and every
@@ -14,10 +14,10 @@ masks, and each ROM's text around its arms, top.v and tb.v must be
 byte-exact.  vectors.hex is replayed through the netlist read back, the
 offline stand-in for running tb.v in a simulator.
 
-The ROMs are written from each layer's (W, 2**N) table array of the
-netlist, one layer at a time: the case-arm prefixes are built once per
-layer and shared by its neurons, and only the distinct values of the
-array are formatted (tables.hex_rows).
+The ROM files are written from each layer's (W, 2**N) table array of
+the netlist, each as soon as its text is formatted: the case-arm
+prefixes are built once per layer and shared by its neurons, and only
+the distinct values of the array are formatted (tables.hex_rows).
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -25,10 +25,11 @@ files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
 
 from __future__ import annotations
 
+import glob
 import hashlib
+import itertools
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +37,24 @@ from .netlist import LutLayer, Netlist, simulate
 from .tables import hex_rows, hex_tokens
 
 
-@dataclass
-class RtlBundle:
-    modules: dict  # name -> Verilog text, insertion-ordered
-    top: str
-    testbench: str
-    vectors: str  # hex text, one transaction per line
-    manifest: str
-
-
 def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
 
 
-def _rom_modules(tables: np.ndarray, n: int, b: int, names: list):
-    """Yield a synchronous ROM module for each row of a layer's (W, 2**n)
-    tables of b-bit entries, named by names: a registered output, one case
-    arm per address in the table packing convention, then a default arm."""
-    parts = [None] * (2 + 2 * tables.shape[1])
-    parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h"
-                     for addr in range(tables.shape[1])]
-    parts[-1] = _rom_tail(b)
-    for name, values in zip(names, hex_rows(tables, ";\n")):
-        parts[0] = _rom_head(name, n, b)
-        parts[2:-1:2] = values
-        yield "".join(parts)
+def _rom_files(netlist: Netlist):
+    """Yield the file name and text of each neuron's synchronous ROM module,
+    one at a time: a registered output, one case arm per address in the
+    table packing convention, then a default arm."""
+    for layer, lut in enumerate(netlist.layers):
+        n, b, size = lut.address_bits, lut.output_bits, lut.tables.shape[1]
+        parts = [None] * (2 + 2 * size)
+        parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h" for addr in range(size)]
+        parts[-1] = _rom_tail(b)
+        for j, values in enumerate(hex_rows(lut.tables, ";\n")):
+            name = _module_name(layer, j)
+            parts[0] = _rom_head(name, n, b)
+            parts[2:-1:2] = values
+            yield f"{name}.v", "".join(parts)
 
 
 def _rom_head(name: str, n: int, b: int) -> str:
@@ -208,42 +202,26 @@ def _manifest(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_bundle(netlist: Netlist) -> RtlBundle:
-    """Every file of the bundle; vectors.hex holds 64 seeded random input
-    words and the netlist's outputs for them."""
-    modules = {}
-    for layer, lut in enumerate(netlist.layers):
-        names = [_module_name(layer, j) for j in range(lut.width)]
-        modules.update(zip(names, _rom_modules(lut.tables, lut.address_bits,
-                                               lut.output_bits, names)))
+def emit_bundle(netlist: Netlist, out_dir) -> list:
+    """Write every file of the bundle into out_dir, each ROM as soon as its
+    text is formatted, and return their paths; vectors.hex holds 64 seeded
+    random input words and the netlist's outputs for them."""
+    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(np.random.PCG64(0))
     vectors = rng.integers(0, 1 << netlist.input_bits, size=(64, netlist.input_count))
-    return RtlBundle(modules=modules, top=emit_top(netlist),
-                     testbench=emit_testbench(netlist),
-                     vectors=emit_golden_vectors(netlist, vectors),
-                     manifest=_manifest(netlist))
-
-
-def write_bundle(bundle: RtlBundle, out_dir) -> list:
-    os.makedirs(out_dir, exist_ok=True)
     written = []
-    for name, text in bundle.modules.items():
-        path = os.path.join(out_dir, f"{name}.v")
-        with open(path, "w", encoding="utf-8") as f:
+    for fname, text in itertools.chain(_rom_files(netlist), [
+            ("top.v", emit_top(netlist)), ("tb.v", emit_testbench(netlist)),
+            ("vectors.hex", emit_golden_vectors(netlist, vectors)),
+            ("manifest.txt", _manifest(netlist))]):
+        written.append(os.path.join(out_dir, fname))
+        with open(written[-1], "w", encoding="utf-8") as f:
             f.write(text)
-        written.append(path)
-    for fname, text in [("top.v", bundle.top), ("tb.v", bundle.testbench),
-                        ("vectors.hex", bundle.vectors),
-                        ("manifest.txt", bundle.manifest)]:
-        path = os.path.join(out_dir, fname)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-        written.append(path)
     return written
 
 
 # ---------------------------------------------------------------------------
-# Self-checker: read the emitted text back into a netlist
+# Self-checker: read the emitted files back into a netlist
 
 _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
 _INSTANCE_RE = re.compile(
@@ -253,25 +231,39 @@ _DEFAULT_ARM = "\n            default:"
 _WINDOW = 1 << 18  # bytes of case arms read at once: bounds the temporary arrays
 
 
-def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
-    """Return the bundle's problems (an empty list means it is sound), each
-    naming the module, top.v, tb.v, manifest.txt or vectors.hex at fault.
+def check_bundle(out_dir, netlist: Netlist) -> list:
+    """Return the problems of the bundle in out_dir (an empty list means it
+    is sound), each naming the file that cannot be read, or the module,
+    top.v, tb.v, manifest.txt or vectors.hex at fault.
 
-    Every ROM is read back: it must begin and end with the emitted text,
-    and its case arms must follow the emitted template, one arm per
-    address in address order, each address and value a canonical hex
-    token.  The values read back must equal the
-    netlist's tables, and manifest.txt must list their sha256 digests.
-    Each instance's address concatenation and .data slice are read back
-    from top.v and must follow the masks, and top.v and tb.v must be
-    exactly what emit_top and emit_testbench write.  The ROMs and wiring
-    read back form a netlist, and every vectors.hex line is replayed
-    through it: the offline stand-in for running tb.v.
+    Each file is read when its check needs it, without newline translation.
+    Every ROM must begin and end with the emitted text, and its case arms
+    must follow the emitted template, one arm per address in address order,
+    each address and value a canonical hex token.  The values read back
+    must equal the netlist's tables, and manifest.txt must list their
+    sha256 digests.  Each instance's address concatenation and .data slice
+    are read back from top.v and must follow the masks, and top.v and tb.v
+    must be exactly what emit_top and emit_testbench write.  A layer*_n*.v
+    file the netlist does not name is reported.  The ROMs and wiring read
+    back form a netlist, and every vectors.hex line is replayed through it:
+    the offline stand-in for running tb.v.
     """
-    problems = _first_difference("top.v", bundle.top, emit_top(netlist))
-    problems += _first_difference("tb.v", bundle.testbench, emit_testbench(netlist))
-    wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(bundle.top)}
-    instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(bundle.top)}
+    problems = []
+
+    def read(fname: str):
+        try:
+            with open(os.path.join(out_dir, fname), encoding="utf-8", newline="") as f:
+                return f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            problems.append(f"{fname}: cannot read: {e}")
+            return None
+
+    top, testbench = read("top.v"), read("tb.v")
+    for fname, text, want in [("top.v", top, emit_top), ("tb.v", testbench, emit_testbench)]:
+        if text is not None:
+            problems += _first_difference(fname, text, want(netlist))
+    wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(top or "")}
+    instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(top or "")}
     layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
     for layer, lut in enumerate(netlist.layers):
         n, b = lut.address_bits, lut.output_bits
@@ -281,7 +273,8 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
         complete = True
         for j in range(lut.width):
             name = _module_name(layer, j)
-            values = _read_rom(name, bundle.modules.get(name, ""), n, b, problems)
+            text = read(f"{name}.v")
+            values = None if text is None else _read_rom(name, text, n, b, problems)
             complete &= values is not None
             if values is not None and not np.array_equal(values, lut.tables[j]):
                 diff = np.flatnonzero(values != lut.tables[j])
@@ -298,8 +291,9 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
         bits_in, prev = b, lut.width
     names = {_module_name(layer, j) for layer, lut in enumerate(netlist.layers)
              for j in range(lut.width)}
-    problems += [f"{name}: not present in the netlist" for name in bundle.modules
-                 if name not in names]
+    problems += [f"{fname[:-2]}: not present in the netlist"
+                 for fname in sorted(glob.glob("layer*_n*.v", root_dir=out_dir))
+                 if fname[:-2] not in names]
     if len(layers) == netlist.n_layers:
         try:
             readback = Netlist(input_count=netlist.input_count, input_bits=netlist.input_bits,
@@ -307,8 +301,11 @@ def check_bundle(bundle: RtlBundle, netlist: Netlist) -> list:
         except ValueError as e:
             problems.append(f"top.v: {e}")
         else:
-            problems += _first_difference("manifest.txt", bundle.manifest, _manifest(readback))
-            problems += _vector_problems(bundle.vectors, readback)
+            manifest, vectors = read("manifest.txt"), read("vectors.hex")
+            if manifest is not None:
+                problems += _first_difference("manifest.txt", manifest, _manifest(readback))
+            if vectors is not None:
+                problems += _vector_problems(vectors, readback)
     return problems
 
 

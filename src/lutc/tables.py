@@ -19,7 +19,7 @@ only the distinct values of a layer's (W, 2**N) array (the dumps and the
 Verilog ROMs both use it).  load_tables reads back only what dump_tables
 writes, byte for byte: the header, then each neuron's line and value
 lines at fixed line numbers, one neuron at a time, its values through
-hex_tokens, the canonical hex reader rtl.check_bundle also uses.
+hex_tokens, the hex reader rtl.check_bundle also runs on ROM files.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ from lutc.cli import (
     config_hash,
     main,
 )
-from lutc.netlist import load_netlist, save_netlist
+from lutc.model import NetworkSpec, init_model
+from lutc.netlist import build_netlist, load_netlist, save_netlist
+from lutc.tables import tabulate_model
 
 
 def write_config(tmp_path, name="config.json"):
@@ -207,6 +209,15 @@ def test_compile_exit1_on_injected_fault(pipeline_dirs, tmp_path, monkeypatch):
     assert code == EXIT_VERIFY
 
 
+def test_compile_exit1_when_nothing_is_checked(pipeline_dirs, tmp_path, capsys):
+    # exhaustive checking off and no random vectors: 0 vectors verify nothing
+    code = run(["compile", "--checkpoint", pipeline_dirs / "run" / "checkpoint.npz",
+                "--out", tmp_path / "net", "--exhaustive-limit", "0", "--budget", "0"])
+    assert code == EXIT_VERIFY
+    assert "equivalence vectors checked: 0" in (tmp_path / "net" / "report.txt").read_text()
+    assert "error: 0 equivalence vectors checked" in capsys.readouterr().err
+
+
 def corrupt_checkpoint(src, dst, key, edit):
     with np.load(src) as z:
         arrays = {k: z[k].copy() for k in z.files}
@@ -257,6 +268,19 @@ def test_emit_deterministic(pipeline_dirs):
     run(["emit", "--netlist", pipeline_dirs / "net", "--out", pipeline_dirs / "r2"])
     for p in sorted((pipeline_dirs / "r1").iterdir()):
         assert p.read_bytes() == (pipeline_dirs / "r2" / p.name).read_bytes()
+
+
+def test_emit_flags_stale_modules_of_a_wider_emission(pipeline_dirs, tmp_path, capsys):
+    # pipeline_dirs' netlist has widths 4,2; a 6,2 emission leaves two ROMs it lacks
+    model = init_model(NetworkSpec(layer_widths=[6, 2], beta=2, fan_in=2, degree=2,
+                                   input_count=2))
+    save_netlist(build_netlist(model, tabulate_model(model)), tmp_path / "wide")
+    assert run(["emit", "--netlist", tmp_path / "wide", "--out", tmp_path / "rtl"]) == EXIT_OK
+    code = run(["emit", "--netlist", pipeline_dirs / "net", "--out", tmp_path / "rtl"])
+    assert code == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "layer0_n4: not present in the netlist" in err
+    assert "layer0_n5: not present in the netlist" in err
 
 
 def test_netlist_round_trip_is_byte_exact(pipeline_dirs, tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 from lutc.data import Dataset, gen_spirals, split_normalize
 from lutc.model import NetworkSpec, init_model, save_checkpoint, spec_from_profile
 from lutc.netlist import build_netlist, save_netlist
-from lutc.rtl import emit_bundle, write_bundle
+from lutc.rtl import emit_bundle
 from lutc.trainer import TrainConfig, train, write_history_csv
 
 GOLDEN_SHA256 = {
@@ -76,7 +76,7 @@ def golden_netlist(spec, seed, constant=None):
 
 def artifact_digests(net, out_dir):
     save_netlist(net, out_dir / "net")
-    write_bundle(emit_bundle(net), out_dir / "rtl")
+    emit_bundle(net, out_dir / "rtl")
     return {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.glob("*/*"))}
 

@@ -2,9 +2,10 @@
 netlist simulation, the training forward pass against that path, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, and
-the RTL checker's read-back of emitted and edited bundles."""
+the RTL checker's read-back of emitted and edited bundle files."""
 
 import os
+import pathlib
 import tempfile
 from contextlib import contextmanager
 
@@ -263,12 +264,14 @@ def test_roms_match_per_entry_reference(layers):
     for lut in layers:  # each layer as the only layer of a netlist of 1-bit inputs
         net = Netlist(input_count=lut.address_bits, input_bits=1, layers=[lut],
                       clock_period_ns=1.0)
-        modules = emit_bundle(net).modules
-        assert list(modules) == [f"layer0_n{j}" for j in range(lut.width)]
-        for j, table in enumerate(lut.tables):
-            name = f"layer0_n{j}"
-            want = rom_per_entry(table, lut.address_bits, lut.output_bits, name)
-            assert modules[name].split("\n") == want.split("\n")  # a list diff stays cheap
+        with tempfile.TemporaryDirectory() as out:
+            written = emit_bundle(net, out)
+            names = [f"layer0_n{j}" for j in range(lut.width)]
+            assert written[:-4] == [os.path.join(out, f"{name}.v") for name in names]
+            for name, table in zip(names, lut.tables):
+                want = rom_per_entry(table, lut.address_bits, lut.output_bits, name)
+                with open(os.path.join(out, f"{name}.v"), encoding="utf-8", newline="") as f:
+                    assert f.read().split("\n") == want.split("\n")  # a list diff stays cheap
 
 
 def edit_token(token, kind, rng):
@@ -399,45 +402,48 @@ def test_load_tables_reads_only_the_dumped_bytes(layers, seed):
             assert isinstance(got, str) and got.startswith(where), (kind, got)
 
 
-def edit_bundle(bundle, net, kind, rng):
+def edit_file(path, edit):
+    """Rewrite a written file as edit(its text), with no newline translation."""
+    path.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+
+
+def edit_bundle(out, net, kind, rng):
     """Make one edit of the given kind to a random module, wire, manifest
-    digest or vector; returns the module or file check_bundle must blame."""
+    digest or vector in the bundle written to out; returns the module or
+    file check_bundle must blame."""
     layer = int(rng.integers(net.n_layers))
     lut = net.layers[layer]
     j = int(rng.integers(lut.width))
     name = f"layer{layer}_n{j}"
-    if kind in ("arm", "value"):
-        lines = bundle.modules[name].split("\n")
-        arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
-        a, c = (arms[i] for i in rng.choice(len(arms), size=2, replace=False))
-        if kind == "arm":
-            lines[a], lines[c] = lines[c], lines[a]
+    fname = {"wire": "top.v", "digest": "manifest.txt", "vector": "vectors.hex"}.get(kind)
+
+    def edit(text):
+        lines = text.split("\n")
+        if kind in ("arm", "value"):
+            arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
+            a, c = (arms[i] for i in rng.choice(len(arms), size=2, replace=False))
+            if kind == "arm":
+                lines[a], lines[c] = lines[c], lines[a]
+            else:
+                head, _, token = lines[a].rpartition("'h")
+                size = 1 << lut.output_bits
+                value = (int(token[:-1], 16) + int(rng.integers(1, size))) % size
+                lines[a] = f"{head}'h{value:x};"
+        elif kind == "wire":
+            k = next(i for i, ln in enumerate(lines) if ln.startswith(f"    assign {name}_addr ="))
+            s = int(rng.choice(lut.sources[j]))
+            lines[k] = lines[k].replace(f"[{s}*", f"[{s + 1}*")
+        elif kind == "digest":
+            k = 2 + sum(other.width for other in net.layers[:layer]) + j
+            lines[k] = lines[k][:-1] + ("1" if lines[k].endswith("0") else "0")
         else:
-            head, _, token = lines[a].rpartition("'h")
-            size = 1 << lut.output_bits
-            value = (int(token[:-1], 16) + int(rng.integers(1, size))) % size
-            lines[a] = f"{head}'h{value:x};"
-        bundle.modules[name] = "\n".join(lines)
-        return name
-    if kind == "wire":
-        lines = bundle.top.split("\n")
-        k = next(i for i, ln in enumerate(lines) if ln.startswith(f"    assign {name}_addr ="))
-        s = int(rng.choice(lut.sources[j]))
-        lines[k] = lines[k].replace(f"[{s}*", f"[{s + 1}*")
-        bundle.top = "\n".join(lines)
-        return "top.v"
-    if kind == "digest":
-        lines = bundle.manifest.split("\n")
-        k = 2 + sum(other.width for other in net.layers[:layer]) + j
-        lines[k] = lines[k][:-1] + ("1" if lines[k].endswith("0") else "0")
-        bundle.manifest = "\n".join(lines)
-        return "manifest.txt"
-    lines = bundle.vectors.split("\n")
-    k = int(rng.integers(len(lines) - 1))
-    word_in, word_out = lines[k].split()
-    lines[k] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
-    bundle.vectors = "\n".join(lines)
-    return "vectors.hex"
+            k = int(rng.integers(len(lines) - 1))
+            word_in, word_out = lines[k].split()
+            lines[k] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
+        return "\n".join(lines)
+
+    edit_file(pathlib.Path(out, fname or f"{name}.v"), edit)
+    return fname or name
 
 
 @contextmanager
@@ -457,9 +463,10 @@ def rtl_window(value):
        window=st.sampled_from([1, 37, 512, rtl_mod._WINDOW]))
 def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind, window):
     net = random_netlist(seed)
-    bundle = emit_bundle(net)
-    with rtl_window(window):
-        assert check_bundle(bundle, net) == []
-        blamed = edit_bundle(bundle, net, kind, np.random.default_rng(seed))
-        problems = check_bundle(bundle, net)
+    # a directory per example: tmp_path would be shared by all of them
+    with tempfile.TemporaryDirectory() as out, rtl_window(window):
+        emit_bundle(net, out)
+        assert check_bundle(out, net) == []
+        blamed = edit_bundle(out, net, kind, np.random.default_rng(seed))
+        problems = check_bundle(out, net)
     assert any(p.startswith(f"{blamed}: ") for p in problems), problems

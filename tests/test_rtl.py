@@ -9,7 +9,6 @@ from lutc.rtl import (
     emit_golden_vectors,
     emit_top,
     parse_golden_vectors,
-    write_bundle,
 )
 from lutc.tables import tabulate_model
 
@@ -35,8 +34,9 @@ def one_layer_netlist(tables, output_bits, input_bits=1):
     return Netlist(input_count=fan, input_bits=input_bits, layers=[layer], clock_period_ns=1.0)
 
 
-def test_rom_entry_count():
-    text = emit_bundle(one_layer_netlist(np.arange(16)[None] % 4, 2)).modules["layer0_n0"]
+def test_rom_entry_count(tmp_path):
+    emit_bundle(one_layer_netlist(np.arange(16)[None] % 4, 2), tmp_path)
+    text = (tmp_path / "layer0_n0.v").read_text()
     assert text.count("data <=") == 16 + 1  # all arms + default
     assert "case (addr)" in text
     assert "always @(posedge clk)" in text
@@ -44,8 +44,9 @@ def test_rom_entry_count():
     assert "output reg  [1:0] data" in text
 
 
-def test_rom_constant_table():
-    text = emit_bundle(one_layer_netlist(np.full((1, 4), 3), 2)).modules["layer0_n0"]
+def test_rom_constant_table(tmp_path):
+    emit_bundle(one_layer_netlist(np.full((1, 4), 3), 2), tmp_path)
+    text = (tmp_path / "layer0_n0.v").read_text()
     arms = [ln for ln in text.splitlines() if ": data <=" in ln and "default" not in ln]
     assert len(arms) == 4
     assert all(ln.strip().endswith("data <= 2'h3;") for ln in arms)
@@ -109,46 +110,64 @@ def test_golden_vectors_wide_input_words():
 
 
 # ---------------------------------------------------------------------------
-# Bundle + structural checker
+# Bundle + structural checker: every edit is made to the files on disk
 
 
-def test_bundle_passes_checker():
+def edit_file(path, edit):
+    """Rewrite a written file as edit(its text), with no newline translation."""
+    path.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+
+
+def test_bundle_passes_checker(tmp_path):
     _, net = compiled(layer_widths=(4, 3, 2))
-    bundle = emit_bundle(net)
-    assert check_bundle(bundle, net) == []
-    assert len(bundle.modules) == 9
-    assert "rtl-manifest v1" in bundle.manifest
+    emit_bundle(net, tmp_path)
+    assert check_bundle(tmp_path, net) == []
+    assert len(list(tmp_path.glob("layer*_n*.v"))) == 9
+    assert "rtl-manifest v1" in (tmp_path / "manifest.txt").read_text()
 
 
-def test_bundle_deterministic():
-    model, net = compiled()
-    a = emit_bundle(net)
-    b = emit_bundle(net)
-    assert a.modules == b.modules
-    assert a.top == b.top
-    assert a.vectors == b.vectors
-    assert a.manifest == b.manifest
+def test_bundle_deterministic(tmp_path):
+    _, net = compiled()
+    emit_bundle(net, tmp_path / "a")
+    emit_bundle(net, tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_checker_flags_tampered_wiring():
+def test_emit_bundle_files(tmp_path):
+    _, net = compiled(layer_widths=(2, 2))
+    written = emit_bundle(net, tmp_path)
+    names = {p.split("/")[-1] for p in map(str, written)}
+    assert {"top.v", "tb.v", "vectors.hex", "manifest.txt",
+            "layer0_n0.v", "layer0_n1.v", "layer1_n0.v", "layer1_n1.v"} == names
+    for p in written:
+        assert (tmp_path / str(p).split("/")[-1]).stat().st_size > 0
+
+
+def test_checker_flags_tampered_wiring(tmp_path):
     _, net = compiled(layer_widths=(3, 2))
-    bundle = emit_bundle(net)
+    emit_bundle(net, tmp_path)
     sources = net.layers[1].sources
     # claim different wiring than the emitted top actually uses
     sources[0] = sources[0][::-1].copy()
-    problems = check_bundle(bundle, net)
+    problems = check_bundle(tmp_path, net)
     assert any("wiring" in p or "slice" in p for p in problems)
 
 
-def test_checker_flags_missing_arm():
+def test_checker_flags_missing_arm(tmp_path):
     _, net = compiled(layer_widths=(1,))
-    bundle = emit_bundle(net)
-    name = next(iter(bundle.modules))
-    lines = bundle.modules[name].splitlines()
-    drop = next(i for i, ln in enumerate(lines)
-                if ": data <=" in ln and "default" not in ln)
-    bundle.modules[name] = "\n".join(lines[:drop] + lines[drop + 1:])
-    problems = check_bundle(bundle, net)
+    emit_bundle(net, tmp_path)
+
+    def drop_arm(text):
+        lines = text.splitlines()
+        drop = next(i for i, ln in enumerate(lines)
+                    if ": data <=" in ln and "default" not in ln)
+        return "\n".join(lines[:drop] + lines[drop + 1:])
+
+    edit_file(tmp_path / "layer0_n0.v", drop_arm)
+    problems = check_bundle(tmp_path, net)
     assert any("case arms" in p for p in problems)
 
 
@@ -156,27 +175,28 @@ def test_checker_flags_missing_arm():
     lambda arms: [arms[0].replace("4'h0:", "4'hzz:")] + arms[1:],
     lambda arms: arms[:1] + arms,
 ], ids=["malformed-address", "duplicated-arm"])
-def test_checker_flags_bad_arm(edit):
+def test_checker_flags_bad_arm(tmp_path, edit):
     _, net = compiled(layer_widths=(1,))  # 4 address bits
-    bundle = emit_bundle(net)
-    name = next(iter(bundle.modules))
-    lines = bundle.modules[name].splitlines()
-    first = next(i for i, ln in enumerate(lines) if ": data <=" in ln)
-    arms = lines[first:first + 16]
-    bundle.modules[name] = "\n".join(lines[:first] + edit(arms) + lines[first + 16:]) + "\n"
-    problems = check_bundle(bundle, net)
-    assert any(p.startswith(f"{name}: ") and "case arm" in p for p in problems)
+    emit_bundle(net, tmp_path)
+
+    def edit_arms(text):
+        lines = text.splitlines()
+        first = next(i for i, ln in enumerate(lines) if ": data <=" in ln)
+        arms = lines[first:first + 16]
+        return "\n".join(lines[:first] + edit(arms) + lines[first + 16:]) + "\n"
+
+    edit_file(tmp_path / "layer0_n0.v", edit_arms)
+    problems = check_bundle(tmp_path, net)
+    assert any(p.startswith("layer0_n0: ") and "case arm" in p for p in problems)
 
 
-def test_checker_flags_unclocked_output():
+def test_checker_flags_unclocked_output(tmp_path):
     _, net = compiled(layer_widths=(1,))
-    bundle = emit_bundle(net)
-    name = next(iter(bundle.modules))
-    bundle.modules[name] = bundle.modules[name].replace(
-        "always @(posedge clk)", "always @(*)"
-    )
-    assert check_bundle(bundle, net) == [
-        f"{name}: line 6 is '    always @(*) begin', expected '    always @(posedge clk) begin'"]
+    emit_bundle(net, tmp_path)
+    edit_file(tmp_path / "layer0_n0.v",
+              lambda text: text.replace("always @(posedge clk)", "always @(*)"))
+    assert check_bundle(tmp_path, net) == [
+        "layer0_n0: line 6 is '    always @(*) begin', expected '    always @(posedge clk) begin'"]
 
 
 @pytest.mark.parametrize("old, new, line", [
@@ -185,20 +205,20 @@ def test_checker_flags_unclocked_output():
     (");", ")x;", 5),
     ("begin", "begin // x", 6),
 ], ids=["port-name", "port-spacing", "declaration-end", "comment"])
-def test_checker_flags_edited_rom_header(old, new, line):
+def test_checker_flags_edited_rom_header(tmp_path, old, new, line):
     _, net = compiled(layer_widths=(3, 2))
-    bundle = emit_bundle(net)
-    assert bundle.modules["layer1_n1"].count(old) == 1
-    bundle.modules["layer1_n1"] = bundle.modules["layer1_n1"].replace(old, new)
-    problems = check_bundle(bundle, net)
+    emit_bundle(net, tmp_path)
+    assert (tmp_path / "layer1_n1.v").read_text().count(old) == 1
+    edit_file(tmp_path / "layer1_n1.v", lambda text: text.replace(old, new))
+    problems = check_bundle(tmp_path, net)
     assert len(problems) == 1 and problems[0].startswith(f"layer1_n1: line {line} is ")
 
 
-def test_checker_flags_renamed_top_module():
+def test_checker_flags_renamed_top_module(tmp_path):
     _, net = compiled(layer_widths=(3, 2))
-    bundle = emit_bundle(net)
-    bundle.top = bundle.top.replace("module top (", "module top2 (")
-    assert check_bundle(bundle, net) == [
+    emit_bundle(net, tmp_path)
+    edit_file(tmp_path / "top.v", lambda text: text.replace("module top (", "module top2 ("))
+    assert check_bundle(tmp_path, net) == [
         "top.v: line 1 is 'module top2 (', expected 'module top ('"]
 
 
@@ -208,52 +228,70 @@ def arm_lines(text):
     return lines, [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
 
 
-def change_arm_value(bundle):
-    lines, arms = arm_lines(bundle.modules["layer1_n0"])
-    head, _, value = lines[arms[3]].rpartition("'h")
-    lines[arms[3]] = f"{head}'h{int(value[:-1], 16) ^ 1:x};"
-    bundle.modules["layer1_n0"] = "\n".join(lines)
+def change_arm_value(out):
+    def edit(text):
+        lines, arms = arm_lines(text)
+        head, _, value = lines[arms[3]].rpartition("'h")
+        lines[arms[3]] = f"{head}'h{int(value[:-1], 16) ^ 1:x};"
+        return "\n".join(lines)
+    edit_file(out / "layer1_n0.v", edit)
     return "layer1_n0"
 
 
-def swap_arms(bundle):
-    lines, arms = arm_lines(bundle.modules["layer1_n0"])
-    lines[arms[1]], lines[arms[2]] = lines[arms[2]], lines[arms[1]]
-    bundle.modules["layer1_n0"] = "\n".join(lines)
+def swap_arms(out):
+    def edit(text):
+        lines, arms = arm_lines(text)
+        lines[arms[1]], lines[arms[2]] = lines[arms[2]], lines[arms[1]]
+        return "\n".join(lines)
+    edit_file(out / "layer1_n0.v", edit)
     return "layer1_n0"
 
 
-def swap_data_outputs(bundle):
+def swap_data_outputs(out):
     first, second = ".data(layer0_data[0*2 +: 2])", ".data(layer0_data[1*2 +: 2])"
-    assert first in bundle.top and second in bundle.top
-    bundle.top = bundle.top.replace(first, "@").replace(second, first).replace("@", second)
+
+    def edit(text):
+        assert first in text and second in text
+        return text.replace(first, "@").replace(second, first).replace("@", second)
+    edit_file(out / "top.v", edit)
     return "top.v: u_layer0_n0 drives layer0_data[1*2 +: 2]"
 
 
-def narrow_address_wire(bundle):
-    assert "wire [3:0] layer1_n0_addr;" in bundle.top
-    bundle.top = bundle.top.replace("wire [3:0] layer1_n0_addr;", "wire [2:0] layer1_n0_addr;")
+def replacing(old, new):
+    """An edit that replaces old, which must occur in the text, by new."""
+    def edit(text):
+        assert old in text
+        return text.replace(old, new)
+    return edit
+
+
+def narrow_address_wire(out):
+    edit_file(out / "top.v", replacing("wire [3:0] layer1_n0_addr;",
+                                       "wire [2:0] layer1_n0_addr;"))
     return "top.v"
 
 
-def edit_testbench(bundle):
-    assert "@(posedge clk);" in bundle.testbench
-    bundle.testbench = bundle.testbench.replace("@(posedge clk);", "@(negedge clk);")
+def edit_testbench(out):
+    edit_file(out / "tb.v", replacing("@(posedge clk);", "@(negedge clk);"))
     return "tb.v"
 
 
-def wrong_digest(bundle):
-    lines = bundle.manifest.split("\n")
-    lines[2] = lines[2][:-1] + ("1" if lines[2].endswith("0") else "0")
-    bundle.manifest = "\n".join(lines)
+def wrong_digest(out):
+    def edit(text):
+        lines = text.split("\n")
+        lines[2] = lines[2][:-1] + ("1" if lines[2].endswith("0") else "0")
+        return "\n".join(lines)
+    edit_file(out / "manifest.txt", edit)
     return "manifest.txt"
 
 
-def edit_vector(bundle):
-    lines = bundle.vectors.split("\n")
-    word_in, word_out = lines[5].split()
-    lines[5] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
-    bundle.vectors = "\n".join(lines)
+def edit_vector(out):
+    def edit(text):
+        lines = text.split("\n")
+        word_in, word_out = lines[5].split()
+        lines[5] = f"{word_in} {int(word_out, 16) ^ 1:0{len(word_out)}x}"
+        return "\n".join(lines)
+    edit_file(out / "vectors.hex", edit)
     return "vectors.hex"
 
 
@@ -261,12 +299,12 @@ def edit_vector(bundle):
                                     narrow_address_wire, edit_testbench, wrong_digest,
                                     edit_vector],
                          ids=lambda tamper: tamper.__name__)
-def test_checker_flags_tampering(tamper):
+def test_checker_flags_tampering(tmp_path, tamper):
     _, net = compiled(layer_widths=(3, 2))  # layer 1: 4 address bits
-    bundle = emit_bundle(net)
-    assert check_bundle(bundle, net) == []
-    blamed = tamper(bundle)
-    problems = check_bundle(bundle, net)
+    emit_bundle(net, tmp_path)
+    assert check_bundle(tmp_path, net) == []
+    blamed = tamper(tmp_path)
+    problems = check_bundle(tmp_path, net)
     assert any(p.startswith(blamed if ": " in blamed else f"{blamed}: ")
                for p in problems), problems
 
@@ -281,35 +319,38 @@ def test_checker_flags_tampering(tamper):
     lambda arm: arm.replace("            6'h", "\t           6'h"),
 ], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "upper-case-value",
         "no-semicolon", "wrong-register", "tab-indent"])
-def test_checker_flags_noncanonical_arm(edit):
+def test_checker_flags_noncanonical_arm(tmp_path, edit):
     # 6 address bits and 5-bit values: two-digit tokens, so that a leading
     # zero keeps a token within its width
     tables = np.arange(2 * 64, dtype=np.uint32).reshape(2, 64) % 32
     tables[0, 10] = 7
     net = Netlist(input_count=2, input_bits=3, clock_period_ns=1.0, layers=[
         LutLayer(tables=tables, sources=np.array([[0, 1], [1, 0]]), output_bits=5)])
-    bundle = emit_bundle(net)
-    lines, arms = arm_lines(bundle.modules["layer0_n0"])
+    emit_bundle(net, tmp_path)
+    lines, arms = arm_lines((tmp_path / "layer0_n0.v").read_text())
     assert lines[arms[10]] == "            6'ha: data <= 5'h7;"
-    lines[arms[10]] = edit(lines[arms[10]])
-    bundle.modules["layer0_n0"] = "\n".join(lines)
-    assert check_bundle(bundle, net) == ["layer0_n0: case arm 10 is malformed: "
-                                         f"{lines[arms[10]]!r}"]
+    edited = edit(lines[arms[10]])
+    edit_file(tmp_path / "layer0_n0.v", lambda text: text.replace(lines[arms[10]], edited))
+    assert check_bundle(tmp_path, net) == [f"layer0_n0: case arm 10 is malformed: {edited!r}"]
 
 
-def test_checker_reads_roms_larger_than_a_read_window():
+def test_checker_reads_roms_larger_than_a_read_window(tmp_path):
     # 14 address bits: 16384 arms of about 35 bytes, read in three windows
     rng = np.random.default_rng(0)
     layer = LutLayer(tables=rng.integers(0, 8, size=(2, 1 << 14)).astype(np.uint32),
                      sources=np.array([[0, 1], [1, 0]]), output_bits=3)
     net = Netlist(input_count=2, input_bits=7, layers=[layer], clock_period_ns=1.0)
-    assert check_bundle(emit_bundle(net), net) == []
-    bundle = emit_bundle(net)
-    lines, arms = arm_lines(bundle.modules["layer0_n1"])
-    lines[arms[12000]], lines[arms[12001]] = lines[arms[12001]], lines[arms[12000]]
-    bundle.modules["layer0_n1"] = "\n".join(lines)
-    assert check_bundle(bundle, net) == ["layer0_n1: case arm 12000 has address 2ee1, "
-                                         "expected 2ee0"]
+    emit_bundle(net, tmp_path)
+    assert check_bundle(tmp_path, net) == []
+
+    def swap(text):
+        lines, arms = arm_lines(text)
+        lines[arms[12000]], lines[arms[12001]] = lines[arms[12001]], lines[arms[12000]]
+        return "\n".join(lines)
+
+    edit_file(tmp_path / "layer0_n1.v", swap)
+    assert check_bundle(tmp_path, net) == ["layer0_n1: case arm 12000 has address 2ee1, "
+                                           "expected 2ee0"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -319,28 +360,27 @@ def test_checker_reads_roms_larger_than_a_read_window():
     lambda text: text[:text.index("default:") + 10],
     lambda text: text.replace("case (addr)", "case(addr)"),
 ], ids=["empty-case-body", "non-ascii-address", "truncated-default-arm", "no-case-line"])
-def test_checker_reports_unreadable_rom(edit):
+def test_checker_reports_unreadable_rom(tmp_path, edit):
     _, net = compiled(layer_widths=(1,))  # 4 address bits
-    bundle = emit_bundle(net)
-    bundle.modules["layer0_n0"] = edit(bundle.modules["layer0_n0"])
-    problems = check_bundle(bundle, net)
+    emit_bundle(net, tmp_path)
+    edit_file(tmp_path / "layer0_n0.v", edit)
+    problems = check_bundle(tmp_path, net)
     assert any(p.startswith("layer0_n0: ") for p in problems), problems
 
 
-def test_write_bundle_files(tmp_path):
-    _, net = compiled(layer_widths=(2, 2))
-    bundle = emit_bundle(net)
-    written = write_bundle(bundle, tmp_path)
-    names = {p.split("/")[-1] for p in map(str, written)}
-    assert {"top.v", "tb.v", "vectors.hex", "manifest.txt",
-            "layer0_n0.v", "layer0_n1.v", "layer1_n0.v", "layer1_n1.v"} == names
-    for p in written:
-        assert (tmp_path / str(p).split("/")[-1]).stat().st_size > 0
-
-
-def test_write_bundle_byte_identical(tmp_path):
-    _, net = compiled()
-    write_bundle(emit_bundle(net), tmp_path / "a")
-    write_bundle(emit_bundle(net), tmp_path / "b")
-    for p in sorted((tmp_path / "a").iterdir()):
-        assert p.read_bytes() == (tmp_path / "b" / p.name).read_bytes()
+@pytest.mark.parametrize("fault, blamed", [
+    (lambda out: edit_file(out / "layer1_n0.v", lambda text: text[:text.index("4'h5:") + 9]),
+     "layer1_n0: "),
+    (lambda out: edit_file(out / "layer1_n0.v", lambda text: text.replace("\n", "\r\n")),
+     "layer1_n0: line 1 is 'module layer1_n0 (\\r', expected 'module layer1_n0 ('"),
+    (lambda out: (out / "layer1_n0.v").unlink(), "layer1_n0.v: cannot read: "),
+    (lambda out: (out / "vectors.hex").unlink(), "vectors.hex: cannot read: "),
+    (lambda out: (out / "layer9_n0.v").write_text("module layer9_n0;\nendmodule\n"),
+     "layer9_n0: not present in the netlist"),
+], ids=["truncated-mid-arm", "crlf-line-ends", "deleted-rom", "deleted-vectors", "stray-rom"])
+def test_checker_blames_disk_faults(tmp_path, fault, blamed):
+    _, net = compiled(layer_widths=(3, 2))  # layer 1: 4 address bits
+    emit_bundle(net, tmp_path)
+    fault(tmp_path)
+    problems = check_bundle(tmp_path, net)
+    assert problems and all(p.startswith(blamed) for p in problems), problems

@@ -67,13 +67,14 @@ def test_truth_table_validation():
         build_netlist(model, tables)
 
 
-def test_truth_table_hash_tracks_content():
+def test_truth_table_hash_tracks_content(tmp_path):
     """manifest.txt digests each row's entries as little-endian uint32 words."""
     model = small_model(layer_widths=[3])
     tables = tabulate_model(model)
     tables[0][1] = tables[0][0]
     tables[0][2] = tables[0][0] ^ (np.arange(16) == 5)
-    lines = emit_bundle(build_netlist(model, tables)).manifest.split("\n")[2:5]
+    emit_bundle(build_netlist(model, tables), tmp_path)
+    lines = (tmp_path / "manifest.txt").read_text().split("\n")[2:5]
     digests = [line.rsplit(" ", 1)[1] for line in lines]
     assert digests[0] == hashlib.sha256(tables[0][0].astype("<u4").tobytes()).hexdigest()
     assert digests[0] == digests[1] != digests[2]
