@@ -127,6 +127,15 @@ def test_bundle_passes_checker(tmp_path):
 
 
 def test_bundle_deterministic(tmp_path):
+    # re-emitting into the same directory writes the same paths and bytes
+    _, net = compiled()
+    first = emit_bundle(net, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert emit_bundle(net, tmp_path) == first
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_write_bundle_byte_identical(tmp_path):
     _, net = compiled()
     emit_bundle(net, tmp_path / "a")
     emit_bundle(net, tmp_path / "b")
