@@ -305,7 +305,7 @@ def activate(h: np.ndarray, q: Quantizer, hidden: bool):
     on hidden layers, then the quantizer with one rounding.  Returns the
     codes (float64) and u = round(r / s); codes == u where no clamp acted."""
     u = round_half_away((np.maximum(h, 0.0) if hidden else h) / q.scale)
-    return np.clip(u, q.code_min, q.code_max), u
+    return np.minimum(np.maximum(u, q.code_min), q.code_max), u
 
 
 def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = False):

@@ -270,7 +270,7 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
         # the read-back tables share the netlist's until a ROM reads back differently
         tables, sources = lut.tables, np.empty_like(lut.sources)
-        complete = True
+        complete = top is not None  # an unreadable top.v is one problem, not one per module
         for j in range(lut.width):
             name = _module_name(layer, j)
             text = read(f"{name}.v")
@@ -282,10 +282,11 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
                                 f"netlist table, first at address {diff[0]:x}")
                 tables = lut.tables.copy() if tables is lut.tables else tables
                 tables[j] = values
-            complete &= _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
-                                     lut.sources[j].tolist(), sources[j], problems)
-            complete &= _read_instance(name, instances.get(name), f"layer{layer}_data", j, b,
-                                       lut.width, problems)
+            if top is not None:
+                complete &= _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
+                                         lut.sources[j].tolist(), sources[j], problems)
+                complete &= _read_instance(name, instances.get(name), f"layer{layer}_data",
+                                           j, b, lut.width, problems)
         if complete:
             layers.append(LutLayer(tables=tables, sources=sources, output_bits=b))
         bits_in, prev = b, lut.width

@@ -8,11 +8,19 @@ clamp.  The backward pass is derived by hand: the straight-through
 estimator passes upstream gradients inside the code interval and takes
 the clamped code itself as the scale gradient.
 
+Each layer's cache holds its gathered inputs (n, W, F), not its (n, W, M)
+monomials.  Backward expands a layer again just before that layer's
+weight gradient and input gradient, and drops the monomials before it
+moves to the layer below, so at most one layer's expansion is alive.
+expand is deterministic, so the gradients are the bits that cached
+monomials gave; the cost is one more expand per layer and batch.
+
 While training, every trained parameter (all weights, then batch-norm
 gammas, shifts and quantizer scales) lives in one flat float64 vector:
 the model's arrays are views of it (param_views), backward fills a
 gradient vector of the same layout, and AdamW updates it with a few
-whole-vector operations.  Features are quantized once, not per batch.
+whole-vector operations.  Features are quantized and dequantized once
+per train, not per batch.
 
 The whole loop is deterministic: given the same spec, data, config, and
 seed, the trained model and history are bit-identical.
@@ -118,7 +126,8 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
     """Run the batch forward pass, returning (logits, per-layer caches).
 
     xb holds real features, or input codes (an integer array), which are
-    only dequantized: train quantizes its features once.  training selects
+    only dequantized; forward_layers runs the layers from there (train
+    calls it directly, on features it dequantizes once).  training selects
     batch statistics for batch norm; with running stats instead, the codes
     are forward_codes'.  track_stats (defaults to training) updates the
     running statistics.  quant_bypass turns every quantize-dequantize
@@ -127,8 +136,6 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
     explicit bias + linear map (only valid for degree-1 specs); used as
     the strict-generalization reference.
     """
-    if track_stats is None:
-        track_stats = training
     spec = model.spec
     x = np.asarray(xb)
     if x.ndim != 2 or x.shape[1] != spec.input_count:
@@ -142,17 +149,32 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
     else:
         x = x.astype(np.float64, copy=False)
         a = x if quant_bypass else dequantize(quantize(x, q0), q0)
+    return forward_layers(model, a, training=training,
+                          track_stats=training if track_stats is None else track_stats,
+                          quant_bypass=quant_bypass, linear=linear, context=context)
 
-    n, caches = x.shape[0], []
+
+def _monomials(model: TrainedModel, layer: int, xg: np.ndarray, linear: bool) -> np.ndarray:
+    """The (n, W, M) monomials of a layer's gathered inputs xg (n, W, F):
+    expand's, or with linear a constant bias term and then the inputs,
+    stored term-major like expand's terms."""
+    if not linear:
+        return expand(xg, model.bases[layer])
+    terms = np.concatenate([np.ones((1,) + xg.shape[:2]), np.moveaxis(xg, 2, 0)])
+    return np.moveaxis(terms, 0, 2)
+
+
+def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
+                   track_stats: bool, quant_bypass: bool, linear: bool, context: str):
+    """forward's layer loop from the dequantized inputs a (n, input_count).
+    Each layer's cache holds its gathered inputs xg (n, W, F), from which
+    backward expands the layer's monomials again."""
+    spec = model.spec
+    n, caches = a.shape[0], []
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        if linear:  # a constant bias term, then the inputs, stored like expand's terms
-            terms = np.concatenate([np.ones((1,) + xg.shape[:2]), np.moveaxis(xg, 2, 0)])
-            m = np.moveaxis(terms, 0, 2)
-        else:
-            m = expand(xg, model.bases[layer])
-        z = weighted_sum(m, p.weights)
+        z = weighted_sum(_monomials(model, layer, xg, linear), p.weights)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if training:  # the operation order of np.mean and np.var
@@ -183,7 +205,7 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
             ste = c == u  # where the rounded code needed no clamping
             a = c * q.scale
 
-        caches.append(dict(m=m, invstd=invstd, xhat=xhat, h=h,
+        caches.append(dict(xg=xg, invstd=invstd, xhat=xhat, h=h,
                            c=c, ste=ste, batch_stats=training, last=last))
     return a, caches
 
@@ -219,19 +241,29 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         else:
             dz = dxhat * cache["invstd"]
 
-        m = cache["m"]  # einsum's out= into the view runs ~10x slower than this copy
+        m = _monomials(model, layer, cache["xg"], linear)
+        # einsum's out= into the view runs ~10x slower than this copy
         grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", m, dz)
 
         if layer == 0:
             continue
         dm = dz[:, :, None] * p.weights[None, :, :]
         dxg = dm[:, :, 1:] if linear else expand_vjp(m, dm, model.bases[layer])
-        # scatter-add through the sparsity mask into the previous activations
-        da_t = np.zeros((spec.layer_widths[layer - 1], n))
-        np.add.at(da_t, model.masks[layer].ravel(),
-                  dxg.transpose(1, 2, 0).reshape(-1, n))
-        da = da_t.T
+        del m, dm  # one layer's monomials are alive at a time, freed before the scatter
+        da = _scatter_sources(dxg, model.masks[layer], spec.layer_widths[layer - 1])
+        del dxg  # with linear, a view of dm
     return grads
+
+
+def _scatter_sources(dxg: np.ndarray, mask: np.ndarray, width: int) -> np.ndarray:
+    """Sum dxg (n, W, F), the gradient of each neuron's gathered inputs,
+    back through the sparsity mask (W, F) into the (n, width) activations
+    they were gathered from.  Each sum starts from 0.0 and adds its terms
+    in increasing (neuron, input) order, as np.add.at would, so the result
+    is the same bits."""
+    n = dxg.shape[0]
+    at = np.arange(n)[:, None] * width + mask.ravel()
+    return np.bincount(at.ravel(), weights=dxg.ravel(), minlength=n * width).reshape(n, width)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +382,8 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     init_scales(model, feats[: min(config.batch_size, n)], linear=linear)
     scales = theta[-model.spec.n_layers :]  # the last entries, one per layer
     scales[:] = [p.quant_scale for p in model.params]
-    codes = quantize(feats, model.input_quantizer)  # the input scale is not trained
+    q0 = model.input_quantizer  # not trained: the inputs are quantized once
+    a0 = dequantize(quantize(feats, q0), q0)
 
     grad = np.empty_like(theta)
     grads = param_views(model, grad)
@@ -362,8 +395,9 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, caches = forward(model, codes[idx], training=True,
-                                     linear=linear, context=f"at epoch {epoch}")
+            logits, caches = forward_layers(model, a0[idx], training=True,
+                                            track_stats=True, quant_bypass=False,
+                                            linear=linear, context=f"at epoch {epoch}")
             loss, dlogits = compute_loss(logits, labels[idx], config.loss_kind)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)

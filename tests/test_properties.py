@@ -1,8 +1,9 @@
 """Property tests: invariances of the layer-wise inference path and of
 netlist simulation, the training forward pass against that path, round
 trips of the quantizer and the bit-level codecs, the layer-wise
-table text (dumps and Verilog ROMs) against per-entry references, and
-the RTL checker's read-back of emitted and edited bundle files."""
+table text (dumps and Verilog ROMs) against per-entry references, the
+RTL checker's read-back of emitted and edited bundle files, and the
+trainer's gradient scatter against np.add.at."""
 
 import os
 import pathlib
@@ -10,7 +11,7 @@ import tempfile
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lutc.model as model_mod
@@ -22,7 +23,7 @@ from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quan
                            round_half_away)
 from lutc.rtl import check_bundle, emit_bundle
 from lutc.tables import decode_address, dump_tables, load_tables, pack_address, tabulate_model
-from lutc.trainer import forward, init_scales
+from lutc.trainer import _scatter_sources, forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -166,6 +167,35 @@ def test_straight_through_mask_is_where_the_clamp_did_not_act(seed):
         # the two roundings this step replaced: quantize, and the range test
         assert np.array_equal(cache["c"], quantize(r, q))
         assert np.array_equal(cache["ste"], (u >= q.code_min) & (u <= q.code_max))
+
+
+def add_at_scatter(dxg, mask, width):
+    """Reference scatter: np.add.at of each row's (neuron, input) terms
+    into its sources, one row per column of a (width, n) accumulator."""
+    n = dxg.shape[0]
+    out = np.zeros((width, n))
+    np.add.at(out, mask.ravel(), dxg.transpose(1, 2, 0).reshape(-1, n))
+    return np.ascontiguousarray(out.T)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 40), batch=st.integers(1, 16))
+@example(seed=0, rows=1, batch=1)
+@example(seed=1, rows=17, batch=8)  # a last batch of one row
+def test_gradient_scatter_matches_add_at(seed, rows, batch):
+    rng = np.random.default_rng(seed)
+    width = int(rng.integers(1, 9))
+    fan, neurons = int(rng.integers(1, width + 1)), int(rng.integers(1, 7))
+    # sources drawn per neuron, so neurons share them
+    mask = np.stack([np.sort(rng.choice(width, fan, replace=False)) for _ in range(neurons)])
+    # magnitudes far apart, so a different summation order changes the bits
+    dxg = rng.normal(size=(rows, neurons, fan)) * 10.0 ** rng.integers(-8, 9, (rows, neurons, fan))
+    dxg[rng.random(dxg.shape) < 0.2] = -0.0
+    for start in range(0, rows, batch):
+        part = dxg[start:start + batch]
+        got, want = _scatter_sources(part, mask, width), add_at_scatter(part, mask, width)
+        assert got.shape == want.shape == (len(part), width)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def random_netlist(seed):

@@ -393,3 +393,11 @@ def test_checker_blames_disk_faults(tmp_path, fault, blamed):
     fault(tmp_path)
     problems = check_bundle(tmp_path, net)
     assert problems and all(p.startswith(blamed) for p in problems), problems
+
+
+def test_checker_reports_missing_top_once(tmp_path):
+    _, net = compiled(layer_widths=(3, 2))  # 5 modules, each wired in top.v
+    emit_bundle(net, tmp_path)
+    (tmp_path / "top.v").unlink()
+    problems = check_bundle(tmp_path, net)
+    assert len(problems) == 1 and problems[0].startswith("top.v: cannot read: "), problems

@@ -1,9 +1,11 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lutc.data import gen_spirals, split_normalize
+from lutc.basis import count_monomials
 from lutc.model import NetworkSpec, init_model
 from lutc.quantize import bn_identity
 from lutc.trainer import (
@@ -148,6 +150,30 @@ def test_backward_zero_upstream():
     grads = backward(model, caches, np.zeros((6, 2)))
     for g in grads.values():
         assert np.all(np.asarray(g) == 0.0)
+
+
+def test_one_layer_expansion_alive_at_a_time():
+    """forward caches no (n, W, M) monomials, and one forward + backward
+    step of a 6-layer F=6, D=4 model peaks below the sum of every layer's
+    expansion, which caching them all would hold at once."""
+    spec = NetworkSpec(layer_widths=[16] * 5 + [4], beta=2, fan_in=6, degree=4,
+                       input_count=12, seed=3)
+    model, n, terms = init_model(spec), 64, count_monomials(6, 4)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, 12))
+    logits, caches = forward(model, x, track_stats=False)
+    for cache in caches:
+        assert all(terms not in np.shape(v) for v in cache.values())
+    backward(model, caches, np.ones_like(logits) / n)  # warm the bases' cached tables
+    del logits, caches
+    tracemalloc.start()
+    try:
+        logits, caches = forward(model, x, track_stats=False)
+        backward(model, caches, np.ones_like(logits) / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expansions = sum(n * width * terms * 8 for width in spec.layer_widths)
+    assert peak < expansions, (peak, expansions)
 
 
 def test_backward_shape_mismatch():
