@@ -12,9 +12,17 @@ The constant term doubles as the bias, so a degree-1 basis reproduces the
 plain affine neuron exactly.
 
 One index table, MonomialBasis.lowered, drives evaluation and
-differentiation: expand builds term i as its parent lowered[i, v] times
-x_v (v the last variable of the term), and d m_i / d x_j is
-e_ij * m[lowered[i, j]], a gather of computed terms.  No power is taken.
+differentiation: term i is its parent lowered[i, v] times x_v (v the last
+variable of the term), and d m_i / d x_j is e_ij * m[lowered[i, j]], a
+gather of computed terms.  No power is taken.
+
+A neuron's value is sum_i w_i * m_i, summed term by term in basis order
+with elementwise multiply-adds, so that it depends on neither the batch
+size nor the BLAS kernel.  weighted_expand forms each term and adds its
+weighted value in the same step, keeping only the terms of degree < D
+(the only parents); it gives the bits of weighted_sum(expand(x), w)
+without the (..., M) monomial array.  The inference path and the training
+forward use it; backward, which needs every term, calls expand.
 """
 
 from __future__ import annotations
@@ -65,6 +73,12 @@ class MonomialBasis:
         """(i, lowered[i, j], e_ij) per variable j over the terms i holding x_j."""
         return [(i, self.lowered[i, j], e[i]) for j, e in enumerate(self.exponents.T)
                 for i in [np.flatnonzero(e)]]
+
+    @cached_property
+    def parents(self) -> int:
+        """The number of terms of degree < degree: the basis prefix that
+        later terms are multiplied from."""
+        return count_monomials(self.fan_in, self.degree - 1)
 
 
 def count_monomials(fan_in: int, degree: int) -> int:
@@ -140,7 +154,14 @@ def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
 
 def expand_vjp(m: np.ndarray, dm: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Pull a gradient dm with respect to the monomials m = expand(x) back
-    to x: entry j is sum_i dm_i * e_ij * m[lowered[i, j]]."""
+    to x: entry j is sum_i dm_i * e_ij * m[lowered[i, j]].
+
+    For m and dm of shape (n, W, M), the gathered product has its terms
+    outermost in memory, so einsum adds (dm_i * m_parent) * e_ij into a
+    zeroed sum one term at a time, in basis order, when n * W > 1.  When
+    n * W == 1 that product is one contiguous row and einsum takes its dot
+    path instead, which may round differently.
+    """
     out = np.empty(m.shape[:-1] + (basis.fan_in,), dtype=np.float64)
     for j, (i, parent, e) in enumerate(basis.vjp_terms):
         out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., parent], e)
@@ -155,4 +176,35 @@ def weighted_sum(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     z = m[..., 0] * wt[0]
     for i in range(1, len(wt)):
         z += m[..., i] * wt[i]
+    return z
+
+
+def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.ndarray:
+    """weighted_sum(expand(x, basis), w), bit for bit, without the monomials.
+
+    x is (..., K, F) with K the neuron count W of w (W, M), or 1 when all
+    neurons share their inputs; the result is (..., W).  Each term is
+    multiplied out as expand does and its weighted value added at once,
+    in basis order.  Only the basis.parents terms of degree < D are kept,
+    so the memory per row of x is parents + F floats per code row plus a
+    few (..., W) sums.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != basis.fan_in:
+        raise ValueError(f"expected last axis {basis.fan_in}, got {x.shape[-1]}")
+    lead = tuple(range(x.ndim - 1))
+    xt = x.transpose((x.ndim - 1,) + lead).copy()
+    wt = np.ascontiguousarray(np.asarray(w, dtype=np.float64).T)
+    if len(wt) != len(basis):
+        raise ValueError(f"expected {len(basis)} weights per neuron, got {len(wt)}")
+    kept = basis.parents
+    terms = np.empty((kept,) + x.shape[:-1], dtype=np.float64)
+    terms[0] = 1.0
+    z = terms[0] * wt[0]
+    top = np.empty(x.shape[:-1], dtype=np.float64)  # a degree-D term, used once
+    weighted = np.empty_like(z)
+    for i, (parent, v) in enumerate(basis.steps, start=1):
+        term = terms[i, ...] if i < kept else top
+        np.multiply(terms[parent], xt[v], out=term)
+        z += np.multiply(term, wt[i], out=weighted)
     return z

@@ -22,6 +22,8 @@ from .model import (
     save_checkpoint,
 )
 from .netlist import (
+    EXHAUSTIVE_CAP_BITS,
+    EXHAUSTIVE_LIMIT_BITS,
     build_netlist,
     equivalence_check,
     load_netlist,
@@ -305,17 +307,19 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ints(least: int, many: bool = False):
-    """An argparse type: an integer >= least, or with many a comma list of
-    them; anything else exits 2 before the command runs."""
+def _ints(least: int, many: bool = False, most: int | None = None):
+    """An argparse type: an integer >= least (and <= most, when given), or
+    with many a comma list of them; anything else exits 2 before the
+    command runs."""
     def parse(text: str):
         try:
             values = [int(v) for v in text.split(",")] if many else [int(text)]
         except ValueError:
             values = []
-        if not values or min(values) < least:
+        if not values or min(values) < least or (most is not None and max(values) > most):
             kind = "a comma list of integers" if many else "an integer"
-            raise argparse.ArgumentTypeError(f"expected {kind} >= {least}, got {text!r}")
+            bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+            raise argparse.ArgumentTypeError(f"expected {kind} {bound}, got {text!r}")
         return values if many else values[0]
     return parse
 
@@ -350,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--budget", type=_ints(0), default=10000,
                     help="random vectors when exhaustive checking is infeasible")
-    sp.add_argument("--exhaustive-limit", type=int, default=20,
-                    dest="exhaustive_limit",
-                    help="max total input bits for exhaustive equivalence")
+    sp.add_argument("--exhaustive-limit", type=_ints(0, most=EXHAUSTIVE_CAP_BITS),
+                    default=EXHAUSTIVE_LIMIT_BITS, dest="exhaustive_limit",
+                    help="max total input bits for exhaustive equivalence "
+                         f"(at most {EXHAUSTIVE_CAP_BITS}: 2**{EXHAUSTIVE_CAP_BITS} vectors)")
     sp.add_argument("--target-k", type=_ints(2), default=6, dest="target_k")
     sp.set_defaults(func=cmd_compile)
 

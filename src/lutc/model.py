@@ -11,9 +11,12 @@ over the output codes.
 layer_eval, which evaluates all neurons of a layer at once, is the one
 inference path: forward_codes chains it, tabulation enumerates it and
 the equivalence check replays it; its last step, activate (ReLU and one
-rounding), is the trainer's too.  Its weighted sum runs in basis order
-with elementwise multiply-adds, so a code depends on neither the batch
-nor the BLAS kernel.
+rounding), is the trainer's too.  Its weighted sum is basis.weighted_expand,
+which adds each monomial's weighted value as soon as it is formed, in
+basis order with elementwise multiply-adds, so a code depends on neither
+the batch nor the BLAS kernel.  The kernel keeps only the terms of
+degree < D alive, and row chunks are sized by the elements it and the
+layer's other arrays keep per row (row_elements), not by W * M.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import count_monomials, enumerate_basis, expand, weighted_sum
+# expand is not called here, but lutc.model.expand stays bound: perfbench's
+# tracer test wraps and restores it through this module
+from .basis import MonomialBasis, count_monomials, enumerate_basis, expand, weighted_expand  # noqa: F401
 from .quantize import (
     BatchNormParams,
     Quantizer,
@@ -36,8 +41,8 @@ from .quantize import (
 # Hard cap on beta * fan_in so a single truth table never exceeds 2**24 entries.
 ENUM_GUARD_BITS = 24
 
-# layer_eval works on row chunks of at most this many rows x W x M elements.
-CHUNK_ELEMENTS = 1 << 20
+# Row chunks keep about this many 8-byte elements alive (see row_elements).
+CHUNK_ELEMENTS = 1 << 19
 
 CHECKPOINT_VERSION = 1
 
@@ -273,6 +278,14 @@ def row_chunks(n: int, row_elements: int) -> list:
     return [slice(start, min(start + step, n)) for start in range(0, max(n, 1), step)]
 
 
+def row_elements(basis: MonomialBasis, code_rows: int, width: int) -> int:
+    """The 8-byte elements layer_eval keeps alive per row of
+    (n, code_rows, F) codes for width neurons: per code row, the integer
+    codes, their dequantized and transposed copies and weighted_expand's
+    kept terms; per neuron, the sums, batch-norm outputs and activations."""
+    return code_rows * (3 * basis.fan_in + basis.parents) + 6 * width
+
+
 def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
                neurons=None) -> np.ndarray:
     """Quantized output codes (n, W) of the layer's neurons (or of the
@@ -281,15 +294,16 @@ def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
     p = model.params[layer]
     sel = slice(None) if neurons is None else np.asarray(neurons, dtype=np.int64)
     w = p.weights[sel]
-    width, terms = w.shape
+    width = w.shape[0]
     codes, fan = np.asarray(codes, dtype=np.int64), model.spec.layer_fan_in(layer)
     if codes.ndim != 3 or codes.shape[1] not in (1, width) or codes.shape[2] != fan:
         raise ValueError(f"layer {layer}: expected (n, {width} or 1, {fan}) codes")
     qin, qout = model.source_quantizer(layer), model.layer_quantizer(layer)
     hidden = layer < model.spec.n_layers - 1
+    basis = model.bases[layer]
     out = np.empty((codes.shape[0], width), dtype=np.int64)
-    for rows in row_chunks(codes.shape[0], width * terms):
-        z = weighted_sum(expand(dequantize(codes[rows], qin), model.bases[layer]), w)
+    for rows in row_chunks(codes.shape[0], row_elements(basis, codes.shape[1], width)):
+        z = weighted_expand(dequantize(codes[rows], qin), basis, w)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h = bn_apply(z, p.bn, sel)
         bad = ~np.isfinite(h).all(axis=0)
@@ -308,6 +322,14 @@ def activate(h: np.ndarray, q: Quantizer, hidden: bool):
     return np.minimum(np.maximum(u, q.code_min), q.code_max), u
 
 
+def forward_chunks(model: TrainedModel, n: int) -> list:
+    """The row chunks of n rows that forward_codes runs through every layer
+    at once: sized for the layer whose per-neuron codes keep the most
+    elements alive."""
+    return row_chunks(n, max(row_elements(b, w, w)
+                             for w, b in zip(model.spec.layer_widths, model.bases)))
+
+
 def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = False):
     """Layer-by-layer quantized inference from input codes to output codes,
     or (output codes, per-layer codes) with trace=True.  Row chunks go
@@ -315,9 +337,8 @@ def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = Fals
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
-    widest = max(w * len(b) for w, b in zip(model.spec.layer_widths, model.bases))
     chunks = []
-    for rows in row_chunks(acts.shape[0], widest):
+    for rows in forward_chunks(model, acts.shape[0]):
         a, layers = acts[rows], []
         for layer, mask in enumerate(model.masks):
             a = layer_eval(model, layer, a[:, mask])

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_codes, labels_from_codes, row_chunks
+from .model import TrainedModel, forward_chunks, forward_codes, labels_from_codes, row_chunks
 from .quantize import decode_bits, encode_bits, quantize
 from .tables import decode_address, dump_tables, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
 EXHAUSTIVE_LIMIT_BITS = 20
+# The largest exhaustive_limit accepted: 2**24 vectors at most.
+EXHAUSTIVE_CAP_BITS = 24
+FAULT_VECTORS = 64  # mismatching vectors whose first diverging node is located
 
 
 @dataclass(eq=False)
@@ -154,49 +157,66 @@ def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
     """Compare netlist simulation against the quantized model, integer-exact.
 
     Exhaustive over the full input space when input_count * input_bits is
-    within exhaustive_limit; otherwise dataset rows (if given) plus budget
-    random vectors.
+    within exhaustive_limit (at most EXHAUSTIVE_CAP_BITS); otherwise dataset
+    rows (if given) plus budget random vectors.  The stimuli are streamed
+    one forward_codes row chunk at a time through the model trace, the
+    netlist trace and the comparison, so memory does not grow with the
+    vector count.  The report counts the vectors whose outputs differ,
+    names the first diverging node of each of the first FAULT_VECTORS of
+    them and, with a dataset, gives netlist and model accuracy on its rows.
     """
-    spec = model.spec
-    total_bits = spec.input_count * netlist.input_bits
-    patterns = []
-    labels = None
-    if total_bits <= exhaustive_limit:
-        addrs = np.arange(1 << total_bits, dtype=np.int64)
-        patterns.append(decode_address(addrs, netlist.input_bits, spec.input_count))
-    else:
-        if dataset is not None:
-            codes = quantize(dataset.features, model.input_quantizer)
-            patterns.append(encode_bits(codes, model.input_quantizer).astype(np.int64))
-            labels = dataset.labels
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        patterns.append(
-            rng.integers(0, 1 << netlist.input_bits,
-                         size=(budget, spec.input_count)).astype(np.int64)
-        )
-    stim = np.concatenate(patterns)
-
-    model_codes, model_trace = forward_codes(model, decode_bits(stim, model.input_quantizer),
-                                             trace=True)
-    net_patterns, traces = simulate(netlist, stim, trace=True)
-    diffs = [t != encode_bits(c, model.layer_quantizer(layer))
-             for layer, (t, c) in enumerate(zip(traces, model_trace))]
-    bad = diffs[-1].any(axis=1)
-    faulty = set()
-    # locate the first diverging node for each of the first 64 mismatching vectors
-    for row in np.flatnonzero(bad)[:64]:
-        layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
-        faulty.add((layer, int(np.argmax(diffs[layer][row]))))
+    if exhaustive_limit > EXHAUSTIVE_CAP_BITS:
+        raise ValueError(f"exhaustive_limit {exhaustive_limit} exceeds the cap "
+                         f"of {EXHAUSTIVE_CAP_BITS} input bits")
+    spec, q0 = model.spec, model.input_quantizer
+    n_checked = n_mismatches = n_labelled = net_right = model_right = 0
+    faulty, located = set(), 0
+    for stim, labels in _stimuli(netlist, model, dataset, budget, seed, exhaustive_limit):
+        model_codes, model_trace = forward_codes(model, decode_bits(stim, q0), trace=True)
+        net_patterns, traces = simulate(netlist, stim, trace=True)
+        diffs = [t != encode_bits(c, model.layer_quantizer(layer))
+                 for layer, (t, c) in enumerate(zip(traces, model_trace))]
+        bad = np.flatnonzero(diffs[-1].any(axis=1))
+        # locate the first diverging node for each of the first mismatching vectors
+        for row in bad[: FAULT_VECTORS - located]:
+            layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
+            faulty.add((layer, int(np.argmax(diffs[layer][row]))))
+        located = min(FAULT_VECTORS, located + len(bad))
+        n_checked, n_mismatches = n_checked + len(stim), n_mismatches + len(bad)
+        if labels is not None:
+            net_codes = decode_bits(net_patterns, model.layer_quantizer(spec.n_layers - 1))
+            net_right += int(np.count_nonzero(labels_from_codes(net_codes) == labels))
+            model_right += int(np.count_nonzero(labels_from_codes(model_codes) == labels))
+            n_labelled += len(labels)
 
     net_acc = mod_acc = None
-    if labels is not None:
-        nd = labels.shape[0]
-        net_codes = decode_bits(net_patterns[:nd], model.layer_quantizer(spec.n_layers - 1))
-        net_acc = float(np.mean(labels_from_codes(net_codes) == labels))
-        mod_acc = float(np.mean(labels_from_codes(model_codes[:nd]) == labels))
-    return EquivalenceReport(n_checked=stim.shape[0], n_mismatches=int(bad.sum()),
+    if dataset is not None and spec.input_count * netlist.input_bits > exhaustive_limit:
+        net_acc, mod_acc = (right / n_labelled if n_labelled else float("nan")
+                            for right in (net_right, model_right))
+    return EquivalenceReport(n_checked=n_checked, n_mismatches=n_mismatches,
                              faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
                              model_accuracy=mod_acc)
+
+
+def _stimuli(netlist: Netlist, model: TrainedModel, dataset, budget: int, seed: int,
+             exhaustive_limit: int):
+    """Yield equivalence_check's input patterns in forward_chunks row chunks,
+    each with its dataset labels or None: every input vector when the input
+    space is within exhaustive_limit bits, else the dataset rows, then
+    budget seeded random vectors."""
+    bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
+    if count * bits <= exhaustive_limit:
+        for rows in forward_chunks(model, 1 << (count * bits)):
+            addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
+            yield decode_address(addrs, bits, count), None
+        return
+    if dataset is not None:
+        for rows in forward_chunks(model, len(dataset.labels)):
+            codes = quantize(dataset.features[rows], q0)
+            yield encode_bits(codes, q0).astype(np.int64), dataset.labels[rows]
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    for rows in forward_chunks(model, budget):
+        yield rng.integers(0, 1 << bits, size=(rows.stop - rows.start, count)), None
 
 
 # ---------------------------------------------------------------------------

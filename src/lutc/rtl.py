@@ -15,9 +15,11 @@ byte-exact.  vectors.hex is replayed through the netlist read back, the
 offline stand-in for running tb.v in a simulator.
 
 The ROM files are written from each layer's (W, 2**N) table array of
-the netlist, each as soon as its text is formatted: the case-arm
-prefixes are built once per layer and shared by its neurons, and only
-the distinct values of the array are formatted (tables.hex_rows).
+the netlist, each as soon as its text is formatted and in slices of
+ROM_SLICE_ARMS case arms, so no whole ROM is ever one string: the
+case-arm prefixes are built once per run of layers of one (address bits,
+output bits) shape and shared by their neurons, and only the distinct
+values of the array are formatted (tables.hex_rows).
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -37,6 +39,9 @@ from .netlist import LutLayer, Netlist, simulate
 from .tables import hex_rows, hex_tokens
 
 
+ROM_SLICE_ARMS = 1 << 12  # case arms formatted into one string per write
+
+
 def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
 
@@ -44,17 +49,24 @@ def _bus(width: int) -> str:
 def _rom_files(netlist: Netlist):
     """Yield the file name and text of each neuron's synchronous ROM module,
     one at a time: a registered output, one case arm per address in the
-    table packing convention, then a default arm."""
+    table packing convention, then a default arm.  The text comes as an
+    iterator of slices of ROM_SLICE_ARMS arms, each joined when it is drawn
+    from one list of parts; that list, with its case-arm prefixes, is built
+    once per run of consecutive layers of one (address bits, output bits)
+    shape.  Draw every slice of a file before drawing the next file."""
+    shape = None
     for layer, lut in enumerate(netlist.layers):
         n, b, size = lut.address_bits, lut.output_bits, lut.tables.shape[1]
-        parts = [None] * (2 + 2 * size)
-        parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h" for addr in range(size)]
-        parts[-1] = _rom_tail(b)
+        if (n, b) != shape:
+            shape, parts = (n, b), [None] * (2 + 2 * size)
+            parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h" for addr in range(size)]
+            parts[-1] = _rom_tail(b)
         for j, values in enumerate(hex_rows(lut.tables, ";\n")):
             name = _module_name(layer, j)
             parts[0] = _rom_head(name, n, b)
             parts[2:-1:2] = values
-            yield f"{name}.v", "".join(parts)
+            yield f"{name}.v", ("".join(parts[start : start + 2 * ROM_SLICE_ARMS])
+                                for start in range(0, len(parts), 2 * ROM_SLICE_ARMS))
 
 
 def _rom_head(name: str, n: int, b: int) -> str:
@@ -210,13 +222,13 @@ def emit_bundle(netlist: Netlist, out_dir) -> list:
     rng = np.random.default_rng(np.random.PCG64(0))
     vectors = rng.integers(0, 1 << netlist.input_bits, size=(64, netlist.input_count))
     written = []
-    for fname, text in itertools.chain(_rom_files(netlist), [
-            ("top.v", emit_top(netlist)), ("tb.v", emit_testbench(netlist)),
-            ("vectors.hex", emit_golden_vectors(netlist, vectors)),
-            ("manifest.txt", _manifest(netlist))]):
+    for fname, slices in itertools.chain(_rom_files(netlist), [
+            ("top.v", [emit_top(netlist)]), ("tb.v", [emit_testbench(netlist)]),
+            ("vectors.hex", [emit_golden_vectors(netlist, vectors)]),
+            ("manifest.txt", [_manifest(netlist)])]):
         written.append(os.path.join(out_dir, fname))
         with open(written[-1], "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(slices)
     return written
 
 

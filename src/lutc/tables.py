@@ -6,8 +6,8 @@ uint32 array, row j the table of neuron j; the netlist holds that array
 as it is, and the dumps and the Verilog ROMs are written from it.  All
 neurons of a layer read the same address space through the same
 quantizer, so a layer is tabulated at once: each chunk of addresses is
-decoded and expanded into monomials once, then weighted by every neuron
-of the layer (model.layer_eval).
+decoded, and each of its monomials formed, once for every neuron of the
+layer (model.layer_eval).
 
 Address packing puts input 0 in the least significant bit slice, input j
 in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
@@ -29,7 +29,7 @@ import re
 
 import numpy as np
 
-from .model import TrainedModel, layer_eval, row_chunks
+from .model import TrainedModel, layer_eval, row_chunks, row_elements
 from .quantize import decode_bits, encode_bits
 
 
@@ -73,7 +73,7 @@ def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> np.ndarray:
         )
     width = spec.layer_widths[layer] if neurons is None else len(neurons)
     entries = np.empty((width, 1 << addr_bits), dtype=np.uint32)
-    for rows in row_chunks(1 << addr_bits, width * len(model.bases[layer])):
+    for rows in row_chunks(1 << addr_bits, row_elements(model.bases[layer], 1, width)):
         addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
         entries[:, rows] = _entries(model, layer, addrs, neurons).T
     return entries

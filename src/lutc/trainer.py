@@ -1,19 +1,20 @@
 """Quantization-aware training of sparse polynomial networks.
 
-Forward per layer: gather masked (dequantized) inputs, expand into the
-monomial basis, weight, batch-normalize, then model.activate: ReLU
-(hidden layers only) and the layer's learned-scale quantizer, which
-rounds once; the straight-through mask is where that rounding needed no
-clamp.  The backward pass is derived by hand: the straight-through
-estimator passes upstream gradients inside the code interval and takes
-the clamped code itself as the scale gradient.
+Forward per layer: gather masked (dequantized) inputs, weigh the
+monomial basis (basis.weighted_expand, which never holds all M terms),
+batch-normalize, then model.activate: ReLU (hidden layers only) and the
+layer's learned-scale quantizer, which rounds once; the straight-through
+mask is where that rounding needed no clamp.  The backward pass is
+derived by hand: the straight-through estimator passes upstream
+gradients inside the code interval and takes the clamped code itself as
+the scale gradient.
 
 Each layer's cache holds its gathered inputs (n, W, F), not its (n, W, M)
-monomials.  Backward expands a layer again just before that layer's
-weight gradient and input gradient, and drops the monomials before it
-moves to the layer below, so at most one layer's expansion is alive.
-expand is deterministic, so the gradients are the bits that cached
-monomials gave; the cost is one more expand per layer and batch.
+monomials.  Backward expands a layer just before that layer's weight
+gradient and input gradient, and drops the monomials before it moves to
+the layer below, so at most one layer's expansion is alive.  expand
+multiplies out the same terms as the forward pass, so the gradients are
+the bits that cached monomials gave.
 
 While training, every trained parameter (all weights, then batch-norm
 gammas, shifts and quantizer scales) lives in one flat float64 vector:
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import expand, expand_vjp, weighted_sum
+from .basis import expand, expand_vjp, weighted_expand, weighted_sum
 from .model import LayerParams, TrainedModel, accuracy, activate
 from .quantize import BatchNormParams, bn_apply, dequantize, quantize
 
@@ -174,7 +175,8 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        z = weighted_sum(_monomials(model, layer, xg, linear), p.weights)
+        z = (weighted_sum(_monomials(model, layer, xg, linear), p.weights) if linear
+             else weighted_expand(xg, model.bases[layer], p.weights))
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if training:  # the operation order of np.mean and np.var

@@ -8,6 +8,7 @@ from lutc.basis import (
     enumerate_basis,
     expand,
     expand_vjp,
+    weighted_expand,
     weighted_sum,
 )
 
@@ -196,3 +197,20 @@ def test_weighted_sum_is_sequential_in_basis_order():
     assert np.array_equal(weighted_sum(m, w), want)
     # monomials shared by every neuron broadcast over the neurons
     assert np.array_equal(weighted_sum(m[:, :1], w), weighted_sum(np.repeat(m[:, :1], 2, 1), w))
+
+
+@pytest.mark.parametrize("fan_in, degree, parents", [(3, 4, 20), (6, 4, 84), (2, 3, 6),
+                                                      (5, 1, 1)])
+def test_parents_are_the_terms_below_the_top_degree(fan_in, degree, parents):
+    basis = enumerate_basis(fan_in, degree)
+    assert basis.parents == parents
+    assert (basis.exponents[:parents].sum(axis=1) < degree).all()
+    assert max(parent for parent, _ in basis.steps) < parents
+
+
+def test_weighted_expand_rejects_mismatched_shapes():
+    basis = enumerate_basis(2, 2)
+    with pytest.raises(ValueError, match="last axis 2"):
+        weighted_expand(np.zeros((3, 1, 3)), basis, np.zeros((2, 6)))
+    with pytest.raises(ValueError, match="6 weights"):
+        weighted_expand(np.zeros((3, 1, 2)), basis, np.zeros((2, 5)))

@@ -142,8 +142,12 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
     (["sweep", "--depths", "2", "--degrees", "1", "--target-k", "1"], "--target-k"),
     (["compile", "--target-k", "1"], "--target-k"),
     (["compile", "--budget", "-5"], "--budget"),
+    (["compile", "--exhaustive-limit", "200"], "--exhaustive-limit"),
+    (["compile", "--exhaustive-limit", "25"], "--exhaustive-limit"),
+    (["compile", "--exhaustive-limit", "-1"], "--exhaustive-limit"),
 ], ids=["train-layers", "sweep-layers", "depths-not-int", "depths-empty", "depth-0",
-        "degrees-trailing-comma", "sweep-target-k", "compile-target-k", "compile-budget"])
+        "degrees-trailing-comma", "sweep-target-k", "compile-target-k", "compile-budget",
+        "exhaustive-limit-200", "exhaustive-limit-over-cap", "exhaustive-limit-negative"])
 def test_bad_option_value_exits_2_before_any_work(pipeline_dirs, tmp_path, capsys,
                                                    argv, option):
     if argv[0] == "compile":
@@ -155,6 +159,13 @@ def test_bad_option_value_exits_2_before_any_work(pipeline_dirs, tmp_path, capsy
     assert e.value.code == EXIT_USAGE
     assert f"error: argument {option}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exhaustive_limit_cap_is_accepted(pipeline_dirs, tmp_path, capsys):
+    # the spiral net has 2 x 4 input bits: the cap checks all 256 vectors
+    assert run(["compile", "--checkpoint", pipeline_dirs / "run" / "checkpoint.npz",
+                "--out", tmp_path / "net", "--exhaustive-limit", "24"]) == EXIT_OK
+    assert "equivalence: 256 vectors, mismatches: 0" in capsys.readouterr().out
 
 
 def test_seed_override_changes_model(tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lutc.model import (
+    CHUNK_ELEMENTS,
     NetworkSpec,
     PROFILES,
     build_masks,
@@ -10,6 +13,7 @@ from lutc.model import (
     labels_from_codes,
     layer_eval,
     load_checkpoint,
+    row_elements,
     save_checkpoint,
     spec_from_profile,
     validate_model,
@@ -210,6 +214,23 @@ def test_layer_eval_shared_codes_match_per_neuron_codes():
     per_neuron = layer_eval(model, 0, np.repeat(codes, 4, axis=1))
     assert np.array_equal(shared, per_neuron)
     assert np.array_equal(layer_eval(model, 0, codes, [3, 1]), shared[:, [3, 1]])
+
+
+def test_layer_eval_holds_less_than_the_monomial_tensor():
+    """One chunk of jsc-xl's per-neuron codes peaks below the bytes of the
+    (rows, W, M) monomial tensor that expanding before weighing built."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1))
+    basis, width = model.bases[1], model.spec.layer_widths[1]
+    rows = CHUNK_ELEMENTS // row_elements(basis, width, width)
+    codes = np.random.default_rng(1).integers(0, 32, size=(rows, width, 3))
+    layer_eval(model, 1, codes[:2])  # warm the basis' cached tables
+    tracemalloc.start()
+    try:
+        layer_eval(model, 1, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * width * len(basis) * 8, (peak, rows)
 
 
 def test_layer_eval_rejects_bad_shape():

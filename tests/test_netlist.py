@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lutc.model import NetworkSpec, eval_codes, init_model, spec_from_profile
+import lutc.model as model_mod
+from lutc.model import (NetworkSpec, eval_codes, forward_codes, init_model,
+                        labels_from_codes, spec_from_profile)
 from lutc.netlist import (
+    EXHAUSTIVE_CAP_BITS,
+    EquivalenceReport,
     Netlist,
     build_netlist,
     equivalence_check,
@@ -13,8 +19,9 @@ from lutc.netlist import (
     save_netlist,
     simulate,
 )
-from lutc.quantize import encode_bits, quantize
-from lutc.tables import tabulate_model
+from lutc.quantize import decode_bits, encode_bits, quantize
+from lutc.tables import decode_address, tabulate_model
+from lutc.trainer import init_scales
 
 
 def n_nodes(net):
@@ -178,6 +185,94 @@ def test_equivalence_random_path_reports_accuracy():
     assert rep.n_checked == tr.n + 500
     assert rep.ok
     assert rep.netlist_accuracy == rep.model_accuracy  # same argmax when exact
+
+
+def whole_array_equivalence(netlist, model, dataset=None, budget=10000, seed=0,
+                            exhaustive_limit=20):
+    """equivalence_check with every stimulus and both full traces in memory
+    at once: the reference the streamed check must reproduce."""
+    bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
+    patterns, labels = [], None
+    if count * bits <= exhaustive_limit:
+        patterns.append(decode_address(np.arange(1 << (count * bits)), bits, count))
+    else:
+        if dataset is not None:
+            patterns.append(encode_bits(quantize(dataset.features, q0), q0).astype(np.int64))
+            labels = dataset.labels
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        patterns.append(rng.integers(0, 1 << bits, size=(budget, count)))
+    stim = np.concatenate(patterns)
+    model_codes, model_trace = forward_codes(model, decode_bits(stim, q0), trace=True)
+    net_patterns, traces = simulate(netlist, stim, trace=True)
+    diffs = [t != encode_bits(c, model.layer_quantizer(layer))
+             for layer, (t, c) in enumerate(zip(traces, model_trace))]
+    bad = diffs[-1].any(axis=1)
+    faulty = set()
+    for row in np.flatnonzero(bad)[:64]:
+        layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
+        faulty.add((layer, int(np.argmax(diffs[layer][row]))))
+    net_acc = mod_acc = None
+    if labels is not None:
+        out_q = model.layer_quantizer(model.spec.n_layers - 1)
+        net_labels = labels_from_codes(decode_bits(net_patterns[: len(labels)], out_q))
+        net_acc = float(np.mean(net_labels == labels))
+        mod_acc = float(np.mean(labels_from_codes(model_codes[: len(labels)]) == labels))
+    return EquivalenceReport(n_checked=len(stim), n_mismatches=int(bad.sum()),
+                             faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
+                             model_accuracy=mod_acc)
+
+
+def faulty_spiral_netlist():
+    """A calibrated 4-bit two-input net whose layer-0 tables are wrong at
+    about a fifth of their entries, so that only some vectors mismatch."""
+    model, _, net = compiled(layer_widths=(6, 4, 2), beta=4, input_beta=5)
+    init_scales(model, np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 2)))
+    net = build_netlist(model, tabulate_model(model))
+    rng, tables = np.random.default_rng(5), net.layers[0].tables
+    flip = rng.random(tables.shape) < 0.2
+    tables[flip] = rng.integers(0, 16, size=int(flip.sum()))
+    return model, net
+
+
+@pytest.mark.parametrize("chunk", [1 << 19, 200], ids=["default-chunks", "small-chunks"])
+@pytest.mark.parametrize("mode", ["exhaustive", "dataset", "random"])
+def test_streamed_equivalence_matches_whole_array_reference(monkeypatch, chunk, mode):
+    from lutc.data import gen_spirals, split_normalize
+    model, net = faulty_spiral_netlist()
+    ds = split_normalize(gen_spirals(300, seed=2), 0.5, seed=2)[0] if mode == "dataset" else None
+    kwargs = dict(dataset=ds, budget=3000, seed=7,
+                  exhaustive_limit=10 if mode == "exhaustive" else 4)
+    want = whole_array_equivalence(net, model, **kwargs)
+    monkeypatch.setattr(model_mod, "CHUNK_ELEMENTS", chunk)
+    got = equivalence_check(net, model, **kwargs)
+    assert got == want
+    assert 64 < got.n_mismatches < got.n_checked  # the fault reports stop at 64 vectors
+    if mode == "dataset":
+        assert got.netlist_accuracy is not None and got.model_accuracy is not None
+        assert got.n_checked == ds.n + 3000
+
+
+def test_equivalence_memory_is_flat_in_budget():
+    """The stimuli stream through in row chunks: 25 times the random
+    vectors need no more than 1.2 times the memory."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    init_scales(model, np.random.default_rng(1).uniform(-1.0, 1.0, size=(128, 16)))
+    net = build_netlist(model, tabulate_model(model))
+    peaks = []
+    for budget in (2_000, 50_000):
+        tracemalloc.start()
+        try:
+            assert equivalence_check(net, model, budget=budget).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_equivalence_rejects_exhaustive_limit_over_cap():
+    model, _, net = compiled()
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        equivalence_check(net, model, exhaustive_limit=EXHAUSTIVE_CAP_BITS + 1)
 
 
 # ---------------------------------------------------------------------------

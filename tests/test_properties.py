@@ -1,5 +1,6 @@
 """Property tests: invariances of the layer-wise inference path and of
-netlist simulation, the training forward pass against that path, round
+netlist simulation, the training forward pass against that path, the
+fused weighted expansion and expand_vjp's summation order, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, the
 RTL checker's read-back of emitted and edited bundle files, and the
@@ -11,12 +12,12 @@ import tempfile
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lutc.model as model_mod
 import lutc.rtl as rtl_mod
-from lutc.basis import enumerate_basis, expand
+from lutc.basis import enumerate_basis, expand, expand_vjp, weighted_expand, weighted_sum
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
 from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
@@ -87,6 +88,53 @@ def test_expand_matches_power_reference_on_integers(fan_in, degree, seed):
     # integer-valued products below 2**53 are exact whatever the order
     want = np.prod(x[:, None, :] ** basis.exponents[None, :, :], axis=2)
     assert np.array_equal(expand(x, basis), want)
+
+
+def bits_of(a):
+    """The float64 bit patterns of a, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def awkward_floats(rng, shape):
+    """Normal values at a random scale, with some signed zeros."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+@SETTINGS
+@given(fan_in=st.integers(1, 6), degree=st.integers(1, 5), width=st.integers(1, 5),
+       n=st.integers(0, 12), shared=st.booleans(), seed=st.integers(0, 2**16))
+@example(fan_in=3, degree=1, width=4, n=5, shared=False, seed=0)
+@example(fan_in=2, degree=3, width=3, n=0, shared=True, seed=0)
+def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, n, shared, seed):
+    basis = enumerate_basis(fan_in, degree)
+    rng = np.random.default_rng(seed)
+    x = awkward_floats(rng, (n, 1 if shared else width, fan_in))
+    w = awkward_floats(rng, (width, len(basis)))
+    got = weighted_expand(x, basis, w)
+    assert got.shape == (n, width)
+    assert np.array_equal(bits_of(got), bits_of(weighted_sum(expand(x, basis), w)))
+
+
+@SETTINGS
+@given(fan_in=st.integers(1, 6), degree=st.integers(1, 5), n=st.integers(1, 6),
+       width=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_expand_vjp_adds_terms_in_basis_order(fan_in, degree, n, width, seed):
+    """For n * W > 1, entry j of expand_vjp is a zeroed sum that adds
+    (dm_i * m_parent) * e_ij one term at a time in basis order (einsum's
+    dot path at n * W == 1 may round otherwise; see its docstring)."""
+    assume(n * width > 1)
+    basis = enumerate_basis(fan_in, degree)
+    rng = np.random.default_rng(seed)
+    m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
+    dm = awkward_floats(rng, m.shape)
+    want = np.zeros((n, width, fan_in))
+    for j, (terms, parents, exps) in enumerate(basis.vjp_terms):
+        for i, parent, e in zip(terms, parents, exps):
+            want[..., j] += (dm[..., i] * m[..., parent]) * float(e)
+    assert np.array_equal(bits_of(expand_vjp(m, dm, basis)), bits_of(want))
 
 
 @SETTINGS
