@@ -183,7 +183,10 @@ def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.nd
     """weighted_sum(expand(x, basis), w), bit for bit, without the monomials.
 
     x is (..., K, F) with K the neuron count W of w (W, M), or 1 when all
-    neurons share their inputs; the result is (..., W).  Each term is
+    neurons share their inputs; the result is (..., W).  The terms read
+    the (M, W) transpose of w, which is copied unless w is in Fortran
+    order: a caller that runs many chunks transposes once and passes
+    that (model.layer_eval does).  Each term is
     multiplied out as expand does and its weighted value added at once,
     in basis order.  Only the basis.parents terms of degree < D are kept,
     so the memory per row of x is parents + F floats per code row plus a

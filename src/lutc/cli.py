@@ -324,6 +324,18 @@ def _ints(least: int, many: bool = False, most: int | None = None):
     return parse
 
 
+def _out_dir(text: str) -> str:
+    """An argparse type: a directory to write into, or one that can be
+    made; a path that is, or runs through, an existing file exits 2 before
+    the command runs."""
+    probe = os.path.abspath(text)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise argparse.ArgumentTypeError(f"{probe} exists and is not a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lutc",
@@ -345,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train a model and write a checkpoint")
     common(sp)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("compile",
                         help="tabulate, build + verify the netlist, report costs")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--budget", type=_ints(0), default=10000,
                     help="random vectors when exhaustive checking is infeasible")
     sp.add_argument("--exhaustive-limit", type=_ints(0, most=EXHAUSTIVE_CAP_BITS),
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("emit", help="emit the Verilog bundle from a compiled netlist")
     sp.add_argument("--netlist", required=True, help="directory written by compile")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.set_defaults(func=cmd_emit)
 
     sp = sub.add_parser("sweep", help="train a depth x degree grid and report fronts")
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list, e.g. 2,3,4,5")
     sp.add_argument("--degrees", required=True, type=_ints(1, many=True),
                     help="comma list, e.g. 1,2,3")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", required=True, type=_out_dir)
     sp.add_argument("--target-k", type=_ints(2), default=6, dest="target_k")
     sp.set_defaults(func=cmd_sweep)
     return p

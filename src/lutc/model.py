@@ -293,7 +293,8 @@ def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
     codes in mask order; (n, 1, F) codes are shared by all W neurons."""
     p = model.params[layer]
     sel = slice(None) if neurons is None else np.asarray(neurons, dtype=np.int64)
-    w = p.weights[sel]
+    # transposed once per call: in Fortran order, w.T is what weighted_expand reads
+    w = np.asfortranarray(p.weights[sel])
     width = w.shape[0]
     codes, fan = np.asarray(codes, dtype=np.int64), model.spec.layer_fan_in(layer)
     if codes.ndim != 3 or codes.shape[1] not in (1, width) or codes.shape[2] != fan:

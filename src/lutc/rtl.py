@@ -4,15 +4,19 @@ testbench for external HDL simulators, and a self-checker that needs no
 external tools.
 
 The checker reads the emitted files back into a netlist: every ROM's case
-arms into its table (numpy over the ASCII bytes of each module, a window
-of lines at a time, the canonical hex tokens through tables.hex_tokens,
-the reader of the table dumps; arm i must carry address i and every
-value must fit the width, which bounds their digits), and the sources
-and output slice of every instance from top.v.  Those tables must equal
-the netlist's and match the manifest digests, the wiring must follow the
-masks, and each ROM's text around its arms, top.v and tb.v must be
-byte-exact.  vectors.hex is replayed through the netlist read back, the
-offline stand-in for running tb.v in a simulator.
+arms into its table, and the sources and output slice of every instance
+from top.v.  A ROM is read as bytes with numpy: its newlines are found
+once, which counts the arms, and then arm i must be exactly the bytes its
+address gives, `            {n}'h<i in hex>: data <= {b}'h`, followed by
+a value token and ';'.  The bytes before the value are compared as 8-byte
+words, i's hex digits against a table the checker builds for the address
+width; only the value is parsed, through tables.hex_tokens, the reader of
+the table dumps, and it must fit the width.  The first bad arm in file
+order is named.  The tables read back must equal the netlist's and match
+the manifest digests, the wiring must follow the masks, and each ROM's
+text around its arms, top.v and tb.v must be byte-exact.  vectors.hex is
+replayed through the netlist read back, the offline stand-in for running
+tb.v in a simulator.
 
 The ROM files are written from each layer's (W, 2**N) table array of
 the netlist, each as soon as its text is formatted and in slices of
@@ -239,8 +243,14 @@ _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
 _INSTANCE_RE = re.compile(
     r"^ *(\w+) u_(\w+) \(\.clk\(clk\), \.addr\((\w+)_addr\), \.data\(([^()]*)\)\);$", re.M)
 _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
-_DEFAULT_ARM = "\n            default:"
-_WINDOW = 1 << 18  # bytes of case arms read at once: bounds the temporary arrays
+_DEFAULT_ARM = b"\n            default:"
+_WINDOW = 1 << 18  # bytes of case arms checked at once: bounds the per-line arrays
+# zero bytes after a ROM: the reads of an arm line, even a short or bad one,
+# end at most 40 bytes past its start (a 16-byte prefix, 8 address digits,
+# then a 16-byte record from the infix on)
+_PAD = 40
+_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_TOKEN = rb"(0|[1-9a-f][0-9a-f]{0,14})"  # a token that hex_tokens reads as canonical
 
 
 def check_bundle(out_dir, netlist: Netlist) -> list:
@@ -249,16 +259,19 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     top.v, tb.v, manifest.txt or vectors.hex at fault.
 
     Each file is read when its check needs it, without newline translation.
-    Every ROM must begin and end with the emitted text, and its case arms
-    must follow the emitted template, one arm per address in address order,
-    each address and value a canonical hex token.  The values read back
-    must equal the netlist's tables, and manifest.txt must list their
-    sha256 digests.  Each instance's address concatenation and .data slice
-    are read back from top.v and must follow the masks, and top.v and tb.v
-    must be exactly what emit_top and emit_testbench write.  A layer*_n*.v
-    file the netlist does not name is reported.  The ROMs and wiring read
-    back form a netlist, and every vectors.hex line is replayed through it:
-    the offline stand-in for running tb.v.
+    Every ROM must begin and end with the emitted text.  It must hold one
+    case arm per address, in address order, and arm i must be exactly the
+    emitted arm of address i with a value that is a canonical hex token
+    below 2**output_bits; the first arm in the file that is not is named,
+    as an arm of another address when it is well formed, else as
+    malformed.  The values read back must equal the netlist's tables, and
+    manifest.txt must list their sha256 digests.  Each instance's address
+    concatenation and .data slice are read back from top.v and must follow
+    the masks, and top.v and tb.v must be exactly what emit_top and
+    emit_testbench write.  A layer*_n*.v file the netlist does not name is
+    reported.  The ROMs and wiring read back form a netlist, and every
+    vectors.hex line is replayed through it: the offline stand-in for
+    running tb.v.
     """
     problems = []
 
@@ -277,16 +290,20 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(top or "")}
     instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(top or "")}
     layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
+    address_bits = None
     for layer, lut in enumerate(netlist.layers):
         n, b = lut.address_bits, lut.output_bits
+        if n != address_bits:  # one address table alive at a time
+            address_bits, addresses = n, None
+            addresses = _address_words(n)
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
         # the read-back tables share the netlist's until a ROM reads back differently
         tables, sources = lut.tables, np.empty_like(lut.sources)
         complete = top is not None  # an unreadable top.v is one problem, not one per module
         for j in range(lut.width):
             name = _module_name(layer, j)
-            text = read(f"{name}.v")
-            values = None if text is None else _read_rom(name, text, n, b, problems)
+            values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, addresses,
+                               problems)
             complete &= values is not None
             if values is not None and not np.array_equal(values, lut.tables[j]):
                 diff = np.flatnonzero(values != lut.tables[j])
@@ -322,95 +339,144 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     return problems
 
 
-def _read_rom(name: str, text: str, n: int, b: int, problems: list):
-    """The table read back from a ROM module, or None (with a problem) if
-    it cannot be read."""
-    head = _rom_head(name, n, b)
-    if not text.startswith(head):
-        problems += _first_difference(name, text[:len(head)], head)
+def _read_rom(path, name: str, n: int, b: int, addresses: tuple, problems: list):
+    """The table read back from a ROM module file, or None (with a problem)
+    if it cannot be read; addresses is _address_words(n)."""
+    prefix, infix = f"            {n}'h".encode(), f": data <= {b}'h".encode()
+    try:
+        data = _read_padded(path, _PAD)
+    except OSError as e:
+        problems.append(f"{name}.v: cannot read: {e}")
         return None
-    if not text.endswith("\n" + _rom_tail(b)):
+    size, head = len(data) - _PAD, _rom_head(name, n, b)
+    if not data.startswith(head.encode(), 0, size):
+        got = data[:min(len(head), size)].decode("utf-8", "backslashreplace")
+        problems += _first_difference(name, got, head)
+        return None
+    if not data.endswith(b"\n" + _rom_tail(b).encode(), 0, size):
         problems.append(f"{name}: does not end with the default arm and endmodule")
-    values = _read_arms(text, len(head), n, b)
+    values = _read_arms(data, len(head), size, prefix, infix, b, addresses)
     if isinstance(values, str):
         problems.append(f"{name}: {values}")
         return None
     return values
 
 
-def _read_arms(text: str, start: int, n: int, b: int):
+def _read_padded(path, pad: int) -> bytearray:
+    """A file's bytes followed by pad zero bytes, read into one buffer."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        data = bytearray(size + pad)
+        if f.readinto(memoryview(data)[:size]) != size:
+            raise OSError(f"{path}: the file changed size while it was read")
+    return data
+
+
+def _address_words(n: int) -> tuple:
+    """For each address i of an n-bit ROM (n <= 32), the 8 bytes of its
+    case arm after the prefix, as one little-endian word: i's canonical hex
+    digits, then the first bytes of ': data <= ...'; and its digit count.
+    2**n words and 2**n uint8 counts, filled a digit count at a time by
+    broadcasting the hex digits, so no 2**n-entry index array is made."""
+    size = 1 << n
+    text = np.empty((size, 8), dtype=np.uint8)
+    digits = np.empty(size, dtype=np.uint8)
+    lo = 0
+    for d in range(1, 9):
+        hi, block = min(size, 16 ** d), 16 ** (d - 1)
+        if lo >= hi:
+            break
+        # addresses lo..hi of d digits, one axis per digit, the leading one first
+        group = text[lo:hi].reshape((-1,) + (16,) * (d - 1) + (8,))
+        group[..., 0] = _HEX_CHARS[lo // block:hi // block].reshape((-1,) + (1,) * (d - 1))
+        for k in range(1, d):
+            group[..., k] = _HEX_CHARS.reshape((16,) + (1,) * (d - 1 - k))
+        text[lo:hi, d:] = np.frombuffer(b": data <"[:8 - d], dtype=np.uint8)
+        digits[lo:hi] = d
+        lo = hi
+    return text.view("<u8")[:, 0], digits
+
+
+def _read_arms(data: bytearray, start: int, size: int, prefix: bytes, infix: bytes, b: int,
+               addresses: tuple):
     """A ROM's case-arm values in address order, or what prevents reading
-    them; the arms begin at start.  They are read as ASCII bytes, a window
-    of whole lines at a time: the lines end at the newlines, each holds one
-    ':', and around its address and value hex tokens lie the template's
-    fixed bytes."""
-    stop = text.rfind(_DEFAULT_ARM, start - 1) + 1
+    them; the arms begin at start, and data holds the file's size bytes and
+    zero padding.  The newlines of the arms are found once, which counts
+    them.  Then arm i must be exactly the bytes its address gives: prefix,
+    i's canonical hex digits, infix, a canonical hex token below 2**b
+    (through tables.hex_tokens) and ';'.  That is checked a window of lines
+    at a time, and only the first bad arm in file order is parsed, to say
+    what is wrong with it."""
+    stop = data.rfind(_DEFAULT_ARM, start - 1, size) + 1
     if stop < start:
         return "missing default arm"
-    count = text.count("\n", start, stop)
-    if count != 1 << n:
-        return f"{count} case arms, expected {1 << n}"
-    prefix, infix = f"            {n}'h".encode(), f": data <= {b}'h".encode()
-    # padding keeps every fixed-offset read of a short or bad line in bounds
-    pad = "\0" * (len(prefix) + len(infix) + 16)
-    values = np.empty(count, dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf[start:stop] == ord("\n"))
+    ends += start
+    addr_words, addr_digits = addresses
+    if len(ends) != len(addr_words):
+        return f"{len(ends)} case arms, expected {len(addr_words)}"
+    values = np.empty(len(ends), dtype=np.uint32)
     first = 0
-    while start < stop:
-        cut = text.find("\n", min(start + _WINDOW, stop) - 1, stop) + 1
-        try:
-            buf = np.frombuffer((text[start:cut] + pad).encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError:
-            return "non-ASCII case arms"
-        ends = np.flatnonzero(buf[:cut - start] == ord("\n"))
-        fault = _parse_arms(buf, first, ends, prefix, infix, n, b,
-                            values[first:first + len(ends)])
-        if fault:
-            return fault
-        first, start = first + len(ends), cut
+    while first < len(ends):
+        line = int(ends[first - 1]) + 1 if first else start
+        last = min(int(np.searchsorted(ends, line + _WINDOW - 1)) + 1, len(ends))
+        window, ok = _check_arms(buf, line, ends[first:last], prefix, infix, b,
+                                 addr_words[first:last], addr_digits[first:last])
+        if not ok.all():
+            i = first + int(np.argmin(ok))
+            begin = int(ends[i - 1]) + 1 if i else start
+            return _bad_arm(bytes(data[begin:ends[i]]), i, prefix, infix, b)
+        values[first:last] = window
+        first = last
     return values
 
 
-def _parse_arms(buf: np.ndarray, first: int, ends: np.ndarray, prefix: bytes, infix: bytes,
-                n: int, b: int, out: np.ndarray) -> str:
-    """Parse the arm lines of buf, which end at ends, into out, the values
-    of addresses first onwards; returns what is wrong with the first bad
-    line, or ''."""
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    colons = np.flatnonzero(buf[:ends[-1]] == ord(":"))
-    if len(colons) != len(ends) or (colons > ends).any() or (colons < starts).any():
-        once = np.diff(np.searchsorted(colons, ends), prepend=0) == 1
-        return _bad_arm(buf, first, starts, ends, once)
-    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-    addr_start, value_start = starts + len(prefix), colons + len(infix)
-    addr_len, value_len = colons - addr_start, ends - 1 - value_start
-    addrs, ok = hex_tokens(buf, addr_start, addr_len)
-    values, value_ok = hex_tokens(buf, value_start, value_len)
-    ok &= (value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
-           & _template_at(words, starts, prefix) & _template_at(words, colons, infix))
-    if not ok.all():
-        return _bad_arm(buf, first, starts, ends, ok)
-    wrong = np.flatnonzero(addrs != np.arange(first, first + len(ends)))
-    if len(wrong):
-        i = first + wrong[0]
-        return f"case arm {i} has address {addrs[wrong[0]]:x}, expected {i:x}"
-    out[:] = values
-    return ""
+def _check_arms(buf: np.ndarray, line: int, ends: np.ndarray, prefix: bytes, infix: bytes,
+                b: int, addr_words: np.ndarray, addr_digits: np.ndarray) -> tuple:
+    """The values of the arm lines that begin at line and end at ends, and
+    whether each line is exactly its arm.  Each line is read as two records
+    of 8-byte words: the 16 bytes before its address (the newline that ends
+    the line before, then the prefix of 15 or 16 bytes) and the address word
+    of _address_words; then from the infix on, two words, the bytes past the
+    infix masked off.  The value token follows the infix, and ';' ends the
+    line."""
+    lead, tail = _words_of((b"\n" + prefix)[-16:]), _words_of(infix)
+    at = np.empty_like(ends)
+    at[0], at[1:] = line, ends[:-1] + 1
+    at += len(prefix) - 16
+    words = _words_at(buf, at, 3)
+    ok = (words[:, 0] == lead[0]) & (words[:, 1] == lead[1]) & (words[:, 2] == addr_words)
+    at += 16 + addr_digits
+    words = _words_at(buf, at, 2)
+    mask = (1 << 8 * (len(infix) - 8)) - 1  # the infix's bytes in its second word
+    ok &= (words[:, 0] == tail[0]) & ((words[:, 1] & mask) == tail[1])
+    at += len(infix)
+    values, value_ok = hex_tokens(buf, at, ends - 1 - at)
+    ok &= value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
+    return values, ok
 
 
-def _template_at(words: np.ndarray, starts: np.ndarray, template: bytes) -> np.ndarray:
-    """Whether template (8 bytes or more) begins at each start, compared as
-    8-byte words; words holds the little-endian word at each byte offset."""
-    ok = np.ones(len(starts), dtype=bool)
-    for k in sorted({*range(0, len(template) - 8, 8), len(template) - 8}):
-        ok &= words[starts + k] == int.from_bytes(template[k:k + 8], "little")
-    return ok
+def _words_of(template: bytes) -> list:
+    """template as little-endian 8-byte words, the last one zero-padded."""
+    return [int.from_bytes(template[k:k + 8], "little") for k in range(0, len(template), 8)]
 
 
-def _bad_arm(buf: np.ndarray, first: int, starts: np.ndarray, ends: np.ndarray,
-             ok: np.ndarray) -> str:
-    i = int(np.argmin(ok))
-    return f"case arm {first + i} is malformed: {buf[starts[i]:ends[i]].tobytes().decode()!r}"
+def _words_at(buf: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
+    """The count little-endian 8-byte words that begin at each offset of
+    at, one row per offset, gathered as one record each."""
+    records = np.ndarray((len(buf) - 8 * count + 1,), dtype=f"V{8 * count}", buffer=buf,
+                         strides=(1,))
+    return records[at].view("<u8").reshape(len(at), count)
+
+
+def _bad_arm(line: bytes, i: int, prefix: bytes, infix: bytes, b: int) -> str:
+    """What is wrong with arm i's line: a well-formed arm of another
+    address, or a malformed line."""
+    m = re.fullmatch(re.escape(prefix) + _TOKEN + re.escape(infix) + _TOKEN + b";", line)
+    if m and int(m[2], 16) < 1 << b:
+        return f"case arm {i} has address {m[1].decode()}, expected {i:x}"
+    return f"case arm {i} is malformed: {line.decode('utf-8', 'backslashreplace')!r}"
 
 
 def _slice_index(text: str, bus: str, bits: int, count: int) -> int:

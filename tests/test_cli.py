@@ -161,6 +161,29 @@ def test_bad_option_value_exits_2_before_any_work(pipeline_dirs, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "inside-file"])
+@pytest.mark.parametrize("command", ["train", "compile", "emit", "sweep"])
+def test_out_through_a_file_exits_2_before_any_work(pipeline_dirs, tmp_path, capsys,
+                                                    monkeypatch, command, inside):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for loader in ("load_dataset", "load_checkpoint", "load_netlist"):
+        monkeypatch.setattr(f"lutc.cli.{loader}", no_work)
+    argv = {"train": ["--config", write_config(tmp_path)],
+            "compile": ["--checkpoint", pipeline_dirs / "run" / "checkpoint.npz"],
+            "emit": ["--netlist", pipeline_dirs / "net"],
+            "sweep": ["--config", write_config(tmp_path), "--depths", "2", "--degrees", "1"]}
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as e:
+        run([command] + argv[command] + ["--out", taken / "sub" if inside else taken])
+    assert e.value.code == EXIT_USAGE
+    assert (f"error: argument --out: {taken} exists and is not a directory"
+            in capsys.readouterr().err)
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
 def test_exhaustive_limit_cap_is_accepted(pipeline_dirs, tmp_path, capsys):
     # the spiral net has 2 x 4 input bits: the cap checks all 256 vectors
     assert run(["compile", "--checkpoint", pipeline_dirs / "run" / "checkpoint.npz",

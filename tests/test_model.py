@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lutc.model as model_mod
 from lutc.model import (
     CHUNK_ELEMENTS,
     NetworkSpec,
@@ -231,6 +232,38 @@ def test_layer_eval_holds_less_than_the_monomial_tensor():
     finally:
         tracemalloc.stop()
     assert peak < rows * width * len(basis) * 8, (peak, rows)
+
+
+def test_wide_layer_chunks_weigh_within_their_element_budget(monkeypatch):
+    """On a layer as wide as nid-lite's layer 0 (686 neurons of 330 terms,
+    1.8 MB of weights), a chunk is a few rows, and its weighted expansion
+    stays within CHUNK_ELEMENTS * 8 bytes: layer_eval transposes the
+    weights once per call, so no chunk copies them."""
+    spec = NetworkSpec(layer_widths=[686, 1], beta=2, fan_in=7, degree=4, input_count=49,
+                       input_beta=1, seed=1)
+    model = init_model(spec)
+    basis, width = model.bases[0], spec.layer_widths[0]
+    rows = CHUNK_ELEMENTS // row_elements(basis, width, width)
+    assert rows < 8 and width * len(basis) * 8 > CHUNK_ELEMENTS * 8 // 4
+    codes = np.random.default_rng(1).integers(-1, 1, size=(3 * rows, width, 7))
+    want = layer_eval(model, 0, codes)
+    kernel, peaks = model_mod.weighted_expand, []
+
+    def measured(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        z = kernel(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return z
+
+    monkeypatch.setattr(model_mod, "weighted_expand", measured)
+    tracemalloc.start()
+    try:
+        got = layer_eval(model, 0, codes)
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert len(peaks) == 3 and max(peaks) <= CHUNK_ELEMENTS * 8, peaks
 
 
 def test_layer_eval_rejects_bad_shape():

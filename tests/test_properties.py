@@ -3,11 +3,13 @@ netlist simulation, the training forward pass against that path, the
 fused weighted expansion and expand_vjp's summation order, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, the
-RTL checker's read-back of emitted and edited bundle files, and the
-trainer's gradient scatter against np.add.at."""
+RTL checker's read-back of emitted and edited bundle files and of
+edited case arms against a per-line reader, and the trainer's gradient
+scatter against np.add.at."""
 
 import os
 import pathlib
+import re
 import tempfile
 from contextlib import contextmanager
 
@@ -548,3 +550,71 @@ def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind, window):
         blamed = edit_bundle(out, net, kind, np.random.default_rng(seed))
         problems = check_bundle(out, net)
     assert any(p.startswith(f"{blamed}: ") for p in problems), problems
+
+
+def reference_arms(text, n, b):
+    """A per-line reader of a ROM's case arms: each line between the head
+    and the default arm must be the whole arm template with canonical hex
+    tokens of at most 15 digits, address i on line i and a value below
+    2**b.  Returns the values, or the message for the first bad arm."""
+    body = text[text.index("case (addr)\n") + 12:text.rindex("\n            default:") + 1]
+    lines = body.split("\n")[:-1]
+    if len(lines) != 1 << n:
+        return f"{len(lines)} case arms, expected {1 << n}"
+    token = "(0|[1-9a-f][0-9a-f]{0,14})"
+    arm = re.compile(f" {{12}}{n}'h{token}: data <= {b}'h{token};")
+    values = []
+    for i, line in enumerate(lines):
+        m = arm.fullmatch(line)
+        if not m or int(m[2], 16) >= 1 << b:
+            return f"case arm {i} is malformed: {line!r}"
+        if int(m[1], 16) != i:
+            return f"case arm {i} has address {m[1]}, expected {i:x}"
+        values.append(int(m[2], 16))
+    return values
+
+
+def edit_arm_lines(text, kind, rng):
+    """One edit of the given kind to the case arms of a ROM's text."""
+    lines = text.split("\n")
+    arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
+    a, c = sorted(int(i) for i in rng.choice(arms, size=2, replace=False))
+    if kind == "substitute":
+        k = int(rng.integers(len(lines[a])))
+        new = str(rng.choice(list("0179afgAF:; \t\n\u00e9\u0663")))
+        lines[a] = lines[a][:k] + new + lines[a][k + 1:]
+    elif kind == "leading-zero":
+        k = (lines[a].index("'h") if rng.random() < 0.5 else lines[a].rindex("'h")) + 2
+        lines[a] = lines[a][:k] + "0" + lines[a][k:]
+    elif kind == "delete":
+        del lines[a]
+    elif kind == "duplicate":
+        lines.insert(a, lines[a])
+    else:
+        lines[a], lines[c] = lines[c], lines[a]
+    return "\n".join(lines)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 11), b=st.integers(1, 12),
+       kind=st.sampled_from(["substitute", "leading-zero", "delete", "duplicate", "swap"]),
+       window=st.sampled_from([1, 37, rtl_mod._WINDOW]))
+@example(seed=0, n=4, b=4, kind="swap", window=1)
+@example(seed=1, n=10, b=10, kind="substitute", window=rtl_mod._WINDOW)
+def test_check_bundle_reads_arms_as_a_per_line_reference_does(seed, n, b, kind, window):
+    rng = np.random.default_rng(seed)
+    layer = LutLayer(tables=rng.integers(0, 1 << b, size=(1, 1 << n)).astype(np.uint32),
+                     sources=np.arange(n)[None], output_bits=b)
+    net = Netlist(input_count=n, input_bits=1, layers=[layer], clock_period_ns=1.0)
+    with tempfile.TemporaryDirectory() as out, rtl_window(window):
+        emit_bundle(net, out)
+        path = pathlib.Path(out, "layer0_n0.v")
+        edit_file(path, lambda text: edit_arm_lines(text, kind, rng))
+        got = [p for p in check_bundle(out, net) if p.startswith("layer0_n0: ")]
+        want = reference_arms(path.read_bytes().decode("utf-8"), n, b)
+    if isinstance(want, str):
+        assert got == [f"layer0_n0: {want}"]
+    else:
+        diff = np.flatnonzero(np.array(want) != layer.tables[0])
+        assert got == ([f"layer0_n0: {len(diff)} case arm values differ from the netlist "
+                        f"table, first at address {diff[0]:x}"] if len(diff) else [])

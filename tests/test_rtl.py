@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lutc.rtl as rtl
 from lutc.model import NetworkSpec, init_model
 from lutc.netlist import LutLayer, Netlist, build_netlist, simulate
 from lutc.rtl import (
@@ -401,3 +404,45 @@ def test_checker_reports_missing_top_once(tmp_path):
     (tmp_path / "top.v").unlink()
     problems = check_bundle(tmp_path, net)
     assert len(problems) == 1 and problems[0].startswith("top.v: cannot read: "), problems
+
+
+@pytest.mark.parametrize("window", [1, 37, rtl._WINDOW])
+def test_checker_blames_the_first_bad_arm_at_every_window(tmp_path, monkeypatch, window):
+    # arms 3 and 4 swapped, and arm 9 without its ';': arm 3 is the first bad one
+    _, net = compiled(layer_widths=(1,))  # 4 address bits
+    emit_bundle(net, tmp_path)
+
+    def edit(text):
+        lines, arms = arm_lines(text)
+        lines[arms[3]], lines[arms[4]] = lines[arms[4]], lines[arms[3]]
+        lines[arms[9]] = lines[arms[9]].replace(";", ",")
+        return "\n".join(lines)
+
+    edit_file(tmp_path / "layer0_n0.v", edit)
+    monkeypatch.setattr(rtl, "_WINDOW", window)
+    assert check_bundle(tmp_path, net) == ["layer0_n0: case arm 3 has address 4, expected 3"]
+
+
+def test_checker_memory_is_bounded_on_wide_roms(tmp_path):
+    # 2**15-arm ROMs: the address table is 2**15 words and 2**15 digit
+    # counts, built without 2**15-entry index arrays, and the check holds
+    # under three times the bytes of one ROM file
+    rng = np.random.default_rng(0)
+    layer = LutLayer(tables=rng.integers(0, 32, size=(2, 1 << 15)).astype(np.uint32),
+                     sources=np.array([[0, 1, 2], [2, 1, 0]]), output_bits=5)
+    net = Netlist(input_count=3, input_bits=5, layers=[layer], clock_period_ns=1.0)
+    emit_bundle(net, tmp_path)
+    rom_bytes = (tmp_path / "layer0_n0.v").stat().st_size
+    tracemalloc.start()
+    try:
+        words, digits = rtl._address_words(15)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        del words, digits
+        tracemalloc.reset_peak()
+        problems = check_bundle(tmp_path, net)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems == []
+    assert table_peak <= 9 * (1 << 15) + 4096, table_peak
+    assert check_peak < 3 * rom_bytes, (check_peak, rom_bytes)
