@@ -18,11 +18,18 @@ gather of computed terms.  No power is taken.
 
 A neuron's value is sum_i w_i * m_i, summed term by term in basis order
 with elementwise multiply-adds, so that it depends on neither the batch
-size nor the BLAS kernel.  weighted_expand forms each term and adds its
-weighted value in the same step, keeping only the terms of degree < D
-(the only parents); it gives the bits of weighted_sum(expand(x), w)
-without the (..., M) monomial array.  The inference path and the training
-forward use it; backward, which needs every term, calls expand.
+size nor the BLAS kernel.  Two kernels give those bits:
+
+- weighted_expand forms each term and adds its weighted value in the
+  same step, keeping only the terms of degree < D (the only parents).
+  It serves inference (layer_eval: tabulation, forward_codes and the
+  equivalence check), whose row chunks are sized by what it keeps.
+- weighted_sum weighs a term-major (M, ..., W) array in place and adds
+  its rows with one outer-axis reduce.  It serves training, whose
+  backward pass needs every term of the layer anyway: the forward pass
+  expands a layer once, as expand stores it, and sums it in a few whole-
+  array calls instead of three calls per term.  expand_vjp reads the
+  same term-major layout, gathering whole term rows.
 """
 
 from __future__ import annotations
@@ -143,44 +150,64 @@ def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != basis.fan_in:
         raise ValueError(f"expected last axis {basis.fan_in}, got {x.shape[-1]}")
-    lead = tuple(range(x.ndim - 1))
-    xt = x.transpose((x.ndim - 1,) + lead).copy()
     out = np.empty((len(basis),) + x.shape[:-1], dtype=np.float64)
-    out[0] = 1.0
+    # one flat view per term and variable, made once: training calls this per batch
+    rows, xt = list(out.reshape(len(out), -1)), list(x.reshape(-1, basis.fan_in).T.copy())
+    rows[0][...] = 1.0
     for i, (parent, v) in enumerate(basis.steps, start=1):
-        np.multiply(out[parent], xt[v], out=out[i, ...])
-    return out.transpose(tuple(a + 1 for a in lead) + (0,))
+        np.multiply(rows[parent], xt[v], out=rows[i])
+    return out.transpose(tuple(range(1, x.ndim)) + (0,))
 
 
-def expand_vjp(m: np.ndarray, dm: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """Pull a gradient dm with respect to the monomials m = expand(x) back
-    to x: entry j is sum_i dm_i * e_ij * m[lowered[i, j]].
+def expand_vjp(terms: np.ndarray, dterms: np.ndarray, basis: MonomialBasis) -> np.ndarray:
+    """Pull a gradient dterms with respect to the term-major monomials
+    terms (M, ...), np.moveaxis(expand(x), -1, 0), back to x: the result
+    is (..., F), and entry j is sum_i dm_i * e_ij * m[lowered[i, j]].
 
-    For m and dm of shape (n, W, M), the gathered product has its terms
-    outermost in memory, so einsum adds (dm_i * m_parent) * e_ij into a
-    zeroed sum one term at a time, in basis order, when n * W > 1.  When
-    n * W == 1 that product is one contiguous row and einsum takes its dot
-    path instead, which may round differently.
+    The gathered product dterms[i] * terms[parent] holds whole term rows,
+    terms outermost, so einsum adds (dm_i * m_parent) * e_ij into a
+    zeroed sum one term at a time, in basis order, when a row has more
+    than one element.  When it has one, the product is one contiguous
+    row and einsum takes its dot path instead, which may round
+    differently.
     """
-    out = np.empty(m.shape[:-1] + (basis.fan_in,), dtype=np.float64)
+    out = np.empty(terms.shape[1:] + (basis.fan_in,), dtype=np.float64)
     for j, (i, parent, e) in enumerate(basis.vjp_terms):
-        out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., parent], e)
+        out[..., j] = np.einsum("k...,k->...", dterms[i] * terms[parent], e)
     return out
 
 
-def weighted_sum(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """z[..., k] = sum_i w[k, i] * m[..., k, i] (m's neuron axis may be 1),
-    summed term by term in basis order with elementwise multiply-adds, so
-    a row's result depends on neither the batch size nor the BLAS kernel."""
-    wt = np.ascontiguousarray(w.T)
-    z = m[..., 0] * wt[0]
-    for i in range(1, len(wt)):
-        z += m[..., i] * wt[i]
+def weighted_sum(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z[..., k] = sum_i w[k, i] * terms[i, ..., k] over term-major terms
+    (M, ..., W), np.moveaxis(expand(x), -1, 0), or (M, ..., 1) when all W
+    neurons share them.  A C-contiguous (M, ..., W) array, such as
+    expand's storage, is overwritten with its weighted terms; other
+    terms are weighed into a new C-ordered array.
+
+    The weighted terms are added in basis order, each sum starting from
+    its first term, so a row's result depends on neither the batch size
+    nor the BLAS kernel: a reduce over the outer, C-ordered axis adds
+    whole rows one after another (onto -0.0, which changes no value).
+    When a row is one element the reduce axis is the contiguous one,
+    where numpy sums pairwise, so those rows are added one at a time.
+    """
+    wt = np.asarray(w, dtype=np.float64).T
+    if len(wt) != len(terms):
+        raise ValueError(f"expected {len(terms)} weights per neuron, got {len(wt)}")
+    wt = wt.reshape(wt.shape[:1] + (1,) * (terms.ndim - 2) + wt.shape[1:])
+    in_place = terms.shape[-1] == wt.shape[-1] and terms.flags.c_contiguous
+    terms = np.multiply(terms, wt, out=terms if in_place else None, order="C")
+    if terms[0].size != 1:
+        return np.add.reduce(terms, axis=0, initial=-0.0)
+    z = terms[0].copy()
+    for row in terms[1:]:
+        z += row
     return z
 
 
 def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.ndarray:
-    """weighted_sum(expand(x, basis), w), bit for bit, without the monomials.
+    """weighted_sum(np.moveaxis(expand(x, basis), -1, 0), w), bit for bit,
+    without the monomials.
 
     x is (..., K, F) with K the neuron count W of w (W, M), or 1 when all
     neurons share their inputs; the result is (..., W).  The terms read

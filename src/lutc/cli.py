@@ -107,6 +107,19 @@ def build_spec(cfg: dict) -> NetworkSpec:
 
 
 def load_dataset(cfg: dict):
+    """The (train, test) datasets the config names.  A malformed file, a
+    bad split or a split with an empty side is a configuration error."""
+    try:
+        train_ds, test_ds = _load_dataset(cfg)
+    except (OSError, ValueError) as e:  # DataFormatError is a ValueError
+        raise ConfigError(f"dataset: {e}") from None
+    if train_ds.n == 0 or test_ds.n == 0:
+        raise ConfigError(f"dataset: the split has {train_ds.n} training and {test_ds.n} "
+                          f"test rows; both need at least one")
+    return train_ds, test_ds
+
+
+def _load_dataset(cfg: dict):
     ds_cfg = cfg.get("dataset")
     if not ds_cfg:
         raise ConfigError("dataset: missing configuration "

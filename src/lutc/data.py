@@ -174,13 +174,17 @@ def split_normalize(ds: Dataset, train_fraction: float, seed: int = 0):
     """Seeded shuffle-split, then min-max map to [-1, 1] fitted on train only.
 
     Test values may fall outside [-1, 1]; the input quantizer clamps them.
-    Constant features map to 0 with a warning.
+    Constant features map to 0 with a warning.  The test split may be
+    empty; a training split without rows, which fits nothing, is an error.
     """
     if not (0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must be in (0, 1)")
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
+    n_train = int(round(ds.n * train_fraction))
+    if n_train == 0:
+        raise ValueError(f"train_fraction {train_fraction!r} splits {ds.n} rows into "
+                         f"0 training and {ds.n} test rows")
     rng = np.random.default_rng(np.random.PCG64(seed))
     order = rng.permutation(ds.n)
-    n_train = int(round(ds.n * train_fraction))
     tr_idx, te_idx = order[:n_train], order[n_train:]
 
     lo = ds.features[tr_idx].min(axis=0)

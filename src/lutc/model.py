@@ -163,21 +163,24 @@ def _covered_draw(rng, width: int, prev: int, fan: int) -> np.ndarray:
 
     A permutation of the predecessors is dealt round-robin over a shuffled
     neuron order (at most ceil(prev/width) <= fan distinct entries per
-    neuron), then the remaining slots are filled uniformly without
-    replacement from each neuron's unused predecessors.
+    neuron), then, in neuron order, the remaining slots of each short
+    neuron are filled uniformly without replacement from its unused
+    predecessors: rng.choice draws ranks k among the prev - dealt unused
+    ones, and the k-th unused predecessor is k plus the number of dealt
+    ones at or below it.
     """
-    rows: list[list[int]] = [[] for _ in range(width)]
-    order = rng.permutation(width)
-    for pos, p in enumerate(rng.permutation(prev)):
-        rows[order[pos % width]].append(int(p))
+    order, perm = rng.permutation(width), rng.permutation(prev)
+    owner = order[np.arange(prev) % width]
+    dealt = perm[np.lexsort((perm, owner))]  # by neuron, each ascending
+    ends = np.cumsum(np.bincount(owner, minlength=width))
     out = np.empty((width, fan), dtype=np.int64)
-    for n, r in enumerate(rows):
-        missing = fan - len(r)
-        if missing:
-            free = np.ones(prev, dtype=bool)
-            free[r] = False
-            r = r + rng.choice(np.flatnonzero(free), size=missing, replace=False).tolist()
-        out[n] = np.sort(r)
+    for n, mine in enumerate(np.split(dealt, ends[:-1])):
+        count = len(mine)
+        out[n, :count] = mine
+        if count < fan:
+            k = rng.choice(prev - count, size=fan - count, replace=False)
+            out[n, count:] = k + np.searchsorted(mine - np.arange(count), k, side="right")
+    out.sort(axis=1)
     return out
 
 

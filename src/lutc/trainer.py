@@ -1,7 +1,7 @@
 """Quantization-aware training of sparse polynomial networks.
 
-Forward per layer: gather masked (dequantized) inputs, weigh the
-monomial basis (basis.weighted_expand, which never holds all M terms),
+Forward per layer: gather masked (dequantized) inputs, expand them into
+the monomial basis, weigh and sum the terms (basis.weighted_sum),
 batch-normalize, then model.activate: ReLU (hidden layers only) and the
 layer's learned-scale quantizer, which rounds once; the straight-through
 mask is where that rounding needed no clamp.  The backward pass is
@@ -9,19 +9,29 @@ derived by hand: the straight-through estimator passes upstream
 gradients inside the code interval and takes the clamped code itself as
 the scale gradient.
 
-Each layer's cache holds its gathered inputs (n, W, F), not its (n, W, M)
-monomials.  Backward expands a layer just before that layer's weight
-gradient and input gradient, and drops the monomials before it moves to
-the layer below, so at most one layer's expansion is alive.  expand
-multiplies out the same terms as the forward pass, so the gradients are
-the bits that cached monomials gave.
+Training runs on expand's own storage: the terms of a layer as a
+contiguous term-major (M, n, W) array.  The forward pass weighs that
+array in place and adds its rows with one ordered reduce, which gives
+the bits of inference's basis.weighted_expand; backward builds the
+monomial gradient term-major too, so expand_vjp gathers whole term rows.
+Inference keeps weighted_expand, which never holds all M terms and so
+bounds its row chunks; a training batch needs every term in backward
+anyway, and one expansion with a few whole-array calls beats three
+calls per term.
+
+Each layer's cache holds its gathered inputs (n, W, F), not its
+monomials.  The forward pass drops a layer's expansion once it is
+summed, and backward expands a layer again just before that layer's
+weight gradient and input gradient and drops it before it moves to the
+layer below, so at most one layer's expansion is alive.
 
 While training, every trained parameter (all weights, then batch-norm
 gammas, shifts and quantizer scales) lives in one flat float64 vector:
 the model's arrays are views of it (param_views), backward fills a
 gradient vector of the same layout, and AdamW updates it with a few
-whole-vector operations.  Features are quantized and dequantized once
-per train, not per batch.
+whole-vector operations.  Training features are quantized and
+dequantized once per train, not per batch, and the test features are
+quantized once, not per epoch.
 
 The whole loop is deterministic: given the same spec, data, config, and
 seed, the trained model and history are bit-identical.
@@ -34,8 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import expand, expand_vjp, weighted_expand, weighted_sum
-from .model import LayerParams, TrainedModel, accuracy, activate
+from .basis import expand, expand_vjp, weighted_sum
+from .model import LayerParams, TrainedModel, activate, forward_codes, labels_from_codes
 from .quantize import BatchNormParams, bn_apply, dequantize, quantize
 
 BN_MOMENTUM = 0.1
@@ -155,14 +165,15 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
                           quant_bypass=quant_bypass, linear=linear, context=context)
 
 
-def _monomials(model: TrainedModel, layer: int, xg: np.ndarray, linear: bool) -> np.ndarray:
-    """The (n, W, M) monomials of a layer's gathered inputs xg (n, W, F):
-    expand's, or with linear a constant bias term and then the inputs,
-    stored term-major like expand's terms."""
-    if not linear:
-        return expand(xg, model.bases[layer])
-    terms = np.concatenate([np.ones((1,) + xg.shape[:2]), np.moveaxis(xg, 2, 0)])
-    return np.moveaxis(terms, 0, 2)
+def _terms(model: TrainedModel, layer: int, xg: np.ndarray, linear: bool) -> np.ndarray:
+    """The term-major (M, n, W) monomials of a layer's gathered inputs xg
+    (n, W, F): expand's own storage, or with linear a constant bias term
+    and then the inputs."""
+    if not linear:  # transpose, not np.moveaxis: this runs per layer and batch
+        return expand(xg, model.bases[layer]).transpose(2, 0, 1)
+    terms = np.empty((xg.shape[2] + 1,) + xg.shape[:2])
+    terms[0], terms[1:] = 1.0, xg.transpose(2, 0, 1)
+    return terms
 
 
 def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
@@ -175,8 +186,7 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        z = (weighted_sum(_monomials(model, layer, xg, linear), p.weights) if linear
-             else weighted_expand(xg, model.bases[layer], p.weights))
+        z = weighted_sum(_terms(model, layer, xg, linear), p.weights)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if training:  # the operation order of np.mean and np.var
@@ -243,17 +253,18 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         else:
             dz = dxhat * cache["invstd"]
 
-        m = _monomials(model, layer, cache["xg"], linear)
+        terms = _terms(model, layer, cache["xg"], linear)
         # einsum's out= into the view runs ~10x slower than this copy
-        grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", m, dz)
+        grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", terms.transpose(1, 2, 0), dz)
 
         if layer == 0:
             continue
-        dm = dz[:, :, None] * p.weights[None, :, :]
-        dxg = dm[:, :, 1:] if linear else expand_vjp(m, dm, model.bases[layer])
-        del m, dm  # one layer's monomials are alive at a time, freed before the scatter
+        dterms = p.weights.T[:, None, :] * dz
+        dxg = (dterms[1:].transpose(1, 2, 0) if linear
+               else expand_vjp(terms, dterms, model.bases[layer]))
+        del terms, dterms  # one layer's monomials are alive at a time, freed before the scatter
         da = _scatter_sources(dxg, model.masks[layer], spec.layer_widths[layer - 1])
-        del dxg  # with linear, a view of dm
+        del dxg  # with linear, a view of dterms
     return grads
 
 
@@ -386,6 +397,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     scales[:] = [p.quant_scale for p in model.params]
     q0 = model.input_quantizer  # not trained: the inputs are quantized once
     a0 = dequantize(quantize(feats, q0), q0)
+    test_codes = None if test_ds is None else quantize(test_ds.features, q0)
 
     grad = np.empty_like(theta)
     grads = param_views(model, grad)
@@ -412,8 +424,9 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
             losses.append(loss)
         entry = dict(epoch=epoch, lr=lr, train_loss=float(np.mean(losses)),
                      test_accuracy=math.nan)
-        if test_ds is not None:
-            entry["test_accuracy"] = accuracy(model, test_ds.features, test_ds.labels)
+        if test_ds is not None:  # model.accuracy, on codes quantized once
+            hits = labels_from_codes(forward_codes(model, test_codes)) == test_ds.labels
+            entry["test_accuracy"] = float(np.mean(hits))
         history.append(entry)
     return model, history
 

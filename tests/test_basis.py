@@ -182,7 +182,7 @@ def test_expand_vjp_matches_jacobian():
     basis = enumerate_basis(3, 3)
     x = rng.normal(size=(4, 3))
     dm = rng.normal(size=(4, len(basis)))
-    got = expand_vjp(expand(x, basis), dm, basis)
+    got = expand_vjp(np.moveaxis(expand(x, basis), -1, 0), dm.T, basis)  # term-major
     want = np.stack([dm[r] @ expand_grad(x[r], basis) for r in range(4)])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -194,9 +194,11 @@ def test_weighted_sum_is_sequential_in_basis_order():
     want = np.zeros((5, 2))
     for i in range(7):
         want = want + w[:, i] * m[..., i]
-    assert np.array_equal(weighted_sum(m, w), want)
+    terms = np.moveaxis(m, -1, 0)  # term-major (7, 5, 2), weighed in place
+    assert np.array_equal(weighted_sum(terms.copy(), w), want)
     # monomials shared by every neuron broadcast over the neurons
-    assert np.array_equal(weighted_sum(m[:, :1], w), weighted_sum(np.repeat(m[:, :1], 2, 1), w))
+    assert np.array_equal(weighted_sum(terms[..., :1].copy(), w),
+                          weighted_sum(np.repeat(terms[..., :1], 2, -1), w))
 
 
 @pytest.mark.parametrize("fan_in, degree, parents", [(3, 4, 20), (6, 4, 84), (2, 3, 6),

@@ -106,6 +106,26 @@ def test_train_rejects_bad_train_config(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cells,fraction,message", [
+    ("0.1,0.2,a\n0.3,oops,b\n0.5,0.6,a\n", 0.5, ":3: non-numeric cell"),
+    ("0.1,0.2,a\n0.3,0.4,b\n0.5,0.6,a\n", 1.5, "train_fraction must be in (0, 1), got 1.5"),
+    ("0.1,0.2,a\n0.3,0.4,b\n0.5,0.6,a\n", 0.1, "splits 3 rows into 0 training and 3 test rows"),
+    ("0.1,0.2,a\n0.3,0.4,b\n0.5,0.6,a\n", 0.9, "the split has 3 training and 0 test rows"),
+], ids=["malformed-csv", "fraction-outside", "empty-train", "empty-test"])
+def test_train_data_errors_exit_2(tmp_path, capsys, cells, fraction, message):
+    # each used to exit 1 with a traceback, or (an empty test side) to train
+    # with a nan test accuracy and exit 0
+    (tmp_path / "d.csv").write_text("f0,f1,y\n" + cells, encoding="utf-8")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral", "dataset": {
+        "kind": "csv", "path": str(tmp_path / "d.csv"), "label_column": "y",
+        "train_fraction": fraction}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: ") and message in err, err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # Train
 

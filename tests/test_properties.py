@@ -1,6 +1,8 @@
 """Property tests: invariances of the layer-wise inference path and of
 netlist simulation, the training forward pass against that path, the
-fused weighted expansion and expand_vjp's summation order, round
+fused weighted expansion, the training weighing and expand_vjp's
+summation order and term-major layout, covered masks against a
+per-neuron draw, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, the
 RTL checker's read-back of emitted and edited bundle files and of
@@ -26,7 +28,7 @@ from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quan
                            round_half_away)
 from lutc.rtl import check_bundle, emit_bundle
 from lutc.tables import decode_address, dump_tables, load_tables, pack_address, tabulate_model
-from lutc.trainer import _scatter_sources, forward, init_scales
+from lutc.trainer import _scatter_sources, _terms, forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -117,7 +119,8 @@ def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, n,
     w = awkward_floats(rng, (width, len(basis)))
     got = weighted_expand(x, basis, w)
     assert got.shape == (n, width)
-    assert np.array_equal(bits_of(got), bits_of(weighted_sum(expand(x, basis), w)))
+    terms = np.moveaxis(expand(x, basis), -1, 0)
+    assert np.array_equal(bits_of(got), bits_of(weighted_sum(terms, w)))
 
 
 @SETTINGS
@@ -130,13 +133,121 @@ def test_expand_vjp_adds_terms_in_basis_order(fan_in, degree, n, width, seed):
     assume(n * width > 1)
     basis = enumerate_basis(fan_in, degree)
     rng = np.random.default_rng(seed)
-    m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
+    m = np.moveaxis(expand(awkward_floats(rng, (n, width, fan_in)), basis), -1, 0)
     dm = awkward_floats(rng, m.shape)
     want = np.zeros((n, width, fan_in))
     for j, (terms, parents, exps) in enumerate(basis.vjp_terms):
         for i, parent, e in zip(terms, parents, exps):
-            want[..., j] += (dm[..., i] * m[..., parent]) * float(e)
+            want[..., j] += (dm[i] * m[parent]) * float(e)
     assert np.array_equal(bits_of(expand_vjp(m, dm, basis)), bits_of(want))
+
+
+def ordered_weighted_sum(terms, w):
+    """sum_i w[:, i] * terms[i] over term-major terms (M, n, W), added one
+    weighted term at a time in basis order, starting from the first."""
+    z = terms[0] * w[:, 0]
+    for i in range(1, len(terms)):
+        z = z + terms[i] * w[:, i]
+    return z
+
+
+@SETTINGS
+@given(fan_in=st.integers(1, 5), degree=st.integers(1, 4), width=st.integers(1, 5),
+       n=st.integers(1, 12), linear=st.booleans(), negative_zero=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(fan_in=5, degree=4, width=1, n=1, linear=False, negative_zero=False, seed=0)
+@example(fan_in=3, degree=3, width=1, n=1, linear=False, negative_zero=True, seed=0)
+@example(fan_in=2, degree=4, width=4, n=1, linear=False, negative_zero=False, seed=1)
+@example(fan_in=2, degree=4, width=1, n=9, linear=False, negative_zero=False, seed=2)
+@example(fan_in=4, degree=1, width=3, n=5, linear=True, negative_zero=True, seed=3)
+@example(fan_in=4, degree=1, width=1, n=1, linear=True, negative_zero=False, seed=4)
+def test_training_weighing_is_the_ordered_sum(fan_in, degree, width, n, linear,
+                                              negative_zero, seed):
+    """The training forward's weighted sum over its term-major monomials is
+    the ordered per-term sum, bit for bit; with weights of -0.0 on
+    non-negative inputs every product is -0.0, and so must the sum be.
+    The degree-1 linear reference path has expand's degree-1 terms."""
+    degree = 1 if linear else degree
+    spec = NetworkSpec(layer_widths=[width], beta=3, fan_in=fan_in, degree=degree,
+                       input_count=fan_in)
+    model, rng = init_model(spec), np.random.default_rng(seed)
+    xg = awkward_floats(rng, (n, width, fan_in))
+    w = awkward_floats(rng, (width, len(model.bases[0])))
+    if negative_zero:
+        xg, w = np.abs(xg), np.full_like(w, -0.0)
+    terms = _terms(model, 0, xg, linear)
+    assert terms.shape == (len(w.T), n, width) and terms.flags.c_contiguous
+    expanded = np.moveaxis(expand(xg, model.bases[0]), -1, 0)
+    assert np.array_equal(bits_of(terms), bits_of(expanded))
+    want = ordered_weighted_sum(terms.copy(), w)
+    got = weighted_sum(terms, w)
+    assert np.array_equal(bits_of(got), bits_of(want))
+    if negative_zero:
+        assert np.signbit(got).all()
+
+
+def expand_vjp_last_axis(m, dm, basis):
+    """expand_vjp over monomials on the last axis (..., M), each term
+    gathered with dm[..., i]: the reference for the term-major kernel."""
+    out = np.empty(m.shape[:-1] + (basis.fan_in,))
+    for j, (i, parent, e) in enumerate(basis.vjp_terms):
+        out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., parent], e)
+    return out
+
+
+@SETTINGS
+@given(fan_in=st.integers(1, 6), degree=st.integers(1, 5), n=st.integers(1, 6),
+       width=st.integers(1, 6), seed=st.integers(0, 2**16))
+@example(fan_in=4, degree=4, n=1, width=1, seed=0)
+@example(fan_in=3, degree=2, n=1, width=5, seed=1)
+@example(fan_in=3, degree=2, n=5, width=1, seed=2)
+def test_expand_vjp_term_major_equals_last_axis_reference(fan_in, degree, n, width, seed):
+    """backward's term-major dm = w.T * dz through expand_vjp gives the bits
+    of dm = dz * w laid out (n, W, M) through the last-axis reference, at
+    every n * W, 1 included."""
+    basis = enumerate_basis(fan_in, degree)
+    rng = np.random.default_rng(seed)
+    m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
+    dz, w = awkward_floats(rng, (n, width)), awkward_floats(rng, (width, len(basis)))
+    want = expand_vjp_last_axis(m, dz[:, :, None] * w[None, :, :], basis)
+    got = expand_vjp(np.moveaxis(m, -1, 0), w.T[:, None, :] * dz, basis)
+    assert np.array_equal(bits_of(got), bits_of(want))
+
+
+def covered_draw_per_neuron(rng, width, prev, fan):
+    """_covered_draw one neuron at a time: each short neuron's unused
+    predecessors from a boolean pool, then rng.choice over them."""
+    rows = [[] for _ in range(width)]
+    order = rng.permutation(width)
+    for pos, p in enumerate(rng.permutation(prev)):
+        rows[order[pos % width]].append(int(p))
+    out = np.empty((width, fan), dtype=np.int64)
+    for n, r in enumerate(rows):
+        missing = fan - len(r)
+        if missing:
+            free = np.ones(prev, dtype=bool)
+            free[r] = False
+            r = r + rng.choice(np.flatnonzero(free), size=missing, replace=False).tolist()
+        out[n] = np.sort(r)
+    return out
+
+
+@SETTINGS
+@given(width=st.integers(1, 12), fan=st.integers(1, 6), spare=st.integers(0, 60),
+       seed=st.integers(0, 2**16))
+@example(width=4, fan=3, spare=0, seed=0)  # prev == fan * width: nothing missing
+@example(width=3, fan=2, spare=1, seed=1)  # one short neuron, two full ones
+@example(width=1, fan=5, spare=0, seed=2)
+def test_covered_draw_matches_per_neuron_reference(width, fan, spare, seed):
+    """Covered masks (prev <= fan * width) equal the per-neuron draw, and the
+    generator is left in the same state for the layers after."""
+    prev = max(fan, fan * width - spare)
+    got_rng, want_rng = (np.random.default_rng(np.random.PCG64(seed)) for _ in range(2))
+    got = model_mod._covered_draw(got_rng, width, prev, fan)
+    want = covered_draw_per_neuron(want_rng, width, prev, fan)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(np.unique(got), np.arange(prev))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @SETTINGS
