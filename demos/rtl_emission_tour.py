@@ -1,4 +1,4 @@
-# From netlist to Verilog: emit one case-statement ROM per neuron, a top
+# From netlist to Verilog: emit one truth-table ROM per neuron, a top
 # module wired by the sparsity masks, golden vectors, and a self-checking
 # testbench -- then read our own output back to prove it holds the netlist.
 #
@@ -45,8 +45,10 @@ def read(fname):
         return f.read()
 
 
-# Every neuron module is a synchronous ROM: registered output, full case
-# coverage plus a default arm.  Here is the first one:
+# Every neuron module is a synchronous ROM: one truth-table constant per
+# output bit, BIT_k, whose bit i is bit k of table entry i (address 15 in
+# the first hex digit), read into a registered output.  Here is the first
+# one:
 print("\n--- layer0_n0.v " + "-" * 40)
 print(read("layer0_n0.v"))
 
@@ -61,8 +63,8 @@ pairs = parse_golden_vectors(read("vectors.hex"))
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 
-# The self-checker reads the written files back: every ROM's arms become a
-# table that must equal the netlist's (and match its manifest digest), the
+# The self-checker reads the written files back: every ROM's constants
+# become a table that must equal the netlist's (and match its manifest digest), the
 # top-level wiring must follow the masks, and the golden vectors are
 # replayed through the netlist read back from the Verilog.
 problems = check_bundle(out_dir, netlist)

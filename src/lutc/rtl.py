@@ -1,29 +1,28 @@
-"""Verilog-2001 emission: one registered case-statement ROM per neuron, a
+"""Verilog-2001 emission: one registered truth-table ROM per neuron, a
 top module `top` wired per the sparsity masks, golden vectors, a
 testbench for external HDL simulators, and a self-checker that needs no
 external tools.
 
-The checker reads the emitted files back into a netlist: every ROM's case
-arms into its table, and the sources and output slice of every instance
-from top.v.  A ROM is read as bytes with numpy: its newlines are found
-once, which counts the arms, and then arm i must be exactly the bytes its
-address gives, `            {n}'h<i in hex>: data <= {b}'h`, followed by
-a value token and ';'.  The bytes before the value are compared as 8-byte
-words, i's hex digits against a table the checker builds for the address
-width; only the value is parsed, through tables.hex_tokens, the reader of
-the table dumps, and it must fit the width.  The first bad arm in file
-order is named.  The tables read back must equal the netlist's and match
-the manifest digests, the wiring must follow the masks, and each ROM's
-text around its arms, top.v and tb.v must be byte-exact.  vectors.hex is
-replayed through the netlist read back, the offline stand-in for running
-tb.v in a simulator.
+A ROM of n address bits and b output bits is written the way a LUT is
+configured, one truth table per output bit: for each bit k a constant
+`BIT_k` of 2**n bits whose bit i is bit k of table entry i, in
+lower-case hex with address 2**n-1 in its first digit, and the module
+registers `data <= {BIT_{b-1}[addr], ..., BIT_0[addr]}`.  IEEE 1364-2001
+lets a tool cap a vector at 2**16 bits, so above 16 address bits each
+bit's constant is split into 2**16-bit pieces, `BIT_k_P{p}` holding the
+addresses from p*2**16 on, and a case on addr[n-1:16] selects the piece.
+Each constant is formatted from the table row with np.packbits and
+bytes.hex, and each file is written as soon as its text is formatted.
 
-The ROM files are written from each layer's (W, 2**N) table array of
-the netlist, each as soon as its text is formatted and in slices of
-ROM_SLICE_ARMS case arms, so no whole ROM is ever one string: the
-case-arm prefixes are built once per run of layers of one (address bits,
-output bits) shape and shared by their neurons, and only the distinct
-values of the array are formatted (tables.hex_rows).
+Every byte of a ROM file but its digits is given by the module name, n
+and b.  The checker compares those bytes with the emitted text and
+decodes each constant's digits with one 256-entry lookup, rejecting any
+byte that is not a lower-case hex digit and, in a constant of under 4
+bits, a set pad bit; the first fault in the file is named.  The tables
+read back must equal the netlist's and match the manifest digests, the
+wiring read back from top.v must follow the masks, and top.v and tb.v
+must be byte-exact.  vectors.hex is replayed through the netlist read
+back, the offline stand-in for running tb.v in a simulator.
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -40,49 +39,85 @@ import re
 import numpy as np
 
 from .netlist import LutLayer, Netlist, simulate
-from .tables import hex_rows, hex_tokens
+from .tables import HEX_VALUE
 
 
-ROM_SLICE_ARMS = 1 << 12  # case arms formatted into one string per write
+PIECE_BITS = 16  # address bits of one constant: a vector of at most 2**16 bits
 
 
 def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
 
 
+def _pieces(n: int) -> tuple:
+    """The address bits of each constant piece of an n-bit ROM, and the
+    number of pieces of each output bit."""
+    bits = min(n, PIECE_BITS)
+    return bits, 1 << (n - bits)
+
+
+def _constant(k: int, piece: int, pieces: int) -> str:
+    return f"BIT_{k}" if pieces == 1 else f"BIT_{k}_P{piece}"
+
+
+def _constant_lines(n: int, b: int):
+    """Yield, for each constant of an n-bit, b-output-bit ROM in file
+    order (output bit k, then piece), its name, the text of its line before
+    the digits, k, its first address and its digit count."""
+    bits, pieces = _pieces(n)
+    for k in range(b):
+        for piece in range(pieces):
+            name = _constant(k, piece, pieces)
+            yield (name, f"    localparam {_bus(1 << bits)} {name} = {1 << bits}'h", k,
+                   piece << bits, -(-(1 << bits) // 4))
+
+
 def _rom_files(netlist: Netlist):
-    """Yield the file name and text of each neuron's synchronous ROM module,
-    one at a time: a registered output, one case arm per address in the
-    table packing convention, then a default arm.  The text comes as an
-    iterator of slices of ROM_SLICE_ARMS arms, each joined when it is drawn
-    from one list of parts; that list, with its case-arm prefixes, is built
-    once per run of consecutive layers of one (address bits, output bits)
-    shape.  Draw every slice of a file before drawing the next file."""
-    shape = None
+    """Yield the file name of each neuron's synchronous ROM module and an
+    iterator over its text, one constant line at a time."""
     for layer, lut in enumerate(netlist.layers):
-        n, b, size = lut.address_bits, lut.output_bits, lut.tables.shape[1]
-        if (n, b) != shape:
-            shape, parts = (n, b), [None] * (2 + 2 * size)
-            parts[1:-1:2] = [f"            {n}'h{addr:x}: data <= {b}'h" for addr in range(size)]
-            parts[-1] = _rom_tail(b)
-        for j, values in enumerate(hex_rows(lut.tables, ";\n")):
+        n, b = lut.address_bits, lut.output_bits
+        for j, row in enumerate(lut.tables):
             name = _module_name(layer, j)
-            parts[0] = _rom_head(name, n, b)
-            parts[2:-1:2] = values
-            yield f"{name}.v", ("".join(parts[start : start + 2 * ROM_SLICE_ARMS])
-                                for start in range(0, len(parts), 2 * ROM_SLICE_ARMS))
+            yield f"{name}.v", _rom_text(name, row, n, b)
+
+
+def _rom_text(name: str, row: np.ndarray, n: int, b: int):
+    """A ROM module's text: head, one line per constant, always block."""
+    yield _rom_head(name, n, b)
+    size = 1 << _pieces(n)[0]
+    for _, prefix, k, first, digits in _constant_lines(n, b):
+        # constant bit i is address first + i; packbits puts it at bit i % 8
+        # of byte i // 8, so the reversed bytes read in hex are the constant
+        packed = np.packbits((row[first:first + size] & (1 << k)) != 0, bitorder="little")
+        text = packed[::-1].tobytes().hex()
+        yield prefix + text[len(text) - digits:] + ";\n"
+    yield _rom_tail(n, b)
 
 
 def _rom_head(name: str, n: int, b: int) -> str:
-    """A ROM module's text before its first address arm."""
+    """A ROM module's text before its first constant."""
     return (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
-            f"    output reg  {_bus(b)} data\n);\n"
-            "    always @(posedge clk) begin\n        case (addr)\n")
+            f"    output reg  {_bus(b)} data\n);\n")
 
 
-def _rom_tail(b: int) -> str:
-    """A ROM module's text after its last address arm."""
-    return f"            default: data <= {b}'h0;\n        endcase\n    end\nendmodule\n"
+def _rom_tail(n: int, b: int) -> str:
+    """A ROM module's text after its last constant: the registered read,
+    through a case on the piece when the constants are split."""
+    bits, pieces = _pieces(n)
+    index = "addr" if pieces == 1 else f"addr[{bits - 1}:0]"
+
+    def read(piece):
+        return ", ".join(f"{_constant(k, piece, pieces)}[{index}]" for k in reversed(range(b)))
+
+    if pieces == 1:
+        body = f"        data <= {{{read(0)}}};\n"
+    else:
+        body = (f"        case (addr[{n - 1}:{bits}])\n"
+                + "".join(f"            {n - bits}'h{piece:x}: data <= {{{read(piece)}}};\n"
+                          for piece in range(pieces))
+                + "        endcase\n")
+    return f"    always @(posedge clk) begin\n{body}    end\nendmodule\n"
 
 
 def _module_name(layer: int, index: int) -> str:
@@ -243,14 +278,7 @@ _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
 _INSTANCE_RE = re.compile(
     r"^ *(\w+) u_(\w+) \(\.clk\(clk\), \.addr\((\w+)_addr\), \.data\(([^()]*)\)\);$", re.M)
 _SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
-_DEFAULT_ARM = b"\n            default:"
-_WINDOW = 1 << 18  # bytes of case arms checked at once: bounds the per-line arrays
-# zero bytes after a ROM: the reads of an arm line, even a short or bad one,
-# end at most 40 bytes past its start (a 16-byte prefix, 8 address digits,
-# then a 16-byte record from the infix on)
-_PAD = 40
-_HEX_CHARS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-_TOKEN = rb"(0|[1-9a-f][0-9a-f]{0,14})"  # a token that hex_tokens reads as canonical
+_QUOTE = 80  # characters of a long line quoted in a problem
 
 
 def check_bundle(out_dir, netlist: Netlist) -> list:
@@ -259,13 +287,13 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     top.v, tb.v, manifest.txt or vectors.hex at fault.
 
     Each file is read when its check needs it, without newline translation.
-    Every ROM must begin and end with the emitted text.  It must hold one
-    case arm per address, in address order, and arm i must be exactly the
-    emitted arm of address i with a value that is a canonical hex token
-    below 2**output_bits; the first arm in the file that is not is named,
-    as an arm of another address when it is well formed, else as
-    malformed.  The values read back must equal the netlist's tables, and
-    manifest.txt must list their sha256 digests.  Each instance's address
+    Every byte of a ROM but its constants' digits must be the emitted
+    text, and every digit a lower-case hex digit (with clear pad bits in a
+    constant of under 4 bits).  The first fault in the file is named: a
+    bad digit by its constant and the addresses it covers, else the first
+    line that differs from the emitted text.  The tables rebuilt from the
+    constants' bits must equal the netlist's, and manifest.txt must list
+    their sha256 digests.  Each instance's address
     concatenation and .data slice are read back from top.v and must follow
     the masks, and top.v and tb.v must be exactly what emit_top and
     emit_testbench write.  A layer*_n*.v file the netlist does not name is
@@ -290,25 +318,20 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(top or "")}
     instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(top or "")}
     layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
-    address_bits = None
     for layer, lut in enumerate(netlist.layers):
         n, b = lut.address_bits, lut.output_bits
-        if n != address_bits:  # one address table alive at a time
-            address_bits, addresses = n, None
-            addresses = _address_words(n)
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
         # the read-back tables share the netlist's until a ROM reads back differently
         tables, sources = lut.tables, np.empty_like(lut.sources)
         complete = top is not None  # an unreadable top.v is one problem, not one per module
         for j in range(lut.width):
             name = _module_name(layer, j)
-            values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, addresses,
-                               problems)
+            values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, problems)
             complete &= values is not None
             if values is not None and not np.array_equal(values, lut.tables[j]):
                 diff = np.flatnonzero(values != lut.tables[j])
-                problems.append(f"{name}: {len(diff)} case arm values differ from the "
-                                f"netlist table, first at address {diff[0]:x}")
+                problems.append(f"{name}: {len(diff)} entries differ from the netlist "
+                                f"table, first at address 0x{diff[0]:x}")
                 tables = lut.tables.copy() if tables is lut.tables else tables
                 tables[j] = values
             if top is not None:
@@ -339,144 +362,63 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     return problems
 
 
-def _read_rom(path, name: str, n: int, b: int, addresses: tuple, problems: list):
+def _read_rom(path, name: str, n: int, b: int, problems: list):
     """The table read back from a ROM module file, or None (with a problem)
-    if it cannot be read; addresses is _address_words(n)."""
-    prefix, infix = f"            {n}'h".encode(), f": data <= {b}'h".encode()
+    if it cannot be read.  Every byte but the digits must be the emitted
+    text, and every digit lower-case hex below 2**(2**n) when 2**n < 4;
+    the first fault in the file is named."""
     try:
-        data = _read_padded(path, _PAD)
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         problems.append(f"{name}.v: cannot read: {e}")
         return None
-    size, head = len(data) - _PAD, _rom_head(name, n, b)
-    if not data.startswith(head.encode(), 0, size):
-        got = data[:min(len(head), size)].decode("utf-8", "backslashreplace")
-        problems += _first_difference(name, got, head)
-        return None
-    if not data.endswith(b"\n" + _rom_tail(b).encode(), 0, size):
-        problems.append(f"{name}: does not end with the default arm and endmodule")
-    values = _read_arms(data, len(head), size, prefix, infix, b, addresses)
-    if isinstance(values, str):
-        problems.append(f"{name}: {values}")
-        return None
-    return values
-
-
-def _read_padded(path, pad: int) -> bytearray:
-    """A file's bytes followed by pad zero bytes, read into one buffer."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        data = bytearray(size + pad)
-        if f.readinto(memoryview(data)[:size]) != size:
-            raise OSError(f"{path}: the file changed size while it was read")
-    return data
-
-
-def _address_words(n: int) -> tuple:
-    """For each address i of an n-bit ROM (n <= 32), the 8 bytes of its
-    case arm after the prefix, as one little-endian word: i's canonical hex
-    digits, then the first bytes of ': data <= ...'; and its digit count.
-    2**n words and 2**n uint8 counts, filled a digit count at a time by
-    broadcasting the hex digits, so no 2**n-entry index array is made."""
-    size = 1 << n
-    text = np.empty((size, 8), dtype=np.uint8)
-    digits = np.empty(size, dtype=np.uint8)
-    lo = 0
-    for d in range(1, 9):
-        hi, block = min(size, 16 ** d), 16 ** (d - 1)
-        if lo >= hi:
+    head = _rom_head(name, n, b).encode()
+    # the emitted text around the file's own digits, each constant's at the
+    # place the emitter puts it: it is the file unless another byte differs
+    parts, spans, at = [head], [], len(head)
+    for constant, prefix, k, first, digits in _constant_lines(n, b):
+        at += len(prefix)
+        spans.append((constant, at, k, first, digits))
+        parts += [prefix.encode(), data[at:at + digits], b";\n"]
+        at += digits + 2
+    parts.append(_rom_tail(n, b).encode())
+    want = b"".join(parts)
+    fault = None  # the first byte at which the file is not the emitted text
+    if data != want:
+        common = min(len(data), len(want))
+        differ = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=common)
+                                != np.frombuffer(want, dtype=np.uint8, count=common))
+        fault = int(differ[0]) if len(differ) else common
+    buf, size = np.frombuffer(data, dtype=np.uint8), 1 << _pieces(n)[0]
+    values = np.zeros(1 << n, dtype=np.uint32)
+    for constant, at, k, first, digits in spans:
+        if fault is not None and at + digits > fault:
             break
-        # addresses lo..hi of d digits, one axis per digit, the leading one first
-        group = text[lo:hi].reshape((-1,) + (16,) * (d - 1) + (8,))
-        group[..., 0] = _HEX_CHARS[lo // block:hi // block].reshape((-1,) + (1,) * (d - 1))
-        for k in range(1, d):
-            group[..., k] = _HEX_CHARS.reshape((16,) + (1,) * (d - 1 - k))
-        text[lo:hi, d:] = np.frombuffer(b": data <"[:8 - d], dtype=np.uint8)
-        digits[lo:hi] = d
-        lo = hi
-    return text.view("<u8")[:, 0], digits
-
-
-def _read_arms(data: bytearray, start: int, size: int, prefix: bytes, infix: bytes, b: int,
-               addresses: tuple):
-    """A ROM's case-arm values in address order, or what prevents reading
-    them; the arms begin at start, and data holds the file's size bytes and
-    zero padding.  The newlines of the arms are found once, which counts
-    them.  Then arm i must be exactly the bytes its address gives: prefix,
-    i's canonical hex digits, infix, a canonical hex token below 2**b
-    (through tables.hex_tokens) and ';'.  That is checked a window of lines
-    at a time, and only the first bad arm in file order is parsed, to say
-    what is wrong with it."""
-    stop = data.rfind(_DEFAULT_ARM, start - 1, size) + 1
-    if stop < start:
-        return "missing default arm"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf[start:stop] == ord("\n"))
-    ends += start
-    addr_words, addr_digits = addresses
-    if len(ends) != len(addr_words):
-        return f"{len(ends)} case arms, expected {len(addr_words)}"
-    values = np.empty(len(ends), dtype=np.uint32)
-    first = 0
-    while first < len(ends):
-        line = int(ends[first - 1]) + 1 if first else start
-        last = min(int(np.searchsorted(ends, line + _WINDOW - 1)) + 1, len(ends))
-        window, ok = _check_arms(buf, line, ends[first:last], prefix, infix, b,
-                                 addr_words[first:last], addr_digits[first:last])
-        if not ok.all():
-            i = first + int(np.argmin(ok))
-            begin = int(ends[i - 1]) + 1 if i else start
-            return _bad_arm(bytes(data[begin:ends[i]]), i, prefix, infix, b)
-        values[first:last] = window
-        first = last
+        nibbles = HEX_VALUE[buf[at:at + digits]]
+        bad = nibbles >= min(16, 1 << size)  # a constant under 4 bits has clear pad bits
+        if bad.any():
+            i = int(np.argmax(bad))
+            low = first + 4 * (digits - 1 - i)
+            char = data[at + i:at + i + 4].decode("utf-8", "replace")[0]
+            problems.append(f"{name}: {constant} digit covering addresses 0x{low:x}-"
+                            f"0x{min(low + 3, first + size - 1):x} is {char!r}")
+            return None
+        if digits % 2:  # a lone digit is the low half of its byte
+            nibbles = np.append(np.uint8(0), nibbles)
+        # the constant's bytes, lowest first: the last two digits, then the two before
+        octets = (nibbles[-2::-2] << 4) | nibbles[::-2]
+        bits = np.unpackbits(octets, bitorder="little")[:size]
+        values[first:first + size] |= np.left_shift(bits, k, dtype=np.uint32)
+    if fault is not None:
+        # quote the digits of the constants from the fault on as unknown
+        for c, (_, at, _, _, digits) in enumerate(spans):
+            if at + digits > fault:
+                parts[2 + 3 * c] = b"?" * digits
+        problems += _first_difference(name, data.decode("utf-8", "backslashreplace"),
+                                      b"".join(parts).decode("utf-8", "backslashreplace"))
+        return None
     return values
-
-
-def _check_arms(buf: np.ndarray, line: int, ends: np.ndarray, prefix: bytes, infix: bytes,
-                b: int, addr_words: np.ndarray, addr_digits: np.ndarray) -> tuple:
-    """The values of the arm lines that begin at line and end at ends, and
-    whether each line is exactly its arm.  Each line is read as two records
-    of 8-byte words: the 16 bytes before its address (the newline that ends
-    the line before, then the prefix of 15 or 16 bytes) and the address word
-    of _address_words; then from the infix on, two words, the bytes past the
-    infix masked off.  The value token follows the infix, and ';' ends the
-    line."""
-    lead, tail = _words_of((b"\n" + prefix)[-16:]), _words_of(infix)
-    at = np.empty_like(ends)
-    at[0], at[1:] = line, ends[:-1] + 1
-    at += len(prefix) - 16
-    words = _words_at(buf, at, 3)
-    ok = (words[:, 0] == lead[0]) & (words[:, 1] == lead[1]) & (words[:, 2] == addr_words)
-    at += 16 + addr_digits
-    words = _words_at(buf, at, 2)
-    mask = (1 << 8 * (len(infix) - 8)) - 1  # the infix's bytes in its second word
-    ok &= (words[:, 0] == tail[0]) & ((words[:, 1] & mask) == tail[1])
-    at += len(infix)
-    values, value_ok = hex_tokens(buf, at, ends - 1 - at)
-    ok &= value_ok & (values < 1 << b) & (buf[ends - 1] == ord(";"))
-    return values, ok
-
-
-def _words_of(template: bytes) -> list:
-    """template as little-endian 8-byte words, the last one zero-padded."""
-    return [int.from_bytes(template[k:k + 8], "little") for k in range(0, len(template), 8)]
-
-
-def _words_at(buf: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
-    """The count little-endian 8-byte words that begin at each offset of
-    at, one row per offset, gathered as one record each."""
-    records = np.ndarray((len(buf) - 8 * count + 1,), dtype=f"V{8 * count}", buffer=buf,
-                         strides=(1,))
-    return records[at].view("<u8").reshape(len(at), count)
-
-
-def _bad_arm(line: bytes, i: int, prefix: bytes, infix: bytes, b: int) -> str:
-    """What is wrong with arm i's line: a well-formed arm of another
-    address, or a malformed line."""
-    m = re.fullmatch(re.escape(prefix) + _TOKEN + re.escape(infix) + _TOKEN + b";", line)
-    if m and int(m[2], 16) < 1 << b:
-        return f"case arm {i} has address {m[1].decode()}, expected {i:x}"
-    return f"case arm {i} is malformed: {line.decode('utf-8', 'backslashreplace')!r}"
 
 
 def _slice_index(text: str, bus: str, bits: int, count: int) -> int:
@@ -527,15 +469,26 @@ def _read_instance(name: str, instance, bus: str, j: int, b: int, width: int,
 
 
 def _first_difference(fname: str, got: str, want: str) -> list:
-    """A problem naming the first line where got differs from want, if any."""
+    """A problem naming the first line where got differs from want, if any;
+    a line over _QUOTE characters is quoted from shortly before the column
+    where it differs."""
     if got == want:
         return []
     got, want = got.split("\n"), want.split("\n")
     k = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w),
              min(len(got), len(want)))
-    got_k, want_k = ((repr(lines[k]) if k < len(lines) else "the end of the file")
+    start = 0
+    if k < min(len(got), len(want)) and max(len(got[k]), len(want[k])) > _QUOTE:
+        start = max(0, len(os.path.commonprefix([got[k], want[k]])) - _QUOTE // 2)
+    got_k, want_k = ((_quote(lines[k], start) if k < len(lines) else "the end of the file")
                      for lines in (got, want))
     return [f"{fname}: line {k + 1} is {got_k}, expected {want_k}"]
+
+
+def _quote(line: str, start: int) -> str:
+    """line quoted from column start for _QUOTE characters, '...' marking a cut."""
+    cut = line[start:start + _QUOTE]
+    return f"{'...' if start else ''}{cut!r}{'...' if start + len(cut) < len(line) else ''}"
 
 
 def _vector_problems(text: str, readback: Netlist) -> list:

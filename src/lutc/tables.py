@@ -15,11 +15,11 @@ patterns.  The emitted RTL uses the same convention, so simulation and
 hardware agree bit for bit.
 
 Table text is written and read one layer at a time.  hex_rows formats
-only the distinct values of a layer's (W, 2**N) array (the dumps and the
-Verilog ROMs both use it).  load_tables reads back only what dump_tables
-writes, byte for byte: the header, then each neuron's line and value
-lines at fixed line numbers, one neuron at a time, its values through
-hex_tokens, the hex reader rtl.check_bundle also runs on ROM files.
+only the distinct values of a layer's (W, 2**N) array.  load_tables
+reads back only what dump_tables writes, byte for byte: the header, then
+each neuron's line and value lines at fixed line numbers, one neuron at a
+time, its values through hex_tokens.  HEX_VALUE, the digit lookup under
+hex_tokens, is also how rtl.check_bundle decodes the ROM constants.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def tabulate_model(model: TrainedModel) -> list:
 
 
 # byte -> value of a lower-case hex digit, 16 for every other byte
-_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
-_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _HEX_DIGITS = 15  # the most hex digits hex_tokens reads into an int64
 # a dump's header; its numbers are plain decimal below 10**9
 _HEADER = re.compile(rb"lut-tables v1\nlayer (0|[1-9][0-9]{0,8})\nneurons ([1-9][0-9]{0,8})\n"
@@ -108,12 +108,12 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])]
 
 
-def hex_rows(rows, suffix: str = ""):
+def hex_rows(rows):
     """Yield each of a layer's table rows as a list of lowercase hex
-    strings, each followed by suffix.  Only the layer's distinct values are
-    formatted, and index arrays are built one row at a time."""
+    strings.  Only the layer's distinct values are formatted, and index
+    arrays are built one row at a time."""
     values = _distinct(np.concatenate([_distinct(row) for row in rows]))
-    strings = np.array([f"{v:x}{suffix}" for v in values.tolist()], dtype=object)
+    strings = np.array([f"{v:x}" for v in values.tolist()], dtype=object)
     for row in rows:
         yield strings[np.searchsorted(values, row)].tolist()
 
@@ -229,10 +229,10 @@ def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tupl
         if not len(sel):
             continue
         at = starts[sel]
-        first = worst = _HEX_VALUE[buf[at]]
+        first = worst = HEX_VALUE[buf[at]]
         value = first.astype(np.int64)
         for k in range(1, width):
-            digit = _HEX_VALUE[buf[at + k]]
+            digit = HEX_VALUE[buf[at + k]]
             value = value * 16 + digit
             worst = np.maximum(worst, digit)
         values[sel] = value

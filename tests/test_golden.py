@@ -23,15 +23,15 @@ GOLDEN_SHA256 = {
     "net/layer1_tables.txt": "e2c7eb49acf9fa96bccd7bd984af440202ce0aeb3d9e5f10219c87a09e23a245",
     "net/layer2_tables.txt": "2530e56ae2e86f72d60e8f125fab26be822657153da440b63f6b6017658a99d1",
     "net/netlist.json": "ce2b1207b4c2b2c1dab72e1039fb3850a0f24854efb34718c4c9d9db835c7cf5",
-    "rtl/layer0_n0.v": "5e6abaed5baf24907ef2778b8ab62dd9aac9728a533bfb0fc7e08c1924cba0e4",
-    "rtl/layer0_n1.v": "52483a85ef7b36f2834e7cce2621892ab43b8734a9b00f30d07ebdd920ae6636",
-    "rtl/layer0_n2.v": "25c568907a7a8f3ff323048b4f2bbec00974ed34dfd653c16e0c9ddaf79d9019",
-    "rtl/layer0_n3.v": "450cc9c4550a9a6edef246c20b97e0ad323473b543eb3dce17a1eac7ea109971",
-    "rtl/layer1_n0.v": "d204933dcaac15edc433704e20aeaa5683581cb1d90223200db20a585740b81d",
-    "rtl/layer1_n1.v": "96e96116d737d09629f4bac2bfdec250082ef42bd7652db0b17581edac4422c1",
-    "rtl/layer1_n2.v": "4a553a641fdd49b7c0234da10d6c1adff650c08f92aa317fdbe1a0cb0f925cdb",
-    "rtl/layer2_n0.v": "41c4d30a5dad379bfac498bd67bede7d04d01c3b8f642017dd21b401d0fec456",
-    "rtl/layer2_n1.v": "80907a9ebd7ef56ecd4b4383b33099524b885454938b32d13d6bb7a86de25646",
+    "rtl/layer0_n0.v": "80baadd1a89ce149f8e48b5e18fb0f5b2b095d0c635d74bd577e417c78c49789",
+    "rtl/layer0_n1.v": "7e056ffc3222574a76cea8f44a7df83d42d42ad7b39d1e86abb408abd187e1b5",
+    "rtl/layer0_n2.v": "4af29b2b853dc46496db01c8d889a6511ee3c63759dfec3df3bf090d9bec398e",
+    "rtl/layer0_n3.v": "182d01cfac075d31ff99b18bbc3d40da2c61fb229408185f1dd2648c5358a001",
+    "rtl/layer1_n0.v": "be9a2b88a1cb155ad55674c9dcd8a361e870b02b2d5d88e890b479ca6484e186",
+    "rtl/layer1_n1.v": "076ee9420572c3844f6c456ebb1e03f6114c4d9d67eb1bef70f024f7d15bb314",
+    "rtl/layer1_n2.v": "f9801eadb9b35e6d5f6f554e08abfab00c404fce8e6037db7eef83cdb03fcafa",
+    "rtl/layer2_n0.v": "ced61f7095690555aee279868fa0cb2af182d2466dd63471e18cd9508aa2f395",
+    "rtl/layer2_n1.v": "754f6dabd14aa16d501eafe9cd28803abec01b7e67c0fb59298c4538b5e54a73",
     "rtl/manifest.txt": "20ea9761b1377819bd4c1e86a082f598de497a2b275e78d62ee8cbbc2cc65977",
     "rtl/tb.v": "7afbef6dca42bbc91d36500801025508b821b5583e9a65d917a970d926f19991",
     "rtl/top.v": "19b632395d23739886c202c7fa2e603f40ee7b25aa01552446e7ad505a01298d",
@@ -39,17 +39,18 @@ GOLDEN_SHA256 = {
 }
 
 
-# 8-entry layer-0 tables (one short dump line per neuron), 5-bit codes
-# (two hex digits) and one constant table
+# 8-entry layer-0 tables (one short dump line and 2-digit constants per
+# neuron), 5-bit codes (two hex digits in a dump, five constants in a ROM)
+# and one constant table
 NARROW_SHA256 = {
     "net/layer0_tables.txt": "0af4b9ff1e2f1662334429041b7a9f9509f6aa07191ca8e7fceaeaf938a54692",
     "net/layer1_tables.txt": "396709b830f114e626e1c8d3a75c4c72f3995b4560fe760d84d17e9dbbc79e72",
     "net/netlist.json": "545b7371e4d823967a1a7d5a72dee1ad6a8f29abbb9d752f3f842553ccf8a6db",
-    "rtl/layer0_n0.v": "5bd2b4ed56532c16ba273b33a4e6f3515f03fa18ceef715253690c0a5789861e",
-    "rtl/layer0_n1.v": "b8bb352aa83a74dfdc14c23f55d51f9e3948a9c97291f318201a771b0818b057",
-    "rtl/layer0_n2.v": "ac6e66cbe6363c7dc04d3c2b39236d003cbfee1fe98045dcc303564506db88a1",
-    "rtl/layer1_n0.v": "a9e202d01018cf5bf49dbc8897d68d3e97ab1cf979bd9eb6d819642ec9b670b6",
-    "rtl/layer1_n1.v": "b959be59b46f980e065cefd879b66d8d53c73c85da599c2dbc00ea6e21b9543c",
+    "rtl/layer0_n0.v": "e316e9c1a9eee49379ad64b7272d6a50a1c3945763f8282ac00bc5d3edac378d",
+    "rtl/layer0_n1.v": "9c2a30b8f2a5d007821add47ea9949b634ad1240c690abc1e03ae19ff12c0efa",
+    "rtl/layer0_n2.v": "eaa688c55ecde5fac48abea2416fc384700c27e848ba87c1b9757a93db4f7078",
+    "rtl/layer1_n0.v": "28b4c4a69e1ccfc7b342db20c10a45323ac34618fc5e668e32a8bd6523bf0070",
+    "rtl/layer1_n1.v": "e5857888c5a69b5073d461b6d3d2519b0f05ac0e1e7101a13b20b9ff39bbdb78",
     "rtl/manifest.txt": "344b791efdf7b9aecd8a445083b7153d03c47ec6fa0484d809f40c6d16392459",
     "rtl/tb.v": "eb7d67f104f4a7a0cbfdae92ca4f8741a47791c4e5be55fcfaea210cab2ac019",
     "rtl/top.v": "4f8d3498e4102bcc3342618f736e73ddd0e835ea8f644e88e27d976adccba14d",

@@ -6,8 +6,8 @@ per-neuron draw, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, the
 RTL checker's read-back of emitted and edited bundle files and of
-edited case arms against a per-line reader, and the trainer's gradient
-scatter against np.add.at."""
+edited ROM constants against a per-line reader, and the trainer's
+gradient scatter against np.add.at."""
 
 import os
 import pathlib
@@ -20,7 +20,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lutc.model as model_mod
-import lutc.rtl as rtl_mod
 from lutc.basis import enumerate_basis, expand, expand_vjp, weighted_expand, weighted_sum
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.netlist import LutLayer, Netlist, simulate
@@ -437,16 +436,27 @@ def test_dump_load_round_trip(layers):
         [(np.uint32, lut.tables.tolist(), lut.output_bits) for lut in layers]
 
 
+def rom_lines(n, b, name):
+    """The lines of a ROM of n <= 16 address bits before and after its b
+    constant lines."""
+    head = [f"module {name} (", "    input  wire clk,", f"    input  wire [{n - 1}:0] addr,",
+            f"    output reg  [{b - 1}:0] data", ");"]
+    read = ", ".join(f"BIT_{k}[addr]" for k in reversed(range(b)))
+    tail = ["    always @(posedge clk) begin", f"        data <= {{{read}}};", "    end",
+            "endmodule", ""]
+    return head, tail
+
+
 def rom_per_entry(table, n, b, name):
-    """Reference: one f-string per table entry."""
-    lines = [f"module {name} (", "    input  wire clk,", f"    input  wire [{n - 1}:0] addr,",
-             f"    output reg  [{b - 1}:0] data", ");", "    always @(posedge clk) begin",
-             "        case (addr)"]
-    for addr, val in enumerate(table):
-        lines.append(f"            {n}'h{addr:x}: data <= {b}'h{int(val):x};")
-    lines.append(f"            default: data <= {b}'h0;")
-    lines.extend(["        endcase", "    end", "endmodule", ""])
-    return "\n".join(lines)
+    """Reference: each constant a Python int built one table entry at a
+    time, bit i from entry i."""
+    head, tail = rom_lines(n, b, name)
+    constants = []
+    for k in range(b):
+        value = sum(((int(v) >> k) & 1) << i for i, v in enumerate(table))
+        constants.append(f"    localparam [{(1 << n) - 1}:0] BIT_{k} = {1 << n}'h"
+                         f"{value:0{-(-(1 << n) // 4)}x};")
+    return "\n".join(head + constants + tail)
 
 
 @SETTINGS
@@ -610,16 +620,15 @@ def edit_bundle(out, net, kind, rng):
 
     def edit(text):
         lines = text.split("\n")
-        if kind in ("arm", "value"):
-            arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
-            a, c = (arms[i] for i in rng.choice(len(arms), size=2, replace=False))
-            if kind == "arm":
-                lines[a], lines[c] = lines[c], lines[a]
-            else:
-                head, _, token = lines[a].rpartition("'h")
-                size = 1 << lut.output_bits
-                value = (int(token[:-1], 16) + int(rng.integers(1, size))) % size
-                lines[a] = f"{head}'h{value:x};"
+        if kind in ("line", "digit"):
+            constants = [i for i, ln in enumerate(lines) if ln.startswith("    localparam ")]
+            a = int(rng.choice(constants))
+            if kind == "line":
+                del lines[a]
+            else:  # another hex digit in place of one of the constant's
+                k = int(rng.integers(lines[a].index("'h") + 2, len(lines[a]) - 1))
+                new = f"{(int(lines[a][k], 16) + int(rng.integers(1, 16))) % 16:x}"
+                lines[a] = lines[a][:k] + new + lines[a][k + 1:]
         elif kind == "wire":
             k = next(i for i, ln in enumerate(lines) if ln.startswith(f"    assign {name}_addr ="))
             s = int(rng.choice(lut.sources[j]))
@@ -637,25 +646,13 @@ def edit_bundle(out, net, kind, rng):
     return fname or name
 
 
-@contextmanager
-def rtl_window(value):
-    """Set rtl._WINDOW, the bytes of case arms read at once, for the block."""
-    saved = rtl_mod._WINDOW
-    rtl_mod._WINDOW = value
-    try:
-        yield
-    finally:
-        rtl_mod._WINDOW = saved
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**16),
-       kind=st.sampled_from(["arm", "value", "wire", "digest", "vector"]),
-       window=st.sampled_from([1, 37, 512, rtl_mod._WINDOW]))
-def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind, window):
+       kind=st.sampled_from(["line", "digit", "wire", "digest", "vector"]))
+def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind):
     net = random_netlist(seed)
     # a directory per example: tmp_path would be shared by all of them
-    with tempfile.TemporaryDirectory() as out, rtl_window(window):
+    with tempfile.TemporaryDirectory() as out:
         emit_bundle(net, out)
         assert check_bundle(out, net) == []
         blamed = edit_bundle(out, net, kind, np.random.default_rng(seed))
@@ -663,69 +660,83 @@ def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind, window):
     assert any(p.startswith(f"{blamed}: ") for p in problems), problems
 
 
-def reference_arms(text, n, b):
-    """A per-line reader of a ROM's case arms: each line between the head
-    and the default arm must be the whole arm template with canonical hex
-    tokens of at most 15 digits, address i on line i and a value below
-    2**b.  Returns the values, or the message for the first bad arm."""
-    body = text[text.index("case (addr)\n") + 12:text.rindex("\n            default:") + 1]
-    lines = body.split("\n")[:-1]
-    if len(lines) != 1 << n:
-        return f"{len(lines)} case arms, expected {1 << n}"
-    token = "(0|[1-9a-f][0-9a-f]{0,14})"
-    arm = re.compile(f" {{12}}{n}'h{token}: data <= {b}'h{token};")
-    values = []
-    for i, line in enumerate(lines):
-        m = arm.fullmatch(line)
-        if not m or int(m[2], 16) >= 1 << b:
-            return f"case arm {i} is malformed: {line!r}"
-        if int(m[1], 16) != i:
-            return f"case arm {i} has address {m[1]}, expected {i:x}"
-        values.append(int(m[2], 16))
+def reference_rom(text, n, b, name):
+    """A per-line reader of a ROM: the lines around its constants must be
+    the emitted ones, and line 6 + k must be BIT_k's line with exactly
+    ceil(2**n / 4) lower-case hex digits, read by int(..., 16), below
+    2**(2**n).  Returns the table, or the number of the first line that is
+    not so and, when that line holds the right number of characters in
+    place of the digits, what the checker says of its first bad digit."""
+    head, tail = rom_lines(n, b, name)
+    size, digits = 1 << n, -(-(1 << n) // 4)
+    want = head + [None] * b + tail
+    lines = text.split("\n")
+    values = np.zeros(size, dtype=np.uint32)
+    for i, line in enumerate(lines[:len(want)]):
+        if want[i] is not None:
+            if line != want[i]:
+                return i + 1, None
+            continue
+        k = i - len(head)
+        m = re.fullmatch(rf"    localparam \[{size - 1}:0\] BIT_{k} = {size}'h(.{{{digits}}});",
+                         line)
+        if not m:
+            return i + 1, None
+        if not re.fullmatch("[0-9a-f]+", m[1]) or int(m[1], 16) >= 1 << size:
+            j = next(j for j, c in enumerate(m[1])
+                     if c not in "0123456789abcdef" or j == 0 and int(c, 16) >= 1 << size)
+            low = 4 * (digits - 1 - j)
+            return i + 1, (f"BIT_{k} digit covering addresses 0x{low:x}-"
+                           f"0x{min(low + 3, size - 1):x} is {m[1][j]!r}")
+        value = int(m[1], 16)
+        values |= np.array([(value >> a) & 1 for a in range(size)], dtype=np.uint32) << k
+    if len(lines) != len(want):
+        return min(len(lines), len(want)) + 1, None
     return values
 
 
-def edit_arm_lines(text, kind, rng):
-    """One edit of the given kind to the case arms of a ROM's text."""
-    lines = text.split("\n")
-    arms = [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
-    a, c = sorted(int(i) for i in rng.choice(arms, size=2, replace=False))
-    if kind == "substitute":
-        k = int(rng.integers(len(lines[a])))
-        new = str(rng.choice(list("0179afgAF:; \t\n\u00e9\u0663")))
-        lines[a] = lines[a][:k] + new + lines[a][k + 1:]
-    elif kind == "leading-zero":
-        k = (lines[a].index("'h") if rng.random() < 0.5 else lines[a].rindex("'h")) + 2
-        lines[a] = lines[a][:k] + "0" + lines[a][k:]
-    elif kind == "delete":
-        del lines[a]
-    elif kind == "duplicate":
-        lines.insert(a, lines[a])
+def edit_rom_text(text, kind, rng):
+    """One edit of a character of a ROM's text, of the given kind: half of
+    the time inside the digits of a constant, else anywhere."""
+    if rng.random() < 0.5:
+        spans = [m.span(1) for m in re.finditer("'h([0-9a-f]+);", text)]
+        start, stop = spans[int(rng.integers(len(spans)))]
+        k = int(rng.integers(start, stop))
     else:
-        lines[a], lines[c] = lines[c], lines[a]
-    return "\n".join(lines)
+        k = int(rng.integers(len(text)))
+    new = str(rng.choice(list("0179afgAF:; \t\n\u00e9\u0663")))
+    if kind == "substitute":
+        return text[:k] + new + text[k + 1:]
+    if kind == "delete":
+        return text[:k] + text[k + 1:]
+    return text[:k] + new + text[k:]
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**16), n=st.integers(1, 11), b=st.integers(1, 12),
-       kind=st.sampled_from(["substitute", "leading-zero", "delete", "duplicate", "swap"]),
-       window=st.sampled_from([1, 37, rtl_mod._WINDOW]))
-@example(seed=0, n=4, b=4, kind="swap", window=1)
-@example(seed=1, n=10, b=10, kind="substitute", window=rtl_mod._WINDOW)
-def test_check_bundle_reads_arms_as_a_per_line_reference_does(seed, n, b, kind, window):
+       kind=st.sampled_from(["substitute", "delete", "insert"]))
+@example(seed=0, n=1, b=2, kind="substitute")
+@example(seed=1, n=10, b=10, kind="insert")
+def test_check_bundle_reads_constants_as_a_per_line_reference_does(seed, n, b, kind):
     rng = np.random.default_rng(seed)
     layer = LutLayer(tables=rng.integers(0, 1 << b, size=(1, 1 << n)).astype(np.uint32),
                      sources=np.arange(n)[None], output_bits=b)
     net = Netlist(input_count=n, input_bits=1, layers=[layer], clock_period_ns=1.0)
-    with tempfile.TemporaryDirectory() as out, rtl_window(window):
+    with tempfile.TemporaryDirectory() as out:
         emit_bundle(net, out)
         path = pathlib.Path(out, "layer0_n0.v")
-        edit_file(path, lambda text: edit_arm_lines(text, kind, rng))
+        edit_file(path, lambda text: edit_rom_text(text, kind, rng))
         got = [p for p in check_bundle(out, net) if p.startswith("layer0_n0: ")]
-        want = reference_arms(path.read_bytes().decode("utf-8"), n, b)
-    if isinstance(want, str):
-        assert got == [f"layer0_n0: {want}"]
+        want = reference_rom(path.read_bytes().decode("utf-8"), n, b, "layer0_n0")
+    if isinstance(want, tuple):
+        line, digit = want
+        assert len(got) == 1, got
+        if digit is not None:
+            assert got == [f"layer0_n0: {digit}"]
+        else:  # the line, or a digit of the constant on it
+            assert got[0].startswith((f"layer0_n0: line {line} is ",
+                                      f"layer0_n0: BIT_{line - 6} digit covering ")), (line, got)
     else:
-        diff = np.flatnonzero(np.array(want) != layer.tables[0])
-        assert got == ([f"layer0_n0: {len(diff)} case arm values differ from the netlist "
-                        f"table, first at address {diff[0]:x}"] if len(diff) else [])
+        diff = np.flatnonzero(want != layer.tables[0])
+        assert got == ([f"layer0_n0: {len(diff)} entries differ from the netlist table, "
+                        f"first at address 0x{diff[0]:x}"] if len(diff) else [])

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import lutc.rtl as rtl
 from lutc.model import NetworkSpec, init_model
 from lutc.netlist import LutLayer, Netlist, build_netlist, simulate
 from lutc.rtl import (
@@ -38,11 +37,14 @@ def one_layer_netlist(tables, output_bits, input_bits=1):
 
 
 def test_rom_entry_count(tmp_path):
+    # bit k of entry i is bit i of BIT_k, address 15 in the first digit
     emit_bundle(one_layer_netlist(np.arange(16)[None] % 4, 2), tmp_path)
     text = (tmp_path / "layer0_n0.v").read_text()
-    assert text.count("data <=") == 16 + 1  # all arms + default
-    assert "case (addr)" in text
+    assert text.count("localparam") == 2
+    assert "    localparam [15:0] BIT_0 = 16'haaaa;\n" in text
+    assert "    localparam [15:0] BIT_1 = 16'hcccc;\n" in text
     assert "always @(posedge clk)" in text
+    assert "        data <= {BIT_1[addr], BIT_0[addr]};\n" in text
     assert "input  wire [3:0] addr" in text
     assert "output reg  [1:0] data" in text
 
@@ -50,9 +52,37 @@ def test_rom_entry_count(tmp_path):
 def test_rom_constant_table(tmp_path):
     emit_bundle(one_layer_netlist(np.full((1, 4), 3), 2), tmp_path)
     text = (tmp_path / "layer0_n0.v").read_text()
-    arms = [ln for ln in text.splitlines() if ": data <=" in ln and "default" not in ln]
-    assert len(arms) == 4
-    assert all(ln.strip().endswith("data <= 2'h3;") for ln in arms)
+    constants = [ln for ln in text.splitlines() if "localparam" in ln]
+    assert constants == ["    localparam [3:0] BIT_0 = 4'hf;",
+                         "    localparam [3:0] BIT_1 = 4'hf;"]
+
+
+def test_rom_splits_constants_above_16_address_bits(tmp_path):
+    # 17 address bits: each bit's constant is two 2**16-bit pieces, the
+    # second holding addresses 0x10000-0x1ffff, selected by addr[16:16]
+    rng = np.random.default_rng(0)
+    net = one_layer_netlist(rng.integers(0, 4, size=(1, 1 << 17)), 2)
+    emit_bundle(net, tmp_path)
+    assert check_bundle(tmp_path, net) == []
+    path = tmp_path / "layer0_n0.v"
+    text = path.read_text()
+    lines = text.split("\n")
+    assert [ln[:ln.index("'h") + 2] for ln in lines[5:9]] == [
+        f"    localparam [65535:0] BIT_{k}_P{p} = 65536'h" for k in (0, 1) for p in (0, 1)]
+    assert lines[9:14] == [
+        "    always @(posedge clk) begin", "        case (addr[16:16])",
+        "            1'h0: data <= {BIT_1_P0[addr[15:0]], BIT_0_P0[addr[15:0]]};",
+        "            1'h1: data <= {BIT_1_P1[addr[15:0]], BIT_0_P1[addr[15:0]]};",
+        "        endcase"]
+    # bit 0 of address 0x1fffd is the second-lowest bit of BIT_0_P1's first digit
+    first = text.index("BIT_0_P1 = 65536'h") + 18
+    flipped = f"{int(text[first], 16) ^ 2:x}"
+    edit_file(path, lambda text: text[:first] + flipped + text[first + 1:])
+    assert check_bundle(tmp_path, net)[0] == (
+        "layer0_n0: 1 entries differ from the netlist table, first at address 0x1fffd")
+    edit_file(path, lambda text: text[:first] + "G" + text[first + 1:])
+    assert check_bundle(tmp_path, net) == [
+        "layer0_n0: BIT_0_P1 digit covering addresses 0x1fffc-0x1ffff is 'G'"]
 
 
 # ---------------------------------------------------------------------------
@@ -168,38 +198,42 @@ def test_checker_flags_tampered_wiring(tmp_path):
     assert any("wiring" in p or "slice" in p for p in problems)
 
 
+def constant_lines(text):
+    """A ROM's lines and the indices of its constant lines."""
+    lines = text.split("\n")
+    return lines, [i for i, ln in enumerate(lines) if ln.startswith("    localparam ")]
+
+
 def test_checker_flags_missing_arm(tmp_path):
+    # a ROM without the line of one of its constants
     _, net = compiled(layer_widths=(1,))
     emit_bundle(net, tmp_path)
 
-    def drop_arm(text):
-        lines = text.splitlines()
-        drop = next(i for i, ln in enumerate(lines)
-                    if ": data <=" in ln and "default" not in ln)
-        return "\n".join(lines[:drop] + lines[drop + 1:])
+    def drop_constant(text):
+        lines, constants = constant_lines(text)
+        return "\n".join(lines[:constants[0]] + lines[constants[0] + 1:])
 
-    edit_file(tmp_path / "layer0_n0.v", drop_arm)
+    edit_file(tmp_path / "layer0_n0.v", drop_constant)
     problems = check_bundle(tmp_path, net)
-    assert any("case arms" in p for p in problems)
+    assert len(problems) == 1 and problems[0].startswith("layer0_n0: line 6 is "), problems
 
 
-@pytest.mark.parametrize("edit", [
-    lambda arms: [arms[0].replace("4'h0:", "4'hzz:")] + arms[1:],
-    lambda arms: arms[:1] + arms,
+@pytest.mark.parametrize("edit, line", [
+    (lambda lines, i: lines[:i] + [lines[i].replace("[15:0]", "[16:0]")] + lines[i + 1:], 7),
+    (lambda lines, i: lines[:i] + lines[i:i + 1] + lines[i:], 8),
 ], ids=["malformed-address", "duplicated-arm"])
-def test_checker_flags_bad_arm(tmp_path, edit):
-    _, net = compiled(layer_widths=(1,))  # 4 address bits
+def test_checker_flags_bad_arm(tmp_path, edit, line):
+    # a constant line with the wrong address range, or one written twice
+    _, net = compiled(layer_widths=(1,))  # 4 address bits, 2 output bits
     emit_bundle(net, tmp_path)
 
-    def edit_arms(text):
-        lines = text.splitlines()
-        first = next(i for i, ln in enumerate(lines) if ": data <=" in ln)
-        arms = lines[first:first + 16]
-        return "\n".join(lines[:first] + edit(arms) + lines[first + 16:]) + "\n"
+    def edit_constants(text):
+        lines, constants = constant_lines(text)
+        return "\n".join(edit(lines, constants[1]))
 
-    edit_file(tmp_path / "layer0_n0.v", edit_arms)
+    edit_file(tmp_path / "layer0_n0.v", edit_constants)
     problems = check_bundle(tmp_path, net)
-    assert any(p.startswith("layer0_n0: ") and "case arm" in p for p in problems)
+    assert len(problems) == 1 and problems[0].startswith(f"layer0_n0: line {line} is "), problems
 
 
 def test_checker_flags_unclocked_output(tmp_path):
@@ -208,14 +242,14 @@ def test_checker_flags_unclocked_output(tmp_path):
     edit_file(tmp_path / "layer0_n0.v",
               lambda text: text.replace("always @(posedge clk)", "always @(*)"))
     assert check_bundle(tmp_path, net) == [
-        "layer0_n0: line 6 is '    always @(*) begin', expected '    always @(posedge clk) begin'"]
+        "layer0_n0: line 8 is '    always @(*) begin', expected '    always @(posedge clk) begin'"]
 
 
 @pytest.mark.parametrize("old, new, line", [
     ("input  wire clk", "input  wire lk", 2),
     ("input  wire clk", "input wire clk", 2),
     (");", ")x;", 5),
-    ("begin", "begin // x", 6),
+    ("begin", "begin // x", 8),
 ], ids=["port-name", "port-spacing", "declaration-end", "comment"])
 def test_checker_flags_edited_rom_header(tmp_path, old, new, line):
     _, net = compiled(layer_widths=(3, 2))
@@ -234,29 +268,25 @@ def test_checker_flags_renamed_top_module(tmp_path):
         "top.v: line 1 is 'module top2 (', expected 'module top ('"]
 
 
-def arm_lines(text):
-    """A ROM's lines and the indices of its case arms (not the default)."""
-    lines = text.split("\n")
-    return lines, [i for i, ln in enumerate(lines) if ": data <=" in ln and "default" not in ln]
-
-
 def change_arm_value(out):
+    """Change one digit of a constant to another hex digit."""
     def edit(text):
-        lines, arms = arm_lines(text)
-        head, _, value = lines[arms[3]].rpartition("'h")
-        lines[arms[3]] = f"{head}'h{int(value[:-1], 16) ^ 1:x};"
+        lines, constants = constant_lines(text)
+        line = lines[constants[0]]
+        lines[constants[0]] = f"{line[:-2]}{int(line[-2], 16) ^ 1:x};"
         return "\n".join(lines)
     edit_file(out / "layer1_n0.v", edit)
-    return "layer1_n0"
+    return "layer1_n0: 1 entries differ from the netlist table, first at address 0x0"
 
 
 def swap_arms(out):
+    """Swap the lines of two constants."""
     def edit(text):
-        lines, arms = arm_lines(text)
-        lines[arms[1]], lines[arms[2]] = lines[arms[2]], lines[arms[1]]
+        lines, constants = constant_lines(text)
+        lines[constants[0]], lines[constants[1]] = lines[constants[1]], lines[constants[0]]
         return "\n".join(lines)
     edit_file(out / "layer1_n0.v", edit)
-    return "layer1_n0"
+    return "layer1_n0: line 6 is "
 
 
 def swap_data_outputs(out):
@@ -321,68 +351,79 @@ def test_checker_flags_tampering(tmp_path, tamper):
                for p in problems), problems
 
 
-@pytest.mark.parametrize("edit", [
-    lambda arm: arm.replace("6'ha:", "6'h0a:"),
-    lambda arm: arm.replace("6'ha:", "6'hA:"),
-    lambda arm: arm.replace("5'h7", "5'h07"),
-    lambda arm: arm.replace("5'h7", "5'hB"),
-    lambda arm: arm.replace(";", ","),
-    lambda arm: arm.replace("data <=", "date <="),
-    lambda arm: arm.replace("            6'h", "\t           6'h"),
+@pytest.mark.parametrize("old, new, problem", [
+    ("[63:0] BIT_0", "[063:0] BIT_0",
+     "line 6 is \"    localparam [063:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\", "
+     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
+    ("BIT_0 = 64'h", "BIT_0 = 64'H",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'Haaaaaaaaaaaaaeaa;\", "
+     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
+    ("BIT_0 = 64'h", "BIT_0 = 64'h0",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'h0aaaaaaaaaaaaaeaa;\", "
+     "expected \"    localparam [63:0] BIT_0 = 64'h0aaaaaaaaaaaaaea;\""),
+    ("aeaa;", "aEaa;", "BIT_0 digit covering addresses 0x8-0xb is 'E'"),
+    ("aeaa;", "aeaa,",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa,\", "
+     "expected \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\""),
+    ("data <=", "date <=",
+     "line 12 is '        date <= {BIT_4[addr], BIT_3[addr], BIT_2[addr], BIT_1[addr], "
+     "BIT_0[addr]'..., expected '        data <= {BIT_4[addr], BIT_3[addr], BIT_2[addr], "
+     "BIT_1[addr], BIT_0[addr]'..."),
+    ("    localparam [63:0] BIT_0", "\tlocalparam [63:0] BIT_0",
+     "line 6 is \"\\tlocalparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\", "
+     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
+    ("aeaa;", "agaa;", "BIT_0 digit covering addresses 0x8-0xb is 'g'"),
+    ("aeaa;", "a\u0663aa;", "BIT_0 digit covering addresses 0x8-0xb is '\u0663'"),
 ], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "upper-case-value",
-        "no-semicolon", "wrong-register", "tab-indent"])
-def test_checker_flags_noncanonical_arm(tmp_path, edit):
-    # 6 address bits and 5-bit values: two-digit tokens, so that a leading
-    # zero keeps a token within its width
+        "no-semicolon", "wrong-register", "tab-indent", "non-hex-value", "non-ascii-value"])
+def test_checker_flags_noncanonical_arm(tmp_path, old, new, problem):
+    # 6 address bits and 5-bit values: BIT_0 is 16 digits, entry 10 the
+    # only even entry with bit 0 set
     tables = np.arange(2 * 64, dtype=np.uint32).reshape(2, 64) % 32
     tables[0, 10] = 7
     net = Netlist(input_count=2, input_bits=3, clock_period_ns=1.0, layers=[
         LutLayer(tables=tables, sources=np.array([[0, 1], [1, 0]]), output_bits=5)])
     emit_bundle(net, tmp_path)
-    lines, arms = arm_lines((tmp_path / "layer0_n0.v").read_text())
-    assert lines[arms[10]] == "            6'ha: data <= 5'h7;"
-    edited = edit(lines[arms[10]])
-    edit_file(tmp_path / "layer0_n0.v", lambda text: text.replace(lines[arms[10]], edited))
-    assert check_bundle(tmp_path, net) == [f"layer0_n0: case arm 10 is malformed: {edited!r}"]
+    lines, constants = constant_lines((tmp_path / "layer0_n0.v").read_text())
+    assert lines[constants[0]] == "    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;"
+    edit_file(tmp_path / "layer0_n0.v", replacing(old, new))
+    assert check_bundle(tmp_path, net) == [f"layer0_n0: {problem}"]
 
 
-def test_checker_reads_roms_larger_than_a_read_window(tmp_path):
-    # 14 address bits: 16384 arms of about 35 bytes, read in three windows
-    rng = np.random.default_rng(0)
-    layer = LutLayer(tables=rng.integers(0, 8, size=(2, 1 << 14)).astype(np.uint32),
-                     sources=np.array([[0, 1], [1, 0]]), output_bits=3)
-    net = Netlist(input_count=2, input_bits=7, layers=[layer], clock_period_ns=1.0)
+@pytest.mark.parametrize("n, digit, problem", [
+    (1, "4", "BIT_1 digit covering addresses 0x0-0x1 is '4'"),
+    (1, "8", "BIT_1 digit covering addresses 0x0-0x1 is '8'"),
+    (2, "8", "1 entries differ from the netlist table, first at address 0x3"),
+], ids=["pad-bit-2", "pad-bit-3", "no-pad-bits"])
+def test_checker_flags_set_pad_bit(tmp_path, n, digit, problem):
+    # a constant of 2**n < 4 bits fills its one digit's low bits only
+    net = one_layer_netlist(np.zeros((1, 1 << n), dtype=np.uint32), 2)
     emit_bundle(net, tmp_path)
-    assert check_bundle(tmp_path, net) == []
-
-    def swap(text):
-        lines, arms = arm_lines(text)
-        lines[arms[12000]], lines[arms[12001]] = lines[arms[12001]], lines[arms[12000]]
-        return "\n".join(lines)
-
-    edit_file(tmp_path / "layer0_n1.v", swap)
-    assert check_bundle(tmp_path, net) == ["layer0_n1: case arm 12000 has address 2ee1, "
-                                           "expected 2ee0"]
+    edit_file(tmp_path / "layer0_n0.v", replacing(f"BIT_1 = {1 << n}'h0;",
+                                                  f"BIT_1 = {1 << n}'h{digit};"))
+    problems = check_bundle(tmp_path, net)
+    assert [p for p in problems if p.startswith("layer0_n0: ")] == [f"layer0_n0: {problem}"]
 
 
 @pytest.mark.parametrize("edit", [
-    lambda text: text.replace(text[text.index("case (addr)\n") + 12:
-                                   text.index("            default:")], ""),
-    lambda text: text.replace("4'h3:", "4'h\u0663:"),
-    lambda text: text[:text.index("default:") + 10],
-    lambda text: text.replace("case (addr)", "case(addr)"),
+    lambda text: "".join(ln for ln in text.splitlines(True) if "localparam" not in ln),
+    lambda text: text.replace("[15:0] BIT_1", "[1\u0665:0] BIT_1"),
+    lambda text: text[:text.index("endmodule")],
+    lambda text: text.replace("    always @(posedge clk) begin\n", ""),
 ], ids=["empty-case-body", "non-ascii-address", "truncated-default-arm", "no-case-line"])
 def test_checker_reports_unreadable_rom(tmp_path, edit):
+    # no constants, a non-ASCII range, no endmodule, no always line
     _, net = compiled(layer_widths=(1,))  # 4 address bits
     emit_bundle(net, tmp_path)
     edit_file(tmp_path / "layer0_n0.v", edit)
     problems = check_bundle(tmp_path, net)
-    assert any(p.startswith("layer0_n0: ") for p in problems), problems
+    assert len(problems) == 1 and problems[0].startswith("layer0_n0: line "), problems
 
 
 @pytest.mark.parametrize("fault, blamed", [
-    (lambda out: edit_file(out / "layer1_n0.v", lambda text: text[:text.index("4'h5:") + 9]),
-     "layer1_n0: "),
+    (lambda out: edit_file(out / "layer1_n0.v",
+                           lambda text: text[:text.index("BIT_1 = 16'h") + 14]),
+     "layer1_n0: line 7 is \"    localparam [15:0] BIT_1 = 16'h"),
     (lambda out: edit_file(out / "layer1_n0.v", lambda text: text.replace("\n", "\r\n")),
      "layer1_n0: line 1 is 'module layer1_n0 (\\r', expected 'module layer1_n0 ('"),
     (lambda out: (out / "layer1_n0.v").unlink(), "layer1_n0.v: cannot read: "),
@@ -406,43 +447,47 @@ def test_checker_reports_missing_top_once(tmp_path):
     assert len(problems) == 1 and problems[0].startswith("top.v: cannot read: "), problems
 
 
-@pytest.mark.parametrize("window", [1, 37, rtl._WINDOW])
-def test_checker_blames_the_first_bad_arm_at_every_window(tmp_path, monkeypatch, window):
-    # arms 3 and 4 swapped, and arm 9 without its ';': arm 3 is the first bad one
-    _, net = compiled(layer_widths=(1,))  # 4 address bits
+@pytest.mark.parametrize("first, second, problem", [
+    ("BIT_0", "BIT_1", "line 6 is "),
+    ("BIT_1", "BIT_0", "BIT_0 digit covering addresses 0xc-0xf is 'g'"),
+], ids=["line-first", "digit-first"])
+def test_checker_blames_the_first_fault_in_the_file(tmp_path, first, second, problem):
+    # a ';' edited on the line of one constant and a digit on the other's
+    _, net = compiled(layer_widths=(1,))  # 4 address bits, 2 output bits
     emit_bundle(net, tmp_path)
 
     def edit(text):
-        lines, arms = arm_lines(text)
-        lines[arms[3]], lines[arms[4]] = lines[arms[4]], lines[arms[3]]
-        lines[arms[9]] = lines[arms[9]].replace(";", ",")
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            if f" {first} = " in line:
+                lines[i] = line.replace(";", ",")
+            elif f" {second} = " in line:
+                lines[i] = line[:-5] + "g" + line[-4:]  # its first digit
         return "\n".join(lines)
 
     edit_file(tmp_path / "layer0_n0.v", edit)
-    monkeypatch.setattr(rtl, "_WINDOW", window)
-    assert check_bundle(tmp_path, net) == ["layer0_n0: case arm 3 has address 4, expected 3"]
+    problems = check_bundle(tmp_path, net)
+    assert len(problems) == 1 and problems[0].startswith(f"layer0_n0: {problem}"), problems
 
 
 def test_checker_memory_is_bounded_on_wide_roms(tmp_path):
-    # 2**15-arm ROMs: the address table is 2**15 words and 2**15 digit
-    # counts, built without 2**15-entry index arrays, and the check holds
-    # under three times the bytes of one ROM file
+    # 2**15-entry, 5-bit ROMs: a file is its digits and a bounded text per
+    # constant, not a line per address, and the check holds a few copies
+    # of one table's entries
+    n, b = 15, 5
     rng = np.random.default_rng(0)
-    layer = LutLayer(tables=rng.integers(0, 32, size=(2, 1 << 15)).astype(np.uint32),
-                     sources=np.array([[0, 1, 2], [2, 1, 0]]), output_bits=5)
+    layer = LutLayer(tables=rng.integers(0, 1 << b, size=(2, 1 << n)).astype(np.uint32),
+                     sources=np.array([[0, 1, 2], [2, 1, 0]]), output_bits=b)
     net = Netlist(input_count=3, input_bits=5, layers=[layer], clock_period_ns=1.0)
     emit_bundle(net, tmp_path)
-    rom_bytes = (tmp_path / "layer0_n0.v").stat().st_size
+    for path in tmp_path.glob("layer*_n*.v"):
+        assert path.stat().st_size <= b * (-(-(1 << n) // 4) + 64) + 256, path
     tracemalloc.start()
     try:
-        words, digits = rtl._address_words(15)
-        table_peak = tracemalloc.get_traced_memory()[1]
-        del words, digits
-        tracemalloc.reset_peak()
         problems = check_bundle(tmp_path, net)
         check_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert problems == []
-    assert table_peak <= 9 * (1 << 15) + 4096, table_peak
-    assert check_peak < 3 * rom_bytes, (check_peak, rom_bytes)
+    assert check_peak <= 3 * 1.19e6, check_peak
+    assert check_peak <= 6 * layer.tables[0].nbytes, check_peak
