@@ -149,6 +149,8 @@ def _load_dataset(cfg: dict):
                 raise ConfigError(f"dataset.idx: '{key}' is required")
             if not os.path.exists(ds_cfg[key]):
                 raise ConfigError(f"dataset path not found: {ds_cfg[key]}")
+        if ("test_images" in ds_cfg) != ("test_labels" in ds_cfg):
+            raise ConfigError("dataset.idx: 'test_images' and 'test_labels' go together")
         train_ds = data_mod.load_idx(ds_cfg["images"], ds_cfg["labels"])
         if "test_images" in ds_cfg:
             test_ds = data_mod.load_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
@@ -258,10 +260,12 @@ def cmd_emit(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     base_spec = build_spec(cfg)
-    train_ds, test_ds = load_dataset(cfg)
-
     widths = list(base_spec.layer_widths)
     hidden, out_width = widths[:-1], widths[-1]
+    if not hidden and max(args.depths) > 1:
+        raise ConfigError(f"sweep: depth {max(args.depths)} repeats the last hidden width, "
+                          f"but layer_widths {widths} has only the output layer")
+    train_ds, test_ds = load_dataset(cfg)
 
     rows = []
     for depth in args.depths:

@@ -82,16 +82,23 @@ def _rom_files(netlist: Netlist):
             yield f"{name}.v", _rom_text(name, row, n, b)
 
 
+def _hex_rows(bits: np.ndarray, digits: int) -> list:
+    """The number whose bit i is column i of each row of bits (rows, w), as
+    its last `digits` lower-case hex digits: no Python int, so of any width.
+    packbits puts bit i at bit i % 8 of byte i // 8, so the reversed bytes
+    read in hex are the number."""
+    packed = np.packbits(bits, axis=1, bitorder="little")[:, ::-1]
+    text, width = packed.tobytes().hex(), 2 * packed.shape[1]
+    return [text[at - digits:at] for at in range(width, len(text) + 1, width)]
+
+
 def _rom_text(name: str, row: np.ndarray, n: int, b: int):
     """A ROM module's text: head, one line per constant, always block."""
     yield _rom_head(name, n, b)
     size = 1 << _pieces(n)[0]
     for _, prefix, k, first, digits in _constant_lines(n, b):
-        # constant bit i is address first + i; packbits puts it at bit i % 8
-        # of byte i // 8, so the reversed bytes read in hex are the constant
-        packed = np.packbits((row[first:first + size] & (1 << k)) != 0, bitorder="little")
-        text = packed[::-1].tobytes().hex()
-        yield prefix + text[len(text) - digits:] + ";\n"
+        bits = (row[None, first:first + size] & (1 << k)) != 0  # bit k of each entry
+        yield prefix + _hex_rows(bits, digits)[0] + ";\n"
     yield _rom_tail(n, b)
 
 
@@ -164,23 +171,18 @@ def emit_top(netlist: Netlist) -> str:
 
 
 def emit_golden_vectors(netlist: Netlist, vectors: np.ndarray) -> str:
-    """Pair each packed input word with the simulator's packed output word."""
+    """Pair each packed input word with the simulator's packed output word;
+    field j of a word of `bits`-bit fields is at bits [j * bits, (j + 1) * bits)."""
     vectors = np.asarray(vectors, dtype=np.int64)
     outs = simulate(netlist, vectors)
 
-    def pack_words(fields, bits):  # python ints: immune to >64-bit widths
-        return [sum(int(v) << (j * bits) for j, v in enumerate(row)) for row in fields]
+    def words(fields, bits):
+        width = fields.shape[1] * bits
+        word_bits = ((fields[:, :, None] >> np.arange(bits)) & 1).reshape(len(fields), width)
+        return _hex_rows(word_bits, (width + 3) // 4)
 
-    in_words = pack_words(vectors, netlist.input_bits)
-    out_words = pack_words(outs, netlist.output_bits)
-    in_w = netlist.input_count * netlist.input_bits
-    out_w = netlist.layers[-1].width * netlist.output_bits
-    in_digits = (in_w + 3) // 4
-    out_digits = (out_w + 3) // 4
-    return "".join(
-        f"{int(i):0{in_digits}x} {int(o):0{out_digits}x}\n"
-        for i, o in zip(in_words, out_words)
-    )
+    in_words, out_words = words(vectors, netlist.input_bits), words(outs, netlist.output_bits)
+    return "".join(f"{i} {o}\n" for i, o in zip(in_words, out_words))
 
 
 def parse_golden_vectors(text: str):
@@ -498,8 +500,7 @@ def _vector_problems(text: str, readback: Netlist) -> list:
     lines = text.split("\n")
     if lines.pop() != "":
         return ["vectors.hex: does not end with a newline"]
-    fields = np.empty((len(lines), readback.input_count), dtype=np.int64)
-    mask = (1 << readback.input_bits) - 1
+    size, words = (in_w + 7) // 8, bytearray()
     for k, line in enumerate(lines):
         try:
             word = int(line.split(" ")[0], 16)
@@ -507,8 +508,11 @@ def _vector_problems(text: str, readback: Netlist) -> list:
             word = -1
         if not 0 <= word < 1 << in_w:
             return [f"vectors.hex: line {k + 1} {line!r} has no {in_w}-bit input word"]
-        fields[k] = [(word >> (i * readback.input_bits)) & mask
-                     for i in range(readback.input_count)]
+        words += word.to_bytes(size, "little")
+    bits = np.unpackbits(np.frombuffer(bytes(words), dtype=np.uint8).reshape(len(lines), size),
+                         axis=1, count=in_w, bitorder="little")
+    fields = bits.reshape(len(lines), readback.input_count, readback.input_bits) @ (
+        1 << np.arange(readback.input_bits))
     want = emit_golden_vectors(readback, fields).split("\n")
     bad = [k for k, (g, w) in enumerate(zip(lines, want)) if g != w]
     if not bad:

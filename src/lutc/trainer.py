@@ -132,27 +132,23 @@ def param_views(model: TrainedModel, flat: np.ndarray | None = None) -> dict:
 
 
 def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
-            track_stats: bool | None = None, quant_bypass: bool = False,
-            linear: bool = False, context: str = ""):
+            quant_bypass: bool = False, context: str = ""):
     """Run the batch forward pass, returning (logits, per-layer caches).
 
     xb holds real features, or input codes (an integer array), which are
     only dequantized; forward_layers runs the layers from there (train
-    calls it directly, on features it dequantizes once).  training selects
-    batch statistics for batch norm; with running stats instead, the codes
-    are forward_codes'.  track_stats (defaults to training) updates the
-    running statistics.  quant_bypass turns every quantize-dequantize
-    into the identity, which makes the loss differentiable end to end for
-    gradient checking.  linear replaces the basis expansion with an
-    explicit bias + linear map (only valid for degree-1 specs); used as
-    the strict-generalization reference.
+    calls it directly, on features it dequantizes once).  training
+    normalizes with batch statistics and moves the running statistics
+    toward them by BN_MOMENTUM; otherwise batch norm uses the running
+    statistics, leaves them as they are, and the codes are
+    forward_codes'.  quant_bypass turns every quantize-dequantize into
+    the identity, which makes the loss differentiable end to end for
+    gradient checking.
     """
     spec = model.spec
     x = np.asarray(xb)
     if x.ndim != 2 or x.shape[1] != spec.input_count:
         raise ValueError(f"expected batch of shape (n, {spec.input_count})")
-    if linear and spec.degree != 1:
-        raise ValueError("linear reference path requires degree == 1")
 
     q0 = model.input_quantizer
     if np.issubdtype(x.dtype, np.integer):
@@ -160,33 +156,29 @@ def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
     else:
         x = x.astype(np.float64, copy=False)
         a = x if quant_bypass else dequantize(quantize(x, q0), q0)
-    return forward_layers(model, a, training=training,
-                          track_stats=training if track_stats is None else track_stats,
-                          quant_bypass=quant_bypass, linear=linear, context=context)
+    return forward_layers(model, a, training=training, quant_bypass=quant_bypass,
+                          context=context)
 
 
-def _terms(model: TrainedModel, layer: int, xg: np.ndarray, linear: bool) -> np.ndarray:
+def _terms(model: TrainedModel, layer: int, xg: np.ndarray) -> np.ndarray:
     """The term-major (M, n, W) monomials of a layer's gathered inputs xg
-    (n, W, F): expand's own storage, or with linear a constant bias term
-    and then the inputs."""
-    if not linear:  # transpose, not np.moveaxis: this runs per layer and batch
-        return expand(xg, model.bases[layer]).transpose(2, 0, 1)
-    terms = np.empty((xg.shape[2] + 1,) + xg.shape[:2])
-    terms[0], terms[1:] = 1.0, xg.transpose(2, 0, 1)
-    return terms
+    (n, W, F): expand's own storage."""
+    # transpose, not np.moveaxis: this runs per layer and batch
+    return expand(xg, model.bases[layer]).transpose(2, 0, 1)
 
 
 def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
-                   track_stats: bool, quant_bypass: bool, linear: bool, context: str):
-    """forward's layer loop from the dequantized inputs a (n, input_count).
-    Each layer's cache holds its gathered inputs xg (n, W, F), from which
-    backward expands the layer's monomials again."""
+                   quant_bypass: bool, context: str):
+    """forward's layer loop from the dequantized inputs a (n, input_count),
+    with forward's training and quant_bypass.  Each layer's cache holds its
+    gathered inputs xg (n, W, F), from which backward expands the layer's
+    monomials again."""
     spec = model.spec
     n, caches = a.shape[0], []
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        z = weighted_sum(_terms(model, layer, xg, linear), p.weights)
+        z = weighted_sum(_terms(model, layer, xg), p.weights)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if training:  # the operation order of np.mean and np.var
@@ -203,7 +195,7 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
         if not np.isfinite(h).all():
             what = "batch-norm output" if np.isfinite(z).all() else "activation"
             raise FloatingPointError(f"non-finite {what} in layer {layer} {context}")
-        if training and track_stats:
+        if training:
             p.bn.running_mean = (1 - BN_MOMENTUM) * p.bn.running_mean + BN_MOMENTUM * mu
             p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
 
@@ -223,7 +215,7 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
 
 
 def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
-             *, linear: bool = False, out: dict | None = None) -> dict:
+             *, out: dict | None = None) -> dict:
     """Chain rule through every layer into one flat gradient vector laid
     out like the trained parameters; returns its param_views (weights,
     batch-norm gamma/shift and each layer's quantizer scale).  out, when
@@ -253,18 +245,17 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         else:
             dz = dxhat * cache["invstd"]
 
-        terms = _terms(model, layer, cache["xg"], linear)
+        terms = _terms(model, layer, cache["xg"])
         # einsum's out= into the view runs ~10x slower than this copy
         grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", terms.transpose(1, 2, 0), dz)
 
         if layer == 0:
             continue
         dterms = p.weights.T[:, None, :] * dz
-        dxg = (dterms[1:].transpose(1, 2, 0) if linear
-               else expand_vjp(terms, dterms, model.bases[layer]))
+        dxg = expand_vjp(terms, dterms, model.bases[layer])
         del terms, dterms  # one layer's monomials are alive at a time, freed before the scatter
         da = _scatter_sources(dxg, model.masks[layer], spec.layer_widths[layer - 1])
-        del dxg  # with linear, a view of dterms
+        del dxg  # freed before the layer below expands its monomials
     return grads
 
 
@@ -361,12 +352,10 @@ def adamw_step(theta: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float
 # Training loop
 
 
-def init_scales(model: TrainedModel, warm_batch: np.ndarray, *,
-                linear: bool = False) -> None:
+def init_scales(model: TrainedModel, warm_batch: np.ndarray) -> None:
     """Set each layer's quantizer scale to max|activation| / max code over
     one bypassed warm-up batch, so the initial code range covers the data."""
-    _, caches = forward(model, warm_batch, training=True, track_stats=True,
-                        quant_bypass=True, linear=linear)
+    _, caches = forward(model, warm_batch, training=True, quant_bypass=True)
     for layer, cache in enumerate(caches):
         q = model.layer_quantizer(layer)
         r = cache["h"] if cache["last"] else np.maximum(cache["h"], 0.0)
@@ -374,8 +363,7 @@ def init_scales(model: TrainedModel, warm_batch: np.ndarray, *,
         model.params[layer].quant_scale = max(peak / q.code_max, SCALE_FLOOR)
 
 
-def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
-          *, linear: bool = False):
+def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig):
     """Train a copy of the model; returns (trained_model, history).
 
     history holds one dict per epoch: epoch, lr, train_loss,
@@ -392,7 +380,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
     feats, labels = train_ds.features, train_ds.labels
     n = feats.shape[0]
 
-    init_scales(model, feats[: min(config.batch_size, n)], linear=linear)
+    init_scales(model, feats[: min(config.batch_size, n)])
     scales = theta[-model.spec.n_layers :]  # the last entries, one per layer
     scales[:] = [p.quant_scale for p in model.params]
     q0 = model.input_quantizer  # not trained: the inputs are quantized once
@@ -409,13 +397,12 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig,
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, caches = forward_layers(model, a0[idx], training=True,
-                                            track_stats=True, quant_bypass=False,
-                                            linear=linear, context=f"at epoch {epoch}")
+            logits, caches = forward_layers(model, a0[idx], training=True, quant_bypass=False,
+                                            context=f"at epoch {epoch}")
             loss, dlogits = compute_loss(logits, labels[idx], config.loss_kind)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            backward(model, caches, dlogits, linear=linear, out=grads)
+            backward(model, caches, dlogits, out=grads)
             del logits, caches, dlogits  # two batches' caches are never alive at once
             adamw_step(theta, grad, opt_state, lr, config.weight_decay)
             np.maximum(scales, SCALE_FLOOR, out=scales)

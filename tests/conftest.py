@@ -1,0 +1,55 @@
+"""Shared fixtures.
+
+linear_reference swaps the trainer's basis expansion for an explicit bias +
+linear map: the linear neuron of LogicNets, which a degree-1 polynomial
+neuron must reproduce bit for bit (acceptance criterion 2).
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+import lutc.trainer
+
+
+def _bias_and_inputs(xg, basis):
+    """[1, x_0, ..., x_{F-1}] of xg (..., F), stored term-major like
+    expand's result: a view, with the terms on the last axis, of a
+    (F + 1, ...) array."""
+    assert basis.degree == 1, "the linear reference is a degree-1 map"
+    xg = np.asarray(xg, dtype=np.float64)
+    terms = np.empty((xg.shape[-1] + 1,) + xg.shape[:-1])
+    terms[0], terms[1:] = 1.0, np.moveaxis(xg, -1, 0)
+    return np.moveaxis(terms, 0, -1)
+
+
+def _input_gradient(terms, dterms, basis):
+    """The gradient of the inputs of a bias + linear map: each input's
+    own term gradient, the bias's dropped, on the last axis."""
+    return np.moveaxis(dterms[1:], 0, -1)
+
+
+@pytest.fixture
+def linear_reference(monkeypatch):
+    """A context manager that trains through the bias + linear map in
+    place of lutc.trainer's expand and expand_vjp, yielding a dict that
+    counts each stand-in's calls."""
+
+    @contextlib.contextmanager
+    def use():
+        calls = dict(expand=0, expand_vjp=0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lutc.trainer, "expand", counted("expand", _bias_and_inputs))
+            patch.setattr(lutc.trainer, "expand_vjp",
+                          counted("expand_vjp", _input_gradient))
+            yield calls
+
+    return use

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lutc.cli import (
     config_hash,
     main,
 )
+from lutc.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from lutc.model import NetworkSpec, init_model
 from lutc.netlist import build_netlist, load_netlist, save_netlist
 from lutc.tables import tabulate_model
@@ -123,6 +125,23 @@ def test_train_data_errors_exit_2(tmp_path, capsys, cells, fraction, message):
     assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: dataset: ") and message in err, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("test_key", ["test_images", "test_labels"])
+def test_idx_test_split_needs_both_files(tmp_path, capsys, test_key):
+    # test_images alone used to end in a KeyError traceback (exit 1), and
+    # test_labels alone was silently ignored
+    ipath, lpath = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    ipath.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2) + bytes(range(16)))
+    lpath.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes([0, 1, 0, 1]))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "jsc-m", "dataset": {
+        "kind": "idx", "images": str(ipath), "labels": str(lpath),
+        test_key: str(ipath if test_key == "test_images" else lpath)}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: dataset.idx: 'test_images' and 'test_labels' go together\n", err
     assert not (tmp_path / "o").exists()
 
 
@@ -431,6 +450,20 @@ def test_sweep_grid(tmp_path):
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     lat = {(r["depth"], r["degree"]): float(r["latency_ns"]) for r in rows}
     assert lat[("2", "1")] < lat[("3", "1")]
+
+
+def test_sweep_deeper_than_an_output_only_spec_exits_2(tmp_path, capsys, monkeypatch):
+    # used to end in an IndexError at hidden[-1], after loading the data
+    def no_training(*args, **kwargs):
+        raise AssertionError("sweep trained before rejecting the grid")
+
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--profile", "spiral", "--layers", "2", "--depths", "1,2",
+                "--degrees", "1", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep: depth 2 ") and "only the output layer" in err, err
+    assert not out.exists()
 
 
 def test_config_hash_stable():

@@ -152,21 +152,17 @@ def ordered_weighted_sum(terms, w):
 
 @SETTINGS
 @given(fan_in=st.integers(1, 5), degree=st.integers(1, 4), width=st.integers(1, 5),
-       n=st.integers(1, 12), linear=st.booleans(), negative_zero=st.booleans(),
-       seed=st.integers(0, 2**16))
-@example(fan_in=5, degree=4, width=1, n=1, linear=False, negative_zero=False, seed=0)
-@example(fan_in=3, degree=3, width=1, n=1, linear=False, negative_zero=True, seed=0)
-@example(fan_in=2, degree=4, width=4, n=1, linear=False, negative_zero=False, seed=1)
-@example(fan_in=2, degree=4, width=1, n=9, linear=False, negative_zero=False, seed=2)
-@example(fan_in=4, degree=1, width=3, n=5, linear=True, negative_zero=True, seed=3)
-@example(fan_in=4, degree=1, width=1, n=1, linear=True, negative_zero=False, seed=4)
-def test_training_weighing_is_the_ordered_sum(fan_in, degree, width, n, linear,
-                                              negative_zero, seed):
+       n=st.integers(1, 12), negative_zero=st.booleans(), seed=st.integers(0, 2**16))
+@example(fan_in=5, degree=4, width=1, n=1, negative_zero=False, seed=0)
+@example(fan_in=3, degree=3, width=1, n=1, negative_zero=True, seed=0)
+@example(fan_in=2, degree=4, width=4, n=1, negative_zero=False, seed=1)
+@example(fan_in=2, degree=4, width=1, n=9, negative_zero=False, seed=2)
+@example(fan_in=4, degree=1, width=3, n=5, negative_zero=True, seed=3)
+@example(fan_in=4, degree=1, width=1, n=1, negative_zero=False, seed=4)
+def test_training_weighing_is_the_ordered_sum(fan_in, degree, width, n, negative_zero, seed):
     """The training forward's weighted sum over its term-major monomials is
     the ordered per-term sum, bit for bit; with weights of -0.0 on
-    non-negative inputs every product is -0.0, and so must the sum be.
-    The degree-1 linear reference path has expand's degree-1 terms."""
-    degree = 1 if linear else degree
+    non-negative inputs every product is -0.0, and so must the sum be."""
     spec = NetworkSpec(layer_widths=[width], beta=3, fan_in=fan_in, degree=degree,
                        input_count=fan_in)
     model, rng = init_model(spec), np.random.default_rng(seed)
@@ -174,7 +170,7 @@ def test_training_weighing_is_the_ordered_sum(fan_in, degree, width, n, linear,
     w = awkward_floats(rng, (width, len(model.bases[0])))
     if negative_zero:
         xg, w = np.abs(xg), np.full_like(w, -0.0)
-    terms = _terms(model, 0, xg, linear)
+    terms = _terms(model, 0, xg)
     assert terms.shape == (len(w.T), n, width) and terms.flags.c_contiguous
     expanded = np.moveaxis(expand(xg, model.bases[0]), -1, 0)
     assert np.array_equal(bits_of(terms), bits_of(expanded))
@@ -317,7 +313,7 @@ def test_forward_inference_codes_are_forward_codes(seed):
 @given(seed=st.integers(0, 2**16))
 def test_straight_through_mask_is_where_the_clamp_did_not_act(seed):
     model, x = random_model(seed)
-    _, caches = forward(model, x, training=True, track_stats=False)
+    _, caches = forward(model, x, training=True)
     for layer, cache in enumerate(caches):
         q = model.layer_quantizer(layer)
         r = cache["h"] if cache["last"] else np.maximum(cache["h"], 0.0)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from lutc.data import gen_spirals, split_normalize
-from lutc.basis import count_monomials
+from lutc.basis import count_monomials, expand
 from lutc.model import NetworkSpec, init_model
 from lutc.quantize import bn_identity
 from lutc.trainer import (
+    BN_MOMENTUM,
     AdamWState,
     TrainConfig,
     TrainingDiverged,
@@ -131,6 +132,36 @@ def test_forward_rejects_bad_batch_shape():
         forward(model, np.zeros((4, 5)))
 
 
+def test_training_moves_running_stats_and_inference_keeps_them():
+    """forward with training=True moves each layer's running mean and
+    variance by BN_MOMENTUM toward its batch's; training=False leaves them
+    bit for bit as they were."""
+    rng = np.random.default_rng(5)
+    model = make_model([4, 3], fan_in=2, degree=2, input_count=3, identity_bn=False)
+    for p in model.params:
+        p.bn.running_mean = rng.normal(0.0, 0.3, len(p.weights))
+        p.bn.running_var = rng.uniform(0.2, 2.0, len(p.weights))
+    x = rng.uniform(-1.0, 1.0, size=(16, 3))
+
+    before = [(p.bn.running_mean.copy(), p.bn.running_var.copy()) for p in model.params]
+    _, caches = forward(model, x, training=True)
+    for layer, (p, cache, (mean0, var0)) in enumerate(zip(model.params, caches, before)):
+        z = np.einsum("nwm,wm->nw", expand(cache["xg"], model.bases[layer]), p.weights)
+        assert np.allclose(p.bn.running_mean,
+                           (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * z.mean(axis=0),
+                           rtol=1e-12, atol=1e-14)
+        assert np.allclose(p.bn.running_var,
+                           (1 - BN_MOMENTUM) * var0 + BN_MOMENTUM * z.var(axis=0),
+                           rtol=1e-12, atol=1e-14)
+        assert not np.array_equal(p.bn.running_mean, mean0)
+
+    before = [(p.bn.running_mean.copy(), p.bn.running_var.copy()) for p in model.params]
+    forward(model, x, training=False)
+    for p, (mean0, var0) in zip(model.params, before):
+        assert np.array_equal(p.bn.running_mean.view(np.uint64), mean0.view(np.uint64))
+        assert np.array_equal(p.bn.running_var.view(np.uint64), var0.view(np.uint64))
+
+
 def test_forward_nonfinite_names_layer():
     model = make_model([2], fan_in=2, degree=1, input_count=2)
     model.params[0].weights[:] = np.inf
@@ -160,14 +191,14 @@ def test_one_layer_expansion_alive_at_a_time():
                        input_count=12, seed=3)
     model, n, terms = init_model(spec), 64, count_monomials(6, 4)
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, 12))
-    logits, caches = forward(model, x, track_stats=False)
+    logits, caches = forward(model, x)
     for cache in caches:
         assert all(terms not in np.shape(v) for v in cache.values())
     backward(model, caches, np.ones_like(logits) / n)  # warm the bases' cached tables
     del logits, caches
     tracemalloc.start()
     try:
-        logits, caches = forward(model, x, track_stats=False)
+        logits, caches = forward(model, x)
         backward(model, caches, np.ones_like(logits) / n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -288,16 +319,20 @@ def test_train_does_not_mutate_input_model():
         assert np.array_equal(b, p.weights)
 
 
-def test_d1_linear_reference_bitwise_short():
+def test_d1_linear_reference_bitwise_short(linear_reference):
     # quick version of the strict-generalization check (5 epochs)
     ds = gen_spirals(60, noise_sd=0.05, turns=1.5, seed=1)
     tr, te = split_normalize(ds, 0.8, seed=1)
     spec = NetworkSpec(layer_widths=[6, 2], beta=4, fan_in=2, degree=1,
                        input_count=2, input_beta=6, seed=0)
     cfg = TrainConfig(epochs=5, batch_size=32, seed=0)
-    _, h_poly = train(init_model(spec), tr, te, cfg, linear=False)
-    _, h_lin = train(init_model(spec), tr, te, cfg, linear=True)
+    m_poly, h_poly = train(init_model(spec), tr, te, cfg)
+    with linear_reference() as calls:
+        m_lin, h_lin = train(init_model(spec), tr, te, cfg)
+    assert min(calls.values()) > 0, calls
     assert [h["train_loss"] for h in h_poly] == [h["train_loss"] for h in h_lin]
+    for a, b in zip(m_poly.params, m_lin.params):
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_train_config_validation():
