@@ -1,6 +1,6 @@
 # From netlist to Verilog: emit one truth-table ROM per neuron, a top
 # module wired by the sparsity masks, golden vectors, and a self-checking
-# testbench -- then read our own output back to prove it holds the netlist.
+# testbench -- then check every written file against the netlist.
 #
 # Run:  python3 demos/rtl_emission_tour.py [out_dir]
 
@@ -63,10 +63,11 @@ pairs = parse_golden_vectors(read("vectors.hex"))
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 
-# The self-checker reads the written files back: every ROM's constants
-# become a table that must equal the netlist's (and match its manifest digest), the
-# top-level wiring must follow the masks, and the golden vectors are
-# replayed through the netlist read back from the Verilog.
+# The self-checker checks every written file against the netlist: every
+# ROM's constants become a table that must equal the netlist's, the
+# top-level wiring must follow the masks, and top.v, tb.v, manifest.txt
+# and vectors.hex must be exactly what the emitter writes -- vectors.hex
+# the 64 seeded vectors with the netlist's outputs.
 problems = check_bundle(out_dir, netlist)
-print(f"read-back self-check: {len(problems)} problems")
+print(f"self-check against the netlist: {len(problems)} problems")
 assert not problems

@@ -436,27 +436,32 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    with np.load(path) as z:
-        version = int(z["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        s = z["scalars"]
-        spec = NetworkSpec(
-            layer_widths=tuple(int(w) for w in z["layer_widths"]),
-            beta=int(s[0]), fan_in=int(s[1]), degree=int(s[2]),
-            input_count=int(s[3]),
-            input_beta=None if int(s[4]) < 0 else int(s[4]),
-            input_fan_in=None if int(s[5]) < 0 else int(s[5]),
-            seed=int(s[6]), enum_guard=int(s[7]),
-            clock_period_ns=float(z["clock_period_ns"]),
-        )
-        masks, params = [], []
-        for layer in range(spec.n_layers):
-            masks.append(z[f"mask_{layer}"])
-            gamma, shift, mean, var = z[f"bn_{layer}"]
-            bn = BatchNormParams(gamma, shift, mean, var, eps=float(z[f"bn_eps_{layer}"]))
-            params.append(LayerParams(z[f"w_{layer}"], bn, float(z[f"scale_{layer}"])))
-        iq = input_quantizer_for(spec).with_scale(float(z["input_scale"]))
+    """Read a checkpoint written by save_checkpoint.  A missing array or a
+    model that fails validate_model raises ValueError."""
+    try:
+        with np.load(path) as z:
+            version = int(z["version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            s = z["scalars"]
+            spec = NetworkSpec(
+                layer_widths=tuple(int(w) for w in z["layer_widths"]),
+                beta=int(s[0]), fan_in=int(s[1]), degree=int(s[2]),
+                input_count=int(s[3]),
+                input_beta=None if int(s[4]) < 0 else int(s[4]),
+                input_fan_in=None if int(s[5]) < 0 else int(s[5]),
+                seed=int(s[6]), enum_guard=int(s[7]),
+                clock_period_ns=float(z["clock_period_ns"]),
+            )
+            masks, params = [], []
+            for layer in range(spec.n_layers):
+                masks.append(z[f"mask_{layer}"])
+                gamma, shift, mean, var = z[f"bn_{layer}"]
+                bn = BatchNormParams(gamma, shift, mean, var, eps=float(z[f"bn_eps_{layer}"]))
+                params.append(LayerParams(z[f"w_{layer}"], bn, float(z[f"scale_{layer}"])))
+            iq = input_quantizer_for(spec).with_scale(float(z["input_scale"]))
+    except KeyError as e:  # np.load's "<name> is not a file in the archive"
+        raise ValueError(f"missing array ({e.args[0]})") from None
     model = TrainedModel(spec=spec, masks=masks, params=params, input_quantizer=iq)
     violations = validate_model(model)
     if violations:

@@ -18,11 +18,12 @@ Every byte of a ROM file but its digits is given by the module name, n
 and b.  The checker compares those bytes with the emitted text and
 decodes each constant's digits with one 256-entry lookup, rejecting any
 byte that is not a lower-case hex digit and, in a constant of under 4
-bits, a set pad bit; the first fault in the file is named.  The tables
-read back must equal the netlist's and match the manifest digests, the
-wiring read back from top.v must follow the masks, and top.v and tb.v
-must be byte-exact.  vectors.hex is replayed through the netlist read
-back, the offline stand-in for running tb.v in a simulator.
+bits, a set pad bit; the first fault in the file is named.  Every file
+is checked against the netlist it was emitted from, so a fault is blamed
+on its own file: the decoded tables must equal the netlist's, the wiring
+read from top.v must follow the masks, and top.v, tb.v, manifest.txt and
+vectors.hex must be byte-exact, vectors.hex exactly the 64 seeded
+vectors and the netlist's outputs that tb.v replays in a simulator.
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -38,7 +39,7 @@ import re
 
 import numpy as np
 
-from .netlist import LutLayer, Netlist, simulate
+from .netlist import Netlist, simulate
 from .tables import HEX_VALUE
 
 
@@ -255,18 +256,26 @@ def _manifest(netlist: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_bundle(netlist: Netlist, out_dir) -> list:
-    """Write every file of the bundle into out_dir, each ROM as soon as its
-    text is formatted, and return their paths; vectors.hex holds 64 seeded
-    random input words and the netlist's outputs for them."""
-    os.makedirs(out_dir, exist_ok=True)
+def _golden_vectors(netlist: Netlist) -> str:
+    """vectors.hex: 64 seeded random input words and the netlist's outputs
+    for them."""
     rng = np.random.default_rng(np.random.PCG64(0))
     vectors = rng.integers(0, 1 << netlist.input_bits, size=(64, netlist.input_count))
+    return emit_golden_vectors(netlist, vectors)
+
+
+# the bundle's files beside the ROMs, in emission order, and their text
+_FILES = (("top.v", emit_top), ("tb.v", emit_testbench), ("vectors.hex", _golden_vectors),
+          ("manifest.txt", _manifest))
+
+
+def emit_bundle(netlist: Netlist, out_dir) -> list:
+    """Write every file of the bundle into out_dir, each ROM as soon as its
+    text is formatted, and return their paths."""
+    os.makedirs(out_dir, exist_ok=True)
     written = []
-    for fname, slices in itertools.chain(_rom_files(netlist), [
-            ("top.v", [emit_top(netlist)]), ("tb.v", [emit_testbench(netlist)]),
-            ("vectors.hex", [emit_golden_vectors(netlist, vectors)]),
-            ("manifest.txt", [_manifest(netlist)])]):
+    for fname, slices in itertools.chain(
+            _rom_files(netlist), ((fname, [emit(netlist)]) for fname, emit in _FILES)):
         written.append(os.path.join(out_dir, fname))
         with open(written[-1], "w", encoding="utf-8") as f:
             f.writelines(slices)
@@ -274,7 +283,7 @@ def emit_bundle(netlist: Netlist, out_dir) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Self-checker: read the emitted files back into a netlist
+# Self-checker: check each emitted file against the netlist
 
 _ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
 _INSTANCE_RE = re.compile(
@@ -288,20 +297,19 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     is sound), each naming the file that cannot be read, or the module,
     top.v, tb.v, manifest.txt or vectors.hex at fault.
 
-    Each file is read when its check needs it, without newline translation.
+    Every file is checked against the netlist alone, read when its check
+    needs it, without newline translation.  top.v, tb.v, vectors.hex and
+    manifest.txt must be exactly what emit_bundle writes: vectors.hex the
+    64 seeded vectors with the netlist's outputs, manifest.txt the sha256
+    digests of the netlist's tables.  Each instance's address concatenation
+    and .data slice are also read from top.v and must follow the masks.
     Every byte of a ROM but its constants' digits must be the emitted
     text, and every digit a lower-case hex digit (with clear pad bits in a
     constant of under 4 bits).  The first fault in the file is named: a
     bad digit by its constant and the addresses it covers, else the first
-    line that differs from the emitted text.  The tables rebuilt from the
-    constants' bits must equal the netlist's, and manifest.txt must list
-    their sha256 digests.  Each instance's address
-    concatenation and .data slice are read back from top.v and must follow
-    the masks, and top.v and tb.v must be exactly what emit_top and
-    emit_testbench write.  A layer*_n*.v file the netlist does not name is
-    reported.  The ROMs and wiring read back form a netlist, and every
-    vectors.hex line is replayed through it: the offline stand-in for
-    running tb.v.
+    line that differs from the emitted text.  The table decoded from the
+    constants' bits must equal the netlist's.  A layer*_n*.v file the
+    netlist does not name is reported.
     """
     problems = []
 
@@ -313,54 +321,35 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
             problems.append(f"{fname}: cannot read: {e}")
             return None
 
-    top, testbench = read("top.v"), read("tb.v")
-    for fname, text, want in [("top.v", top, emit_top), ("tb.v", testbench, emit_testbench)]:
-        if text is not None:
-            problems += _first_difference(fname, text, want(netlist))
+    texts = {fname: read(fname) for fname, _ in _FILES}
+    for fname, emit in _FILES:
+        if texts[fname] is not None:
+            problems += _first_difference(fname, texts[fname], emit(netlist))
+    top = texts["top.v"]  # an unreadable top.v is one problem, not one per module
     wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(top or "")}
     instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(top or "")}
-    layers, bits_in, prev = [], netlist.input_bits, netlist.input_count
+    bits_in, prev = netlist.input_bits, netlist.input_count
     for layer, lut in enumerate(netlist.layers):
         n, b = lut.address_bits, lut.output_bits
         src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
-        # the read-back tables share the netlist's until a ROM reads back differently
-        tables, sources = lut.tables, np.empty_like(lut.sources)
-        complete = top is not None  # an unreadable top.v is one problem, not one per module
         for j in range(lut.width):
             name = _module_name(layer, j)
             values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, problems)
-            complete &= values is not None
             if values is not None and not np.array_equal(values, lut.tables[j]):
                 diff = np.flatnonzero(values != lut.tables[j])
                 problems.append(f"{name}: {len(diff)} entries differ from the netlist "
                                 f"table, first at address 0x{diff[0]:x}")
-                tables = lut.tables.copy() if tables is lut.tables else tables
-                tables[j] = values
             if top is not None:
-                complete &= _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
-                                         lut.sources[j].tolist(), sources[j], problems)
-                complete &= _read_instance(name, instances.get(name), f"layer{layer}_data",
-                                           j, b, lut.width, problems)
-        if complete:
-            layers.append(LutLayer(tables=tables, sources=sources, output_bits=b))
+                _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
+                             lut.sources[j].tolist(), problems)
+                _read_instance(name, instances.get(name), f"layer{layer}_data",
+                               j, b, lut.width, problems)
         bits_in, prev = b, lut.width
     names = {_module_name(layer, j) for layer, lut in enumerate(netlist.layers)
              for j in range(lut.width)}
     problems += [f"{fname[:-2]}: not present in the netlist"
                  for fname in sorted(glob.glob("layer*_n*.v", root_dir=out_dir))
                  if fname[:-2] not in names]
-    if len(layers) == netlist.n_layers:
-        try:
-            readback = Netlist(input_count=netlist.input_count, input_bits=netlist.input_bits,
-                               layers=layers, clock_period_ns=netlist.clock_period_ns)
-        except ValueError as e:
-            problems.append(f"top.v: {e}")
-        else:
-            manifest, vectors = read("manifest.txt"), read("vectors.hex")
-            if manifest is not None:
-                problems += _first_difference("manifest.txt", manifest, _manifest(readback))
-            if vectors is not None:
-                problems += _vector_problems(vectors, readback)
     return problems
 
 
@@ -434,13 +423,12 @@ def _slice_index(text: str, bus: str, bits: int, count: int) -> int:
 
 
 def _read_wiring(name: str, concat, src_bus: str, bits: int, count: int, want: list,
-                 out: np.ndarray, problems: list) -> bool:
+                 problems: list) -> None:
     """Read a module's sources from its address concatenation in top.v
-    (input 0 is the last slice) into out and report where they differ from
-    want; returns whether out was filled."""
+    (input 0 is the last slice) and report where they differ from want."""
     if concat is None:
         problems.append(f"top.v: no address assign for {name}")
-        return False
+        return
     got = []
     for part in reversed(concat.split(", ")):
         got.append(_slice_index(part, src_bus, bits, count))
@@ -448,26 +436,20 @@ def _read_wiring(name: str, concat, src_bus: str, bits: int, count: int, want: l
             problems.append(f"top.v: {name} reads from unexpected slice {part}")
     if got != want:
         problems.append(f"top.v: {name} wiring {got} != mask {want}")
-    if len(got) != len(out) or min(got) < 0:
-        return False
-    out[:] = got
-    return True
 
 
 def _read_instance(name: str, instance, bus: str, j: int, b: int, width: int,
-                   problems: list) -> bool:
-    """Whether module name's instance is u_{name}, reads {name}_addr and
-    drives slice j of bus; reports where it does not."""
+                   problems: list) -> None:
+    """Report where module name's instance is not u_{name}, does not read
+    {name}_addr or does not drive slice j of bus."""
     if instance is None:
         problems.append(f"top.v: no instance u_{name}")
-        return False
+        return
     module, _, wire, data = instance
     if module != name or wire != name:
         problems.append(f"top.v: u_{name} instantiates {module} on {wire}_addr")
     if _slice_index(data, bus, b, width) != j:
         problems.append(f"top.v: u_{name} drives {data}, expected {bus}[{j}*{b} +: {b}]")
-        return False
-    return module == name and wire == name
 
 
 def _first_difference(fname: str, got: str, want: str) -> list:
@@ -491,31 +473,3 @@ def _quote(line: str, start: int) -> str:
     """line quoted from column start for _QUOTE characters, '...' marking a cut."""
     cut = line[start:start + _QUOTE]
     return f"{'...' if start else ''}{cut!r}{'...' if start + len(cut) < len(line) else ''}"
-
-
-def _vector_problems(text: str, readback: Netlist) -> list:
-    """Replay every vectors.hex input word through the read-back netlist;
-    each line must be what emit_golden_vectors writes for that word."""
-    in_w = readback.input_count * readback.input_bits
-    lines = text.split("\n")
-    if lines.pop() != "":
-        return ["vectors.hex: does not end with a newline"]
-    size, words = (in_w + 7) // 8, bytearray()
-    for k, line in enumerate(lines):
-        try:
-            word = int(line.split(" ")[0], 16)
-        except ValueError:
-            word = -1
-        if not 0 <= word < 1 << in_w:
-            return [f"vectors.hex: line {k + 1} {line!r} has no {in_w}-bit input word"]
-        words += word.to_bytes(size, "little")
-    bits = np.unpackbits(np.frombuffer(bytes(words), dtype=np.uint8).reshape(len(lines), size),
-                         axis=1, count=in_w, bitorder="little")
-    fields = bits.reshape(len(lines), readback.input_count, readback.input_bits) @ (
-        1 << np.arange(readback.input_bits))
-    want = emit_golden_vectors(readback, fields).split("\n")
-    bad = [k for k, (g, w) in enumerate(zip(lines, want)) if g != w]
-    if not bad:
-        return []
-    return [f"vectors.hex: {len(bad)} of {len(lines)} lines disagree with the read-back "
-            f"netlist, first line {bad[0] + 1}: {lines[bad[0]]!r}, expected {want[bad[0]]!r}"]

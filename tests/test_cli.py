@@ -316,6 +316,17 @@ def test_compile_rejects_corrupt_checkpoint(pipeline_dirs, tmp_path, capsys,
     assert not (tmp_path / "net").exists()
 
 
+def test_compile_rejects_checkpoint_missing_an_array(pipeline_dirs, tmp_path, capsys):
+    with np.load(pipeline_dirs / "run" / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files if k != "scale_1"}
+    np.savez(tmp_path / "bad.npz", **arrays)
+    code = run(["compile", "--checkpoint", tmp_path / "bad.npz", "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "scale_1" in err, err
+    assert not (tmp_path / "net").exists()
+
+
 def test_train_exit1_on_nonfinite_activation(tmp_path, monkeypatch, capsys):
     import lutc.cli as cli_mod
 

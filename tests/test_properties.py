@@ -5,7 +5,7 @@ summation order and term-major layout, covered masks against a
 per-neuron draw, round
 trips of the quantizer and the bit-level codecs, the layer-wise
 table text (dumps and Verilog ROMs) against per-entry references, the
-RTL checker's read-back of emitted and edited bundle files and of
+RTL checker's blame for emitted and edited bundle files and of
 edited ROM constants against a per-line reader, and the trainer's
 gradient scatter against np.add.at."""
 
@@ -653,7 +653,7 @@ def test_check_bundle_passes_emission_and_flags_one_edit(seed, kind):
         assert check_bundle(out, net) == []
         blamed = edit_bundle(out, net, kind, np.random.default_rng(seed))
         problems = check_bundle(out, net)
-    assert any(p.startswith(f"{blamed}: ") for p in problems), problems
+    assert problems and all(p.startswith(f"{blamed}: ") for p in problems), problems
 
 
 def reference_rom(text, n, b, name):

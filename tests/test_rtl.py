@@ -337,9 +337,20 @@ def edit_vector(out):
     return "vectors.hex"
 
 
+def substitute_vector(out):
+    """Another input word in place of one, with the netlist's own output for
+    it: tb.v would pass the line, but it is not one of the seeded vectors."""
+    def edit(text):
+        lines = text.split("\n")
+        lines[5] = next(ln for ln in lines[6:] if ln.split()[0] != lines[5].split()[0])
+        return "\n".join(lines)
+    edit_file(out / "vectors.hex", edit)
+    return "vectors.hex: line 6 is "
+
+
 @pytest.mark.parametrize("tamper", [change_arm_value, swap_arms, swap_data_outputs,
                                     narrow_address_wire, edit_testbench, wrong_digest,
-                                    edit_vector],
+                                    edit_vector, substitute_vector],
                          ids=lambda tamper: tamper.__name__)
 def test_checker_flags_tampering(tmp_path, tamper):
     _, net = compiled(layer_widths=(3, 2))  # layer 1: 4 address bits
@@ -349,6 +360,8 @@ def test_checker_flags_tampering(tmp_path, tamper):
     problems = check_bundle(tmp_path, net)
     assert any(p.startswith(blamed if ": " in blamed else f"{blamed}: ")
                for p in problems), problems
+    # the edited file alone is blamed
+    assert all(p.startswith(blamed.split(": ")[0] + ": ") for p in problems), problems
 
 
 @pytest.mark.parametrize("old, new, problem", [
@@ -428,9 +441,14 @@ def test_checker_reports_unreadable_rom(tmp_path, edit):
      "layer1_n0: line 1 is 'module layer1_n0 (\\r', expected 'module layer1_n0 ('"),
     (lambda out: (out / "layer1_n0.v").unlink(), "layer1_n0.v: cannot read: "),
     (lambda out: (out / "vectors.hex").unlink(), "vectors.hex: cannot read: "),
+    (lambda out: edit_file(out / "vectors.hex", lambda text: "".join(text.splitlines(True)[:10])),
+     "vectors.hex: line 11 is '', expected "),
+    (lambda out: (out / "vectors.hex").write_text(""),
+     "vectors.hex: line 1 is '', expected "),
     (lambda out: (out / "layer9_n0.v").write_text("module layer9_n0;\nendmodule\n"),
      "layer9_n0: not present in the netlist"),
-], ids=["truncated-mid-arm", "crlf-line-ends", "deleted-rom", "deleted-vectors", "stray-rom"])
+], ids=["truncated-mid-arm", "crlf-line-ends", "deleted-rom", "deleted-vectors",
+        "truncated-vectors", "emptied-vectors", "stray-rom"])
 def test_checker_blames_disk_faults(tmp_path, fault, blamed):
     _, net = compiled(layer_widths=(3, 2))  # layer 1: 4 address bits
     emit_bundle(net, tmp_path)
