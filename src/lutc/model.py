@@ -289,15 +289,13 @@ def row_elements(basis: MonomialBasis, code_rows: int, width: int) -> int:
     return code_rows * (3 * basis.fan_in + basis.parents) + 6 * width
 
 
-def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
-               neurons=None) -> np.ndarray:
-    """Quantized output codes (n, W) of the layer's neurons (or of the
-    subset `neurons`).  codes (n, W, F) holds each neuron's masked source
-    codes in mask order; (n, 1, F) codes are shared by all W neurons."""
+def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray) -> np.ndarray:
+    """Quantized output codes (n, W) of the layer's neurons.  codes
+    (n, W, F) holds each neuron's masked source codes in mask order;
+    (n, 1, F) codes are shared by all W neurons."""
     p = model.params[layer]
-    sel = slice(None) if neurons is None else np.asarray(neurons, dtype=np.int64)
     # transposed once per call: in Fortran order, w.T is what weighted_expand reads
-    w = np.asfortranarray(p.weights[sel])
+    w = np.asfortranarray(p.weights)
     width = w.shape[0]
     codes, fan = np.asarray(codes, dtype=np.int64), model.spec.layer_fan_in(layer)
     if codes.ndim != 3 or codes.shape[1] not in (1, width) or codes.shape[2] != fan:
@@ -309,11 +307,10 @@ def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray,
     for rows in row_chunks(codes.shape[0], row_elements(basis, codes.shape[1], width)):
         z = weighted_expand(dequantize(codes[rows], qin), basis, w)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h = bn_apply(z, p.bn, sel)
+            h = bn_apply(z, p.bn)
         bad = ~np.isfinite(h).all(axis=0)
         if bad.any():
-            neuron = np.arange(len(p.weights))[sel][np.argmax(bad)]
-            raise ValueError(f"layer {layer} neuron {neuron}: non-finite pre-activation")
+            raise ValueError(f"layer {layer} neuron {np.argmax(bad)}: non-finite pre-activation")
         out[rows] = activate(h, qout, hidden)[0]
     return out
 
@@ -436,16 +433,22 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint written by save_checkpoint.  A missing array or a
-    model that fails validate_model raises ValueError."""
+    """Read a checkpoint written by save_checkpoint.  A missing array, a
+    scalars array that is not 8 integers, layer_widths that are not a 1-d
+    integer array or a model that fails validate_model raises ValueError."""
     try:
         with np.load(path) as z:
             version = int(z["version"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            s = z["scalars"]
+            s, widths = z["scalars"], z["layer_widths"]
+            if s.shape != (8,) or not np.issubdtype(s.dtype, np.integer):
+                raise ValueError(f"scalars is {s.dtype} {s.shape}, expected integer (8,)")
+            if widths.ndim != 1 or not np.issubdtype(widths.dtype, np.integer):
+                raise ValueError(f"layer_widths is {widths.dtype} {widths.shape}, "
+                                 "expected a 1-d integer array")
             spec = NetworkSpec(
-                layer_widths=tuple(int(w) for w in z["layer_widths"]),
+                layer_widths=tuple(int(w) for w in widths),
                 beta=int(s[0]), fan_in=int(s[1]), degree=int(s[2]),
                 input_count=int(s[3]),
                 input_beta=None if int(s[4]) < 0 else int(s[4]),

@@ -97,12 +97,7 @@ def bn_identity(width: int, eps: float = 1e-5) -> BatchNormParams:
     )
 
 
-def bn_apply(x: np.ndarray, p: BatchNormParams, channel: int | None = None) -> np.ndarray:
-    """Inference-mode batch norm: gamma * (x - mean) / sqrt(var + eps) + beta.
-
-    With channel=None, x's last axis indexes channels; with a channel
-    index (or index array), x is normalized by those channels' statistics.
-    """
-    c = slice(None) if channel is None else channel
-    g, b, mu, var = p.gamma[c], p.beta_shift[c], p.running_mean[c], p.running_var[c]
-    return g * (x - mu) / np.sqrt(var + p.eps) + b
+def bn_apply(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
+    """Inference-mode batch norm over x's last axis, the channels:
+    gamma * (x - mean) / sqrt(var + eps) + beta."""
+    return p.gamma * (x - p.running_mean) / np.sqrt(p.running_var + p.eps) + p.beta_shift

@@ -20,10 +20,12 @@ decodes each constant's digits with one 256-entry lookup, rejecting any
 byte that is not a lower-case hex digit and, in a constant of under 4
 bits, a set pad bit; the first fault in the file is named.  Every file
 is checked against the netlist it was emitted from, so a fault is blamed
-on its own file: the decoded tables must equal the netlist's, the wiring
-read from top.v must follow the masks, and top.v, tb.v, manifest.txt and
-vectors.hex must be byte-exact, vectors.hex exactly the 64 seeded
-vectors and the netlist's outputs that tb.v replays in a simulator.
+on its own file: the decoded tables must equal the netlist's, and top.v,
+tb.v, manifest.txt and vectors.hex must be byte-exact.  top.v is
+emit_top's text for the netlist, so its wiring follows the masks and any
+wiring or instance edit is a changed line; vectors.hex is exactly the 64
+seeded vectors and the netlist's outputs that tb.v replays in a
+simulator.
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -35,7 +37,6 @@ import glob
 import hashlib
 import itertools
 import os
-import re
 
 import numpy as np
 
@@ -285,10 +286,6 @@ def emit_bundle(netlist: Netlist, out_dir) -> list:
 # ---------------------------------------------------------------------------
 # Self-checker: check each emitted file against the netlist
 
-_ASSIGN_RE = re.compile(r"assign\s+(\w+)_addr\s*=\s*\{([^}]*)\};")
-_INSTANCE_RE = re.compile(
-    r"^ *(\w+) u_(\w+) \(\.clk\(clk\), \.addr\((\w+)_addr\), \.data\(([^()]*)\)\);$", re.M)
-_SLICE_RE = re.compile(r"(\w+)\[(\d+)\*(\d+)\s*\+:\s*(\d+)\]")
 _QUOTE = 80  # characters of a long line quoted in a problem
 
 
@@ -299,10 +296,10 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
 
     Every file is checked against the netlist alone, read when its check
     needs it, without newline translation.  top.v, tb.v, vectors.hex and
-    manifest.txt must be exactly what emit_bundle writes: vectors.hex the
-    64 seeded vectors with the netlist's outputs, manifest.txt the sha256
-    digests of the netlist's tables.  Each instance's address concatenation
-    and .data slice are also read from top.v and must follow the masks.
+    manifest.txt must be exactly what emit_bundle writes: top.v the
+    instances wired per the masks, vectors.hex the 64 seeded vectors with
+    the netlist's outputs, manifest.txt the sha256 digests of the
+    netlist's tables; the first line that differs is named.
     Every byte of a ROM but its constants' digits must be the emitted
     text, and every digit a lower-case hex digit (with clear pad bits in a
     constant of under 4 bits).  The first fault in the file is named: a
@@ -312,26 +309,16 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     netlist does not name is reported.
     """
     problems = []
-
-    def read(fname: str):
+    for fname, emit in _FILES:
         try:
             with open(os.path.join(out_dir, fname), encoding="utf-8", newline="") as f:
-                return f.read()
+                text = f.read()
         except (OSError, UnicodeDecodeError) as e:
             problems.append(f"{fname}: cannot read: {e}")
-            return None
-
-    texts = {fname: read(fname) for fname, _ in _FILES}
-    for fname, emit in _FILES:
-        if texts[fname] is not None:
-            problems += _first_difference(fname, texts[fname], emit(netlist))
-    top = texts["top.v"]  # an unreadable top.v is one problem, not one per module
-    wires = {m.group(1): m.group(2) for m in _ASSIGN_RE.finditer(top or "")}
-    instances = {m.group(2): m.groups() for m in _INSTANCE_RE.finditer(top or "")}
-    bits_in, prev = netlist.input_bits, netlist.input_count
+            continue
+        problems += _first_difference(fname, text, emit(netlist))
     for layer, lut in enumerate(netlist.layers):
         n, b = lut.address_bits, lut.output_bits
-        src_bus = "in_data" if layer == 0 else f"layer{layer - 1}_data"
         for j in range(lut.width):
             name = _module_name(layer, j)
             values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, problems)
@@ -339,12 +326,6 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
                 diff = np.flatnonzero(values != lut.tables[j])
                 problems.append(f"{name}: {len(diff)} entries differ from the netlist "
                                 f"table, first at address 0x{diff[0]:x}")
-            if top is not None:
-                _read_wiring(name, wires.get(name), src_bus, bits_in, prev,
-                             lut.sources[j].tolist(), problems)
-                _read_instance(name, instances.get(name), f"layer{layer}_data",
-                               j, b, lut.width, problems)
-        bits_in, prev = b, lut.width
     names = {_module_name(layer, j) for layer, lut in enumerate(netlist.layers)
              for j in range(lut.width)}
     problems += [f"{fname[:-2]}: not present in the netlist"
@@ -410,46 +391,6 @@ def _read_rom(path, name: str, n: int, b: int, problems: list):
                                       b"".join(parts).decode("utf-8", "backslashreplace"))
         return None
     return values
-
-
-def _slice_index(text: str, bus: str, bits: int, count: int) -> int:
-    """k if text is the slice bus[k*bits +: bits] of a bus of count slices,
-    else -1."""
-    m = _SLICE_RE.fullmatch(text)
-    if m and m.group(1) == bus and int(m.group(3)) == bits and int(m.group(4)) == bits:
-        k = int(m.group(2))
-        return k if k < count else -1
-    return -1
-
-
-def _read_wiring(name: str, concat, src_bus: str, bits: int, count: int, want: list,
-                 problems: list) -> None:
-    """Read a module's sources from its address concatenation in top.v
-    (input 0 is the last slice) and report where they differ from want."""
-    if concat is None:
-        problems.append(f"top.v: no address assign for {name}")
-        return
-    got = []
-    for part in reversed(concat.split(", ")):
-        got.append(_slice_index(part, src_bus, bits, count))
-        if got[-1] < 0:
-            problems.append(f"top.v: {name} reads from unexpected slice {part}")
-    if got != want:
-        problems.append(f"top.v: {name} wiring {got} != mask {want}")
-
-
-def _read_instance(name: str, instance, bus: str, j: int, b: int, width: int,
-                   problems: list) -> None:
-    """Report where module name's instance is not u_{name}, does not read
-    {name}_addr or does not drive slice j of bus."""
-    if instance is None:
-        problems.append(f"top.v: no instance u_{name}")
-        return
-    module, _, wire, data = instance
-    if module != name or wire != name:
-        problems.append(f"top.v: u_{name} instantiates {module} on {wire}_addr")
-    if _slice_index(data, bus, b, width) != j:
-        problems.append(f"top.v: u_{name} drives {data}, expected {bus}[{j}*{b} +: {b}]")
 
 
 def _first_difference(fname: str, got: str, want: str) -> list:

@@ -52,18 +52,17 @@ def pack_address(fields: np.ndarray, bits_per_input: int) -> np.ndarray:
     return addrs
 
 
-def _entries(model: TrainedModel, layer: int, addrs: np.ndarray, neurons) -> np.ndarray:
-    """Bit patterns (n, W) of the neurons' outputs at packed addresses."""
+def _entries(model: TrainedModel, layer: int, addrs: np.ndarray) -> np.ndarray:
+    """Bit patterns (n, W) of the layer's outputs at packed addresses."""
     spec = model.spec
     fields = decode_address(addrs, spec.layer_input_bits(layer), spec.layer_fan_in(layer))
     codes = decode_bits(fields, model.source_quantizer(layer))[:, None, :]
-    return encode_bits(layer_eval(model, layer, codes, neurons), model.layer_quantizer(layer))
+    return encode_bits(layer_eval(model, layer, codes), model.layer_quantizer(layer))
 
 
-def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> np.ndarray:
-    """The (W, 2**N) uint32 tables of a layer's neurons (default all of
-    them), enumerating the layer's address space once through the
-    bit-exact model path."""
+def tabulate_layer(model: TrainedModel, layer: int) -> np.ndarray:
+    """The (W, 2**N) uint32 tables of a layer's neurons, enumerating the
+    layer's address space once through the bit-exact model path."""
     spec = model.spec
     addr_bits = spec.table_address_bits(layer)
     if addr_bits > spec.enum_guard:
@@ -71,17 +70,12 @@ def tabulate_layer(model: TrainedModel, layer: int, neurons=None) -> np.ndarray:
             f"layer {layer}: {addr_bits} address bits exceed the enumeration "
             f"guard ({spec.enum_guard})"
         )
-    width = spec.layer_widths[layer] if neurons is None else len(neurons)
+    width = spec.layer_widths[layer]
     entries = np.empty((width, 1 << addr_bits), dtype=np.uint32)
     for rows in row_chunks(1 << addr_bits, row_elements(model.bases[layer], 1, width)):
         addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
-        entries[:, rows] = _entries(model, layer, addrs, neurons).T
+        entries[:, rows] = _entries(model, layer, addrs).T
     return entries
-
-
-def tabulate_neuron(model: TrainedModel, layer: int, neuron: int) -> np.ndarray:
-    """Enumerate every input combination of one neuron: its table row."""
-    return tabulate_layer(model, layer, [neuron])[0]
 
 
 def tabulate_model(model: TrainedModel) -> list:

@@ -2,12 +2,17 @@
 
 Forward per layer: gather masked (dequantized) inputs, expand them into
 the monomial basis, weigh and sum the terms (basis.weighted_sum),
-batch-normalize, then model.activate: ReLU (hidden layers only) and the
-layer's learned-scale quantizer, which rounds once; the straight-through
-mask is where that rounding needed no clamp.  The backward pass is
-derived by hand: the straight-through estimator passes upstream
-gradients inside the code interval and takes the clamped code itself as
-the scale gradient.
+batch-normalize with the batch's statistics (moving the running
+statistics toward them), then model.activate: ReLU (hidden layers only)
+and the layer's learned-scale quantizer, which rounds once; the
+straight-through mask is where that rounding needed no clamp.  The
+backward pass is derived by hand: the straight-through estimator passes
+upstream gradients inside the code interval and takes the clamped code
+itself as the scale gradient.
+
+The trainer has this one mode.  Inference is model.layer_eval's alone,
+through forward_codes: it normalizes with the running statistics, and
+per-epoch test accuracy, tabulation and the equivalence check all run it.
 
 Training runs on expand's own storage: the terms of a layer as a
 contiguous term-major (M, n, W) array.  The forward pass weighs that
@@ -46,7 +51,7 @@ import numpy as np
 
 from .basis import expand, expand_vjp, weighted_sum
 from .model import LayerParams, TrainedModel, activate, forward_codes, labels_from_codes
-from .quantize import BatchNormParams, bn_apply, dequantize, quantize
+from .quantize import BatchNormParams, dequantize, quantize
 
 BN_MOMENTUM = 0.1
 SCALE_FLOOR = 1e-6
@@ -131,33 +136,26 @@ def param_views(model: TrainedModel, flat: np.ndarray | None = None) -> dict:
 # Forward / backward
 
 
-def forward(model: TrainedModel, xb: np.ndarray, *, training: bool = True,
-            quant_bypass: bool = False, context: str = ""):
-    """Run the batch forward pass, returning (logits, per-layer caches).
+def forward(model: TrainedModel, xb: np.ndarray, *, quant_bypass: bool = False,
+            context: str = ""):
+    """Run the training forward pass on a batch of real features, returning
+    (logits, per-layer caches).
 
-    xb holds real features, or input codes (an integer array), which are
-    only dequantized; forward_layers runs the layers from there (train
-    calls it directly, on features it dequantizes once).  training
-    normalizes with batch statistics and moves the running statistics
-    toward them by BN_MOMENTUM; otherwise batch norm uses the running
-    statistics, leaves them as they are, and the codes are
-    forward_codes'.  quant_bypass turns every quantize-dequantize into
-    the identity, which makes the loss differentiable end to end for
-    gradient checking.
+    The features are quantized and dequantized by the input quantizer, then
+    forward_layers runs the layers from there (train calls it directly, on
+    features it dequantizes once).  Batch norm uses the batch's statistics
+    and moves the running statistics toward them by BN_MOMENTUM; inference
+    codes are forward_codes' alone.  quant_bypass turns every
+    quantize-dequantize into the identity, which makes the loss
+    differentiable end to end for gradient checking.
     """
     spec = model.spec
-    x = np.asarray(xb)
+    x = np.asarray(xb, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_count:
         raise ValueError(f"expected batch of shape (n, {spec.input_count})")
-
     q0 = model.input_quantizer
-    if np.issubdtype(x.dtype, np.integer):
-        a = dequantize(x, q0)
-    else:
-        x = x.astype(np.float64, copy=False)
-        a = x if quant_bypass else dequantize(quantize(x, q0), q0)
-    return forward_layers(model, a, training=training, quant_bypass=quant_bypass,
-                          context=context)
+    a = x if quant_bypass else dequantize(quantize(x, q0), q0)
+    return forward_layers(model, a, quant_bypass=quant_bypass, context=context)
 
 
 def _terms(model: TrainedModel, layer: int, xg: np.ndarray) -> np.ndarray:
@@ -167,10 +165,10 @@ def _terms(model: TrainedModel, layer: int, xg: np.ndarray) -> np.ndarray:
     return expand(xg, model.bases[layer]).transpose(2, 0, 1)
 
 
-def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
-                   quant_bypass: bool, context: str):
+def forward_layers(model: TrainedModel, a: np.ndarray, *, quant_bypass: bool,
+                   context: str):
     """forward's layer loop from the dequantized inputs a (n, input_count),
-    with forward's training and quant_bypass.  Each layer's cache holds its
+    with forward's quant_bypass.  Each layer's cache holds its
     gathered inputs xg (n, W, F), from which backward expands the layer's
     monomials again."""
     spec = model.spec
@@ -181,23 +179,18 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
         z = weighted_sum(_terms(model, layer, xg), p.weights)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if training:  # the operation order of np.mean and np.var
-                mu = np.add.reduce(z, axis=0) / n
-                xhat = z - mu  # scaled by invstd below
-                var = np.add.reduce(xhat * xhat, axis=0) / n
-                invstd = 1.0 / np.sqrt(var + p.bn.eps)
-                xhat *= invstd
-                h = p.bn.gamma * xhat + p.bn.beta_shift
-            else:
-                invstd = 1.0 / np.sqrt(p.bn.running_var + p.bn.eps)
-                xhat = (z - p.bn.running_mean) * invstd
-                h = bn_apply(z, p.bn)
+            # the operation order of np.mean and np.var
+            mu = np.add.reduce(z, axis=0) / n
+            xhat = z - mu  # scaled by invstd below
+            var = np.add.reduce(xhat * xhat, axis=0) / n
+            invstd = 1.0 / np.sqrt(var + p.bn.eps)
+            xhat *= invstd
+            h = p.bn.gamma * xhat + p.bn.beta_shift
         if not np.isfinite(h).all():
             what = "batch-norm output" if np.isfinite(z).all() else "activation"
             raise FloatingPointError(f"non-finite {what} in layer {layer} {context}")
-        if training:
-            p.bn.running_mean = (1 - BN_MOMENTUM) * p.bn.running_mean + BN_MOMENTUM * mu
-            p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
+        p.bn.running_mean = (1 - BN_MOMENTUM) * p.bn.running_mean + BN_MOMENTUM * mu
+        p.bn.running_var = (1 - BN_MOMENTUM) * p.bn.running_var + BN_MOMENTUM * var
 
         last = layer == spec.n_layers - 1
         if quant_bypass:
@@ -210,7 +203,7 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, training: bool,
             a = c * q.scale
 
         caches.append(dict(xg=xg, invstd=invstd, xhat=xhat, h=h,
-                           c=c, ste=ste, batch_stats=training, last=last))
+                           c=c, ste=ste, last=last))
     return a, caches
 
 
@@ -238,12 +231,10 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         np.add.reduce(dh * xhat, axis=0, out=grads[f"gamma{layer}"])
         np.add.reduce(dh, axis=0, out=grads[f"beta{layer}"])
         dxhat = dh * p.bn.gamma
-        if cache["batch_stats"]:  # the operation order of np.mean
-            dz = dxhat - np.add.reduce(dxhat, axis=0) / n
-            dz -= xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)
-            dz *= cache["invstd"]
-        else:
-            dz = dxhat * cache["invstd"]
+        # the operation order of np.mean
+        dz = dxhat - np.add.reduce(dxhat, axis=0) / n
+        dz -= xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)
+        dz *= cache["invstd"]
 
         terms = _terms(model, layer, cache["xg"])
         # einsum's out= into the view runs ~10x slower than this copy
@@ -355,7 +346,7 @@ def adamw_step(theta: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float
 def init_scales(model: TrainedModel, warm_batch: np.ndarray) -> None:
     """Set each layer's quantizer scale to max|activation| / max code over
     one bypassed warm-up batch, so the initial code range covers the data."""
-    _, caches = forward(model, warm_batch, training=True, quant_bypass=True)
+    _, caches = forward(model, warm_batch, quant_bypass=True)
     for layer, cache in enumerate(caches):
         q = model.layer_quantizer(layer)
         r = cache["h"] if cache["last"] else np.maximum(cache["h"], 0.0)
@@ -397,7 +388,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig):
         losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            logits, caches = forward_layers(model, a0[idx], training=True, quant_bypass=False,
+            logits, caches = forward_layers(model, a0[idx], quant_bypass=False,
                                             context=f"at epoch {epoch}")
             loss, dlogits = compute_loss(logits, labels[idx], config.loss_kind)
             if not np.isfinite(loss):

@@ -27,7 +27,7 @@ from lutc.model import NetworkSpec, accuracy, init_model, spec_from_profile
 from lutc.netlist import build_netlist, equivalence_check, pareto_front, report
 from lutc.quantize import quantize
 from lutc.rtl import check_bundle, emit_bundle
-from lutc.tables import tabulate_model, tabulate_neuron
+from lutc.tables import tabulate_layer, tabulate_model
 from lutc.trainer import TrainConfig, backward, compute_loss, forward, train
 
 
@@ -151,7 +151,7 @@ def test_criterion_4_gradient_checks():
     y = rng.integers(0, 2, 16)
 
     def loss_of(m):
-        logits, caches = forward(m, x, training=True, quant_bypass=True)
+        logits, caches = forward(m, x, quant_bypass=True)
         loss, d = compute_loss(logits, y, "softmax")
         return loss, caches, d
 
@@ -185,7 +185,7 @@ def test_criterion_4_gradient_checks():
 
     def scale_loss(s):
         m1.params[0].quant_scale = s
-        logits, caches = forward(m1, x1, training=True)
+        logits, caches = forward(m1, x1)
         loss, d = compute_loss(logits, y1, "softmax")
         return loss, caches, d
 
@@ -227,11 +227,10 @@ def test_criterion_5_degree_benefit():
 
 def test_criterion_6_tabulation_scale():
     model = init_model(spec_from_profile("jsc-m"))
-    single = tabulate_neuron(model, 0, 0)
-    entries_ok = single.size == 4096  # beta=3, F=4
     t0 = time.perf_counter()
-    layer0 = [tabulate_neuron(model, 0, j) for j in range(64)]
+    layer0 = tabulate_layer(model, 0)
     elapsed = time.perf_counter() - t0
+    entries_ok = layer0.shape[1] == 4096  # beta=3, F=4
     record(6, "tabulation-scale",
            entries_ok and len(layer0) == 64 and elapsed < 10.0,
            f"4096 entries/neuron, 64 neurons in {elapsed:.2f} s")

@@ -327,6 +327,26 @@ def test_compile_rejects_checkpoint_missing_an_array(pipeline_dirs, tmp_path, ca
     assert not (tmp_path / "net").exists()
 
 
+@pytest.mark.parametrize("name, malformed", [
+    ("scalars", lambda s: s[:5]),
+    ("scalars", lambda s: np.append(s[0] + 0.5, s[1:])),
+    ("layer_widths", lambda w: w + 0.5),
+], ids=["short-scalars", "float-scalars", "float-layer-widths"])
+def test_compile_rejects_checkpoint_with_malformed_spec_arrays(pipeline_dirs, tmp_path,
+                                                               capsys, name, malformed):
+    """A scalars array of 5 entries, or of floats (beta 3.5), and float layer
+    widths are named, not indexed past their end or truncated."""
+    with np.load(pipeline_dirs / "run" / "checkpoint.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[name] = malformed(arrays[name])
+    np.savez(tmp_path / "bad.npz", **arrays)
+    code = run(["compile", "--checkpoint", tmp_path / "bad.npz", "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and name in err, err
+    assert not (tmp_path / "net").exists()
+
+
 def test_train_exit1_on_nonfinite_activation(tmp_path, monkeypatch, capsys):
     import lutc.cli as cli_mod
 

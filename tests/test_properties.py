@@ -1,5 +1,5 @@
 """Property tests: invariances of the layer-wise inference path and of
-netlist simulation, the training forward pass against that path, the
+netlist simulation, the training forward's straight-through mask, the
 fused weighted expansion, the training weighing and expand_vjp's
 summation order and term-major layout, covered masks against a
 per-neuron draw, round
@@ -280,7 +280,7 @@ def test_quantize_dequantize_round_trip(bits, signed, scale):
 def random_model(seed):
     """An untrained model of random shape whose scales spread its codes over
     the range, then shrink so that some codes clamp, with random
-    running statistics and batch-norm affine parameters."""
+    batch-norm affine parameters."""
     rng = np.random.default_rng(seed)
     fan = int(rng.integers(1, 4))
     spec = NetworkSpec(layer_widths=rng.integers(fan, 6, size=rng.integers(1, 4)).tolist(),
@@ -293,27 +293,14 @@ def random_model(seed):
         p.quant_scale *= rng.uniform(0.3, 1.5)
         width = len(p.weights)
         p.bn.gamma, p.bn.beta_shift = rng.uniform(0.5, 2.0, width), rng.normal(0, 0.3, width)
-        p.bn.running_mean = rng.normal(0, 0.3, width)
-        p.bn.running_var = rng.uniform(0.2, 2.0, width)
     return model, rng.uniform(-1.2, 1.2, size=(int(rng.integers(2, 60)), spec.input_count))
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**16))
-def test_forward_inference_codes_are_forward_codes(seed):
-    model, x = random_model(seed)
-    _, want = forward_codes(model, quantize(x, model.input_quantizer), trace=True)
-    for xb in (x, quantize(x, model.input_quantizer)):  # features, or input codes
-        _, caches = forward(model, xb, training=False)
-        for layer, cache in enumerate(caches):
-            assert np.array_equal(cache["c"], want[layer])
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**16))
 def test_straight_through_mask_is_where_the_clamp_did_not_act(seed):
     model, x = random_model(seed)
-    _, caches = forward(model, x, training=True)
+    _, caches = forward(model, x)
     for layer, cache in enumerate(caches):
         q = model.layer_quantizer(layer)
         r = cache["h"] if cache["last"] else np.maximum(cache["h"], 0.0)

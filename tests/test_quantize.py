@@ -140,18 +140,18 @@ def test_bit_packing_roundtrip():
 
 def test_bn_apply():
     p = bn_identity(1, eps=0.0)
-    assert bn_apply(3.7, p, 0) == 3.7
+    assert bn_apply(np.array([3.7]), p) == 3.7
     p2 = BatchNormParams(
         gamma=np.array([2.0]), beta_shift=np.array([0.0]),
         running_mean=np.array([1.0]), running_var=np.array([4.0]), eps=0.0,
     )
-    assert bn_apply(3.0, p2, 0) == 2.0
+    assert bn_apply(np.array([3.0]), p2) == 2.0
     # x == mean -> beta_shift
     p3 = BatchNormParams(
         gamma=np.array([5.0]), beta_shift=np.array([0.25]),
         running_mean=np.array([2.0]), running_var=np.array([9.0]), eps=0.0,
     )
-    assert bn_apply(2.0, p3, 0) == 0.25
+    assert bn_apply(np.array([2.0]), p3) == 0.25
 
 
 def test_quantizer_validation():

@@ -14,7 +14,6 @@ from lutc.tables import (
     pack_address,
     tabulate_layer,
     tabulate_model,
-    tabulate_neuron,
 )
 
 
@@ -30,7 +29,7 @@ def verify_table(model, table, layer, neuron):
     spec, addrs = model.spec, np.arange(table.size, dtype=np.int64)
     fields = decode_address(addrs, spec.layer_input_bits(layer), spec.layer_fan_in(layer))
     codes = decode_bits(fields, model.source_quantizer(layer))[:, None, :]
-    want = encode_bits(layer_eval(model, layer, codes, [neuron])[:, 0],
+    want = encode_bits(layer_eval(model, layer, codes)[:, neuron],
                        model.layer_quantizer(layer))
     return addrs[table[addrs] != want]
 
@@ -143,13 +142,6 @@ def test_enum_guard_enforced():
 
 # ---------------------------------------------------------------------------
 # Verification
-
-
-def test_tabulate_neuron_is_a_layer_row():
-    model = small_model()
-    layer = tabulate_layer(model, 0)
-    assert np.array_equal([tabulate_neuron(model, 0, j) for j in range(3)], layer)
-    assert np.array_equal(tabulate_layer(model, 0, [2, 0]), layer[[2, 0]])
 
 
 def test_verify_fresh_table_clean():

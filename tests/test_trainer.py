@@ -6,8 +6,8 @@ import pytest
 
 from lutc.data import gen_spirals, split_normalize
 from lutc.basis import count_monomials, expand
-from lutc.model import NetworkSpec, init_model
-from lutc.quantize import bn_identity
+from lutc.model import NetworkSpec, forward_codes, init_model
+from lutc.quantize import bn_identity, quantize
 from lutc.trainer import (
     BN_MOMENTUM,
     AdamWState,
@@ -33,6 +33,12 @@ def make_model(layer_widths, fan_in, degree, input_count, beta=4, seed=0,
         for p in model.params:
             p.bn = bn_identity(p.weights.shape[0], eps=0.0)
     return model
+
+
+def batch_normalized(z):
+    """z normalized per column by its batch mean and standard deviation:
+    training batch norm with make_model's identity gamma and shift, eps 0."""
+    return (z - z.mean(axis=0)) / z.std(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +113,13 @@ def test_forward_d1_matches_dense_affine_oracle():
     rng = np.random.default_rng(0)
     model = make_model([3], fan_in=2, degree=1, input_count=4)
     x = rng.normal(size=(8, 4))
-    logits, _ = forward(model, x, training=False, quant_bypass=True)
+    logits, _ = forward(model, x, quant_bypass=True)
     mask = model.masks[0]
     w = model.params[0].weights  # (3, 3): [bias, w1, w2] per neuron
     expected = np.empty((8, 3))
     for i in range(3):
         expected[:, i] = w[i, 0] + x[:, mask[i]] @ w[i, 1:]
-    assert np.allclose(logits, expected, atol=1e-12)
+    assert np.allclose(logits, batch_normalized(expected), atol=1e-12)
 
 
 def test_forward_product_neuron():
@@ -122,8 +128,8 @@ def test_forward_product_neuron():
     model.params[0].weights[:] = 0.0
     model.params[0].weights[0, 4] = 1.0
     x = np.array([[2.0, 3.0], [0.5, -4.0], [0.0, 7.0]])
-    logits, _ = forward(model, x, training=False, quant_bypass=True)
-    assert np.allclose(logits[:, 0], x[:, 0] * x[:, 1], atol=1e-12)
+    logits, _ = forward(model, x, quant_bypass=True)
+    assert np.allclose(logits[:, 0], batch_normalized(x[:, 0] * x[:, 1]), atol=1e-12)
 
 
 def test_forward_rejects_bad_batch_shape():
@@ -133,9 +139,9 @@ def test_forward_rejects_bad_batch_shape():
 
 
 def test_training_moves_running_stats_and_inference_keeps_them():
-    """forward with training=True moves each layer's running mean and
-    variance by BN_MOMENTUM toward its batch's; training=False leaves them
-    bit for bit as they were."""
+    """forward moves each layer's running mean and variance by BN_MOMENTUM
+    toward its batch's; inference, forward_codes, leaves them bit for bit
+    as they were."""
     rng = np.random.default_rng(5)
     model = make_model([4, 3], fan_in=2, degree=2, input_count=3, identity_bn=False)
     for p in model.params:
@@ -144,7 +150,7 @@ def test_training_moves_running_stats_and_inference_keeps_them():
     x = rng.uniform(-1.0, 1.0, size=(16, 3))
 
     before = [(p.bn.running_mean.copy(), p.bn.running_var.copy()) for p in model.params]
-    _, caches = forward(model, x, training=True)
+    _, caches = forward(model, x)
     for layer, (p, cache, (mean0, var0)) in enumerate(zip(model.params, caches, before)):
         z = np.einsum("nwm,wm->nw", expand(cache["xg"], model.bases[layer]), p.weights)
         assert np.allclose(p.bn.running_mean,
@@ -156,7 +162,7 @@ def test_training_moves_running_stats_and_inference_keeps_them():
         assert not np.array_equal(p.bn.running_mean, mean0)
 
     before = [(p.bn.running_mean.copy(), p.bn.running_var.copy()) for p in model.params]
-    forward(model, x, training=False)
+    forward_codes(model, quantize(x, model.input_quantizer))
     for p, (mean0, var0) in zip(model.params, before):
         assert np.array_equal(p.bn.running_mean.view(np.uint64), mean0.view(np.uint64))
         assert np.array_equal(p.bn.running_var.view(np.uint64), var0.view(np.uint64))
@@ -177,7 +183,7 @@ def test_backward_zero_upstream():
     rng = np.random.default_rng(1)
     model = make_model([4, 2], fan_in=2, degree=2, input_count=3)
     x = rng.normal(size=(6, 3))
-    _, caches = forward(model, x, training=True)
+    _, caches = forward(model, x)
     grads = backward(model, caches, np.zeros((6, 2)))
     for g in grads.values():
         assert np.all(np.asarray(g) == 0.0)
@@ -227,15 +233,19 @@ def test_backward_matches_logistic_regression():
     model = make_model([1], fan_in=2, degree=1, input_count=2)
     x = rng.normal(size=(16, 2))
     y = rng.integers(0, 2, 16)
-    logits, caches = forward(model, x, training=False, quant_bypass=True)
+    logits, caches = forward(model, x, quant_bypass=True)
     loss, dlogits = bce_logit(logits, y)
     grads = backward(model, caches, dlogits)
-    # closed-form logistic gradient on the [1, x0, x1] design matrix
+    # closed-form logistic gradient on the [1, x0, x1] design matrix, through
+    # batch norm: the logits are xhat, the batch-normalized z = design @ w
     mask = model.masks[0][0]
     design = np.column_stack([np.ones(16), x[:, mask]])
-    sig = 1.0 / (1.0 + np.exp(-logits[:, 0]))
-    oracle = design.T @ (sig - y) / 16.0
-    assert np.allclose(grads["w0"][0], oracle, atol=1e-12)
+    z = design @ model.params[0].weights[0]
+    xhat = batch_normalized(z)
+    sig = 1.0 / (1.0 + np.exp(-xhat))
+    dh = (sig - y) / 16.0
+    dz = (dh - dh.mean() - xhat * (dh * xhat).mean()) / z.std()
+    assert np.allclose(grads["w0"][0], design.T @ dz, atol=1e-12)
 
 
 def test_unmasked_inputs_do_not_leak():
@@ -249,7 +259,7 @@ def test_unmasked_inputs_do_not_leak():
     x2[:, unmasked] += rng.normal(size=(8, len(unmasked)))
 
     def run(batch):
-        logits, caches = forward(model, batch, training=False, quant_bypass=True)
+        logits, caches = forward(model, batch, quant_bypass=True)
         loss, d = bce_logit(logits, np.zeros(8, dtype=np.int64))
         return logits, backward(model, caches, d)
 
