@@ -63,11 +63,10 @@ pairs = parse_golden_vectors(read("vectors.hex"))
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 
-# The self-checker checks every written file against the netlist: every
-# ROM's constants become a table that must equal the netlist's, and
-# top.v, tb.v, manifest.txt and vectors.hex must be exactly what the
-# emitter writes -- top.v wired per the masks, vectors.hex the 64 seeded
-# vectors with the netlist's outputs.
+# The self-checker checks every written file against the netlist: each
+# must be exactly what the emitter writes -- every ROM its table's
+# constants, top.v wired per the masks, vectors.hex the 64 seeded vectors
+# with the netlist's outputs.
 problems = check_bundle(out_dir, netlist)
 print(f"self-check against the netlist: {len(problems)} problems")
 assert not problems

@@ -65,6 +65,11 @@ def resolve_config(args) -> dict:
         file_cfg = {"profile": args.profile}
     else:
         raise ConfigError("one of --config or --profile is required")
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config {args.config}: not a JSON object")
+    for key in ("spec", "dataset", "train"):
+        if key in file_cfg and not isinstance(file_cfg[key], dict):
+            raise ConfigError(f"config: {key} is not a JSON object")
     profile = file_cfg.get("profile")
     if profile:
         cfg["spec"].update(PROFILES.get(profile) or _bad_profile(profile))

@@ -78,7 +78,6 @@ class NetworkSpec:
     input_fan_in: int | None = None  # layer-0 override for the fan-in
     seed: int = 0
     clock_period_ns: float = 1.6
-    enum_guard: int = ENUM_GUARD_BITS
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -138,10 +137,10 @@ def validate_spec(spec) -> list[str]:
             if fan > prev:
                 v.append(f"layer {layer}: fan_in {fan} exceeds predecessor width {prev}")
             bits = spec.table_address_bits(layer)
-            if bits > spec.enum_guard:
+            if bits > ENUM_GUARD_BITS:
                 v.append(
                     f"layer {layer}: enumeration guard violated "
-                    f"({bits} address bits > cap {spec.enum_guard})"
+                    f"({bits} address bits > cap {ENUM_GUARD_BITS})"
                 )
     return v
 
@@ -415,7 +414,7 @@ def save_checkpoint(model: TrainedModel, path) -> None:
             [spec.beta, spec.fan_in, spec.degree, spec.input_count,
              -1 if spec.input_beta is None else spec.input_beta,
              -1 if spec.input_fan_in is None else spec.input_fan_in,
-             spec.seed, spec.enum_guard],
+             spec.seed, ENUM_GUARD_BITS],  # the cap is written, not read back
             dtype=np.int64,
         ),
         "clock_period_ns": np.float64(spec.clock_period_ns),
@@ -453,7 +452,7 @@ def load_checkpoint(path) -> TrainedModel:
                 input_count=int(s[3]),
                 input_beta=None if int(s[4]) < 0 else int(s[4]),
                 input_fan_in=None if int(s[5]) < 0 else int(s[5]),
-                seed=int(s[6]), enum_guard=int(s[7]),
+                seed=int(s[6]),
                 clock_period_ns=float(z["clock_period_ns"]),
             )
             masks, params = [], []

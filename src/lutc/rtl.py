@@ -14,14 +14,12 @@ addresses from p*2**16 on, and a case on addr[n-1:16] selects the piece.
 Each constant is formatted from the table row with np.packbits and
 bytes.hex, and each file is written as soon as its text is formatted.
 
-Every byte of a ROM file but its digits is given by the module name, n
-and b.  The checker compares those bytes with the emitted text and
-decodes each constant's digits with one 256-entry lookup, rejecting any
-byte that is not a lower-case hex digit and, in a constant of under 4
-bits, a set pad bit; the first fault in the file is named.  Every file
-is checked against the netlist it was emitted from, so a fault is blamed
-on its own file: the decoded tables must equal the netlist's, and top.v,
-tb.v, manifest.txt and vectors.hex must be byte-exact.  top.v is
+A table has one canonical digit string, so a ROM holds the netlist's
+table exactly when the file is the emitted text.  _bundle yields every
+file's name and text in emission order; emit_bundle writes it and the
+checker compares each file on disk with it byte for byte, naming the
+first line that differs.  Every file is checked against the netlist it
+was emitted from, so a fault is blamed on its own file: top.v is
 emit_top's text for the netlist, so its wiring follows the masks and any
 wiring or instance edit is a changed line; vectors.hex is exactly the 64
 seeded vectors and the netlist's outputs that tb.v replays in a
@@ -35,13 +33,11 @@ from __future__ import annotations
 
 import glob
 import hashlib
-import itertools
 import os
 
 import numpy as np
 
 from .netlist import Netlist, simulate
-from .tables import HEX_VALUE
 
 
 PIECE_BITS = 16  # address bits of one constant: a vector of at most 2**16 bits
@@ -49,39 +45,6 @@ PIECE_BITS = 16  # address bits of one constant: a vector of at most 2**16 bits
 
 def _bus(width: int) -> str:
     return f"[{width - 1}:0]"
-
-
-def _pieces(n: int) -> tuple:
-    """The address bits of each constant piece of an n-bit ROM, and the
-    number of pieces of each output bit."""
-    bits = min(n, PIECE_BITS)
-    return bits, 1 << (n - bits)
-
-
-def _constant(k: int, piece: int, pieces: int) -> str:
-    return f"BIT_{k}" if pieces == 1 else f"BIT_{k}_P{piece}"
-
-
-def _constant_lines(n: int, b: int):
-    """Yield, for each constant of an n-bit, b-output-bit ROM in file
-    order (output bit k, then piece), its name, the text of its line before
-    the digits, k, its first address and its digit count."""
-    bits, pieces = _pieces(n)
-    for k in range(b):
-        for piece in range(pieces):
-            name = _constant(k, piece, pieces)
-            yield (name, f"    localparam {_bus(1 << bits)} {name} = {1 << bits}'h", k,
-                   piece << bits, -(-(1 << bits) // 4))
-
-
-def _rom_files(netlist: Netlist):
-    """Yield the file name of each neuron's synchronous ROM module and an
-    iterator over its text, one constant line at a time."""
-    for layer, lut in enumerate(netlist.layers):
-        n, b = lut.address_bits, lut.output_bits
-        for j, row in enumerate(lut.tables):
-            name = _module_name(layer, j)
-            yield f"{name}.v", _rom_text(name, row, n, b)
 
 
 def _hex_rows(bits: np.ndarray, digits: int) -> list:
@@ -95,29 +58,26 @@ def _hex_rows(bits: np.ndarray, digits: int) -> list:
 
 
 def _rom_text(name: str, row: np.ndarray, n: int, b: int):
-    """A ROM module's text: head, one line per constant, always block."""
-    yield _rom_head(name, n, b)
-    size = 1 << _pieces(n)[0]
-    for _, prefix, k, first, digits in _constant_lines(n, b):
-        bits = (row[None, first:first + size] & (1 << k)) != 0  # bit k of each entry
-        yield prefix + _hex_rows(bits, digits)[0] + ";\n"
-    yield _rom_tail(n, b)
+    """A ROM module's text: the ports, one line per constant (output bit k,
+    then piece), and the registered read, through a case on the piece when
+    the constants are split."""
+    bits = min(n, PIECE_BITS)
+    size, pieces = 1 << bits, 1 << (n - bits)
 
+    def constant(k, piece):
+        return f"BIT_{k}" if pieces == 1 else f"BIT_{k}_P{piece}"
 
-def _rom_head(name: str, n: int, b: int) -> str:
-    """A ROM module's text before its first constant."""
-    return (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
-            f"    output reg  {_bus(b)} data\n);\n")
-
-
-def _rom_tail(n: int, b: int) -> str:
-    """A ROM module's text after its last constant: the registered read,
-    through a case on the piece when the constants are split."""
-    bits, pieces = _pieces(n)
+    yield (f"module {name} (\n    input  wire clk,\n    input  wire {_bus(n)} addr,\n"
+           f"    output reg  {_bus(b)} data\n);\n")
+    for k in range(b):
+        for piece in range(pieces):
+            bits_k = (row[None, piece * size:(piece + 1) * size] & (1 << k)) != 0
+            yield (f"    localparam {_bus(size)} {constant(k, piece)} = {size}'h"
+                   f"{_hex_rows(bits_k, -(-size // 4))[0]};\n")
     index = "addr" if pieces == 1 else f"addr[{bits - 1}:0]"
 
     def read(piece):
-        return ", ".join(f"{_constant(k, piece, pieces)}[{index}]" for k in reversed(range(b)))
+        return ", ".join(f"{constant(k, piece)}[{index}]" for k in reversed(range(b)))
 
     if pieces == 1:
         body = f"        data <= {{{read(0)}}};\n"
@@ -126,7 +86,7 @@ def _rom_tail(n: int, b: int) -> str:
                 + "".join(f"            {n - bits}'h{piece:x}: data <= {{{read(piece)}}};\n"
                           for piece in range(pieces))
                 + "        endcase\n")
-    return f"    always @(posedge clk) begin\n{body}    end\nendmodule\n"
+    yield f"    always @(posedge clk) begin\n{body}    end\nendmodule\n"
 
 
 def _module_name(layer: int, index: int) -> str:
@@ -265,9 +225,17 @@ def _golden_vectors(netlist: Netlist) -> str:
     return emit_golden_vectors(netlist, vectors)
 
 
-# the bundle's files beside the ROMs, in emission order, and their text
-_FILES = (("top.v", emit_top), ("tb.v", emit_testbench), ("vectors.hex", _golden_vectors),
-          ("manifest.txt", _manifest))
+def _bundle(netlist: Netlist):
+    """Yield the name of each file of the bundle, in emission order, and an
+    iterable over its text: each neuron's ROM, one constant line at a time,
+    then top.v, tb.v, vectors.hex and manifest.txt."""
+    for layer, lut in enumerate(netlist.layers):
+        for j, row in enumerate(lut.tables):
+            name = _module_name(layer, j)
+            yield f"{name}.v", _rom_text(name, row, lut.address_bits, lut.output_bits)
+    for fname, emit in (("top.v", emit_top), ("tb.v", emit_testbench),
+                        ("vectors.hex", _golden_vectors), ("manifest.txt", _manifest)):
+        yield fname, [emit(netlist)]
 
 
 def emit_bundle(netlist: Netlist, out_dir) -> list:
@@ -275,8 +243,7 @@ def emit_bundle(netlist: Netlist, out_dir) -> list:
     text is formatted, and return their paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for fname, slices in itertools.chain(
-            _rom_files(netlist), ((fname, [emit(netlist)]) for fname, emit in _FILES)):
+    for fname, slices in _bundle(netlist):
         written.append(os.path.join(out_dir, fname))
         with open(written[-1], "w", encoding="utf-8") as f:
             f.writelines(slices)
@@ -292,105 +259,34 @@ _QUOTE = 80  # characters of a long line quoted in a problem
 def check_bundle(out_dir, netlist: Netlist) -> list:
     """Return the problems of the bundle in out_dir (an empty list means it
     is sound), each naming the file that cannot be read, or the module,
-    top.v, tb.v, manifest.txt or vectors.hex at fault.
+    top.v, tb.v, vectors.hex or manifest.txt at fault.
 
-    Every file is checked against the netlist alone, read when its check
-    needs it, without newline translation.  top.v, tb.v, vectors.hex and
-    manifest.txt must be exactly what emit_bundle writes: top.v the
-    instances wired per the masks, vectors.hex the 64 seeded vectors with
-    the netlist's outputs, manifest.txt the sha256 digests of the
-    netlist's tables; the first line that differs is named.
-    Every byte of a ROM but its constants' digits must be the emitted
-    text, and every digit a lower-case hex digit (with clear pad bits in a
-    constant of under 4 bits).  The first fault in the file is named: a
-    bad digit by its constant and the addresses it covers, else the first
-    line that differs from the emitted text.  The table decoded from the
-    constants' bits must equal the netlist's.  A layer*_n*.v file the
-    netlist does not name is reported.
+    Every file must be exactly the bytes emit_bundle writes for the
+    netlist: each ROM its table's constants, top.v the instances wired per
+    the masks, vectors.hex the 64 seeded vectors with the netlist's
+    outputs, manifest.txt the sha256 digests of the netlist's tables.
+    Each file is read as bytes, decoded as UTF-8 with any invalid byte
+    escaped, and the first line that differs from the emitted text is
+    named.  A layer*_n*.v file the netlist does not name is reported.
     """
-    problems = []
-    for fname, emit in _FILES:
+    problems, fnames = [], set()
+    for fname, slices in _bundle(netlist):
+        fnames.add(fname)
         try:
-            with open(os.path.join(out_dir, fname), encoding="utf-8", newline="") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as e:
+            with open(os.path.join(out_dir, fname), "rb") as f:
+                data = f.read()
+        except OSError as e:
             problems.append(f"{fname}: cannot read: {e}")
             continue
-        problems += _first_difference(fname, text, emit(netlist))
-    for layer, lut in enumerate(netlist.layers):
-        n, b = lut.address_bits, lut.output_bits
-        for j in range(lut.width):
-            name = _module_name(layer, j)
-            values = _read_rom(os.path.join(out_dir, f"{name}.v"), name, n, b, problems)
-            if values is not None and not np.array_equal(values, lut.tables[j]):
-                diff = np.flatnonzero(values != lut.tables[j])
-                problems.append(f"{name}: {len(diff)} entries differ from the netlist "
-                                f"table, first at address 0x{diff[0]:x}")
-    names = {_module_name(layer, j) for layer, lut in enumerate(netlist.layers)
-             for j in range(lut.width)}
+        # a ROM's problems name its module; no emitted file holds a
+        # backslash, so an escaped byte is always a difference
+        problems += _first_difference(fname[:-2] if fname.startswith("layer") else fname,
+                                      data.decode("utf-8", "backslashreplace"),
+                                      "".join(slices))
     problems += [f"{fname[:-2]}: not present in the netlist"
                  for fname in sorted(glob.glob("layer*_n*.v", root_dir=out_dir))
-                 if fname[:-2] not in names]
+                 if fname not in fnames]
     return problems
-
-
-def _read_rom(path, name: str, n: int, b: int, problems: list):
-    """The table read back from a ROM module file, or None (with a problem)
-    if it cannot be read.  Every byte but the digits must be the emitted
-    text, and every digit lower-case hex below 2**(2**n) when 2**n < 4;
-    the first fault in the file is named."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        problems.append(f"{name}.v: cannot read: {e}")
-        return None
-    head = _rom_head(name, n, b).encode()
-    # the emitted text around the file's own digits, each constant's at the
-    # place the emitter puts it: it is the file unless another byte differs
-    parts, spans, at = [head], [], len(head)
-    for constant, prefix, k, first, digits in _constant_lines(n, b):
-        at += len(prefix)
-        spans.append((constant, at, k, first, digits))
-        parts += [prefix.encode(), data[at:at + digits], b";\n"]
-        at += digits + 2
-    parts.append(_rom_tail(n, b).encode())
-    want = b"".join(parts)
-    fault = None  # the first byte at which the file is not the emitted text
-    if data != want:
-        common = min(len(data), len(want))
-        differ = np.flatnonzero(np.frombuffer(data, dtype=np.uint8, count=common)
-                                != np.frombuffer(want, dtype=np.uint8, count=common))
-        fault = int(differ[0]) if len(differ) else common
-    buf, size = np.frombuffer(data, dtype=np.uint8), 1 << _pieces(n)[0]
-    values = np.zeros(1 << n, dtype=np.uint32)
-    for constant, at, k, first, digits in spans:
-        if fault is not None and at + digits > fault:
-            break
-        nibbles = HEX_VALUE[buf[at:at + digits]]
-        bad = nibbles >= min(16, 1 << size)  # a constant under 4 bits has clear pad bits
-        if bad.any():
-            i = int(np.argmax(bad))
-            low = first + 4 * (digits - 1 - i)
-            char = data[at + i:at + i + 4].decode("utf-8", "replace")[0]
-            problems.append(f"{name}: {constant} digit covering addresses 0x{low:x}-"
-                            f"0x{min(low + 3, first + size - 1):x} is {char!r}")
-            return None
-        if digits % 2:  # a lone digit is the low half of its byte
-            nibbles = np.append(np.uint8(0), nibbles)
-        # the constant's bytes, lowest first: the last two digits, then the two before
-        octets = (nibbles[-2::-2] << 4) | nibbles[::-2]
-        bits = np.unpackbits(octets, bitorder="little")[:size]
-        values[first:first + size] |= np.left_shift(bits, k, dtype=np.uint32)
-    if fault is not None:
-        # quote the digits of the constants from the fault on as unknown
-        for c, (_, at, _, _, digits) in enumerate(spans):
-            if at + digits > fault:
-                parts[2 + 3 * c] = b"?" * digits
-        problems += _first_difference(name, data.decode("utf-8", "backslashreplace"),
-                                      b"".join(parts).decode("utf-8", "backslashreplace"))
-        return None
-    return values
 
 
 def _first_difference(fname: str, got: str, want: str) -> list:

@@ -18,8 +18,7 @@ Table text is written and read one layer at a time.  hex_rows formats
 only the distinct values of a layer's (W, 2**N) array.  load_tables
 reads back only what dump_tables writes, byte for byte: the header, then
 each neuron's line and value lines at fixed line numbers, one neuron at a
-time, its values through hex_tokens.  HEX_VALUE, the digit lookup under
-hex_tokens, is also how rtl.check_bundle decodes the ROM constants.
+time, its values through hex_tokens.
 """
 
 from __future__ import annotations
@@ -65,11 +64,6 @@ def tabulate_layer(model: TrainedModel, layer: int) -> np.ndarray:
     layer's address space once through the bit-exact model path."""
     spec = model.spec
     addr_bits = spec.table_address_bits(layer)
-    if addr_bits > spec.enum_guard:
-        raise ValueError(
-            f"layer {layer}: {addr_bits} address bits exceed the enumeration "
-            f"guard ({spec.enum_guard})"
-        )
     width = spec.layer_widths[layer]
     entries = np.empty((width, 1 << addr_bits), dtype=np.uint32)
     for rows in row_chunks(1 << addr_bits, row_elements(model.bases[layer], 1, width)):
@@ -88,8 +82,8 @@ def tabulate_model(model: TrainedModel) -> list:
 
 
 # byte -> value of a lower-case hex digit, 16 for every other byte
-HEX_VALUE = np.full(256, 16, dtype=np.uint8)
-HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _HEX_DIGITS = 15  # the most hex digits hex_tokens reads into an int64
 # a dump's header; its numbers are plain decimal below 10**9
 _HEADER = re.compile(rb"lut-tables v1\nlayer (0|[1-9][0-9]{0,8})\nneurons ([1-9][0-9]{0,8})\n"
@@ -223,10 +217,10 @@ def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tupl
         if not len(sel):
             continue
         at = starts[sel]
-        first = worst = HEX_VALUE[buf[at]]
+        first = worst = _HEX_VALUE[buf[at]]
         value = first.astype(np.int64)
         for k in range(1, width):
-            digit = HEX_VALUE[buf[at + k]]
+            digit = _HEX_VALUE[buf[at + k]]
             value = value * 16 + digit
             worst = np.maximum(worst, digit)
         values[sel] = value

@@ -3,6 +3,9 @@
 linear_reference swaps the trainer's basis expansion for an explicit bias +
 linear map: the linear neuron of LogicNets, which a degree-1 polynomial
 neuron must reproduce bit for bit (acceptance criterion 2).
+
+lifted_guard_checkpoint is a checkpoint whose tables would exceed the
+enumeration guard.
 """
 
 import contextlib
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import lutc.trainer
+from lutc.model import NetworkSpec, init_model, save_checkpoint
 
 
 def _bias_and_inputs(xg, basis):
@@ -53,3 +57,18 @@ def linear_reference(monkeypatch):
             yield calls
 
     return use
+
+
+@pytest.fixture
+def lifted_guard_checkpoint(tmp_path):
+    """A one-neuron checkpoint of 8-bit codes and fan-in 4, so 32 address
+    bits, whose scalars carry a guard of 40 bits.  No valid spec has it, so
+    a valid checkpoint's arrays are edited and written with np.savez."""
+    path = tmp_path / "lifted_guard.npz"
+    save_checkpoint(init_model(NetworkSpec(layer_widths=(1,), beta=2, fan_in=4, degree=1,
+                                           input_count=4)), path)
+    with np.load(path) as z:
+        arrays = {k: z[k].copy() for k in z.files}
+    arrays["scalars"][[0, 7]] = 8, 40  # beta, guard
+    np.savez(path, **arrays)
+    return path

@@ -58,6 +58,23 @@ def test_bad_config_file(tmp_path):
     assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ([{"profile": "spiral"}], "c.json: not a JSON object"),
+    ({"profile": "spiral", "spec": [4, 2]}, "config: spec is not a JSON object"),
+    ({"profile": "spiral", "dataset": [{"kind": "spirals"}]},
+     "config: dataset is not a JSON object"),
+    ({"profile": "spiral", "train": ["epochs", 3]}, "config: train is not a JSON object"),
+], ids=["config", "spec", "dataset", "train"])
+def test_config_shapes_exit_2(tmp_path, capsys, cfg, message):
+    # each used to end in an AttributeError, TypeError or ValueError traceback
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and message in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_dataset_path(tmp_path):
     cfg = {"profile": "jsc-m", "dataset": {"kind": "csv", "path": "/nope.csv",
                                            "label_column": "y"}}
@@ -344,6 +361,16 @@ def test_compile_rejects_checkpoint_with_malformed_spec_arrays(pipeline_dirs, tm
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint ") and name in err, err
+    assert not (tmp_path / "net").exists()
+
+
+def test_compile_rejects_checkpoint_that_lifts_the_enum_guard(lifted_guard_checkpoint,
+                                                              tmp_path, capsys):
+    # 32 address bits: a (1, 2**32) table must not be asked for
+    code = run(["compile", "--checkpoint", lifted_guard_checkpoint, "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "layer 0: enumeration guard" in err, err
     assert not (tmp_path / "net").exists()
 
 

@@ -50,7 +50,7 @@ def _raw_spec(**overrides):
     """Bypass __post_init__ validation so validate_spec can be probed directly."""
     kwargs = dict(layer_widths=(4, 2), beta=2, fan_in=2, degree=2, input_count=3,
                   input_beta=None, input_fan_in=None, seed=0,
-                  clock_period_ns=1.6, enum_guard=24)
+                  clock_period_ns=1.6)
     kwargs.update(overrides)
     spec = object.__new__(NetworkSpec)
     for k, v in kwargs.items():

@@ -77,12 +77,11 @@ def test_rom_splits_constants_above_16_address_bits(tmp_path):
     # bit 0 of address 0x1fffd is the second-lowest bit of BIT_0_P1's first digit
     first = text.index("BIT_0_P1 = 65536'h") + 18
     flipped = f"{int(text[first], 16) ^ 2:x}"
-    edit_file(path, lambda text: text[:first] + flipped + text[first + 1:])
-    assert check_bundle(tmp_path, net)[0] == (
-        "layer0_n0: 1 entries differ from the netlist table, first at address 0x1fffd")
-    edit_file(path, lambda text: text[:first] + "G" + text[first + 1:])
-    assert check_bundle(tmp_path, net) == [
-        "layer0_n0: BIT_0_P1 digit covering addresses 0x1fffc-0x1ffff is 'G'"]
+    for digit in (flipped, "G"):
+        edit_file(path, lambda text: text[:first] + digit + text[first + 1:])
+        problems = check_bundle(tmp_path, net)
+        assert len(problems) == 1 and problems[0].startswith(
+            f"layer0_n0: line 7 is ...\" localparam [65535:0] BIT_0_P1 = 65536'h{digit}"), problems
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,7 @@ def change_arm_value(out):
         lines[constants[0]] = f"{line[:-2]}{int(line[-2], 16) ^ 1:x};"
         return "\n".join(lines)
     edit_file(out / "layer1_n0.v", edit)
-    return "layer1_n0: 1 entries differ from the netlist table, first at address 0x0"
+    return "layer1_n0: line 6 is "
 
 
 def swap_arms(out):
@@ -365,29 +364,30 @@ def test_checker_flags_tampering(tmp_path, tamper):
     assert all(p.startswith(blamed.split(": ")[0] + ": ") for p in problems), problems
 
 
+EXPECTED_BIT_0 = ", expected \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\""
+
+
 @pytest.mark.parametrize("old, new, problem", [
     ("[63:0] BIT_0", "[063:0] BIT_0",
-     "line 6 is \"    localparam [063:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\", "
-     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
+     "line 6 is \"    localparam [063:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\"" + EXPECTED_BIT_0),
     ("BIT_0 = 64'h", "BIT_0 = 64'H",
-     "line 6 is \"    localparam [63:0] BIT_0 = 64'Haaaaaaaaaaaaaeaa;\", "
-     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'Haaaaaaaaaaaaaeaa;\"" + EXPECTED_BIT_0),
     ("BIT_0 = 64'h", "BIT_0 = 64'h0",
-     "line 6 is \"    localparam [63:0] BIT_0 = 64'h0aaaaaaaaaaaaaeaa;\", "
-     "expected \"    localparam [63:0] BIT_0 = 64'h0aaaaaaaaaaaaaea;\""),
-    ("aeaa;", "aEaa;", "BIT_0 digit covering addresses 0x8-0xb is 'E'"),
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'h0aaaaaaaaaaaaaeaa;\"" + EXPECTED_BIT_0),
+    ("aeaa;", "aEaa;",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaEaa;\"" + EXPECTED_BIT_0),
     ("aeaa;", "aeaa,",
-     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa,\", "
-     "expected \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\""),
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa,\"" + EXPECTED_BIT_0),
     ("data <=", "date <=",
      "line 12 is '        date <= {BIT_4[addr], BIT_3[addr], BIT_2[addr], BIT_1[addr], "
      "BIT_0[addr]'..., expected '        data <= {BIT_4[addr], BIT_3[addr], BIT_2[addr], "
      "BIT_1[addr], BIT_0[addr]'..."),
     ("    localparam [63:0] BIT_0", "\tlocalparam [63:0] BIT_0",
-     "line 6 is \"\\tlocalparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\", "
-     "expected \"    localparam [63:0] BIT_0 = 64'h????????????????;\""),
-    ("aeaa;", "agaa;", "BIT_0 digit covering addresses 0x8-0xb is 'g'"),
-    ("aeaa;", "a\u0663aa;", "BIT_0 digit covering addresses 0x8-0xb is '\u0663'"),
+     "line 6 is \"\\tlocalparam [63:0] BIT_0 = 64'haaaaaaaaaaaaaeaa;\"" + EXPECTED_BIT_0),
+    ("aeaa;", "agaa;",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaagaa;\"" + EXPECTED_BIT_0),
+    ("aeaa;", "a\u0663aa;",
+     "line 6 is \"    localparam [63:0] BIT_0 = 64'haaaaaaaaaaaaa\u0663aa;\"" + EXPECTED_BIT_0),
 ], ids=["address-leading-zero", "upper-case-address", "value-leading-zero", "upper-case-value",
         "no-semicolon", "wrong-register", "tab-indent", "non-hex-value", "non-ascii-value"])
 def test_checker_flags_noncanonical_arm(tmp_path, old, new, problem):
@@ -404,19 +404,17 @@ def test_checker_flags_noncanonical_arm(tmp_path, old, new, problem):
     assert check_bundle(tmp_path, net) == [f"layer0_n0: {problem}"]
 
 
-@pytest.mark.parametrize("n, digit, problem", [
-    (1, "4", "BIT_1 digit covering addresses 0x0-0x1 is '4'"),
-    (1, "8", "BIT_1 digit covering addresses 0x0-0x1 is '8'"),
-    (2, "8", "1 entries differ from the netlist table, first at address 0x3"),
-], ids=["pad-bit-2", "pad-bit-3", "no-pad-bits"])
-def test_checker_flags_set_pad_bit(tmp_path, n, digit, problem):
+@pytest.mark.parametrize("n, digit", [(1, "4"), (1, "8"), (2, "8")],
+                         ids=["pad-bit-2", "pad-bit-3", "no-pad-bits"])
+def test_checker_flags_set_pad_bit(tmp_path, n, digit):
     # a constant of 2**n < 4 bits fills its one digit's low bits only
     net = one_layer_netlist(np.zeros((1, 1 << n), dtype=np.uint32), 2)
     emit_bundle(net, tmp_path)
     edit_file(tmp_path / "layer0_n0.v", replacing(f"BIT_1 = {1 << n}'h0;",
                                                   f"BIT_1 = {1 << n}'h{digit};"))
-    problems = check_bundle(tmp_path, net)
-    assert [p for p in problems if p.startswith("layer0_n0: ")] == [f"layer0_n0: {problem}"]
+    line = f"    localparam [{(1 << n) - 1}:0] BIT_1 = {1 << n}'h"
+    assert check_bundle(tmp_path, net) == [
+        f"layer0_n0: line 7 is {line + digit + ';'!r}, expected {line + '0;'!r}"]
 
 
 @pytest.mark.parametrize("edit", [
@@ -458,6 +456,19 @@ def test_checker_blames_disk_faults(tmp_path, fault, blamed):
     assert problems and all(p.startswith(blamed) for p in problems), problems
 
 
+@pytest.mark.parametrize("fname, blamed, line", [("top.v", "top.v", "top ("),
+                                                 ("layer1_n0.v", "layer1_n0", "layer1_n0 (")])
+def test_checker_names_an_invalid_byte_at_its_line(tmp_path, fname, blamed, line):
+    # a byte that is not UTF-8 is escaped in the quote of its line, in a
+    # ROM as in any other file
+    _, net = compiled(layer_widths=(3, 2))
+    emit_bundle(net, tmp_path)
+    path = tmp_path / fname
+    path.write_bytes(path.read_bytes().replace(b"module ", b"module \xff", 1))
+    assert check_bundle(tmp_path, net) == [
+        f"{blamed}: line 1 is 'module \\\\xff{line}', expected 'module {line}'"]
+
+
 def test_checker_reports_missing_top_once(tmp_path):
     _, net = compiled(layer_widths=(3, 2))  # 5 modules, each wired in top.v
     emit_bundle(net, tmp_path)
@@ -468,7 +479,7 @@ def test_checker_reports_missing_top_once(tmp_path):
 
 @pytest.mark.parametrize("first, second, problem", [
     ("BIT_0", "BIT_1", "line 6 is "),
-    ("BIT_1", "BIT_0", "BIT_0 digit covering addresses 0xc-0xf is 'g'"),
+    ("BIT_1", "BIT_0", "line 6 is "),
 ], ids=["line-first", "digit-first"])
 def test_checker_blames_the_first_fault_in_the_file(tmp_path, first, second, problem):
     # a ';' edited on the line of one constant and a digit on the other's

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lutc.model import NetworkSpec, init_model, layer_eval, spec_from_profile
+from lutc.model import NetworkSpec, init_model, layer_eval, load_checkpoint, spec_from_profile
 from lutc.netlist import LutLayer, build_netlist
 from lutc.quantize import bn_identity, decode_bits, encode_bits
 from lutc.rtl import emit_bundle
@@ -133,11 +133,11 @@ def test_tabulate_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(t1, t2))
 
 
-def test_enum_guard_enforced():
-    model = small_model()
-    object.__setattr__(model.spec, "enum_guard", 3)
-    with pytest.raises(ValueError, match="guard"):
-        tabulate_layer(model, 0)
+def test_enum_guard_enforced(lifted_guard_checkpoint):
+    # the cap is 24 address bits whatever guard a checkpoint carries
+    with pytest.raises(ValueError, match=r"layer 0: enumeration guard violated "
+                                         r"\(32 address bits > cap 24\)"):
+        load_checkpoint(lifted_guard_checkpoint)
 
 
 # ---------------------------------------------------------------------------
