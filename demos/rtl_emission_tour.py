@@ -20,7 +20,6 @@ from lutc import (
     tabulate_model,
     train,
 )
-from lutc.rtl import parse_golden_vectors
 
 # A deliberately small network keeps the emitted text skimmable: 2-bit
 # codes and fan-in 2 give 16-entry ROMs.
@@ -59,7 +58,8 @@ print("\n".join(ln for ln in read("top.v").splitlines() if "assign" in ln)[:800]
 
 # Golden vectors pair packed input words with the bit-exact simulator's
 # packed outputs; the emitted tb.v replays them in any Verilog simulator.
-pairs = parse_golden_vectors(read("vectors.hex"))
+pairs = [tuple(int(word, 16) for word in line.split())
+         for line in read("vectors.hex").splitlines()]
 print(f"\n{len(pairs)} golden vectors, first: in=0x{pairs[0][0]:x} "
       f"out=0x{pairs[0][1]:x}")
 

@@ -330,22 +330,20 @@ def forward_chunks(model: TrainedModel, n: int) -> list:
                              for w, b in zip(model.spec.layer_widths, model.bases)))
 
 
-def forward_codes(model: TrainedModel, codes0: np.ndarray, *, trace: bool = False):
-    """Layer-by-layer quantized inference from input codes to output codes,
-    or (output codes, per-layer codes) with trace=True.  Row chunks go
-    through every layer, so the gathered (rows, W, F) codes stay bounded."""
+def forward_codes(model: TrainedModel, codes0: np.ndarray) -> np.ndarray:
+    """Layer-by-layer quantized inference from input codes to output codes.
+    Row chunks go through every layer, so the gathered (rows, W, F) codes
+    stay bounded."""
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
-    chunks = []
+    out = np.empty((acts.shape[0], model.spec.layer_widths[-1]), dtype=np.int64)
     for rows in forward_chunks(model, acts.shape[0]):
-        a, layers = acts[rows], []
+        a = acts[rows]
         for layer, mask in enumerate(model.masks):
             a = layer_eval(model, layer, a[:, mask])
-            layers.append(a)
-        chunks.append(layers if trace else [a])
-    outs = [np.concatenate(c) for c in zip(*chunks)]
-    return (outs[-1], outs) if trace else outs[-1]
+        out[rows] = a
+    return out
 
 
 def eval_codes(model: TrainedModel, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Layered LUT netlists: assembly, bit-exact simulation, equivalence
-checking against the trained model, and cost/latency/Pareto reporting.
+"""Layered LUT netlists: assembly, bit-exact simulation, layer-by-layer
+equivalence checking against the trained model, and cost/latency/Pareto
+reporting.
 
 A layer is W truth tables of 2**(F*b) entries each, the rows of one
 (W, 2**(F*b)) uint32 array as tabulation returns it, read through one
@@ -8,7 +9,10 @@ primary inputs for layer 0); the wiring copies the training-time
 sparsity masks.  Every way of making a Netlist checks the layer chain
 and that each entry fits its layer's output bits.  Simulation is a pure
 integer path (one packed-address gather per layer, no floating point),
-one pipeline stage per layer.
+one pipeline stage per layer.  The equivalence check makes the same
+gather per layer at the model's own codes of the layer before, so that a
+table that disagrees with its neuron is named even where later layers
+mask it.
 Global node ids exist only in the netlist.json file format.
 """
 
@@ -20,15 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_chunks, forward_codes, labels_from_codes, row_chunks
+from .model import TrainedModel, forward_chunks, labels_from_codes, layer_eval, row_chunks
 from .quantize import decode_bits, encode_bits, quantize
 from .tables import decode_address, dump_tables, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
-EXHAUSTIVE_LIMIT_BITS = 20
-# The largest exhaustive_limit accepted: 2**24 vectors at most.
-EXHAUSTIVE_CAP_BITS = 24
-FAULT_VECTORS = 64  # mismatching vectors whose first diverging node is located
+EXHAUSTIVE_LIMIT_BITS = 20  # input spaces this wide are checked on every vector
+RANDOM_VECTORS = 10000  # seeded vectors checked on a wider input space
 
 
 @dataclass(eq=False)
@@ -114,35 +116,37 @@ def build_netlist(model: TrainedModel, tables: list) -> Netlist:
                    layers=layers, clock_period_ns=spec.clock_period_ns)
 
 
-def simulate(netlist: Netlist, inputs: np.ndarray, *, trace: bool = False):
+def simulate(netlist: Netlist, inputs: np.ndarray) -> np.ndarray:
     """Table lookups layer by layer on raw input bit patterns.
 
-    inputs: (n, input_count) unsigned code patterns.  Returns the output
-    patterns, or (outputs, per-layer trace) with trace=True.
+    inputs: (n, input_count) unsigned code patterns.  Returns the (n, W)
+    output patterns of the last layer.
     """
     vals = np.asarray(inputs, dtype=np.int64)
     if vals.ndim != 2 or vals.shape[1] != netlist.input_count:
         raise ValueError(f"expected (n, {netlist.input_count}) input patterns")
     if np.any(vals < 0) or np.any(vals >= (1 << netlist.input_bits)):
         raise ValueError(f"input pattern outside {netlist.input_bits}-bit range")
-    traces = []
     bits = netlist.input_bits
     for lut in netlist.layers:
         out = np.empty((vals.shape[0], lut.width), dtype=np.int64)
-        neurons = np.arange(lut.width)
         for rows in row_chunks(vals.shape[0], lut.sources.size):
-            out[rows] = lut.tables[neurons, pack_address(vals[rows][:, lut.sources], bits)]
+            out[rows] = _lookup(lut, vals[rows], bits)
         vals, bits = out, lut.output_bits
-        if trace:
-            traces.append(out.copy())
-    return (vals, traces) if trace else vals
+    return vals
+
+
+def _lookup(lut: LutLayer, vals: np.ndarray, bits: int) -> np.ndarray:
+    """The layer's (n, W) table entries at the addresses packed from the
+    (n, previous width) bits-bit patterns vals through its sources."""
+    return lut.tables[np.arange(lut.width), pack_address(vals[:, lut.sources], bits)]
 
 
 @dataclass
 class EquivalenceReport:
     n_checked: int
     n_mismatches: int
-    faulty_nodes: list  # (layer, index) of first divergence per mismatching vector
+    faulty_nodes: list  # every (layer, index) whose table disagreed with the model
     netlist_accuracy: float | None = None
     model_accuracy: float | None = None
 
@@ -151,46 +155,45 @@ class EquivalenceReport:
         return self.n_mismatches == 0
 
 
-def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
-                      budget: int = 10000, seed: int = 0,
-                      exhaustive_limit: int = EXHAUSTIVE_LIMIT_BITS) -> EquivalenceReport:
-    """Compare netlist simulation against the quantized model, integer-exact.
+def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None) -> EquivalenceReport:
+    """Compare every layer of the netlist with the quantized model, integer-exact.
 
-    Exhaustive over the full input space when input_count * input_bits is
-    within exhaustive_limit (at most EXHAUSTIVE_CAP_BITS); otherwise dataset
-    rows (if given) plus budget random vectors.  The stimuli are streamed
-    one forward_codes row chunk at a time through the model trace, the
-    netlist trace and the comparison, so memory does not grow with the
-    vector count.  The report counts the vectors whose outputs differ,
-    names the first diverging node of each of the first FAULT_VECTORS of
-    them and, with a dataset, gives netlist and model accuracy on its rows.
+    The stimuli are every input vector when input_count * input_bits is
+    within EXHAUSTIVE_LIMIT_BITS, else the dataset rows (if given), then
+    RANDOM_VECTORS seeded random vectors.  They stream through in
+    forward_chunks row chunks.  For each chunk and layer, the model's
+    layer_eval of the previous layer's model codes is compared with the
+    layer's tables looked up at those same codes through the netlist's
+    own sources.  When no layer disagrees, the netlist equals the model on
+    every vector, by induction over the layers.  The report counts the
+    vectors on which any layer disagrees, names every (layer, neuron) that
+    did and, with a dataset, gives netlist and model accuracy on its rows.
     """
-    if exhaustive_limit > EXHAUSTIVE_CAP_BITS:
-        raise ValueError(f"exhaustive_limit {exhaustive_limit} exceeds the cap "
-                         f"of {EXHAUSTIVE_CAP_BITS} input bits")
-    spec, q0 = model.spec, model.input_quantizer
+    spec = model.spec
+    if netlist.n_layers != spec.n_layers:
+        raise ValueError(f"a netlist of {netlist.n_layers} layers for a model of {spec.n_layers}")
     n_checked = n_mismatches = n_labelled = net_right = model_right = 0
-    faulty, located = set(), 0
-    for stim, labels in _stimuli(netlist, model, dataset, budget, seed, exhaustive_limit):
-        model_codes, model_trace = forward_codes(model, decode_bits(stim, q0), trace=True)
-        net_patterns, traces = simulate(netlist, stim, trace=True)
-        diffs = [t != encode_bits(c, model.layer_quantizer(layer))
-                 for layer, (t, c) in enumerate(zip(traces, model_trace))]
-        bad = np.flatnonzero(diffs[-1].any(axis=1))
-        # locate the first diverging node for each of the first mismatching vectors
-        for row in bad[: FAULT_VECTORS - located]:
-            layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
-            faulty.add((layer, int(np.argmax(diffs[layer][row]))))
-        located = min(FAULT_VECTORS, located + len(bad))
-        n_checked, n_mismatches = n_checked + len(stim), n_mismatches + len(bad)
+    faulty = set()
+    for stim, labels in _stimuli(netlist, model, dataset):
+        codes, vals, bits = decode_bits(stim, model.input_quantizer), stim, netlist.input_bits
+        bad = np.zeros(len(stim), dtype=bool)
+        for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
+            codes = layer_eval(model, layer, codes[:, mask])
+            want = encode_bits(codes, model.layer_quantizer(layer))
+            diff = _lookup(lut, vals, bits) != want
+            bad |= diff.any(axis=1)
+            faulty.update((layer, int(j)) for j in np.flatnonzero(diff.any(axis=0)))
+            vals, bits = want, lut.output_bits
+        n_checked, n_mismatches = n_checked + len(stim), n_mismatches + int(bad.sum())
         if labels is not None:
-            net_codes = decode_bits(net_patterns, model.layer_quantizer(spec.n_layers - 1))
+            out_q = model.layer_quantizer(spec.n_layers - 1)
+            net_codes = decode_bits(simulate(netlist, stim), out_q)
             net_right += int(np.count_nonzero(labels_from_codes(net_codes) == labels))
-            model_right += int(np.count_nonzero(labels_from_codes(model_codes) == labels))
+            model_right += int(np.count_nonzero(labels_from_codes(codes) == labels))
             n_labelled += len(labels)
 
     net_acc = mod_acc = None
-    if dataset is not None and spec.input_count * netlist.input_bits > exhaustive_limit:
+    if dataset is not None and spec.input_count * netlist.input_bits > EXHAUSTIVE_LIMIT_BITS:
         net_acc, mod_acc = (right / n_labelled if n_labelled else float("nan")
                             for right in (net_right, model_right))
     return EquivalenceReport(n_checked=n_checked, n_mismatches=n_mismatches,
@@ -198,14 +201,13 @@ def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None,
                              model_accuracy=mod_acc)
 
 
-def _stimuli(netlist: Netlist, model: TrainedModel, dataset, budget: int, seed: int,
-             exhaustive_limit: int):
+def _stimuli(netlist: Netlist, model: TrainedModel, dataset):
     """Yield equivalence_check's input patterns in forward_chunks row chunks,
     each with its dataset labels or None: every input vector when the input
-    space is within exhaustive_limit bits, else the dataset rows, then
-    budget seeded random vectors."""
+    space is within EXHAUSTIVE_LIMIT_BITS bits, else the dataset rows, then
+    RANDOM_VECTORS seeded random vectors."""
     bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
-    if count * bits <= exhaustive_limit:
+    if count * bits <= EXHAUSTIVE_LIMIT_BITS:
         for rows in forward_chunks(model, 1 << (count * bits)):
             addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
             yield decode_address(addrs, bits, count), None
@@ -214,8 +216,8 @@ def _stimuli(netlist: Netlist, model: TrainedModel, dataset, budget: int, seed: 
         for rows in forward_chunks(model, len(dataset.labels)):
             codes = quantize(dataset.features[rows], q0)
             yield encode_bits(codes, q0).astype(np.int64), dataset.labels[rows]
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    for rows in forward_chunks(model, budget):
+    rng = np.random.default_rng(np.random.PCG64(0))
+    for rows in forward_chunks(model, RANDOM_VECTORS):
         yield rng.integers(0, 1 << bits, size=(rows.stop - rows.start, count)), None
 
 

@@ -147,18 +147,6 @@ def emit_golden_vectors(netlist: Netlist, vectors: np.ndarray) -> str:
     return "".join(f"{i} {o}\n" for i, o in zip(in_words, out_words))
 
 
-def parse_golden_vectors(text: str):
-    """Inverse of emit_golden_vectors' formatting: (input, output) word pairs."""
-    pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        a, b = line.split()
-        pairs.append((int(a, 16), int(b, 16)))
-    return pairs
-
-
 def emit_testbench(netlist: Netlist) -> str:
     """Self-checking testbench replaying vectors.hex against the pipeline."""
     in_w = netlist.input_count * netlist.input_bits

@@ -132,7 +132,7 @@ def test_criterion_3_bit_exact_equivalence():
     model_b, _ = train(init_model(spec_b), synth, None,
                        TrainConfig(epochs=3, batch_size=64, seed=0))
     net_b = build_netlist(model_b, tabulate_model(model_b))
-    rep_b = equivalence_check(net_b, model_b, budget=10000)
+    rep_b = equivalence_check(net_b, model_b)
     random_ok = rep_b.n_checked >= 10000 and rep_b.n_mismatches == 0
     elapsed = time.perf_counter() - t0
     record(3, "bit-exact-equivalence",

@@ -75,6 +75,26 @@ def test_config_shapes_exit_2(tmp_path, capsys, cfg, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"profile": ["spiral"]}, "error: config: unknown profile ['spiral']"),
+    ({"profile": 0}, "error: config: unknown profile 0"),
+    ({"profile": "spiral", "dataset": dict(kind="spirals", n_per_class=[5])},
+     "error: dataset: n_per_class must be int, got [5]"),
+    ({"profile": "spiral", "dataset": dict(kind="csv", path="d.csv", label_column=["y"])},
+     "error: dataset: label_column must be str, got ['y']"),
+], ids=["profile-list", "profile-0", "n-per-class-list", "label-column-list"])
+def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
+    # the lists used to end in a TypeError traceback (exit 1), and a profile
+    # of 0 was ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("f0,f1,y\n0.1,0.2,a\n0.3,0.4,b\n", encoding="utf-8")
+    (tmp_path / "c.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["train", "--config", tmp_path / "c.json", "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_dataset_path(tmp_path):
     cfg = {"profile": "jsc-m", "dataset": {"kind": "csv", "path": "/nope.csv",
                                            "label_column": "y"}}
@@ -197,13 +217,8 @@ def test_train_same_seed_identical_checkpoints(tmp_path):
     (["sweep", "--depths", "2", "--degrees", "1,"], "--degrees"),
     (["sweep", "--depths", "2", "--degrees", "1", "--target-k", "1"], "--target-k"),
     (["compile", "--target-k", "1"], "--target-k"),
-    (["compile", "--budget", "-5"], "--budget"),
-    (["compile", "--exhaustive-limit", "200"], "--exhaustive-limit"),
-    (["compile", "--exhaustive-limit", "25"], "--exhaustive-limit"),
-    (["compile", "--exhaustive-limit", "-1"], "--exhaustive-limit"),
 ], ids=["train-layers", "sweep-layers", "depths-not-int", "depths-empty", "depth-0",
-        "degrees-trailing-comma", "sweep-target-k", "compile-target-k", "compile-budget",
-        "exhaustive-limit-200", "exhaustive-limit-over-cap", "exhaustive-limit-negative"])
+        "degrees-trailing-comma", "sweep-target-k", "compile-target-k"])
 def test_bad_option_value_exits_2_before_any_work(pipeline_dirs, tmp_path, capsys,
                                                    argv, option):
     if argv[0] == "compile":
@@ -238,13 +253,6 @@ def test_out_through_a_file_exits_2_before_any_work(pipeline_dirs, tmp_path, cap
     assert (f"error: argument --out: {taken} exists and is not a directory"
             in capsys.readouterr().err)
     assert taken.read_text(encoding="utf-8") == "keep\n"
-
-
-def test_exhaustive_limit_cap_is_accepted(pipeline_dirs, tmp_path, capsys):
-    # the spiral net has 2 x 4 input bits: the cap checks all 256 vectors
-    assert run(["compile", "--checkpoint", pipeline_dirs / "run" / "checkpoint.npz",
-                "--out", tmp_path / "net", "--exhaustive-limit", "24"]) == EXIT_OK
-    assert "equivalence: 256 vectors, mismatches: 0" in capsys.readouterr().out
 
 
 def test_seed_override_changes_model(tmp_path):
@@ -299,13 +307,28 @@ def test_compile_exit1_on_injected_fault(pipeline_dirs, tmp_path, monkeypatch):
     assert code == EXIT_VERIFY
 
 
-def test_compile_exit1_when_nothing_is_checked(pipeline_dirs, tmp_path, capsys):
-    # exhaustive checking off and no random vectors: 0 vectors verify nothing
-    code = run(["compile", "--checkpoint", pipeline_dirs / "run" / "checkpoint.npz",
-                "--out", tmp_path / "net", "--exhaustive-limit", "0", "--budget", "0"])
-    assert code == EXIT_VERIFY
-    assert "equivalence vectors checked: 0" in (tmp_path / "net" / "report.txt").read_text()
-    assert "error: 0 equivalence vectors checked" in capsys.readouterr().err
+def test_compile_exit1_names_a_hidden_table_the_outputs_mask(tmp_path, monkeypatch, capsys):
+    # an untrained jsc-xl-shaped net hides this layer-0 fault from its
+    # outputs on every checked vector; the per-layer check names the table
+    import lutc.cli as cli_mod
+    from lutc.model import save_checkpoint, spec_from_profile
+    from lutc.tables import tabulate_model as real_tabulate
+    from lutc.trainer import init_scales
+
+    def corrupted(model):
+        tables = real_tabulate(model)
+        tables[0][0] ^= 1
+        return tables
+
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    init_scales(model, np.random.default_rng(1).uniform(-1.0, 1.0, size=(128, 16)))
+    save_checkpoint(model, tmp_path / "checkpoint.npz")
+    monkeypatch.setattr(cli_mod, "tabulate_model", corrupted)
+    assert run(["compile", "--checkpoint", tmp_path / "checkpoint.npz",
+                "--out", tmp_path / "net"]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "equivalence: 10000 vectors, mismatches: 10000" in captured.out
+    assert "faulty nodes: [(0, 0)]" in captured.err
 
 
 def corrupt_checkpoint(src, dst, key, edit):

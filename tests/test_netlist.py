@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import lutc.model as model_mod
-from lutc.model import (NetworkSpec, eval_codes, forward_codes, init_model,
-                        labels_from_codes, spec_from_profile)
+from lutc.data import Dataset
+from lutc.model import (NetworkSpec, forward_codes, init_model,
+                        labels_from_codes, layer_eval, spec_from_profile)
 from lutc.netlist import (
-    EXHAUSTIVE_CAP_BITS,
+    RANDOM_VECTORS,
     EquivalenceReport,
     Netlist,
     build_netlist,
@@ -127,13 +128,6 @@ def test_simulate_constant_tables():
     assert np.all(out == 2)
 
 
-def test_simulate_trace_length():
-    _, _, net = compiled(layer_widths=(3, 3, 2))
-    out, traces = simulate(net, np.zeros((4, 2), dtype=np.int64), trace=True)
-    assert len(traces) == 3
-    assert traces[-1].shape == out.shape
-
-
 def test_simulate_rejects_out_of_range():
     _, _, net = compiled()
     with pytest.raises(ValueError):
@@ -166,6 +160,13 @@ def test_equivalence_clean_exhaustive():
     assert rep.ok and rep.n_mismatches == 0
 
 
+def test_equivalence_rejects_a_netlist_of_another_depth():
+    model, _, net = compiled(layer_widths=(4, 3, 2))
+    short = Netlist(input_count=2, input_bits=2, layers=net.layers[:2], clock_period_ns=1.6)
+    with pytest.raises(ValueError, match="a netlist of 2 layers for a model of 3"):
+        equivalence_check(short, model)
+
+
 def test_equivalence_locates_injected_fault():
     model, tables, net = compiled(layer_widths=(4, 3, 2))
     net.layers[2].tables[1] ^= 1  # output node: every lookup wrong
@@ -175,59 +176,96 @@ def test_equivalence_locates_injected_fault():
     assert rep.faulty_nodes == [(2, 1)]
 
 
+def jsc_narrow(seed=1):
+    """A calibrated untrained net with jsc-xl neurons at widths 16, 16, 5:
+    16 inputs of 7 bits, too wide for exhaustive checking."""
+    model = init_model(spec_from_profile("jsc-xl", seed=seed, layer_widths=(16, 16, 5)))
+    init_scales(model, np.random.default_rng(seed).uniform(-1.0, 1.0, size=(128, 16)))
+    return model, build_netlist(model, tabulate_model(model))
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_equivalence_names_a_hidden_table_the_outputs_mask(layer):
+    """Every entry of one hidden table is off by its low bit, yet the
+    untrained layers after it hide that from the outputs on every random
+    vector: the per-layer check still names the table on every vector."""
+    model, net = jsc_narrow()
+    net.layers[layer].tables[0] ^= 1
+    q0, out_q = model.input_quantizer, model.layer_quantizer(model.spec.n_layers - 1)
+    stim = np.random.default_rng(np.random.PCG64(0)).integers(0, 1 << 7, size=(10000, 16))
+    want = encode_bits(forward_codes(model, decode_bits(stim, q0)), out_q)
+    assert np.array_equal(simulate(net, stim), want)
+    rep = equivalence_check(net, model)
+    assert rep.faulty_nodes == [(layer, 0)]
+    assert rep.n_mismatches == rep.n_checked == 10000
+
+
+def calibrated_net(input_count=6, input_beta=4):
+    """A calibrated (6, 4, 2) net of 4-bit codes; at the default 6 x 4 = 24
+    input bits it is checked on the dataset rows and random vectors, not
+    exhaustively."""
+    model, _, _ = compiled(layer_widths=(6, 4, 2), beta=4, input_count=input_count,
+                           input_beta=input_beta)
+    init_scales(model, np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, input_count)))
+    return model, build_netlist(model, tabulate_model(model))
+
+
+def wide_dataset(n, seed=2):
+    rng = np.random.default_rng(seed)
+    return Dataset(features=rng.uniform(-1.0, 1.0, size=(n, 6)),
+                   labels=rng.integers(0, 2, size=n), n_classes=2)
+
+
 def test_equivalence_random_path_reports_accuracy():
-    from lutc.data import gen_spirals, split_normalize
-    model, _, net = compiled(layer_widths=(4, 2), beta=4, input_beta=6)
-    ds = gen_spirals(50, seed=1)
-    tr, _ = split_normalize(ds, 0.9, seed=1)
-    rep = equivalence_check(net, model, dataset=tr, budget=500,
-                            exhaustive_limit=4)  # force the sampled path
-    assert rep.n_checked == tr.n + 500
+    model, net = calibrated_net()
+    ds = wide_dataset(90)
+    rep = equivalence_check(net, model, dataset=ds)
+    assert rep.n_checked == ds.n + RANDOM_VECTORS
     assert rep.ok
     assert rep.netlist_accuracy == rep.model_accuracy  # same argmax when exact
 
 
-def whole_array_equivalence(netlist, model, dataset=None, budget=10000, seed=0,
-                            exhaustive_limit=20):
-    """equivalence_check with every stimulus and both full traces in memory
-    at once: the reference the streamed check must reproduce."""
+def whole_array_equivalence(netlist, model, dataset=None):
+    """equivalence_check with every stimulus and every layer's codes in
+    memory at once, and the table lookups written out: the reference the
+    streamed check must reproduce."""
     bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
     patterns, labels = [], None
-    if count * bits <= exhaustive_limit:
+    if count * bits <= 20:
         patterns.append(decode_address(np.arange(1 << (count * bits)), bits, count))
     else:
         if dataset is not None:
             patterns.append(encode_bits(quantize(dataset.features, q0), q0).astype(np.int64))
             labels = dataset.labels
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        patterns.append(rng.integers(0, 1 << bits, size=(budget, count)))
+        rng = np.random.default_rng(np.random.PCG64(0))
+        patterns.append(rng.integers(0, 1 << bits, size=(RANDOM_VECTORS, count)))
     stim = np.concatenate(patterns)
-    model_codes, model_trace = forward_codes(model, decode_bits(stim, q0), trace=True)
-    net_patterns, traces = simulate(netlist, stim, trace=True)
-    diffs = [t != encode_bits(c, model.layer_quantizer(layer))
-             for layer, (t, c) in enumerate(zip(traces, model_trace))]
-    bad = diffs[-1].any(axis=1)
-    faulty = set()
-    for row in np.flatnonzero(bad)[:64]:
-        layer = next(layer for layer, d in enumerate(diffs) if d[row].any())
-        faulty.add((layer, int(np.argmax(diffs[layer][row]))))
+    codes, vals = decode_bits(stim, q0), stim
+    bad, faulty = np.zeros(len(stim), dtype=bool), set()
+    for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
+        codes = layer_eval(model, layer, codes[:, mask])
+        want = encode_bits(codes, model.layer_quantizer(layer)).astype(np.int64)
+        addrs = sum(vals[:, lut.sources[:, f]] << (f * bits) for f in range(mask.shape[1]))
+        diff = np.take_along_axis(lut.tables.T, addrs, axis=0) != want
+        bad |= diff.any(axis=1)
+        faulty |= {(layer, int(j)) for j in np.flatnonzero(diff.any(axis=0))}
+        vals, bits = want, lut.output_bits
     net_acc = mod_acc = None
     if labels is not None:
         out_q = model.layer_quantizer(model.spec.n_layers - 1)
-        net_labels = labels_from_codes(decode_bits(net_patterns[: len(labels)], out_q))
+        net_labels = labels_from_codes(decode_bits(simulate(netlist, stim[: len(labels)]), out_q))
         net_acc = float(np.mean(net_labels == labels))
-        mod_acc = float(np.mean(labels_from_codes(model_codes[: len(labels)]) == labels))
+        mod_acc = float(np.mean(labels_from_codes(codes[: len(labels)]) == labels))
     return EquivalenceReport(n_checked=len(stim), n_mismatches=int(bad.sum()),
                              faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
                              model_accuracy=mod_acc)
 
 
-def faulty_spiral_netlist():
-    """A calibrated 4-bit two-input net whose layer-0 tables are wrong at
-    about a fifth of their entries, so that only some vectors mismatch."""
-    model, _, net = compiled(layer_widths=(6, 4, 2), beta=4, input_beta=5)
-    init_scales(model, np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 2)))
-    net = build_netlist(model, tabulate_model(model))
+def faulty_netlist(mode):
+    """A calibrated 4-bit net whose layer-0 tables are wrong at about a
+    fifth of their entries, so that only some vectors mismatch: 2 x 5
+    input bits (exhaustive) or 6 x 4."""
+    model, net = calibrated_net(2, 5) if mode == "exhaustive" else calibrated_net()
     rng, tables = np.random.default_rng(5), net.layers[0].tables
     flip = rng.random(tables.shape) < 0.2
     tables[flip] = rng.integers(0, 16, size=int(flip.sum()))
@@ -237,42 +275,35 @@ def faulty_spiral_netlist():
 @pytest.mark.parametrize("chunk", [1 << 19, 200], ids=["default-chunks", "small-chunks"])
 @pytest.mark.parametrize("mode", ["exhaustive", "dataset", "random"])
 def test_streamed_equivalence_matches_whole_array_reference(monkeypatch, chunk, mode):
-    from lutc.data import gen_spirals, split_normalize
-    model, net = faulty_spiral_netlist()
-    ds = split_normalize(gen_spirals(300, seed=2), 0.5, seed=2)[0] if mode == "dataset" else None
-    kwargs = dict(dataset=ds, budget=3000, seed=7,
-                  exhaustive_limit=10 if mode == "exhaustive" else 4)
-    want = whole_array_equivalence(net, model, **kwargs)
+    model, net = faulty_netlist(mode)
+    ds = wide_dataset(150) if mode == "dataset" else None
+    want = whole_array_equivalence(net, model, dataset=ds)
     monkeypatch.setattr(model_mod, "CHUNK_ELEMENTS", chunk)
-    got = equivalence_check(net, model, **kwargs)
+    got = equivalence_check(net, model, dataset=ds)
     assert got == want
-    assert 64 < got.n_mismatches < got.n_checked  # the fault reports stop at 64 vectors
+    assert 0 < got.n_mismatches < got.n_checked
+    assert {layer for layer, _ in got.faulty_nodes} == {0}  # only layer 0 is wrong
+    assert got.n_checked == {"exhaustive": 1 << 10, "dataset": 150 + RANDOM_VECTORS,
+                             "random": RANDOM_VECTORS}[mode]
     if mode == "dataset":
         assert got.netlist_accuracy is not None and got.model_accuracy is not None
-        assert got.n_checked == ds.n + 3000
 
 
 def test_equivalence_memory_is_flat_in_budget():
-    """The stimuli stream through in row chunks: 25 times the random
-    vectors need no more than 1.2 times the memory."""
-    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
-    init_scales(model, np.random.default_rng(1).uniform(-1.0, 1.0, size=(128, 16)))
-    net = build_netlist(model, tabulate_model(model))
+    """The stimuli stream through in row chunks: 25 times the dataset rows
+    need no more than 1.2 times the memory."""
+    model, net = jsc_narrow()
     peaks = []
-    for budget in (2_000, 50_000):
+    for rows in (2_000, 50_000):
+        ds = Dataset(features=np.random.default_rng(1).uniform(-1.0, 1.0, size=(rows, 16)),
+                     labels=np.zeros(rows, dtype=np.int64), n_classes=5)
         tracemalloc.start()
         try:
-            assert equivalence_check(net, model, budget=budget).ok
+            assert equivalence_check(net, model, dataset=ds).ok
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
-
-
-def test_equivalence_rejects_exhaustive_limit_over_cap():
-    model, _, net = compiled()
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        equivalence_check(net, model, exhaustive_limit=EXHAUSTIVE_CAP_BITS + 1)
 
 
 # ---------------------------------------------------------------------------

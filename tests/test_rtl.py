@@ -10,7 +10,6 @@ from lutc.rtl import (
     emit_bundle,
     emit_golden_vectors,
     emit_top,
-    parse_golden_vectors,
 )
 from lutc.tables import tabulate_model
 
@@ -106,6 +105,11 @@ def test_emit_top_single_node():
 
 # ---------------------------------------------------------------------------
 # Golden vectors
+
+
+def parse_golden_vectors(text):
+    """(input, output) word pairs of a vectors.hex text."""
+    return [tuple(int(word, 16) for word in line.split()) for line in text.splitlines()]
 
 
 def test_golden_vectors_roundtrip():
