@@ -13,24 +13,25 @@ one pipeline stage per layer.  The equivalence check makes the same
 gather per layer at the model's own codes of the layer before, so that a
 table that disagrees with its neuron is named even where later layers
 mask it.
-Global node ids exist only in the netlist.json file format.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_chunks, labels_from_codes, layer_eval, row_chunks
-from .quantize import decode_bits, encode_bits, quantize
+from .model import TrainedModel, forward_chunks, layer_eval, row_chunks
+from .quantize import decode_bits, encode_bits
 from .tables import decode_address, dump_tables, load_tables, pack_address
 
 DEFAULT_K = 6  # native physical-LUT input count assumed by the cost model
 EXHAUSTIVE_LIMIT_BITS = 20  # input spaces this wide are checked on every vector
 RANDOM_VECTORS = 10000  # seeded vectors checked on a wider input space
+FORMAT = "lut-netlist v2"  # netlist.json's format line
 
 
 @dataclass(eq=False)
@@ -67,6 +68,11 @@ class Netlist:
     clock_period_ns: float
 
     def __post_init__(self):
+        if not (self.input_count >= 1 and 1 <= self.input_bits <= 8
+                and 0 < self.clock_period_ns < math.inf):
+            raise ValueError(f"{self.input_count} inputs of {self.input_bits} bits at a "
+                             f"{self.clock_period_ns} ns clock: a netlist needs at least one "
+                             "input of 1 to 8 bits and a positive finite clock period")
         prev, bits = self.input_count, self.input_bits
         for layer, lut in enumerate(self.layers):
             tables, sources = lut.tables, lut.sources
@@ -103,15 +109,9 @@ def build_netlist(model: TrainedModel, tables: list) -> Netlist:
     spec = model.spec
     if len(tables) != spec.n_layers:
         raise ValueError("one table array per layer required")
-    layers = []
-    for layer, (width, layer_tables) in enumerate(zip(spec.layer_widths, tables)):
-        shape = (width, 1 << spec.table_address_bits(layer))
-        if layer_tables.shape != shape:
-            raise ValueError(f"layer {layer}: tables of shape {layer_tables.shape}, "
-                             f"expected {shape}")
-        layers.append(LutLayer(tables=layer_tables,
-                               sources=np.array(model.masks[layer], dtype=np.int64),
-                               output_bits=spec.beta))
+    layers = [LutLayer(tables=layer_tables, sources=np.array(mask, dtype=np.int64),
+                       output_bits=spec.beta)
+              for layer_tables, mask in zip(tables, model.masks)]
     return Netlist(input_count=spec.input_count, input_bits=spec.layer_input_bits(0),
                    layers=layers, clock_period_ns=spec.clock_period_ns)
 
@@ -147,34 +147,31 @@ class EquivalenceReport:
     n_checked: int
     n_mismatches: int
     faulty_nodes: list  # every (layer, index) whose table disagreed with the model
-    netlist_accuracy: float | None = None
-    model_accuracy: float | None = None
 
     @property
     def ok(self) -> bool:
         return self.n_mismatches == 0
 
 
-def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None) -> EquivalenceReport:
+def equivalence_check(netlist: Netlist, model: TrainedModel) -> EquivalenceReport:
     """Compare every layer of the netlist with the quantized model, integer-exact.
 
     The stimuli are every input vector when input_count * input_bits is
-    within EXHAUSTIVE_LIMIT_BITS, else the dataset rows (if given), then
-    RANDOM_VECTORS seeded random vectors.  They stream through in
-    forward_chunks row chunks.  For each chunk and layer, the model's
-    layer_eval of the previous layer's model codes is compared with the
-    layer's tables looked up at those same codes through the netlist's
-    own sources.  When no layer disagrees, the netlist equals the model on
-    every vector, by induction over the layers.  The report counts the
-    vectors on which any layer disagrees, names every (layer, neuron) that
-    did and, with a dataset, gives netlist and model accuracy on its rows.
+    within EXHAUSTIVE_LIMIT_BITS, else RANDOM_VECTORS seeded random
+    vectors.  They stream through in forward_chunks row chunks.  For each
+    chunk and layer, the model's layer_eval of the previous layer's model
+    codes is compared with the layer's tables looked up at those same
+    codes through the netlist's own sources.  When no layer disagrees, the
+    netlist equals the model on every vector, by induction over the
+    layers.  The report counts the vectors on which any layer disagrees
+    and names every (layer, neuron) that did.
     """
     spec = model.spec
     if netlist.n_layers != spec.n_layers:
         raise ValueError(f"a netlist of {netlist.n_layers} layers for a model of {spec.n_layers}")
-    n_checked = n_mismatches = n_labelled = net_right = model_right = 0
+    n_checked = n_mismatches = 0
     faulty = set()
-    for stim, labels in _stimuli(netlist, model, dataset):
+    for stim in _stimuli(netlist, model):
         codes, vals, bits = decode_bits(stim, model.input_quantizer), stim, netlist.input_bits
         bad = np.zeros(len(stim), dtype=bool)
         for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
@@ -185,40 +182,22 @@ def equivalence_check(netlist: Netlist, model: TrainedModel, dataset=None) -> Eq
             faulty.update((layer, int(j)) for j in np.flatnonzero(diff.any(axis=0)))
             vals, bits = want, lut.output_bits
         n_checked, n_mismatches = n_checked + len(stim), n_mismatches + int(bad.sum())
-        if labels is not None:
-            out_q = model.layer_quantizer(spec.n_layers - 1)
-            net_codes = decode_bits(simulate(netlist, stim), out_q)
-            net_right += int(np.count_nonzero(labels_from_codes(net_codes) == labels))
-            model_right += int(np.count_nonzero(labels_from_codes(codes) == labels))
-            n_labelled += len(labels)
-
-    net_acc = mod_acc = None
-    if dataset is not None and spec.input_count * netlist.input_bits > EXHAUSTIVE_LIMIT_BITS:
-        net_acc, mod_acc = (right / n_labelled if n_labelled else float("nan")
-                            for right in (net_right, model_right))
     return EquivalenceReport(n_checked=n_checked, n_mismatches=n_mismatches,
-                             faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
-                             model_accuracy=mod_acc)
+                             faulty_nodes=sorted(faulty))
 
 
-def _stimuli(netlist: Netlist, model: TrainedModel, dataset):
-    """Yield equivalence_check's input patterns in forward_chunks row chunks,
-    each with its dataset labels or None: every input vector when the input
-    space is within EXHAUSTIVE_LIMIT_BITS bits, else the dataset rows, then
-    RANDOM_VECTORS seeded random vectors."""
-    bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
+def _stimuli(netlist: Netlist, model: TrainedModel):
+    """Yield equivalence_check's input patterns in forward_chunks row
+    chunks: every input vector when the input space is within
+    EXHAUSTIVE_LIMIT_BITS bits, else RANDOM_VECTORS seeded random vectors."""
+    bits, count = netlist.input_bits, model.spec.input_count
     if count * bits <= EXHAUSTIVE_LIMIT_BITS:
         for rows in forward_chunks(model, 1 << (count * bits)):
-            addrs = np.arange(rows.start, rows.stop, dtype=np.int64)
-            yield decode_address(addrs, bits, count), None
+            yield decode_address(np.arange(rows.start, rows.stop, dtype=np.int64), bits, count)
         return
-    if dataset is not None:
-        for rows in forward_chunks(model, len(dataset.labels)):
-            codes = quantize(dataset.features[rows], q0)
-            yield encode_bits(codes, q0).astype(np.int64), dataset.labels[rows]
     rng = np.random.default_rng(np.random.PCG64(0))
     for rows in forward_chunks(model, RANDOM_VECTORS):
-        yield rng.integers(0, 1 << bits, size=(rows.stop - rows.start, count)), None
+        yield rng.integers(0, 1 << bits, size=(rows.stop - rows.start, count))
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +283,15 @@ def pareto_front(points: list) -> list:
 
 def save_netlist(netlist: Netlist, out_dir) -> str:
     """Write netlist.json and, beside it, the table dumps; returns the
-    path of netlist.json.
-
-    The file numbers the primary inputs 0..input_count-1 and then every
-    node in layer order, and names each node's sources by those ids.
-    """
+    path of netlist.json.  The file holds each layer's (W, F) sources as
+    W lists of F indices into the previous layer."""
     os.makedirs(out_dir, exist_ok=True)
-    layers = []
-    base, next_id = 0, netlist.input_count  # global ids of source 0 and of the next node
-    for lut in netlist.layers:
-        layers.append([{"id": next_id + j, "sources": [base + s for s in row]}
-                       for j, row in enumerate(lut.sources.tolist())])
-        base, next_id = next_id, next_id + lut.width
     doc = {
-        "format": "lut-netlist v1",
+        "format": FORMAT,
         "input_count": netlist.input_count,
         "input_bits": netlist.input_bits,
         "clock_period_ns": netlist.clock_period_ns,
-        "layers": layers,
+        "layers": [lut.sources.tolist() for lut in netlist.layers],
     }
     path = os.path.join(out_dir, "netlist.json")
     with open(path, "w", encoding="utf-8") as f:
@@ -332,43 +302,50 @@ def save_netlist(netlist: Netlist, out_dir) -> str:
 
 
 def load_netlist(in_dir) -> Netlist:
-    """Read netlist.json and the table dumps beside it.  A malformed or
+    """Read netlist.json and the table dumps beside it.  Only what JSON can
+    get wrong and an int64 array cannot is checked here: the format line,
+    the types of the fields, the shape of each layer's source lists and
+    the layer count.  Netlist checks the wiring itself.  A malformed or
     inconsistent file raises ValueError naming the layer and neuron."""
     with open(os.path.join(in_dir, "netlist.json"), "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if not isinstance(doc, dict) or doc.get("format") != "lut-netlist v1":
-        raise ValueError("netlist.json is not in the lut-netlist v1 format")
-    try:
-        input_count, input_bits = int(doc["input_count"]), int(doc["input_bits"])
-        clock_period_ns = float(doc["clock_period_ns"])
-        doc_layers = [list(nodes) for nodes in doc["layers"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"netlist.json: missing or invalid field {e}") from None
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != FORMAT:
+        raise ValueError(f"netlist.json is in the format {found!r}, not {FORMAT!r}: "
+                         "re-run lutc compile to write it")
+    count, bits, clock, doc_layers = (doc.get(key) for key in
+                                      ("input_count", "input_bits", "clock_period_ns", "layers"))
+    if not (_is_int64(count) and _is_int64(bits)):
+        raise ValueError(f"netlist.json: input_count {json.dumps(count)} and input_bits "
+                         f"{json.dumps(bits)} are not both JSON integers")
+    if not (type(clock) is float or _is_int64(clock)):
+        raise ValueError(f"netlist.json: clock_period_ns {json.dumps(clock)} is not a number")
+    if not isinstance(doc_layers, list):
+        raise ValueError(f"netlist.json: layers {json.dumps(doc_layers)} is not a list")
     tables = load_tables(in_dir)
     if len(doc_layers) != len(tables):
         raise ValueError(f"netlist.json has {len(doc_layers)} layers, "
                          f"the table dumps {len(tables)}")
-    layers = []
-    base, next_id, bits = 0, input_count, input_bits
-    for layer, (nodes, (layer_tables, output_bits)) in enumerate(zip(doc_layers, tables)):
-        if not 0 < len(nodes) == len(layer_tables):
-            raise ValueError(f"layer {layer}: {len(nodes)} nodes in netlist.json, "
-                             f"{len(layer_tables)} tables in the dump")
-        addr_bits, sources = layer_tables.shape[1].bit_length() - 1, []
-        for j, node in enumerate(nodes):
-            try:
-                ids = node["sources"]
-                ok = (node["id"] == next_id + j and len(ids) * bits == addr_bits
-                      and len(set(ids)) == len(ids) and all(base <= s < next_id for s in ids))
-                sources.append([s - base for s in ids])
-            except (KeyError, TypeError):
-                ok = False
-            if not ok:
-                raise ValueError(f"layer {layer} neuron {j}: expected id {next_id + j} and "
-                                 f"distinct {bits}-bit sources among ids {base}..{next_id - 1} "
-                                 f"filling {addr_bits} address bits, got {node}")
-        layers.append(LutLayer(tables=layer_tables, sources=np.array(sources, dtype=np.int64),
-                               output_bits=output_bits))
-        base, next_id, bits = next_id, next_id + len(nodes), layers[-1].output_bits
-    return Netlist(input_count=input_count, input_bits=input_bits, layers=layers,
-                   clock_period_ns=clock_period_ns)
+    layers = [LutLayer(tables=layer_tables, sources=_sources(layer, rows), output_bits=out_bits)
+              for layer, (rows, (layer_tables, out_bits)) in enumerate(zip(doc_layers, tables))]
+    return Netlist(input_count=count, input_bits=bits, layers=layers,
+                   clock_period_ns=float(clock))
+
+
+def _sources(layer: int, rows) -> np.ndarray:
+    """A layer's (W, F) int64 sources from its netlist.json entry, a
+    non-empty list of equal-length lists of JSON integers."""
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"layer {layer}: {json.dumps(rows)} is not a non-empty list of "
+                         "source lists")
+    fan_in = len(rows[0]) if isinstance(rows[0], list) else None
+    for j, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == fan_in and all(map(_is_int64, row))):
+            raise ValueError(f"layer {layer} neuron {j}: sources {json.dumps(row)} are not a "
+                             "list of int64 integers as long as neuron 0's")
+    return np.array(rows, dtype=np.int64)
+
+
+def _is_int64(value) -> bool:
+    """A JSON integer that fits an int64: not a bool, a float or a string."""
+    return type(value) is int and -1 << 63 <= value < 1 << 63

@@ -463,28 +463,52 @@ def truncate_dump(net_dir):
 
 
 def set_source(layer, node, k, value):
-    return edit_netlist(lambda doc: doc["layers"][layer][node]["sources"].__setitem__(k, value))
+    return edit_netlist(lambda doc: doc["layers"][layer][node].__setitem__(k, value))
 
 
-# pipeline_dirs' netlist: inputs are ids 0-1, layer 0 ids 2-5, layer 1 ids 6-7
+def set_field(key, value):
+    return edit_netlist(lambda doc: doc.__setitem__(key, value))
+
+
+def as_v1(doc):
+    """Rewrite a lut-netlist v2 doc as v1 held the same wiring: every node
+    numbered globally, the primary inputs first, sources named by id."""
+    base, next_id = 0, doc["input_count"]
+    for layer, rows in enumerate(doc["layers"]):
+        doc["layers"][layer] = [{"id": next_id + j, "sources": [base + s for s in row]}
+                                for j, row in enumerate(rows)]
+        base, next_id = next_id, next_id + len(rows)
+    doc["format"] = "lut-netlist v1"
+
+
+# pipeline_dirs' netlist: layer 0 reads the 2 inputs, layer 1 the 4 nodes of layer 0
 @pytest.mark.parametrize("corrupt, where", [
-    (edit_netlist(lambda doc: doc["layers"][1][0]["sources"].append(2)), "layer 1 neuron 0"),
+    (edit_netlist(lambda doc: doc["layers"][1][1].append(2)), "layer 1 neuron 1"),
     (set_source(0, 1, 0, 2), "layer 0 neuron 1"),
-    (set_source(1, 1, 1, 9), "layer 1 neuron 1"),
-    (edit_netlist(lambda doc: doc["layers"][1][0].__setitem__("sources", [3, 3])),
-     "layer 1 neuron 0"),
-    (edit_netlist(lambda doc: doc["layers"][1][1].__setitem__("id", 8)), "layer 1 neuron 1"),
-    (edit_netlist(lambda doc: doc["layers"][1][0].pop("sources")), "layer 1 neuron 0"),
+    (set_source(1, 1, 1, 4), "layer 1 neuron 1"),
+    (edit_netlist(lambda doc: doc["layers"][1].__setitem__(0, [3, 3])), "layer 1 neuron 0"),
+    (set_source(1, 1, 1, 2.0), "layer 1 neuron 1"),
+    (set_source(0, 2, 0, True), "layer 0 neuron 2"),
+    (set_source(1, 0, 0, 10**30), "layer 1 neuron 0"),
+    (edit_netlist(lambda doc: doc["layers"][1].pop(0)), "layer 1: (1, 2) sources"),
+    (edit_netlist(lambda doc: doc["layers"].__setitem__(1, [])), "layer 1: [] is not"),
+    (edit_netlist(lambda doc: doc["layers"].__setitem__(1, 5)), "layer 1: 5 is not"),
     (edit_netlist(lambda doc: doc["layers"].append(doc["layers"][1])),
      "netlist.json has 3 layers, the table dumps 2"),
     (lambda net_dir: (net_dir / "layer1_tables.txt").unlink(),
      "netlist.json has 2 layers, the table dumps 1"),
-    (edit_netlist(lambda doc: doc.pop("input_bits")), "input_bits"),
-    (edit_netlist(lambda doc: doc["layers"].__setitem__(1, 5)), "netlist.json: missing or invalid"),
     (truncate_dump, "layer 1 neuron 1"),
+    (edit_netlist(lambda doc: doc.pop("input_bits")), "input_bits null"),
+    (set_field("input_bits", 2.9), "input_bits 2.9"),
+    (set_field("input_count", "2"), 'input_count "2"'),
+    (edit_netlist(as_v1), "format 'lut-netlist v1', not 'lut-netlist v2': re-run lutc compile"),
+    (set_field("clock_period_ns", -1.0), "-1.0 ns clock"),
+    (set_field("clock_period_ns", float("nan")), "nan ns clock"),
 ], ids=["extra-source", "source-past-inputs", "source-past-layer", "duplicate-source",
-        "non-dense-id", "missing-sources", "extra-layer", "missing-dump",
-        "missing-input-bits", "layer-not-a-list", "truncated-dump"])
+        "float-source", "bool-source", "huge-source", "missing-sources", "empty-layer",
+        "layer-not-a-list", "extra-layer", "missing-dump", "truncated-dump",
+        "missing-input-bits", "float-input-bits", "string-input-count", "v1-file",
+        "negative-clock", "nan-clock"])
 def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt, where):
     net_dir = tmp_path / "net"
     shutil.copytree(pipeline_dirs / "net", net_dir)
@@ -497,18 +521,21 @@ def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt
     assert not (tmp_path / "rtl").exists()
 
 
-@pytest.mark.parametrize("sources", [[2, 9], [3, 3], [1, 6]],
-                         ids=["past-layer", "duplicate", "an-input"])
-def test_emit_error_quotes_file_ids(pipeline_dirs, tmp_path, capsys, sources):
-    # layer 1 reads layer 0's ids 2-5; the error shows the ids as written
+# the first layer reads the 2 inputs, the second the 4 nodes of the first
+@pytest.mark.parametrize("layer, sources, quoted", [
+    (1, [2, 4], "sources [2, 4] are not distinct indices below 4"),
+    (1, [3, 3], "sources [3, 3] are not distinct indices below 4"),
+    (0, [1, 2], "sources [1, 2] are not distinct indices below 2"),
+    (1, [2, 3.0], "sources [2, 3.0] are not a list of int64 integers"),
+    (0, [True, 0], "sources [true, 0] are not a list of int64 integers"),
+], ids=["past-layer", "duplicate", "an-input", "a-float", "a-bool"])
+def test_emit_error_quotes_file_ids(pipeline_dirs, tmp_path, capsys, layer, sources, quoted):
+    # the error shows neuron 1's sources as netlist.json holds them
     net_dir = tmp_path / "net"
     shutil.copytree(pipeline_dirs / "net", net_dir)
-    edit_netlist(lambda doc: doc["layers"][1][1].__setitem__("sources", sources))(net_dir)
+    edit_netlist(lambda doc: doc["layers"][layer].__setitem__(1, sources))(net_dir)
     assert run(["emit", "--netlist", net_dir, "--out", tmp_path / "rtl"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "layer 1 neuron 1" in err
-    assert f"'sources': {sources}" in err
-    assert "ids 2..5" in err
+    assert f"layer {layer} neuron 1: {quoted}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ GOLDEN_SHA256 = {
     "net/layer0_tables.txt": "1ed5a7c0e6f034a2e599b51e3f304dc71e0c0874480745d7c2068daaa8f876dc",
     "net/layer1_tables.txt": "e2c7eb49acf9fa96bccd7bd984af440202ce0aeb3d9e5f10219c87a09e23a245",
     "net/layer2_tables.txt": "2530e56ae2e86f72d60e8f125fab26be822657153da440b63f6b6017658a99d1",
-    "net/netlist.json": "ce2b1207b4c2b2c1dab72e1039fb3850a0f24854efb34718c4c9d9db835c7cf5",
+    "net/netlist.json": "8a5025733c654cf6ca5c5fbbd279001235cda0d730588e7beb94d6029ec74662",
     "rtl/layer0_n0.v": "80baadd1a89ce149f8e48b5e18fb0f5b2b095d0c635d74bd577e417c78c49789",
     "rtl/layer0_n1.v": "7e056ffc3222574a76cea8f44a7df83d42d42ad7b39d1e86abb408abd187e1b5",
     "rtl/layer0_n2.v": "4af29b2b853dc46496db01c8d889a6511ee3c63759dfec3df3bf090d9bec398e",
@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
 NARROW_SHA256 = {
     "net/layer0_tables.txt": "0af4b9ff1e2f1662334429041b7a9f9509f6aa07191ca8e7fceaeaf938a54692",
     "net/layer1_tables.txt": "396709b830f114e626e1c8d3a75c4c72f3995b4560fe760d84d17e9dbbc79e72",
-    "net/netlist.json": "545b7371e4d823967a1a7d5a72dee1ad6a8f29abbb9d752f3f842553ccf8a6db",
+    "net/netlist.json": "11a9ad223ce4d21f2a40db9e85aeddfbc0b7f71c027f6ebabbbe5e68b42c9ec0",
     "rtl/layer0_n0.v": "e316e9c1a9eee49379ad64b7272d6a50a1c3945763f8282ac00bc5d3edac378d",
     "rtl/layer0_n1.v": "9c2a30b8f2a5d007821add47ea9949b634ad1240c690abc1e03ae19ff12c0efa",
     "rtl/layer0_n2.v": "eaa688c55ecde5fac48abea2416fc384700c27e848ba87c1b9757a93db4f7078",

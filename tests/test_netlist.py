@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import lutc.model as model_mod
-from lutc.data import Dataset
-from lutc.model import (NetworkSpec, forward_codes, init_model,
-                        labels_from_codes, layer_eval, spec_from_profile)
+import lutc.netlist as netlist_mod
+from lutc.model import NetworkSpec, forward_codes, init_model, layer_eval, spec_from_profile
 from lutc.netlist import (
     RANDOM_VECTORS,
     EquivalenceReport,
@@ -20,7 +19,7 @@ from lutc.netlist import (
     save_netlist,
     simulate,
 )
-from lutc.quantize import decode_bits, encode_bits, quantize
+from lutc.quantize import decode_bits, encode_bits
 from lutc.tables import decode_address, tabulate_model
 from lutc.trainer import init_scales
 
@@ -68,9 +67,11 @@ def test_build_rejects_wrong_table_count():
     model, tables, _ = compiled()
     with pytest.raises(ValueError):
         build_netlist(model, tables[:1])
-    with pytest.raises(ValueError, match=r"layer 0: tables of shape \(2, 16\)"):
+    with pytest.raises(ValueError, match=r"layer 0: \(3, 2\) sources of 2 bits do not "
+                                         r"address \(2, 16\) uint32 tables"):
         build_netlist(model, [tables[0][:2], tables[1]])
-    with pytest.raises(ValueError, match=r"layer 1: tables of shape \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"layer 1: \(2, 2\) sources of 2 bits do not "
+                                         r"address \(2, 4\) uint32 tables"):
         build_netlist(model, [tables[0], tables[1][:, :4]])
 
 
@@ -114,6 +115,19 @@ def test_netlist_rejects_out_of_range_entries():
     net.layers[1].tables = net.layers[1].tables.astype(np.int64)
     with pytest.raises(ValueError, match="layer 1: .* int64 tables"):
         rebuilt(net)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_count", 0), ("input_bits", 0), ("input_bits", 9), ("clock_period_ns", 0.0),
+    ("clock_period_ns", -1.0), ("clock_period_ns", float("nan")),
+    ("clock_period_ns", float("inf")),
+])
+def test_netlist_rejects_bad_scalar_fields(field, value):
+    _, _, net = compiled(layer_widths=(1,))
+    fields = dict(input_count=2, input_bits=2, clock_period_ns=1.6) | {field: value}
+    with pytest.raises(ValueError, match="at least one input of 1 to 8 bits and a positive "
+                                         "finite clock period"):
+        Netlist(layers=net.layers, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -202,45 +216,31 @@ def test_equivalence_names_a_hidden_table_the_outputs_mask(layer):
 
 def calibrated_net(input_count=6, input_beta=4):
     """A calibrated (6, 4, 2) net of 4-bit codes; at the default 6 x 4 = 24
-    input bits it is checked on the dataset rows and random vectors, not
-    exhaustively."""
+    input bits it is checked on random vectors, not exhaustively."""
     model, _, _ = compiled(layer_widths=(6, 4, 2), beta=4, input_count=input_count,
                            input_beta=input_beta)
     init_scales(model, np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, input_count)))
     return model, build_netlist(model, tabulate_model(model))
 
 
-def wide_dataset(n, seed=2):
-    rng = np.random.default_rng(seed)
-    return Dataset(features=rng.uniform(-1.0, 1.0, size=(n, 6)),
-                   labels=rng.integers(0, 2, size=n), n_classes=2)
-
-
 def test_equivalence_random_path_reports_accuracy():
     model, net = calibrated_net()
-    ds = wide_dataset(90)
-    rep = equivalence_check(net, model, dataset=ds)
-    assert rep.n_checked == ds.n + RANDOM_VECTORS
+    rep = equivalence_check(net, model)
+    assert rep.n_checked == RANDOM_VECTORS
     assert rep.ok
-    assert rep.netlist_accuracy == rep.model_accuracy  # same argmax when exact
 
 
-def whole_array_equivalence(netlist, model, dataset=None):
+def whole_array_equivalence(netlist, model):
     """equivalence_check with every stimulus and every layer's codes in
     memory at once, and the table lookups written out: the reference the
     streamed check must reproduce."""
-    bits, count, q0 = netlist.input_bits, model.spec.input_count, model.input_quantizer
-    patterns, labels = [], None
+    bits, count = netlist.input_bits, model.spec.input_count
     if count * bits <= 20:
-        patterns.append(decode_address(np.arange(1 << (count * bits)), bits, count))
+        stim = decode_address(np.arange(1 << (count * bits)), bits, count)
     else:
-        if dataset is not None:
-            patterns.append(encode_bits(quantize(dataset.features, q0), q0).astype(np.int64))
-            labels = dataset.labels
         rng = np.random.default_rng(np.random.PCG64(0))
-        patterns.append(rng.integers(0, 1 << bits, size=(RANDOM_VECTORS, count)))
-    stim = np.concatenate(patterns)
-    codes, vals = decode_bits(stim, q0), stim
+        stim = rng.integers(0, 1 << bits, size=(RANDOM_VECTORS, count))
+    codes, vals = decode_bits(stim, model.input_quantizer), stim
     bad, faulty = np.zeros(len(stim), dtype=bool), set()
     for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
         codes = layer_eval(model, layer, codes[:, mask])
@@ -250,15 +250,8 @@ def whole_array_equivalence(netlist, model, dataset=None):
         bad |= diff.any(axis=1)
         faulty |= {(layer, int(j)) for j in np.flatnonzero(diff.any(axis=0))}
         vals, bits = want, lut.output_bits
-    net_acc = mod_acc = None
-    if labels is not None:
-        out_q = model.layer_quantizer(model.spec.n_layers - 1)
-        net_labels = labels_from_codes(decode_bits(simulate(netlist, stim[: len(labels)]), out_q))
-        net_acc = float(np.mean(net_labels == labels))
-        mod_acc = float(np.mean(labels_from_codes(codes[: len(labels)]) == labels))
     return EquivalenceReport(n_checked=len(stim), n_mismatches=int(bad.sum()),
-                             faulty_nodes=sorted(faulty), netlist_accuracy=net_acc,
-                             model_accuracy=mod_acc)
+                             faulty_nodes=sorted(faulty))
 
 
 def faulty_netlist(mode):
@@ -273,33 +266,29 @@ def faulty_netlist(mode):
 
 
 @pytest.mark.parametrize("chunk", [1 << 19, 200], ids=["default-chunks", "small-chunks"])
-@pytest.mark.parametrize("mode", ["exhaustive", "dataset", "random"])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
 def test_streamed_equivalence_matches_whole_array_reference(monkeypatch, chunk, mode):
     model, net = faulty_netlist(mode)
-    ds = wide_dataset(150) if mode == "dataset" else None
-    want = whole_array_equivalence(net, model, dataset=ds)
+    want = whole_array_equivalence(net, model)
     monkeypatch.setattr(model_mod, "CHUNK_ELEMENTS", chunk)
-    got = equivalence_check(net, model, dataset=ds)
+    got = equivalence_check(net, model)
     assert got == want
     assert 0 < got.n_mismatches < got.n_checked
     assert {layer for layer, _ in got.faulty_nodes} == {0}  # only layer 0 is wrong
-    assert got.n_checked == {"exhaustive": 1 << 10, "dataset": 150 + RANDOM_VECTORS,
-                             "random": RANDOM_VECTORS}[mode]
-    if mode == "dataset":
-        assert got.netlist_accuracy is not None and got.model_accuracy is not None
+    assert got.n_checked == {"exhaustive": 1 << 10, "random": RANDOM_VECTORS}[mode]
 
 
-def test_equivalence_memory_is_flat_in_budget():
-    """The stimuli stream through in row chunks: 25 times the dataset rows
-    need no more than 1.2 times the memory."""
+def test_equivalence_memory_is_flat_in_budget(monkeypatch):
+    """The stimuli stream through in row chunks: 25 times the random
+    vectors need no more than 1.2 times the memory."""
     model, net = jsc_narrow()
     peaks = []
     for rows in (2_000, 50_000):
-        ds = Dataset(features=np.random.default_rng(1).uniform(-1.0, 1.0, size=(rows, 16)),
-                     labels=np.zeros(rows, dtype=np.int64), n_classes=5)
+        monkeypatch.setattr(netlist_mod, "RANDOM_VECTORS", rows)
         tracemalloc.start()
         try:
-            assert equivalence_check(net, model, dataset=ds).ok
+            rep = equivalence_check(net, model)
+            assert rep.ok and rep.n_checked == rows
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -409,6 +398,6 @@ def test_load_rejects_bad_format(tmp_path):
     model, tables, net = compiled()
     save_netlist(net, tmp_path)
     path = tmp_path / "netlist.json"
-    path.write_text(path.read_text().replace("lut-netlist v1", "v0"))
+    path.write_text(path.read_text().replace("lut-netlist v2", "v0"))
     with pytest.raises(ValueError, match="format"):
         load_netlist(tmp_path)
