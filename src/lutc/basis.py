@@ -24,6 +24,10 @@ size nor the BLAS kernel.  Two kernels give those bits:
   same step, keeping only the terms of degree < D (the only parents).
   It serves inference (layer_eval: tabulation, forward_codes and the
   equivalence check), whose row chunks are sized by what it keeps.
+  Codes shared by all W neurons (tabulation's) are laid out
+  neuron-major, so each elementwise pass runs along the rows; each
+  neuron's own codes keep the row-major (..., W) layout.  The two
+  layouts give the same bits.
 - weighted_sum weighs a term-major (M, ..., W) array in place and adds
   its rows with one outer-axis reduce.  It serves training, whose
   backward pass needs every term of the layer anyway: the forward pass
@@ -213,28 +217,44 @@ def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.nd
     neurons share their inputs; the result is (..., W).  The terms read
     the (M, W) transpose of w, which is copied unless w is in Fortran
     order: a caller that runs many chunks transposes once and passes
-    that (model.layer_eval does).  Each term is
-    multiplied out as expand does and its weighted value added at once,
-    in basis order.  Only the basis.parents terms of degree < D are kept,
-    so the memory per row of x is parents + F floats per code row plus a
-    few (..., W) sums.
+    that (model.layer_eval does).  Each term is multiplied out as expand
+    does and its weighted value added at once, in basis order.  Only the
+    basis.parents terms of degree < D are kept, so the memory per row of
+    x is parents + F floats per code row plus a few (..., W) sums.
+
+    The layout follows K.  Per-neuron codes (K == W) keep x's shape: the
+    terms are (..., W) and each ufunc runs along the neurons.  Shared
+    codes (K == 1) are laid out neuron-major: the terms are (...) rows,
+    the sums (W, ...), and the result is the (..., W) transposed view of
+    those sums.  Each ufunc then runs along the rows, not along a short
+    axis of W neurons against a broadcast term: a shared chunk of a
+    narrow layer (16 or 5 neurons on thousands of rows, F 3, D 4) is
+    2-3x faster, and one of a wide layer (nid-lite's 686 neurons on 123
+    rows) about even.  Per-neuron codes keep the (..., W) layout: their
+    chunks can be a few rows of a wide layer, where neuron-major was
+    slower (a 5-row nid-lite layer-0 chunk took 2.4 -> 3.0 ms).  Either
+    way every element gets the same multiplies and adds in the same
+    order.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != basis.fan_in:
         raise ValueError(f"expected last axis {basis.fan_in}, got {x.shape[-1]}")
-    lead = tuple(range(x.ndim - 1))
-    xt = x.transpose((x.ndim - 1,) + lead).copy()
     wt = np.ascontiguousarray(np.asarray(w, dtype=np.float64).T)
     if len(wt) != len(basis):
         raise ValueError(f"expected {len(basis)} weights per neuron, got {len(wt)}")
+    shared = x.ndim > 1 and x.shape[-2] == 1
+    if shared:
+        x = x[..., 0, :]
+        wt = wt.reshape(wt.shape + (1,) * (x.ndim - 1))
+    xt = x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1))).copy()
     kept = basis.parents
-    terms = np.empty((kept,) + x.shape[:-1], dtype=np.float64)
+    terms = np.empty((kept,) + xt.shape[1:], dtype=np.float64)
     terms[0] = 1.0
     z = terms[0] * wt[0]
-    top = np.empty(x.shape[:-1], dtype=np.float64)  # a degree-D term, used once
+    top = np.empty(xt.shape[1:], dtype=np.float64)  # a degree-D term, used once
     weighted = np.empty_like(z)
     for i, (parent, v) in enumerate(basis.steps, start=1):
         term = terms[i, ...] if i < kept else top
         np.multiply(terms[parent], xt[v], out=term)
         z += np.multiply(term, wt[i], out=weighted)
-    return z
+    return np.moveaxis(z, 0, -1) if shared else z

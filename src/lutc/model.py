@@ -128,8 +128,8 @@ def validate_spec(spec) -> list[str]:
         v.append(f"degree must be >= 1, got {spec.degree}")
     if spec.input_count < 1:
         v.append(f"input_count must be >= 1, got {spec.input_count}")
-    if not (spec.clock_period_ns > 0):
-        v.append("clock_period_ns must be positive")
+    if not (0 < spec.clock_period_ns < np.inf):
+        v.append(f"clock_period_ns must be positive and finite, got {spec.clock_period_ns}")
     if not v:
         for layer in range(len(widths)):
             fan = spec.layer_fan_in(layer)

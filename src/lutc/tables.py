@@ -14,10 +14,10 @@ in bits [j*b, (j+1)*b); signed codes are stored as two's-complement bit
 patterns.  The emitted RTL uses the same convention, so simulation and
 hardware agree bit for bit.
 
-Table text is written and read one layer at a time.  hex_rows formats
-only the distinct values of a layer's (W, 2**N) array.  load_tables
-reads back only what dump_tables writes, byte for byte: the header, then
-each neuron's line and value lines at fixed line numbers, one neuron at a
+Table text is written and read one layer at a time.  dump_tables
+formats one neuron's row at a time as a byte grid.  load_tables reads
+back only what dump_tables writes, byte for byte: the header, then each
+neuron's line and value lines at fixed line numbers, one neuron at a
 time, its values through hex_tokens.
 """
 
@@ -81,50 +81,50 @@ def tabulate_model(model: TrainedModel) -> list:
 # Dump format: one text file per layer, header + hex entries
 
 
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)  # value -> lower-case hex digit
 # byte -> value of a lower-case hex digit, 16 for every other byte
 _HEX_VALUE = np.full(256, 16, dtype=np.uint8)
-_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+_HEX_VALUE[_HEX] = np.arange(16)
 _HEX_DIGITS = 15  # the most hex digits hex_tokens reads into an int64
 # a dump's header; its numbers are plain decimal below 10**9
 _HEADER = re.compile(rb"lut-tables v1\nlayer (0|[1-9][0-9]{0,8})\nneurons ([1-9][0-9]{0,8})\n"
                      rb"input_bits (0|[1-9][0-9]{0,8})\noutput_bits ([1-9][0-9]{0,8})\n")
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values; np.unique would import numpy.ma on first use."""
-    values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])]
-
-
-def hex_rows(rows):
-    """Yield each of a layer's table rows as a list of lowercase hex
-    strings.  Only the layer's distinct values are formatted, and index
-    arrays are built one row at a time."""
-    values = _distinct(np.concatenate([_distinct(row) for row in rows]))
-    strings = np.array([f"{v:x}" for v in values.tolist()], dtype=object)
-    for row in rows:
-        yield strings[np.searchsorted(values, row)].tolist()
-
-
 def dump_tables(layers: list, out_dir) -> list:
     """Write the tables of each netlist layer (netlist.LutLayer) to
-    layer{l}_tables.txt; returns the written paths."""
+    layer{l}_tables.txt; returns the written paths.
+
+    A neuron's entries are formatted at once, in a (D + 1, 2**N) byte grid
+    that holds entry k in column k: its D hex digits, most significant
+    first (D is the digit count of the layer's largest value), then its
+    separator, a newline after every 16th entry and after the last, else
+    a space.  A mask drops each entry's leading zero digits, and what it
+    keeps, read entry by entry, is the neuron's value lines.  Only one
+    neuron's grid, mask and digit indices are alive at a time."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for layer, lut in enumerate(layers):
         size = lut.tables.shape[1]
-        # "neuron j" line, then each entry and its separator: entry k ends
-        # its line when it is the 16th of the line or the last
-        parts = [None] * (1 + 2 * size)
-        parts[2::2] = ["\n" if k % 16 == 15 or k == size - 1 else " " for k in range(size)]
+        digits = max(1, -(-int(lut.tables.max(initial=0)).bit_length() // 4))
+        grid = np.empty((digits + 1, size), dtype=np.uint8)
+        grid[digits] = ord(" ")
+        grid[digits, 15::16] = grid[digits, -1] = ord("\n")
+        keep = np.ones(grid.shape, dtype=bool)
+        nibble = np.empty(size, dtype=np.intp)
         path = os.path.join(out_dir, f"layer{layer}_tables.txt")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"lut-tables v1\nlayer {layer}\nneurons {lut.width}\n"
-                    f"input_bits {lut.address_bits}\noutput_bits {lut.output_bits}\n")
-            for j, row in enumerate(hex_rows(lut.tables)):
-                parts[0] = f"neuron {j}\n"
-                parts[1::2] = row
-                f.write("".join(parts))
+        with open(path, "wb") as f:
+            f.write(b"lut-tables v1\nlayer %d\nneurons %d\ninput_bits %d\noutput_bits %d\n"
+                    % (layer, lut.width, lut.address_bits, lut.output_bits))
+            for j, row in enumerate(lut.tables):
+                for c in range(digits):
+                    place = 4 * (digits - 1 - c)
+                    np.bitwise_and(np.right_shift(row, place, out=nibble), 15, out=nibble)
+                    np.take(_HEX, nibble, out=grid[c])
+                    if c < digits - 1:  # the last digit stays, 0 included
+                        np.greater_equal(row, 1 << place, out=keep[c])
+                f.write(b"neuron %d\n" % j)
+                f.write(grid.T[keep.T])
         paths.append(path)
     return paths
 
@@ -205,7 +205,7 @@ def _load_layer(path, layer: int) -> tuple:
 
 def hex_tokens(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
     """Values of the tokens buf[starts:starts + lengths] read as hex, and a
-    mask of the canonical ones, the form hex_rows writes: 1 to 15
+    mask of the canonical ones, the form dump_tables writes: 1 to 15
     lower-case hex digits (an int64 holds any such value) and no leading
     zero unless the token is 0.  The other tokens' values are meaningless.
     The tokens are read a length at a time, and only those of 1 to 15

@@ -356,6 +356,32 @@ def test_compile_rejects_corrupt_checkpoint(pipeline_dirs, tmp_path, capsys,
     assert not (tmp_path / "net").exists()
 
 
+def test_compile_rejects_an_infinite_clock_period_before_tabulating(
+        pipeline_dirs, tmp_path, capsys, monkeypatch):
+    def no_tables(model):
+        raise AssertionError("tabulated")
+
+    monkeypatch.setattr("lutc.cli.tabulate_model", no_tables)
+    ck = corrupt_checkpoint(pipeline_dirs / "run" / "checkpoint.npz", tmp_path / "bad.npz",
+                            "clock_period_ns", lambda c: c.fill(np.inf))
+    code = run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and "clock_period_ns" in err, err
+    assert not (tmp_path / "net").exists()
+
+
+def test_train_rejects_an_infinite_clock_period(tmp_path, capsys):
+    cfg = json.loads(write_config(tmp_path).read_text(encoding="utf-8"))
+    cfg["spec"]["clock_period_ns"] = float("inf")  # json writes the token Infinity
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert "Infinity" in path.read_text(encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    assert "clock_period_ns must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_compile_rejects_checkpoint_missing_an_array(pipeline_dirs, tmp_path, capsys):
     with np.load(pipeline_dirs / "run" / "checkpoint.npz") as z:
         arrays = {k: z[k] for k in z.files if k != "scale_1"}

@@ -64,6 +64,13 @@ def test_validate_reports_every_violation():
     assert len(v) >= 3
 
 
+@pytest.mark.parametrize("clock", [0.0, -1.0, np.nan, np.inf])
+def test_spec_rejects_a_clock_period_that_is_not_positive_and_finite(clock):
+    with pytest.raises(ValueError, match=f"clock_period_ns must be positive and finite, "
+                                         f"got {clock}"):
+        small_spec(clock_period_ns=clock)
+
+
 def test_fan_in_exceeds_predecessor():
     v = validate_spec(_raw_spec(fan_in=5, input_count=3))
     assert any("fan_in 5 exceeds" in s for s in v)
@@ -335,6 +342,17 @@ def test_checkpoint_rejects_nonfinite_weight(tmp_path):
     path = tmp_path / "ck.npz"
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match="layer 1 neuron 0: non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_an_infinite_clock_period(tmp_path):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(init_model(small_spec()), path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["clock_period_ns"] = np.float64(np.inf)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="clock_period_ns must be positive and finite"):
         load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ fused weighted expansion, the training weighing and expand_vjp's
 summation order and term-major layout, covered masks against a
 per-neuron draw, round
 trips of the quantizer and the bit-level codecs, the layer-wise
-table text (dumps and Verilog ROMs) against per-entry references, the
+table text (dump bytes and Verilog ROMs) against per-entry references, the
 RTL checker's blame for emitted and edited bundle files and of
 edited ROM constants against a per-line reader, and the trainer's
 gradient scatter against np.add.at."""
@@ -108,16 +108,26 @@ def awkward_floats(rng, shape):
 
 @SETTINGS
 @given(fan_in=st.integers(1, 6), degree=st.integers(1, 5), width=st.integers(1, 5),
-       n=st.integers(0, 12), shared=st.booleans(), seed=st.integers(0, 2**16))
-@example(fan_in=3, degree=1, width=4, n=5, shared=False, seed=0)
-@example(fan_in=2, degree=3, width=3, n=0, shared=True, seed=0)
-def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, n, shared, seed):
+       lead=st.lists(st.integers(0, 6), max_size=2).map(tuple), shared=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(fan_in=3, degree=1, width=4, lead=(5,), shared=False, seed=0)
+@example(fan_in=2, degree=3, width=3, lead=(0,), shared=True, seed=0)
+@example(fan_in=3, degree=4, width=1, lead=(9,), shared=True, seed=1)  # shared, one neuron
+@example(fan_in=3, degree=4, width=5, lead=(1,), shared=True, seed=2)  # shared, one row
+@example(fan_in=2, degree=2, width=4, lead=(), shared=True, seed=3)
+@example(fan_in=2, degree=3, width=3, lead=(2, 3), shared=True, seed=4)
+@example(fan_in=2, degree=3, width=3, lead=(2, 3), shared=False, seed=5)
+def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, lead, shared,
+                                                       seed):
+    """Shared codes (K == 1, laid out neuron-major) and per-neuron codes
+    (K == W) give the reference's bits, with zero, one or two axes before
+    (K, F)."""
     basis = enumerate_basis(fan_in, degree)
     rng = np.random.default_rng(seed)
-    x = awkward_floats(rng, (n, 1 if shared else width, fan_in))
+    x = awkward_floats(rng, lead + (1 if shared else width, fan_in))
     w = awkward_floats(rng, (width, len(basis)))
     got = weighted_expand(x, basis, w)
-    assert got.shape == (n, width)
+    assert got.shape == lead + (width,)
     terms = np.moveaxis(expand(x, basis), -1, 0)
     assert np.array_equal(bits_of(got), bits_of(weighted_sum(terms, w)))
 
@@ -407,6 +417,39 @@ def table_layers(draw):
         layers.append(LutLayer(tables=tables, output_bits=out_bits,
                                sources=np.tile(np.arange(addr_bits), (width, 1))))
     return layers
+
+
+def table_layer(*rows, output_bits):
+    """One layer of the given table rows, read from 1-bit inputs."""
+    tables = np.array(rows, dtype=np.uint32)
+    n = tables.shape[1].bit_length() - 1
+    return LutLayer(tables=tables, output_bits=output_bits,
+                    sources=np.tile(np.arange(n), (len(tables), 1)))
+
+
+def dump_per_entry(layer, lut):
+    """Reference: a dump's bytes joined one entry at a time, 16 entries to
+    a line."""
+    text = [f"lut-tables v1\nlayer {layer}\nneurons {lut.width}\n"
+            f"input_bits {lut.address_bits}\noutput_bits {lut.output_bits}\n"]
+    for j, row in enumerate(lut.tables.tolist()):
+        text.append(f"neuron {j}\n")
+        text += [" ".join(f"{v:x}" for v in row[k:k + 16]) + "\n"
+                 for k in range(0, len(row), 16)]
+    return "".join(text).encode("ascii")
+
+
+@SETTINGS
+@given(layers=table_layers())
+@example(layers=[table_layer([0, 0], output_bits=1)])
+@example(layers=[table_layer([2**32 - 1] * 16, [0] * 16, output_bits=32)])
+@example(layers=[table_layer(range(32), output_bits=5),
+                 table_layer([2**32 - 1, 0] * 16, output_bits=32)])
+@example(layers=[table_layer(range(1 << 16), range((1 << 16) - 1, -1, -1), output_bits=16)])
+def test_dump_bytes_equal_a_per_entry_reference(layers):
+    with tempfile.TemporaryDirectory() as out:
+        got = [pathlib.Path(p).read_bytes() for p in dump_tables(layers, out)]
+    assert got == [dump_per_entry(layer, lut) for layer, lut in enumerate(layers)]
 
 
 @SETTINGS

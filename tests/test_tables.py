@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,23 @@ def test_load_tables_rejects_value_lines_not_cut_16_to_a_line(tmp_path):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=r"^layer 0 neuron 1: .*16 to a line"):
         load_tables(tmp_path)
+
+
+def test_dump_tables_holds_about_one_row(tmp_path):
+    """Two 2**16-entry tables of 8-bit values: the writer formats one
+    neuron at a time in a few arrays of 2**16 elements (the nibble index,
+    the byte grid, its keep mask and the kept bytes: about 17 bytes per
+    entry, 1.1 MB).  Formatting a row as 2 * 2**16 strings held 2.64 MB."""
+    tables = np.random.default_rng(5).integers(0, 256, size=(2, 1 << 16)).astype(np.uint32)
+    lut = LutLayer(tables=tables, output_bits=8, sources=np.tile(np.arange(16), (2, 1)))
+    dump_tables([lut], tmp_path)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        dump_tables([lut], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 def test_load_tables_reads_a_wide_layer(tmp_path):
