@@ -24,10 +24,12 @@ size nor the BLAS kernel.  Two kernels give those bits:
   same step, keeping only the terms of degree < D (the only parents).
   It serves inference (layer_eval: tabulation, forward_codes and the
   equivalence check), whose row chunks are sized by what it keeps.
-  Codes shared by all W neurons (tabulation's) are laid out
-  neuron-major, so each elementwise pass runs along the rows; each
-  neuron's own codes keep the row-major (..., W) layout.  The two
-  layouts give the same bits.
+  Codes shared by all W neurons are laid out neuron-major, so each
+  elementwise pass runs along the rows: tabulation's, and the
+  source-code tuples that forward_codes and the equivalence check
+  evaluate once for their per-call memo (model.memo_layer_eval).  Each
+  neuron's own codes (a chunk the memo does not serve) keep the
+  row-major (..., W) layout.  The two layouts give the same bits.
 - weighted_sum weighs a term-major (M, ..., W) array in place and adds
   its rows with one outer-axis reduce.  It serves training, whose
   backward pass needs every term of the layer anyway: the forward pass
@@ -224,7 +226,9 @@ def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.nd
 
     The layout follows K.  Per-neuron codes (K == W) keep x's shape: the
     terms are (..., W) and each ufunc runs along the neurons.  Shared
-    codes (K == 1) are laid out neuron-major: the terms are (...) rows,
+    codes (K == 1: tabulation's addresses, and the new source-code
+    tuples of a memo fill in forward_codes and the equivalence check)
+    are laid out neuron-major: the terms are (...) rows,
     the sums (W, ...), and the result is the (..., W) transposed view of
     those sums.  Each ufunc then runs along the rows, not along a short
     axis of W neurons against a broadcast term: a shared chunk of a

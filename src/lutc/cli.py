@@ -30,7 +30,7 @@ from .netlist import (
     report,
     save_netlist,
 )
-from .rtl import check_bundle, emit_bundle
+from .rtl import emit_checked
 from .tables import tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, train, write_history_csv
 
@@ -258,8 +258,7 @@ def cmd_emit(args) -> int:
         net = load_netlist(args.netlist)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load netlist from {args.netlist}: {e}") from None
-    emit_bundle(net, args.out)
-    problems = check_bundle(args.out, net)
+    problems = emit_checked(net, args.out)
     if problems:
         print("RTL check failed:", file=sys.stderr)
         for p in problems:

@@ -16,14 +16,16 @@ bytes.hex, and each file is written as soon as its text is formatted.
 
 A table has one canonical digit string, so a ROM holds the netlist's
 table exactly when the file is the emitted text.  _bundle yields every
-file's name and text in emission order; emit_bundle writes it and the
-checker compares each file on disk with it byte for byte, naming the
-first line that differs.  Every file is checked against the netlist it
-was emitted from, so a fault is blamed on its own file: top.v is
-emit_top's text for the netlist, so its wiring follows the masks and any
-wiring or instance edit is a changed line; vectors.hex is exactly the 64
-seeded vectors and the netlist's outputs that tb.v replays in a
-simulator.
+file's name and text in emission order; _written, which emit_bundle and
+emit_checked share, writes it, and the checker compares each file on
+disk with it byte for byte, naming the first line that differs.
+emit_checked (lutc emit) writes and checks from one formatting of each
+file, which it reads back as soon as it is written.
+Every file is checked against the netlist it was emitted from, so a
+fault is blamed on its own file: top.v is emit_top's text for the
+netlist, so its wiring follows the masks and any wiring or instance edit
+is a changed line; vectors.hex is exactly the 64 seeded vectors and the
+netlist's outputs that tb.v replays in a simulator.
 
 Emission is deterministic: the same netlist always yields byte-identical
 files.  Filenames: layer{l}_n{n}.v, top.v, tb.v, vectors.hex, manifest.txt.
@@ -227,15 +229,29 @@ def _bundle(netlist: Netlist):
 
 
 def emit_bundle(netlist: Netlist, out_dir) -> list:
-    """Write every file of the bundle into out_dir, each ROM as soon as its
+    """Write every file of the bundle into out_dir, each as soon as its
     text is formatted, and return their paths."""
+    return [os.path.join(out_dir, fname) for fname, _, _ in _written(netlist, out_dir)]
+
+
+def emit_checked(netlist: Netlist, out_dir) -> list:
+    """Write the bundle as emit_bundle does and return check_bundle's
+    problems for it, formatting each file once: its text is written, read
+    back through the same handle and compared with the text."""
+    return _check(out_dir, _written(netlist, out_dir))
+
+
+def _written(netlist: Netlist, out_dir):
+    """Write each file of the bundle into out_dir, the one writer of the
+    bundle, and yield its name, its text and the bytes read back from it,
+    one file at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     for fname, slices in _bundle(netlist):
-        written.append(os.path.join(out_dir, fname))
-        with open(written[-1], "w", encoding="utf-8") as f:
-            f.writelines(slices)
-    return written
+        text = "".join(slices)
+        with open(os.path.join(out_dir, fname), "w+b") as f:
+            f.write(text.encode("utf-8"))
+            f.seek(0)
+            yield fname, text, f.read()
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +269,39 @@ def check_bundle(out_dir, netlist: Netlist) -> list:
     netlist: each ROM its table's constants, top.v the instances wired per
     the masks, vectors.hex the 64 seeded vectors with the netlist's
     outputs, manifest.txt the sha256 digests of the netlist's tables.
-    Each file is read as bytes, decoded as UTF-8 with any invalid byte
-    escaped, and the first line that differs from the emitted text is
-    named.  A layer*_n*.v file the netlist does not name is reported.
     """
-    problems, fnames = [], set()
+    return _check(out_dir, _on_disk(netlist, out_dir))
+
+
+def _on_disk(netlist: Netlist, out_dir):
+    """Yield the name and text of each file of the bundle, with the bytes
+    of the file of that name in out_dir, or the OSError that reading it
+    raised."""
     for fname, slices in _bundle(netlist):
-        fnames.add(fname)
         try:
             with open(os.path.join(out_dir, fname), "rb") as f:
                 data = f.read()
         except OSError as e:
-            problems.append(f"{fname}: cannot read: {e}")
+            data = e
+        yield fname, "".join(slices), data
+
+
+def _check(out_dir, files) -> list:
+    """The problems of (name, text, bytes or OSError) triples, one file at
+    a time: a file that cannot be read, or the first line where its bytes,
+    decoded as UTF-8 with any invalid byte escaped, differ from its text.
+    A layer*_n*.v file in out_dir that is not among the names is
+    reported."""
+    problems, fnames = [], set()
+    for fname, want, data in files:
+        fnames.add(fname)
+        if isinstance(data, OSError):
+            problems.append(f"{fname}: cannot read: {data}")
             continue
         # a ROM's problems name its module; no emitted file holds a
         # backslash, so an escaped byte is always a difference
         problems += _first_difference(fname[:-2] if fname.startswith("layer") else fname,
-                                      data.decode("utf-8", "backslashreplace"),
-                                      "".join(slices))
+                                      data.decode("utf-8", "backslashreplace"), want)
     problems += [f"{fname[:-2]}: not present in the netlist"
                  for fname in sorted(glob.glob("layer*_n*.v", root_dir=out_dir))
                  if fname not in fnames]

@@ -9,6 +9,7 @@ from lutc.model import (
     NetworkSpec,
     PROFILES,
     build_masks,
+    forward_codes,
     init_model,
     input_quantizer_for,
     labels_from_codes,
@@ -20,6 +21,7 @@ from lutc.model import (
     validate_model,
     validate_spec,
 )
+from lutc.trainer import init_scales
 
 
 def small_spec(**overrides):
@@ -221,6 +223,123 @@ def test_layer_eval_shared_codes_match_per_neuron_codes():
     shared = layer_eval(model, 0, codes)
     per_neuron = layer_eval(model, 0, np.repeat(codes, 4, axis=1))
     assert np.array_equal(shared, per_neuron)
+
+
+def counted_layer_eval(monkeypatch):
+    """Wrap model.layer_eval, which forward_codes' memo step calls; the
+    returned dict maps each layer to [codes evaluated per neuron, codes
+    evaluated for shared tuples]."""
+    counts, kernel = {}, model_mod.layer_eval
+
+    def counted(model, layer, codes):
+        counts.setdefault(layer, [0, 0])[codes.shape[1] == 1] += codes.shape[0] * len(
+            model.params[layer].weights)
+        return kernel(model, layer, codes)
+
+    monkeypatch.setattr(model_mod, "layer_eval", counted)
+    return counts
+
+
+@pytest.mark.parametrize("rows", [16, 200])
+def test_forward_codes_evaluates_no_more_codes_than_per_neuron(monkeypatch, rows):
+    """hdr's rows reach thousands of layer-0 tuples across its 256
+    neurons, more than the rows: no layer evaluates more than the rows x W
+    codes of the per-neuron path.  16 rows are one row chunk and go per
+    neuron on every layer; 200 rows are 12 chunks."""
+    model = init_model(spec_from_profile("hdr", seed=1))
+    codes = np.random.default_rng(1).integers(-2, 2, size=(rows, 784))
+    counts = counted_layer_eval(monkeypatch)
+    forward_codes(model, codes)
+    assert counts[0] == [rows * 256, 0]
+    for layer, width in enumerate(model.spec.layer_widths):
+        assert sum(counts[layer]) <= rows * width, counts
+    if rows == 16:
+        assert all(shared == 0 for _, shared in counts.values()), counts
+
+
+def test_forward_codes_evaluates_a_repeated_row_once(monkeypatch):
+    """2 000 copies of 3 rows, 10 row chunks: every layer fills its memo
+    with at most the 3 rows' tuples, for all of its neurons, and
+    evaluates nothing per neuron."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    init_scales(model, np.random.default_rng(1).uniform(-1.0, 1.0, size=(128, 16)))
+    codes = np.random.default_rng(2).integers(-64, 64, size=(3, 16))
+    want = np.tile(forward_codes(model, codes), (2000, 1))
+    counts = counted_layer_eval(monkeypatch)
+    assert np.array_equal(forward_codes(model, np.tile(codes, (2000, 1))), want)
+    for layer, width in enumerate(model.spec.layer_widths):
+        assert counts[layer][0] == 0 and 0 < counts[layer][1] <= 3 * width * width, counts
+
+
+def test_forward_codes_memory_is_flat_in_rows():
+    """Rows stream through in chunks and the memo is one byte per tuple
+    and neuron: beyond the codes it returns, forward_codes needs no more
+    than 1.2 times the memory for 25 times the rows."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    init_scales(model, np.random.default_rng(1).uniform(-1.0, 1.0, size=(128, 16)))
+    peaks = []
+    for rows in (2_000, 50_000):
+        codes = np.random.default_rng(rows).integers(-64, 64, size=(rows, 16))
+        tracemalloc.start()
+        try:
+            out = forward_codes(model, codes)
+            peaks.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_forward_codes_runs_a_call_of_one_chunk_per_neuron(monkeypatch):
+    """200 copies of one spiral row are one row chunk: no later chunk could
+    reuse a tuple, so every layer evaluates its 200 x W codes per neuron."""
+    model = init_model(spec_from_profile("spiral", seed=1))
+    counts = counted_layer_eval(monkeypatch)
+    forward_codes(model, np.zeros((200, 2), dtype=np.int64))
+    assert counts == {layer: [200 * width, 0]
+                      for layer, width in enumerate(model.spec.layer_widths)}
+
+
+def test_memo_pays_for_a_fill_with_rows_it_served(monkeypatch):
+    """2 000 rows of zeros fill the one tuple they reach and leave 1 999
+    rows of slack; 100 random rows then reach 1 506 new tuples, more than
+    their rows but within the slack, and are served from the memo.  200
+    rows whose new tuples exceed the 593 rows left go per neuron."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    rng = np.random.default_rng(3)
+    memo, counts = [None] * 3, counted_layer_eval(monkeypatch)
+    for rows, shared in ((np.zeros((2000, 16), dtype=np.int64), True),
+                         (rng.integers(-64, 64, size=(100, 16)), True),
+                         (rng.integers(-64, 64, size=(200, 16)), False)):
+        want = model_mod.layer_eval(model, 0, rows[:, model.masks[0]])
+        counts.clear()
+        assert np.array_equal(model_mod.memo_layer_eval(model, memo, 0, rows), want)
+        assert (counts[0][0] == 0) == shared, counts
+
+
+def test_memo_keeps_a_layer_per_neuron_after_its_first_chunk_went_so(monkeypatch):
+    """A first chunk of 100 random rows reaches more tuples than rows and
+    goes per neuron; the layer then stays per neuron for the call, even
+    on rows of zeros that reach one tuple."""
+    model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
+    memo, counts = [None] * 3, counted_layer_eval(monkeypatch)
+    for rows in (np.random.default_rng(3).integers(-64, 64, size=(100, 16)),
+                 np.zeros((2000, 16), dtype=np.int64)):
+        counts.clear()
+        model_mod.memo_layer_eval(model, memo, 0, rows)
+        assert counts == {0: [len(rows) * 16, 0]}
+
+
+def test_forward_codes_rejects_out_of_range_codes_it_reads():
+    """A code outside the input quantizer's range is rejected where a
+    neuron reads it, and ignored on an input no neuron reads."""
+    model = init_model(small_spec(layer_widths=[1, 1], input_count=3, fan_in=1))
+    codes = np.zeros((4, 3), dtype=np.int64)
+    unread = np.setdiff1d(np.arange(3), model.masks[0])
+    codes[:, unread] = 9
+    assert np.array_equal(forward_codes(model, codes), forward_codes(model, 0 * codes))
+    codes[2, model.masks[0][0, 0]] = 2  # 2-bit signed codes stop at 1
+    with pytest.raises(ValueError, match="code outside"):
+        forward_codes(model, codes)
 
 
 def test_layer_eval_holds_less_than_the_monomial_tensor():

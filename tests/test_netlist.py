@@ -214,6 +214,26 @@ def test_equivalence_names_a_hidden_table_the_outputs_mask(layer):
     assert rep.n_mismatches == rep.n_checked == 10000
 
 
+def test_equivalence_evaluates_each_reached_tuple_of_a_narrow_layer_once(monkeypatch):
+    """On the 10 000 random vectors of jsc-narrow, layers 1 and 2 reach
+    few distinct source-code tuples: the check fills its memo with them
+    and evaluates under a tenth of the 10 000 x W codes of the per-neuron
+    path, and still names an edited table there."""
+    model, net = jsc_narrow()
+    counts, kernel = {}, model_mod.layer_eval
+
+    def counted(model, layer, codes):
+        counts[layer] = counts.get(layer, 0) + codes.shape[0] * len(model.params[layer].weights)
+        return kernel(model, layer, codes)
+
+    monkeypatch.setattr(model_mod, "layer_eval", counted)
+    assert equivalence_check(net, model).ok
+    for layer in (1, 2):
+        assert 0 < counts[layer] <= 0.1 * 10000 * net.layers[layer].width, counts
+    net.layers[2].tables[3] ^= 1
+    assert equivalence_check(net, model).faulty_nodes == [(2, 3)]
+
+
 def calibrated_net(input_count=6, input_beta=4):
     """A calibrated (6, 4, 2) net of 4-bit codes; at the default 6 x 4 = 24
     input bits it is checked on random vectors, not exhaustively."""

@@ -1,6 +1,8 @@
 """Property tests: invariances of the layer-wise inference path and of
-netlist simulation, the training forward's straight-through mask, the
-fused weighted expansion, the training weighing and expand_vjp's
+netlist simulation, the memoised forward_codes and equivalence check
+against per-neuron references on both sides of the memo's selection,
+the training forward's straight-through mask, the fused weighted
+expansion, the training weighing and expand_vjp's
 summation order and term-major layout, covered masks against a
 per-neuron draw, round
 trips of the quantizer and the bit-level codecs, the layer-wise
@@ -16,13 +18,15 @@ import tempfile
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+import pytest
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import lutc.model as model_mod
+import lutc.netlist as netlist_mod
 from lutc.basis import enumerate_basis, expand, expand_vjp, weighted_expand, weighted_sum
-from lutc.model import NetworkSpec, forward_codes, init_model
-from lutc.netlist import LutLayer, Netlist, simulate
+from lutc.model import NetworkSpec, forward_chunks, forward_codes, init_model, layer_eval
+from lutc.netlist import LutLayer, Netlist, build_netlist, equivalence_check, simulate
 from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
                            round_half_away)
 from lutc.rtl import check_bundle, emit_bundle
@@ -81,6 +85,181 @@ def test_forward_codes_rows_are_independent(seed, n, split, chunk):
         assert np.array_equal(forward_codes(model, codes[perm]), want[perm])
     batches = [forward_codes(model, codes[s : s + split]) for s in range(0, n, split)]
     assert np.array_equal(np.concatenate(batches), want)
+
+
+@contextmanager
+def patched(module, **values):
+    """Set the module's attributes for the duration of the block."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)
+
+
+@st.composite
+def memo_models(draw):
+    """Seeded untrained models with fan-in 1-4, degree 1-4, input codes of
+    1-4 bits and layer codes of 2-4, and 1-3 layers of 1-6 neurons, whose
+    scales spread the codes over the range."""
+    fan = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(fan, 6), max_size=2))
+    spec = NetworkSpec(layer_widths=hidden + [draw(st.integers(1, 6))],
+                       beta=draw(st.integers(2, 4)), fan_in=fan, degree=draw(st.integers(1, 4)),
+                       input_count=draw(st.integers(fan, 6)), input_beta=draw(st.integers(1, 4)),
+                       seed=draw(st.integers(0, 2**16)))
+    model = init_model(spec)
+    init_scales(model, np.random.default_rng(spec.seed).uniform(-1.0, 1.0,
+                                                                size=(64, spec.input_count)))
+    return model
+
+
+def per_neuron_forward(model, codes):
+    """Reference: forward_codes without a memo, each row chunk through
+    layer_eval's per-neuron path."""
+    out = [np.empty((0, model.spec.layer_widths[-1]), dtype=np.int64)]
+    for rows in forward_chunks(model, len(codes)):
+        a = codes[rows]
+        for layer, mask in enumerate(model.masks):
+            a = layer_eval(model, layer, a[:, mask])
+        out.append(a)
+    return np.concatenate(out)
+
+
+def per_neuron_equivalence(netlist, model):
+    """Reference: equivalence_check's (n_checked, n_mismatches,
+    faulty_nodes) on the same stimuli, each layer's codes from
+    layer_eval's per-neuron path and its tables read one source at a
+    time."""
+    n_checked = n_mismatches = 0
+    faulty = set()
+    for stim in netlist_mod._stimuli(netlist, model)[1]:
+        codes, vals, bits = decode_bits(stim, model.input_quantizer), stim, netlist.input_bits
+        bad = np.zeros(len(stim), dtype=bool)
+        for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
+            codes = layer_eval(model, layer, codes[:, mask])
+            want = encode_bits(codes, model.layer_quantizer(layer)).astype(np.int64)
+            addrs = sum(vals[:, lut.sources[:, k]] << (k * bits) for k in range(mask.shape[1]))
+            diff = np.take_along_axis(lut.tables.T, addrs, axis=0) != want
+            bad |= diff.any(axis=1)
+            faulty |= {(layer, int(j)) for j in np.flatnonzero(diff.any(axis=0))}
+            vals, bits = want, lut.output_bits
+        n_checked, n_mismatches = n_checked + len(stim), n_mismatches + int(bad.sum())
+    return n_checked, n_mismatches, sorted(faulty)
+
+
+@contextmanager
+def paths_taken():
+    """Record, per layer, whether model.layer_eval ran on per-neuron codes
+    (False) or on the shared codes of a memo fill (True), and the codes it
+    evaluated; the two paths look alike on a one-neuron layer, which
+    counts as per neuron."""
+    taken, kernel = {}, model_mod.layer_eval
+
+    def recorded(model, layer, codes):
+        width = len(model.params[layer].weights)
+        key = layer, codes.shape[1] == 1 and width > 1
+        taken[key] = taken.get(key, 0) + len(codes) * width
+        return kernel(model, layer, codes)
+
+    with patched(model_mod, layer_eval=recorded):
+        yield taken
+
+
+def assert_no_more_codes_than_per_neuron(taken, model, n):
+    """Each layer evaluated at most the n x W codes of the per-neuron path."""
+    for layer, width in enumerate(model.spec.layer_widths):
+        assert taken.get((layer, False), 0) + taken.get((layer, True), 0) <= n * width, taken
+
+
+# rows per forward_chunks chunk, or None for the default CHUNK_ELEMENTS
+MEMO_CHUNKS = st.sampled_from([2, 16, 64, None])
+# 1-300 rows, drawn towards the larger counts that span several chunks
+MEMO_ROWS = st.one_of(st.integers(1, 300), st.integers(150, 300))
+
+
+def chunk_rows(model, rows):
+    """Set CHUNK_ELEMENTS so that forward_chunks makes chunks of rows rows,
+    or leave the default for None."""
+    if rows is None:
+        return chunk_elements(model_mod.CHUNK_ELEMENTS)
+    return chunk_elements(rows * max(model_mod.row_elements(b, w, w)
+                                     for w, b in zip(model.spec.layer_widths, model.bases)))
+
+
+@SETTINGS
+@given(model=memo_models(), n=MEMO_ROWS,
+       pool=st.one_of(st.integers(1, 8), st.integers(1, 300)), chunk=MEMO_CHUNKS,
+       seed=st.integers(0, 2**16))
+def test_memoised_forward_codes_equal_a_per_neuron_reference(model, n, pool, chunk, seed):
+    """n rows drawn from pool distinct ones.  A small pool reaches few
+    tuples, which the memo serves; a large pool on wide layers reaches
+    more tuples than rows, which go per neuron.  Chunks of 2, 16 or 64
+    rows let the memo serve later chunks; at the default CHUNK_ELEMENTS
+    the rows are one chunk and go per neuron."""
+    rng = np.random.default_rng(seed)
+    codes = random_input_codes(model, pool, seed)[rng.integers(0, pool, size=n)]
+    with chunk_rows(model, chunk):
+        want = per_neuron_forward(model, codes)
+        with paths_taken() as taken:
+            got = forward_codes(model, codes)
+    assert np.array_equal(got, want)
+    assert_no_more_codes_than_per_neuron(taken, model, n)
+    for layer, shared in sorted(taken):
+        event(f"layer {layer} {'memo' if shared else 'per neuron'}")
+
+
+@SETTINGS
+@given(model=memo_models(), n=MEMO_ROWS, chunk=MEMO_CHUNKS, data=st.data())
+def test_memoised_equivalence_equals_a_per_neuron_reference(model, n, chunk, data):
+    """n random vectors on a netlist with up to 3 edited entries per
+    layer anywhere, and in every layer one entry that the first vector
+    reads set off the model's code, so that an edit is reached whichever
+    path serves the layer."""
+    net = build_netlist(model, tabulate_model(model))
+    with patched(netlist_mod, RANDOM_VECTORS=n, EXHAUSTIVE_LIMIT_BITS=0), chunk_rows(model, chunk):
+        vals, bits = next(netlist_mod._stimuli(net, model)[1])[:1], net.input_bits
+        codes = decode_bits(vals, model.input_quantizer)
+        for layer, (lut, mask) in enumerate(zip(net.layers, model.masks)):
+            for _ in range(data.draw(st.integers(0, 3), label=f"layer {layer} edits")):
+                lut.tables.flat[data.draw(st.integers(0, lut.tables.size - 1))] ^= 1
+            j = data.draw(st.integers(0, lut.width - 1), label=f"layer {layer} neuron")
+            addr = pack_address(vals[0, lut.sources[j]], bits)
+            codes = layer_eval(model, layer, codes[:, mask])
+            vals, bits = encode_bits(codes, model.layer_quantizer(layer)), lut.output_bits
+            lut.tables[j, addr] = vals[0, j] ^ 1
+        want = per_neuron_equivalence(net, model)
+        with paths_taken() as taken:
+            got = equivalence_check(net, model)
+    assert (got.n_checked, got.n_mismatches, got.faulty_nodes) == want
+    assert got.n_mismatches > 0
+    assert_no_more_codes_than_per_neuron(taken, model, n)
+    for layer, shared in sorted(taken):
+        event(f"layer {layer} {'memo' if shared else 'per neuron'}")
+
+
+@SETTINGS
+@given(model=memo_models(), n=MEMO_ROWS, chunk=MEMO_CHUNKS, data=st.data())
+def test_memoised_paths_name_the_layer_and_neuron_of_a_non_finite_weight(model, n, chunk,
+                                                                        data):
+    """A NaN bias makes one neuron's every pre-activation NaN: forward_codes
+    and the equivalence check fail naming its layer and neuron, as the
+    per-neuron reference does."""
+    net = build_netlist(model, tabulate_model(model))
+    layer = data.draw(st.integers(0, model.spec.n_layers - 1), label="layer")
+    j = data.draw(st.integers(0, model.spec.layer_widths[layer] - 1), label="neuron")
+    model.params[layer].weights[j, 0] = np.nan
+    codes = random_input_codes(model, n, n)
+    message = f"^layer {layer} neuron {j}: non-finite pre-activation$"
+    with patched(netlist_mod, RANDOM_VECTORS=n, EXHAUSTIVE_LIMIT_BITS=0), chunk_rows(model, chunk):
+        for run in (per_neuron_forward, forward_codes):
+            with pytest.raises(ValueError, match=message):
+                run(model, codes)
+        with pytest.raises(ValueError, match=message):
+            equivalence_check(net, model)
 
 
 @SETTINGS

@@ -1,13 +1,16 @@
+import builtins
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import lutc.rtl as rtl_mod
 from lutc.model import NetworkSpec, init_model
 from lutc.netlist import LutLayer, Netlist, build_netlist, simulate
 from lutc.rtl import (
     check_bundle,
     emit_bundle,
+    emit_checked,
     emit_golden_vectors,
     emit_top,
 )
@@ -189,6 +192,54 @@ def test_emit_bundle_files(tmp_path):
             "layer0_n0.v", "layer0_n1.v", "layer1_n0.v", "layer1_n1.v"} == names
     for p in written:
         assert (tmp_path / str(p).split("/")[-1]).stat().st_size > 0
+
+
+def test_emit_checked_writes_emit_bundles_bytes(tmp_path):
+    """lutc emit's one formatting writes the files emit_bundle writes and
+    finds no problem with them."""
+    _, net = compiled(layer_widths=(4, 3, 2))
+    emit_bundle(net, tmp_path / "a")
+    assert emit_checked(net, tmp_path / "b") == []
+    want = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == want
+    assert check_bundle(tmp_path / "b", net) == []
+
+
+def test_emit_checked_reports_stray_modules(tmp_path):
+    """A ROM left by an earlier, wider netlist is reported as check_bundle
+    reports it."""
+    _, wide = compiled(layer_widths=(4, 2))
+    _, narrow = compiled(layer_widths=(3, 2))
+    emit_bundle(wide, tmp_path)
+    assert emit_checked(narrow, tmp_path) == ["layer0_n3: not present in the netlist"]
+    assert check_bundle(tmp_path, narrow) == ["layer0_n3: not present in the netlist"]
+
+
+def test_emit_checked_reads_back_what_was_written(tmp_path, monkeypatch):
+    """The comparison reads the bytes the file holds: a write that loses
+    the last byte of each file is named at the file's last line."""
+    class Lossy:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def write(self, data):
+            return self.f.write(data[:-1])
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    _, net = compiled()
+    monkeypatch.setattr(rtl_mod, "open", lambda *a, **k: Lossy(builtins.open(*a, **k)),
+                        raising=False)
+    problems = emit_checked(net, tmp_path)
+    assert problems and all("expected" in p for p in problems)
+    assert any(p.startswith("top.v: line") for p in problems)
 
 
 def test_checker_flags_tampered_wiring(tmp_path):
