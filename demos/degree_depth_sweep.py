@@ -14,7 +14,7 @@ from lutc import (
     split_normalize,
     train,
 )
-from lutc.netlist import lut_cost
+from lutc.netlist import layer_luts
 
 ds = gen_spirals(n_per_class=250, noise_sd=0.05, turns=1.5, seed=1)
 train_ds, test_ds = split_normalize(ds, 0.8, seed=1)
@@ -33,7 +33,7 @@ for depth in (2, 3, 4):
         _, history = train(init_model(spec), train_ds, test_ds, config)
         error = 1.0 - history[-1]["test_accuracy"]
         latency = depth * CLOCK_NS
-        luts = sum(lut_cost(spec.table_address_bits(l), 6) * spec.beta * w
+        luts = sum(layer_luts(w, spec.beta, spec.table_address_bits(l))
                    for l, w in enumerate(spec.layer_widths))
         rows.append((depth, degree, latency, luts, error))
         print(f"depth={depth} D={degree}: test error {error:.3f}, "

@@ -32,10 +32,12 @@ model, _ = train(init_model(spec), train_ds, test_ds,
 netlist = build_netlist(model, tabulate_model(model))
 
 # The bundle is the directory emit_bundle writes: each ROM file goes to
-# disk as soon as its text is formatted.
+# disk as soon as its text is formatted, and is read back and compared
+# with that text.
 out_dir = sys.argv[1] if len(sys.argv) > 1 else tempfile.mkdtemp(prefix="rtl_")
-written = emit_bundle(netlist, out_dir)
-print(f"wrote {len(written) - 4} neuron ROMs, top.v, tb.v, vectors.hex and "
+assert emit_bundle(netlist, out_dir) == []
+roms = [f for f in os.listdir(out_dir) if f.startswith("layer")]
+print(f"wrote {len(roms)} neuron ROMs, top.v, tb.v, vectors.hex and "
       f"manifest.txt to {out_dir}")
 
 

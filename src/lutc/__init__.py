@@ -36,7 +36,7 @@ from .netlist import (
     simulate,
 )
 from .quantize import BatchNormParams, Quantizer, bn_apply, dequantize, quantize
-from .rtl import check_bundle, emit_bundle, emit_checked, emit_golden_vectors
+from .rtl import check_bundle, emit_bundle, emit_golden_vectors
 from .tables import dump_tables, load_tables, tabulate_layer, tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, sgdr_lr, train
 

@@ -25,12 +25,12 @@ from .netlist import (
     build_netlist,
     equivalence_check,
     load_netlist,
-    lut_cost,
+    layer_luts,
     pareto_front,
     report,
     save_netlist,
 )
-from .rtl import emit_checked
+from .rtl import emit_bundle
 from .tables import tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, train, write_history_csv
 
@@ -258,7 +258,7 @@ def cmd_emit(args) -> int:
         net = load_netlist(args.netlist)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot load netlist from {args.netlist}: {e}") from None
-    problems = emit_checked(net, args.out)
+    problems = emit_bundle(net, args.out)
     if problems:
         print("RTL check failed:", file=sys.stderr)
         for p in problems:
@@ -278,35 +278,30 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep: depth {max(args.depths)} repeats the last hidden width, "
                           f"but layer_widths {widths} has only the output layer")
     train_ds, test_ds = load_dataset(cfg)
+    tc = build_train_config(cfg, out_width)
 
-    rows = []
+    rows, nan = [], float("nan")
     for depth in args.depths:
-        h = (hidden + [hidden[-1]] * depth)[: depth - 1] if depth > 1 else []
-        layer_widths = h + [out_width]
+        layer_widths = (hidden + hidden[-1:] * depth)[: depth - 1] + [out_width]
         for degree in args.degrees:
-            spec_kwargs = dict(cfg["spec"])
-            spec_kwargs.update(layer_widths=layer_widths, degree=degree)
-            spec = build_spec({"spec": spec_kwargs})
-            tc = build_train_config(cfg, out_width)
-            est_luts = sum(
-                lut_cost(spec.table_address_bits(l), args.target_k) * spec.beta * w
-                for l, w in enumerate(spec.layer_widths)
-            )
-            latency = spec.n_layers * spec.clock_period_ns
+            spec = build_spec({"spec": dict(cfg["spec"], layer_widths=layer_widths,
+                                            degree=degree)})
+            row = dict(depth=depth, degree=degree, status="failed", train_loss=nan,
+                       test_accuracy=nan, test_error=nan,
+                       est_luts=sum(layer_luts(w, spec.beta, spec.table_address_bits(l),
+                                               args.target_k)
+                                    for l, w in enumerate(spec.layer_widths)),
+                       latency_ns=spec.n_layers * spec.clock_period_ns)
             try:
                 _, history = train(init_model(spec), train_ds, test_ds, tc)
-                final = history[-1]
-                rows.append(dict(depth=depth, degree=degree, status="ok",
-                                 train_loss=final["train_loss"],
-                                 test_accuracy=final["test_accuracy"],
-                                 test_error=1.0 - final["test_accuracy"],
-                                 est_luts=est_luts, latency_ns=latency))
             except (TrainingDiverged, FloatingPointError) as e:
                 print(f"depth={depth} degree={degree}: {e}", file=sys.stderr)
-                rows.append(dict(depth=depth, degree=degree, status="failed",
-                                 train_loss=float("nan"), test_accuracy=float("nan"),
-                                 test_error=float("nan"), est_luts=est_luts,
-                                 latency_ns=latency))
+            else:
+                final = history[-1]
+                row.update(status="ok", train_loss=final["train_loss"],
+                           test_accuracy=final["test_accuracy"],
+                           test_error=1.0 - final["test_accuracy"])
+            rows.append(row)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as f:

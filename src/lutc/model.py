@@ -11,8 +11,8 @@ over the output codes.
 layer_eval, which evaluates all neurons of a layer at once, is the one
 inference path: tabulation enumerates it, and forward_codes and the
 equivalence check chain it through memo_layer_eval, which evaluates each
-distinct source-code tuple once per call when that is no more work than
-evaluating the rows per neuron; its last step, activate (ReLU and one
+distinct source-code tuple once per call on the row chunks whose new
+tuples are no more than their rows; its last step, activate (ReLU and one
 rounding), is the trainer's too.  Its weighted sum is basis.weighted_expand,
 which adds each monomial's weighted value as soon as it is formed, in
 basis order with elementwise multiply-adds, so a code depends on neither
@@ -23,6 +23,7 @@ layer's other arrays keep per row (row_elements), not by W * M.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,9 @@ from .quantize import (
 
 # Hard cap on beta * fan_in so a single truth table never exceeds 2**24 entries.
 ENUM_GUARD_BITS = 24
+
+# Widest top-level port, in bits: IEEE 1364-2001 guarantees vectors of 2**16 bits.
+PORT_BITS = 1 << 16
 
 # Row chunks keep about this many 8-byte elements alive (see row_elements).
 CHUNK_ELEMENTS = 1 << 19
@@ -133,6 +137,13 @@ def validate_spec(spec) -> list[str]:
     if not (0 < spec.clock_period_ns < np.inf):
         v.append(f"clock_period_ns must be positive and finite, got {spec.clock_period_ns}")
     if not v:
+        bits = spec.layer_input_bits(0)
+        if spec.input_count * bits > PORT_BITS:
+            v.append(f"input_count {spec.input_count} of {bits} bits exceeds the "
+                     f"{PORT_BITS}-bit input port")
+        if widths[-1] * spec.beta > PORT_BITS:
+            v.append(f"{widths[-1]} outputs of {spec.beta} bits exceed the "
+                     f"{PORT_BITS}-bit output port")
         for layer in range(len(widths)):
             fan = spec.layer_fan_in(layer)
             prev = spec.prev_width(layer)
@@ -342,42 +353,32 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     previous width): layer_eval(model, layer, acts[:, mask])'s codes, with
     each distinct source-code tuple evaluated at most once per call.
 
-    memo is one call's store, a list with one entry per layer: None until
-    the layer's first chunk, False if that chunk went per neuron, else
-    the layer's (2**N, W) int8 or uint8 codes by tuple, a (2**N,) mask of
-    the tuples filled, and the call's slack: the rows the memo has served
-    less the tuples it has filled.  A call of one row chunk passes None,
-    and its rows go per neuron: no later chunk reuses its tuples, and on
-    its few rows layer_eval's cost is mostly per call (on spiral's 200
-    rows about 130 us per neuron against 110 us for their 16 layer-0
-    tuples), so the memo's steps would only add to it.
+    memo is one call's store, one entry per layer: None until the layer's
+    first chunk, False if that chunk went per neuron, else the layer's
+    (2**N, W) int8 or uint8 codes by tuple and a (2**N,) mask of the
+    tuples filled.  A call of one row chunk passes None and goes per
+    neuron: no later chunk reuses its tuples, and on its few rows
+    layer_eval's cost is mostly per call.
 
     Each (row, neuron) is keyed by its F source codes, each offset by
-    code_min and packed b bits apiece, input 0 lowest.  The keys are
-    marked in a (2**N,) mask, and the marked tuples the memo does not hold
-    yet are the new ones.  When they are no more than these rows plus the
-    slack, each is evaluated once for all W neurons through layer_eval's
-    shared (n, 1, F) path and stored, and the codes are one gather from
-    the memo.  Otherwise these rows go through the per-neuron path and
-    nothing is stored.  So over a call the memo never evaluates more codes
-    than the per-neuron path would have by the same row: it pays for each
-    tuple with a row it served.  A layer whose first chunk goes per neuron
-    stays so for the call, its first chunk taken as a sample of its rows:
-    jsc-narrow's layer 0 reaches 9 774 of its 16 384 tuples on the 936
-    rows of the check's first chunk, and hdr's hidden layers reach about
-    300 on 18 rows.
+    code_min and packed b bits apiece, input 0 lowest.  When a chunk's
+    new tuples are no more than its rows, one layer_eval call evaluates
+    them for all W neurons through the shared (n, 1, F) path and stores
+    them, and the codes are one gather from the memo; otherwise the chunk
+    goes per neuron and nothing is stored.  So no chunk evaluates more
+    codes, or holds more, than the per-neuron path would on it.  A layer
+    whose first chunk goes per neuron stays so for the call: jsc-narrow's
+    layer 0 reaches 9 774 tuples on the check's first 936 rows, hdr's
+    hidden layers about 300 on 18 rows.  A layer whose memo would exceed
+    8 * CHUNK_ELEMENTS bytes, and a chunk with a code out of range (which
+    layer_eval rejects), go per neuron.
 
-    The fill runs in parts that hold no more elements than the per-neuron
-    path would on these rows, and at most CHUNK_ELEMENTS.  A layer whose
-    memo would exceed 8 * CHUNK_ELEMENTS bytes, what a row chunk keeps
-    alive, and rows with a code out of range (which layer_eval rejects)
-    go per neuron.  The codes are layer_eval's bit for bit.  Its errors
-    are not quite: a fill evaluates every neuron at each new tuple, so a
-    neuron that is non-finite only at a tuple that another neuron reaches
-    is named, as tabulation would name it, where the per-neuron path
-    would have returned codes or named a later neuron.
+    The codes are layer_eval's bit for bit.  Its errors are not quite: a
+    fill evaluates every neuron at each new tuple, so a neuron that is
+    non-finite only at a tuple another neuron reaches is named, as
+    tabulation would name it, where the per-neuron path would not.
     """
-    mask, basis = model.masks[layer], model.bases[layer]
+    mask = model.masks[layer]
     width, fan = mask.shape
     qin = model.source_quantizer(layer)
     size = 1 << (qin.bits * fan)
@@ -391,26 +392,19 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     reached = np.zeros(size, dtype=bool)
     reached[keys.reshape(-1)] = True
     new = np.flatnonzero(reached if entry is None else reached & ~entry[1])
-    slack = len(acts) - len(new) + (0 if entry is None else entry[2])
-    if slack < 0:
+    if len(new) > len(acts):
         if entry is None:
             memo[layer] = False
         return layer_eval(model, layer, acts[:, mask])
     if entry is None:
         signed = model.layer_quantizer(layer).signed
-        entry = (np.empty((size, width), dtype=np.int8 if signed else np.uint8),
-                 np.zeros(size, dtype=bool))
-    store, filled = entry[:2]
+        entry = memo[layer] = (np.empty((size, width), dtype=np.int8 if signed else np.uint8),
+                               np.zeros(size, dtype=bool))
+    store, filled = entry
     if len(new):
-        per_tuple = row_elements(basis, 1, width)
-        held = min(CHUNK_ELEMENTS, len(acts) * row_elements(basis, width, width))
-        step, shifts = max(1, held // per_tuple), qin.bits * np.arange(fan)
-        for start in range(0, len(new), step):
-            tuples = new[start:start + step]
-            fields = (tuples[:, None] >> shifts) & ((1 << qin.bits) - 1)
-            store[tuples] = layer_eval(model, layer, (fields + qin.code_min)[:, None, :])
+        fields = (new[:, None] >> (qin.bits * np.arange(fan))) & ((1 << qin.bits) - 1)
+        store[new] = layer_eval(model, layer, (fields + qin.code_min)[:, None, :])
         filled[new] = True
-    memo[layer] = store, filled, slack
     return np.take(store.reshape(-1), keys * width + np.arange(width)).astype(np.int64)
 
 
@@ -418,10 +412,11 @@ def forward_codes(model: TrainedModel, codes0: np.ndarray) -> np.ndarray:
     """Layer-by-layer quantized inference from input codes to output codes.
     Row chunks go through every layer, so the gathered (rows, W, F) codes
     stay bounded, and each layer's codes come from memo_layer_eval with a
-    memo that lives for this call, or none for a call of one chunk.  The
-    codes are layer_eval's; a non-finite pre-activation may be named
-    where layer_eval per neuron would not name it (see
-    memo_layer_eval)."""
+    memo that lives for this call, or none for a call of one chunk: a
+    chunk is served from it when its new source-code tuples are no more
+    than its rows, else it runs per neuron.  The codes are layer_eval's;
+    a non-finite pre-activation may be named where layer_eval per neuron
+    would not name it (see memo_layer_eval)."""
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
@@ -521,12 +516,15 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
-    """Read a checkpoint written by save_checkpoint.  A missing array, a
-    scalars array that is not 8 integers, layer_widths that are not a 1-d
-    integer array or a model that fails validate_model raises ValueError."""
+    """Read a checkpoint written by save_checkpoint.  A path that is not an
+    .npz archive, a missing array, a scalar array of another shape or
+    kind, a scalars array that is not 8 integers, layer_widths that are
+    not a 1-d integer array, a bn array that is not 4 rows or a model
+    that fails validate_model raises ValueError naming the array or the
+    layer."""
     try:
         with np.load(path) as z:
-            version = int(z["version"])
+            version = int(_scalar(z, "version"))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
             s, widths = z["scalars"], z["layer_widths"]
@@ -542,19 +540,32 @@ def load_checkpoint(path) -> TrainedModel:
                 input_beta=None if int(s[4]) < 0 else int(s[4]),
                 input_fan_in=None if int(s[5]) < 0 else int(s[5]),
                 seed=int(s[6]),
-                clock_period_ns=float(z["clock_period_ns"]),
+                clock_period_ns=_scalar(z, "clock_period_ns"),
             )
             masks, params = [], []
             for layer in range(spec.n_layers):
                 masks.append(z[f"mask_{layer}"])
-                gamma, shift, mean, var = z[f"bn_{layer}"]
-                bn = BatchNormParams(gamma, shift, mean, var, eps=float(z[f"bn_eps_{layer}"]))
-                params.append(LayerParams(z[f"w_{layer}"], bn, float(z[f"scale_{layer}"])))
-            iq = input_quantizer_for(spec).with_scale(float(z["input_scale"]))
+                stats = z[f"bn_{layer}"]
+                if stats.shape[:1] != (4,):
+                    raise ValueError(f"layer {layer}: bn_{layer} is {stats.dtype} "
+                                     f"{stats.shape}, expected 4 rows of batch-norm statistics")
+                bn = BatchNormParams(*stats, eps=_scalar(z, f"bn_eps_{layer}"))
+                params.append(LayerParams(z[f"w_{layer}"], bn, _scalar(z, f"scale_{layer}")))
+            iq = input_quantizer_for(spec).with_scale(_scalar(z, "input_scale"))
     except KeyError as e:  # np.load's "<name> is not a file in the archive"
         raise ValueError(f"missing array ({e.args[0]})") from None
+    except (OSError, EOFError, zipfile.BadZipFile) as e:  # a directory, an empty or cut file
+        raise ValueError(f"not an .npz checkpoint: {e}") from None
     model = TrainedModel(spec=spec, masks=masks, params=params, input_quantizer=iq)
     violations = validate_model(model)
     if violations:
         raise ValueError("invalid checkpoint: " + "; ".join(violations))
     return model
+
+
+def _scalar(z, name: str):
+    """The archive's 0-d integer or float array name, as a float."""
+    a = z[name]
+    if a.ndim != 0 or a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} is {a.dtype} {a.shape}, expected a scalar")
+    return float(a)

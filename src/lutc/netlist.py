@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TrainedModel, forward_chunks, memo_layer_eval, row_chunks
+from .model import PORT_BITS, TrainedModel, forward_chunks, memo_layer_eval, row_chunks
 from .quantize import decode_bits, encode_bits
 from .tables import decode_address, dump_tables, load_tables, pack_address
 
@@ -74,6 +74,9 @@ class Netlist:
             raise ValueError(f"{self.input_count} inputs of {self.input_bits} bits at a "
                              f"{self.clock_period_ns} ns clock: a netlist needs at least one "
                              "input of 1 to 8 bits and a positive finite clock period")
+        if self.input_count * self.input_bits > PORT_BITS:
+            raise ValueError(f"input_count {self.input_count} of {self.input_bits} bits "
+                             f"exceeds the {PORT_BITS}-bit input port")
         prev, bits = self.input_count, self.input_bits
         for layer, lut in enumerate(self.layers):
             tables, sources = lut.tables, lut.sources
@@ -94,6 +97,9 @@ class Netlist:
                 raise ValueError(f"layer {layer} neuron {j}: sources {sources[j].tolist()} "
                                  f"are not distinct indices below {prev}")
             prev, bits = len(tables), lut.output_bits
+        if prev * bits > PORT_BITS:
+            raise ValueError(f"{prev} outputs of {bits} bits exceed the {PORT_BITS}-bit "
+                             "output port")
 
     @property
     def n_layers(self) -> int:
@@ -169,16 +175,14 @@ def equivalence_check(netlist: Netlist, model: TrainedModel) -> EquivalenceRepor
 
     The model's codes are layer_eval's, through memo_layer_eval with a
     memo that lives for this call (none when the stimuli are one chunk):
-    a chunk whose new source-code tuples are no more than its vectors,
-    plus those the memo served before beyond the tuples it filled, has
+    a chunk whose new source-code tuples are no more than its vectors has
     them evaluated once for all neurons and stored, one byte per tuple
-    and neuron, else it is evaluated per neuron.  So the check never
-    evaluates more codes than per neuron.  On jsc-narrow's 10 000
-    vectors, layers 1 and 2 reach a few hundred tuples and layer 0 stays
-    per neuron.  The memo keys its tuples with its own packing, not
-    pack_address, which the table side uses.  A non-finite pre-activation
-    may be named at a tuple that only another neuron reaches, as
-    tabulation would name it.
+    and neuron, else it is evaluated per neuron.  So no chunk evaluates
+    more codes than per neuron.  On jsc-narrow's 10 000 vectors, layers 1
+    and 2 reach a few hundred tuples and layer 0 stays per neuron.  The
+    memo keys its tuples with its own packing, not pack_address, which
+    the table side uses.  A non-finite pre-activation may be named at a
+    tuple that only another neuron reaches, as tabulation would name it.
     """
     spec = model.spec
     if netlist.n_layers != spec.n_layers:
@@ -238,6 +242,13 @@ def lut_cost(input_bits: int, target_k: int = DEFAULT_K) -> int:
     return (1 << (input_bits - target_k + 1)) - 1
 
 
+def layer_luts(width: int, output_bits: int, address_bits: int,
+               target_k: int = DEFAULT_K) -> int:
+    """Estimated physical LUTs of a layer: lut_cost per output bit of
+    each of its width neurons."""
+    return width * output_bits * lut_cost(address_bits, target_k)
+
+
 @dataclass
 class CostReport:
     per_layer_luts: list
@@ -258,7 +269,7 @@ class CostReport:
 
 def report(netlist: Netlist, target_k: int = DEFAULT_K) -> CostReport:
     """Total estimated LUT cost plus the layers-times-clock latency model."""
-    per_layer = [lut.width * lut.output_bits * lut_cost(lut.address_bits, target_k)
+    per_layer = [layer_luts(lut.width, lut.output_bits, lut.address_bits, target_k)
                  for lut in netlist.layers]
     cycles = netlist.n_layers
     return CostReport(per_layer_luts=per_layer, total_luts=sum(per_layer),
@@ -273,25 +284,10 @@ def pareto_front(points: list) -> list:
     strictly smaller in at least one.  Output is sorted by the first
     coordinate (ties keep input order); duplicates of a front point stay.
     """
-    pts = [(float(a), float(b), i) for i, (a, b) in enumerate(points)]
-    pts.sort(key=lambda t: (t[0], t[1], t[2]))
-    kept = []
-    best_prev = np.inf  # min second coordinate over strictly smaller first coords
-    i = 0
-    while i < len(pts):
-        j = i
-        while j < len(pts) and pts[j][0] == pts[i][0]:
-            j += 1
-        group = pts[i:j]
-        group_min = group[0][1]
-        for a, b, idx in group:
-            # strictly-cheaper x with y <= b dominates; same x needs y < b
-            if b < best_prev and b <= group_min:
-                kept.append((a, b, idx))
-        best_prev = min(best_prev, group_min)
-        i = j
-    kept.sort(key=lambda t: (t[0], t[2]))
-    return [(a, b) for a, b, _ in kept]
+    pts = [(float(a), float(b)) for a, b in points]
+    return sorted((p for p in pts
+                   if not any(q[0] <= p[0] and q[1] <= p[1] and q != p for q in pts)),
+                  key=lambda p: p[0])
 
 
 # ---------------------------------------------------------------------------

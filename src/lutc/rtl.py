@@ -16,11 +16,11 @@ bytes.hex, and each file is written as soon as its text is formatted.
 
 A table has one canonical digit string, so a ROM holds the netlist's
 table exactly when the file is the emitted text.  _bundle yields every
-file's name and text in emission order; _written, which emit_bundle and
-emit_checked share, writes it, and the checker compares each file on
-disk with it byte for byte, naming the first line that differs.
-emit_checked (lutc emit) writes and checks from one formatting of each
-file, which it reads back as soon as it is written.
+file's name and text in emission order; emit_bundle writes each file,
+reads it back as soon as it is written and compares it with the same
+formatting of its text, and check_bundle makes that comparison for a
+bundle already on disk, byte for byte, naming the first line that
+differs.
 Every file is checked against the netlist it was emitted from, so a
 fault is blamed on its own file: top.v is emit_top's text for the
 netlist, so its wiring follows the masks and any wiring or instance edit
@@ -229,29 +229,21 @@ def _bundle(netlist: Netlist):
 
 
 def emit_bundle(netlist: Netlist, out_dir) -> list:
-    """Write every file of the bundle into out_dir, each as soon as its
-    text is formatted, and return their paths."""
-    return [os.path.join(out_dir, fname) for fname, _, _ in _written(netlist, out_dir)]
-
-
-def emit_checked(netlist: Netlist, out_dir) -> list:
-    """Write the bundle as emit_bundle does and return check_bundle's
-    problems for it, formatting each file once: its text is written, read
+    """Write every file of the bundle into out_dir, the one writer of the
+    bundle, and return check_bundle's problems for it (an empty list means
+    it is sound), formatting each file once: its text is written, read
     back through the same handle and compared with the text."""
-    return _check(out_dir, _written(netlist, out_dir))
-
-
-def _written(netlist: Netlist, out_dir):
-    """Write each file of the bundle into out_dir, the one writer of the
-    bundle, and yield its name, its text and the bytes read back from it,
-    one file at a time."""
     os.makedirs(out_dir, exist_ok=True)
-    for fname, slices in _bundle(netlist):
-        text = "".join(slices)
-        with open(os.path.join(out_dir, fname), "w+b") as f:
-            f.write(text.encode("utf-8"))
-            f.seek(0)
-            yield fname, text, f.read()
+
+    def written():
+        for fname, slices in _bundle(netlist):
+            text = "".join(slices)
+            with open(os.path.join(out_dir, fname), "w+b") as f:
+                f.write(text.encode("utf-8"))
+                f.seek(0)
+                yield fname, text, f.read()
+
+    return _check(out_dir, written())
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,64 @@ def test_compile_rejects_checkpoint_with_malformed_spec_arrays(pipeline_dirs, tm
     assert not (tmp_path / "net").exists()
 
 
+def cut_checkpoint(size):
+    """Corruption that keeps the checkpoint's first size bytes."""
+    def write(src, dst):
+        dst.write_bytes(src.read_bytes()[:size])
+    return write
+
+
+def replace_array(name, value):
+    """Corruption that saves value(array) in place of the named array."""
+    def write(src, dst):
+        with np.load(src) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[name] = value(arrays[name])
+        np.savez(dst, **arrays)
+    return write
+
+
+SCALARS = ("version", "scale_1", "bn_eps_0", "input_scale", "clock_period_ns")
+
+
+@pytest.mark.parametrize("write, where", [
+    (lambda src, dst: dst.mkdir(), "not an .npz checkpoint"),
+    (cut_checkpoint(0), "not an .npz checkpoint"),
+    (cut_checkpoint(300), "not an .npz checkpoint"),
+    *[(replace_array(name, lambda a: np.array([1.0, 2.0])), f"{name} is float64 (2,)")
+      for name in SCALARS],
+    (replace_array("bn_1", lambda a: a[:3]), "layer 1: bn_1 is float64 (3, 2)"),
+], ids=["directory", "empty", "cut-to-300-bytes", *[f"{name}-of-two" for name in SCALARS], "bn-of-3-rows"])
+def test_compile_rejects_an_unreadable_checkpoint(pipeline_dirs, tmp_path, capsys,
+                                                  write, where):
+    """A directory, an empty or cut file, a scalar saved as a length-2
+    array and a batch-norm array of 3 rows exit 2, naming the file, the
+    array or the layer."""
+    ck = tmp_path / "bad.npz"
+    write(pipeline_dirs / "run" / "checkpoint.npz", ck)
+    code = run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ck}: ") and where in err, err
+    assert not (tmp_path / "net").exists()
+
+
+@pytest.mark.parametrize("count, input_beta, where", [
+    (2**62, -1, "input_count 4611686018427387904 of 4 bits exceeds the 65536-bit input port"),
+    (2**16 + 1, 1, "input_count 65537 of 1 bits exceeds the 65536-bit input port"),
+], ids=["2**62-inputs", "2**16+1-one-bit-inputs"])
+def test_compile_rejects_an_input_port_wider_than_verilog_guarantees(
+        pipeline_dirs, tmp_path, capsys, count, input_beta, where):
+    """IEEE 1364-2001 guarantees vectors of 2**16 bits: a wider top-level
+    port exits 2 before any file is written."""
+    ck = tmp_path / "wide.npz"
+    replace_array("scalars", lambda s: np.array([*s[:3], count, input_beta, *s[5:]]))(
+        pipeline_dirs / "run" / "checkpoint.npz", ck)
+    assert run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"]) == EXIT_USAGE
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "net").exists()
+
+
 def test_compile_rejects_checkpoint_that_lifts_the_enum_guard(lifted_guard_checkpoint,
                                                               tmp_path, capsys):
     # 32 address bits: a (1, 2**32) table must not be asked for
@@ -530,11 +588,14 @@ def as_v1(doc):
     (edit_netlist(as_v1), "format 'lut-netlist v1', not 'lut-netlist v2': re-run lutc compile"),
     (set_field("clock_period_ns", -1.0), "-1.0 ns clock"),
     (set_field("clock_period_ns", float("nan")), "nan ns clock"),
+    (set_field("input_count", 2**62), "input_count 4611686018427387904 of 4 bits exceeds"),
+    (edit_netlist(lambda doc: doc.update(input_count=2**16 + 1, input_bits=1)),
+     "input_count 65537 of 1 bits exceeds the 65536-bit input port"),
 ], ids=["extra-source", "source-past-inputs", "source-past-layer", "duplicate-source",
         "float-source", "bool-source", "huge-source", "missing-sources", "empty-layer",
         "layer-not-a-list", "extra-layer", "missing-dump", "truncated-dump",
         "missing-input-bits", "float-input-bits", "string-input-count", "v1-file",
-        "negative-clock", "nan-clock"])
+        "negative-clock", "nan-clock", "2**62-inputs", "2**16+1-one-bit-inputs"])
 def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt, where):
     net_dir = tmp_path / "net"
     shutil.copytree(pipeline_dirs / "net", net_dir)

@@ -73,6 +73,19 @@ def test_spec_rejects_a_clock_period_that_is_not_positive_and_finite(clock):
         small_spec(clock_period_ns=clock)
 
 
+def test_spec_bounds_the_top_level_ports():
+    """IEEE 1364-2001 guarantees vectors of 2**16 bits: the input and the
+    output port may be that wide, and no wider."""
+    assert validate_spec(_raw_spec(input_count=2**16, input_beta=1)) == []
+    assert validate_spec(_raw_spec(input_count=2**16 + 1, input_beta=1)) == [
+        "input_count 65537 of 1 bits exceeds the 65536-bit input port"]
+    assert validate_spec(_raw_spec(input_count=2**62)) == [
+        "input_count 4611686018427387904 of 2 bits exceeds the 65536-bit input port"]
+    assert validate_spec(_raw_spec(layer_widths=(4, 2**15))) == []
+    assert validate_spec(_raw_spec(layer_widths=(4, 2**15 + 1))) == [
+        "32769 outputs of 2 bits exceed the 65536-bit output port"]
+
+
 def test_fan_in_exceeds_predecessor():
     v = validate_spec(_raw_spec(fan_in=5, input_count=3))
     assert any("fan_in 5 exceeds" in s for s in v)
@@ -300,20 +313,23 @@ def test_forward_codes_runs_a_call_of_one_chunk_per_neuron(monkeypatch):
 
 
 def test_memo_pays_for_a_fill_with_rows_it_served(monkeypatch):
-    """2 000 rows of zeros fill the one tuple they reach and leave 1 999
-    rows of slack; 100 random rows then reach 1 506 new tuples, more than
-    their rows but within the slack, and are served from the memo.  200
-    rows whose new tuples exceed the 593 rows left go per neuron."""
+    """Each chunk pays for its own fill: 2 000 rows of zeros fill the one
+    tuple they reach for the 16 neurons; 100 random rows then reach 1 506
+    new tuples, more than their rows, so they go per neuron and store
+    nothing; a following chunk of zeros is still served from the memo and
+    evaluates nothing."""
     model = init_model(spec_from_profile("jsc-xl", seed=1, layer_widths=(16, 16, 5)))
-    rng = np.random.default_rng(3)
+    zeros = np.zeros((2000, 16), dtype=np.int64)
     memo, counts = [None] * 3, counted_layer_eval(monkeypatch)
-    for rows, shared in ((np.zeros((2000, 16), dtype=np.int64), True),
-                         (rng.integers(-64, 64, size=(100, 16)), True),
-                         (rng.integers(-64, 64, size=(200, 16)), False)):
+    for rows, evaluated in ((zeros, [0, 16]),
+                            (np.random.default_rng(3).integers(-64, 64, size=(100, 16)),
+                             [100 * 16, 0]),
+                            (zeros, [0, 0])):
         want = model_mod.layer_eval(model, 0, rows[:, model.masks[0]])
         counts.clear()
         assert np.array_equal(model_mod.memo_layer_eval(model, memo, 0, rows), want)
-        assert (counts[0][0] == 0) == shared, counts
+        assert counts.get(0, [0, 0]) == evaluated, counts
+        assert memo[0][1].sum() == 1
 
 
 def test_memo_keeps_a_layer_per_neuron_after_its_first_chunk_went_so(monkeypatch):

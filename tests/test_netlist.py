@@ -9,6 +9,7 @@ from lutc.model import NetworkSpec, forward_codes, init_model, layer_eval, spec_
 from lutc.netlist import (
     RANDOM_VECTORS,
     EquivalenceReport,
+    LutLayer,
     Netlist,
     build_netlist,
     equivalence_check,
@@ -128,6 +129,22 @@ def test_netlist_rejects_bad_scalar_fields(field, value):
     with pytest.raises(ValueError, match="at least one input of 1 to 8 bits and a positive "
                                          "finite clock period"):
         Netlist(layers=net.layers, **fields)
+
+
+def test_netlist_bounds_the_top_level_ports():
+    """No port wider than the 2**16 bits IEEE 1364-2001 guarantees: 2**16
+    + 1 one-bit inputs, 2**62 inputs or 2**15 + 1 two-bit outputs."""
+    for count, bits in ((2**16 + 1, 1), (2**62, 2)):
+        with pytest.raises(ValueError, match=f"input_count {count} of {bits} bits exceeds the "
+                                             "65536-bit input port"):
+            Netlist(input_count=count, input_bits=bits, layers=[], clock_period_ns=1.6)
+    wide = LutLayer(tables=np.zeros((2**15 + 1, 4), dtype=np.uint32),
+                    sources=np.zeros((2**15 + 1, 1), dtype=np.int64), output_bits=2)
+    with pytest.raises(ValueError, match="32769 outputs of 2 bits exceed the 65536-bit "
+                                         "output port"):
+        Netlist(input_count=2, input_bits=2, layers=[wide], clock_period_ns=1.6)
+    wide.tables, wide.sources = wide.tables[1:], wide.sources[1:]
+    Netlist(input_count=2, input_bits=2, layers=[wide], clock_period_ns=1.6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from lutc.netlist import LutLayer, Netlist, build_netlist, simulate
 from lutc.rtl import (
     check_bundle,
     emit_bundle,
-    emit_checked,
     emit_golden_vectors,
+    emit_testbench,
     emit_top,
 )
 from lutc.tables import tabulate_model
@@ -159,25 +159,25 @@ def edit_file(path, edit):
 
 def test_bundle_passes_checker(tmp_path):
     _, net = compiled(layer_widths=(4, 3, 2))
-    emit_bundle(net, tmp_path)
+    assert emit_bundle(net, tmp_path) == []
     assert check_bundle(tmp_path, net) == []
     assert len(list(tmp_path.glob("layer*_n*.v"))) == 9
     assert "rtl-manifest v1" in (tmp_path / "manifest.txt").read_text()
 
 
 def test_bundle_deterministic(tmp_path):
-    # re-emitting into the same directory writes the same paths and bytes
+    # re-emitting into the same directory writes the same files and bytes
     _, net = compiled()
-    first = emit_bundle(net, tmp_path)
+    assert emit_bundle(net, tmp_path) == []
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert emit_bundle(net, tmp_path) == first
+    assert emit_bundle(net, tmp_path) == []
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_write_bundle_byte_identical(tmp_path):
     _, net = compiled()
-    emit_bundle(net, tmp_path / "a")
-    emit_bundle(net, tmp_path / "b")
+    assert emit_bundle(net, tmp_path / "a") == []
+    assert emit_bundle(net, tmp_path / "b") == []
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in names:
@@ -186,36 +186,35 @@ def test_write_bundle_byte_identical(tmp_path):
 
 def test_emit_bundle_files(tmp_path):
     _, net = compiled(layer_widths=(2, 2))
-    written = emit_bundle(net, tmp_path)
-    names = {p.split("/")[-1] for p in map(str, written)}
-    assert {"top.v", "tb.v", "vectors.hex", "manifest.txt",
-            "layer0_n0.v", "layer0_n1.v", "layer1_n0.v", "layer1_n1.v"} == names
+    assert emit_bundle(net, tmp_path) == []
+    written = list(tmp_path.iterdir())
+    assert {"top.v", "tb.v", "vectors.hex", "manifest.txt", "layer0_n0.v", "layer0_n1.v",
+            "layer1_n0.v", "layer1_n1.v"} == {p.name for p in written}
     for p in written:
-        assert (tmp_path / str(p).split("/")[-1]).stat().st_size > 0
+        assert p.stat().st_size > 0
 
 
-def test_emit_checked_writes_emit_bundles_bytes(tmp_path):
-    """lutc emit's one formatting writes the files emit_bundle writes and
-    finds no problem with them."""
+def test_emit_bundle_writes_the_formatters_bytes(tmp_path):
+    """lutc emit's one writer puts the formatters' texts on disk byte for
+    byte and finds no problem with them, nor does check_bundle."""
     _, net = compiled(layer_widths=(4, 3, 2))
-    emit_bundle(net, tmp_path / "a")
-    assert emit_checked(net, tmp_path / "b") == []
-    want = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
-    assert {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()} == want
-    assert check_bundle(tmp_path / "b", net) == []
+    assert emit_bundle(net, tmp_path) == []
+    assert (tmp_path / "top.v").read_bytes() == emit_top(net).encode("utf-8")
+    assert (tmp_path / "tb.v").read_bytes() == emit_testbench(net).encode("utf-8")
+    assert check_bundle(tmp_path, net) == []
 
 
-def test_emit_checked_reports_stray_modules(tmp_path):
+def test_emit_bundle_reports_stray_modules(tmp_path):
     """A ROM left by an earlier, wider netlist is reported as check_bundle
     reports it."""
     _, wide = compiled(layer_widths=(4, 2))
     _, narrow = compiled(layer_widths=(3, 2))
-    emit_bundle(wide, tmp_path)
-    assert emit_checked(narrow, tmp_path) == ["layer0_n3: not present in the netlist"]
+    assert emit_bundle(wide, tmp_path) == []
+    assert emit_bundle(narrow, tmp_path) == ["layer0_n3: not present in the netlist"]
     assert check_bundle(tmp_path, narrow) == ["layer0_n3: not present in the netlist"]
 
 
-def test_emit_checked_reads_back_what_was_written(tmp_path, monkeypatch):
+def test_emit_bundle_reads_back_what_was_written(tmp_path, monkeypatch):
     """The comparison reads the bytes the file holds: a write that loses
     the last byte of each file is named at the file's last line."""
     class Lossy:
@@ -237,7 +236,7 @@ def test_emit_checked_reads_back_what_was_written(tmp_path, monkeypatch):
     _, net = compiled()
     monkeypatch.setattr(rtl_mod, "open", lambda *a, **k: Lossy(builtins.open(*a, **k)),
                         raising=False)
-    problems = emit_checked(net, tmp_path)
+    problems = emit_bundle(net, tmp_path)
     assert problems and all("expected" in p for p in problems)
     assert any(p.startswith("top.v: line") for p in problems)
 
