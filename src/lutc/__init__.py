@@ -14,7 +14,6 @@ from .model import (
     init_model,
     layer_eval,
     load_checkpoint,
-    memo_layer_eval,
     predict,
     save_checkpoint,
     spec_from_profile,

@@ -26,8 +26,7 @@ size nor the BLAS kernel.  Two kernels give those bits:
   equivalence check), whose row chunks are sized by what it keeps.
   Codes shared by all W neurons are laid out neuron-major, so each
   elementwise pass runs along the rows: tabulation's, and the
-  source-code tuples that forward_codes and the equivalence check
-  evaluate once for their per-call memo (model.memo_layer_eval).  Each
+  source-code tuples that model.memo_layer_eval evaluates once.  Each
   neuron's own codes (a chunk the memo does not serve) keep the
   row-major (..., W) layout.  The two layouts give the same bits.
 - weighted_sum weighs a term-major (M, ..., W) array in place and adds

@@ -32,7 +32,7 @@ from .netlist import (
 )
 from .rtl import emit_bundle
 from .tables import tabulate_model
-from .trainer import TrainConfig, TrainingDiverged, train, write_history_csv
+from .trainer import TrainConfig, TrainingDiverged, check_classes, train, write_history_csv
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -108,11 +108,13 @@ def build_spec(cfg: dict) -> NetworkSpec:
         raise ConfigError(f"spec: {e}") from None
 
 
-def load_dataset(cfg: dict):
+def load_dataset(cfg: dict, output_width: int):
     """The (train, test) datasets the config names.  A malformed file, a
-    bad split or a split with an empty side is a configuration error."""
+    bad split, a split with an empty side or more classes than
+    output_width outputs hold is a configuration error."""
     try:
         train_ds, test_ds = _load_dataset(cfg)
+        check_classes(output_width, train_ds, test_ds)
     except (OSError, ValueError) as e:  # DataFormatError is a ValueError
         raise ConfigError(f"dataset: {e}") from None
     if train_ds.n == 0 or test_ds.n == 0:
@@ -178,11 +180,9 @@ def _load_dataset(cfg: dict):
     raise ConfigError(f"dataset: unknown kind {kind!r}")
 
 
-def build_train_config(cfg: dict, output_width: int) -> TrainConfig:
-    t = dict(cfg.get("train") or {})
-    t.setdefault("loss_kind", "bce" if output_width == 1 else "softmax")
+def build_train_config(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(**t)
+        return TrainConfig(**(cfg.get("train") or {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"train: {e}") from None
 
@@ -194,12 +194,12 @@ def build_train_config(cfg: dict, output_width: int) -> TrainConfig:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
-    train_ds, test_ds = load_dataset(cfg)
+    train_ds, test_ds = load_dataset(cfg, spec.layer_widths[-1])
     if train_ds.d != spec.input_count:
         raise ConfigError(
             f"dataset has {train_ds.d} features but spec.input_count is {spec.input_count}"
         )
-    tc = build_train_config(cfg, spec.layer_widths[-1])
+    tc = build_train_config(cfg)
 
     model = init_model(spec)
     try:
@@ -277,8 +277,8 @@ def cmd_sweep(args) -> int:
     if not hidden and max(args.depths) > 1:
         raise ConfigError(f"sweep: depth {max(args.depths)} repeats the last hidden width, "
                           f"but layer_widths {widths} has only the output layer")
-    train_ds, test_ds = load_dataset(cfg)
-    tc = build_train_config(cfg, out_width)
+    train_ds, test_ds = load_dataset(cfg, out_width)
+    tc = build_train_config(cfg)
 
     rows, nan = [], float("nan")
     for depth in args.depths:

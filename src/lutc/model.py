@@ -9,11 +9,10 @@ norm + identity with a signed quantizer, and classification is argmax
 over the output codes.
 
 layer_eval, which evaluates all neurons of a layer at once, is the one
-inference path: tabulation enumerates it, and forward_codes and the
-equivalence check chain it through memo_layer_eval, which evaluates each
-distinct source-code tuple once per call on the row chunks whose new
-tuples are no more than their rows; its last step, activate (ReLU and one
-rounding), is the trainer's too.  Its weighted sum is basis.weighted_expand,
+inference path: tabulation enumerates it, and layer_codes chains it a row
+chunk at a time, through memo_layer_eval, for forward_codes and the
+equivalence check; its last step, activate (ReLU and one rounding), is
+the trainer's too.  Its weighted sum is basis.weighted_expand,
 which adds each monomial's weighted value as soon as it is formed, in
 basis order with elementwise multiply-adds, so a code depends on neither
 the batch nor the BLAS kernel.  The kernel keeps only the terms of
@@ -305,8 +304,7 @@ def layer_eval(model: TrainedModel, layer: int, codes: np.ndarray) -> np.ndarray
     """Quantized output codes (n, W) of the layer's neurons.  codes
     (n, W, F) holds each neuron's masked source codes in mask order;
     (n, 1, F) codes are shared by all W neurons: tabulation's addresses,
-    and the source-code tuples memo_layer_eval stores for forward_codes
-    and the equivalence check."""
+    and the source-code tuples memo_layer_eval stores."""
     p = model.params[layer]
     # transposed once per call: in Fortran order, w.T is what weighted_expand reads
     w = np.asfortranarray(p.weights)
@@ -338,13 +336,30 @@ def activate(h: np.ndarray, q: Quantizer, hidden: bool):
 
 
 def forward_chunks(model: TrainedModel, n: int) -> list:
-    """The row chunks of n rows that forward_codes runs through every layer
-    at once, and that the equivalence check draws its stimuli in: sized
-    for the layer whose per-neuron codes keep the most elements alive, so
-    that a chunk that memo_layer_eval sends per neuron stays within
-    CHUNK_ELEMENTS."""
+    """The row chunks of n rows that layer_codes runs through every layer:
+    sized for the layer whose per-neuron codes keep the most elements
+    alive, so that a chunk that memo_layer_eval sends per neuron stays
+    within CHUNK_ELEMENTS."""
     return row_chunks(n, max(row_elements(b, w, w)
                              for w, b in zip(model.spec.layer_widths, model.bases)))
+
+
+def layer_codes(model: TrainedModel, n: int, inputs):
+    """Yield (rows, codes) for each forward_chunks chunk of n rows: codes[0]
+    is inputs(rows), the chunk's input codes, called once per chunk in
+    order, and codes[l + 1] is layer l's codes at codes[l], from
+    memo_layer_eval with a memo for this call.  A call of one chunk has
+    none: no later chunk could reuse a tuple, and on its few rows
+    layer_eval's cost is mostly per call.  codes is emptied before the
+    next chunk, so that no two chunks' codes are alive at once."""
+    chunks = forward_chunks(model, n)
+    memo = [None] * model.spec.n_layers if len(chunks) > 1 else None
+    for rows in chunks:
+        codes = [inputs(rows)]
+        for layer in range(model.spec.n_layers):
+            codes.append(memo_layer_eval(model, memo, layer, codes[-1]))
+        yield rows, codes
+        codes.clear()
 
 
 def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
@@ -353,12 +368,10 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     previous width): layer_eval(model, layer, acts[:, mask])'s codes, with
     each distinct source-code tuple evaluated at most once per call.
 
-    memo is one call's store, one entry per layer: None until the layer's
-    first chunk, False if that chunk went per neuron, else the layer's
-    (2**N, W) int8 or uint8 codes by tuple and a (2**N,) mask of the
-    tuples filled.  A call of one row chunk passes None and goes per
-    neuron: no later chunk reuses its tuples, and on its few rows
-    layer_eval's cost is mostly per call.
+    memo is None, which runs per neuron, or one call's store (layer_codes
+    makes it), one entry per layer: None until the layer's first chunk,
+    False if that chunk went per neuron, else the layer's (2**N, W) int8
+    or uint8 codes by tuple and a (2**N,) mask of the tuples filled.
 
     Each (row, neuron) is keyed by its F source codes, each offset by
     code_min and packed b bits apiece, input 0 lowest.  When a chunk's
@@ -368,10 +381,10 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     goes per neuron and nothing is stored.  So no chunk evaluates more
     codes, or holds more, than the per-neuron path would on it.  A layer
     whose first chunk goes per neuron stays so for the call: jsc-narrow's
-    layer 0 reaches 9 774 tuples on the check's first 936 rows, hdr's
-    hidden layers about 300 on 18 rows.  A layer whose memo would exceed
-    8 * CHUNK_ELEMENTS bytes, and a chunk with a code out of range (which
-    layer_eval rejects), go per neuron.
+    layer 0 reaches 9 774 tuples on the check's first 936 rows, and the
+    trained hdr-train checkpoint's layers 1-4 reach 400-650 on 18 rows.  A
+    layer whose memo would exceed 8 * CHUNK_ELEMENTS bytes, and a chunk
+    with a code out of range (which layer_eval rejects), go per neuron.
 
     The codes are layer_eval's bit for bit.  Its errors are not quite: a
     fill evaluates every neuron at each new tuple, so a neuron that is
@@ -409,26 +422,14 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
 
 
 def forward_codes(model: TrainedModel, codes0: np.ndarray) -> np.ndarray:
-    """Layer-by-layer quantized inference from input codes to output codes.
-    Row chunks go through every layer, so the gathered (rows, W, F) codes
-    stay bounded, and each layer's codes come from memo_layer_eval with a
-    memo that lives for this call, or none for a call of one chunk: a
-    chunk is served from it when its new source-code tuples are no more
-    than its rows, else it runs per neuron.  The codes are layer_eval's;
-    a non-finite pre-activation may be named where layer_eval per neuron
-    would not name it (see memo_layer_eval)."""
+    """Layer-by-layer quantized inference from input codes to output codes:
+    the last layer's codes from layer_codes (see memo_layer_eval)."""
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
-    n = acts.shape[0]
-    out = np.empty((n, model.spec.layer_widths[-1]), dtype=np.int64)
-    chunks = forward_chunks(model, n)
-    memo = [None] * model.spec.n_layers if len(chunks) > 1 else None
-    for rows in chunks:
-        a = acts[rows]
-        for layer in range(model.spec.n_layers):
-            a = memo_layer_eval(model, memo, layer, a)
-        out[rows] = a
+    out = np.empty((acts.shape[0], model.spec.layer_widths[-1]), dtype=np.int64)
+    for rows, codes in layer_codes(model, acts.shape[0], acts.__getitem__):
+        out[rows] = codes[-1]
     return out
 
 
@@ -471,6 +472,11 @@ def validate_model(model: TrainedModel) -> list[str]:
                   f"distinct sources below {prev}" for j in np.flatnonzero(bad)]
         terms = count_monomials(fan, spec.degree)
         stats = [p.bn.gamma, p.bn.beta_shift, p.bn.running_mean, p.bn.running_var]
+        kinds = sorted({str(a.dtype) for a in [p.weights] + stats if a.dtype.kind != "f"})
+        if kinds:
+            v.append(f"layer {layer}: weights and batch-norm statistics must be real floating "
+                     f"arrays, got {', '.join(kinds)}")
+            continue
         if p.weights.shape != (width, terms) or any(a.shape != (width,) for a in stats):
             v.append(f"layer {layer}: weights {p.weights.shape} or batch-norm shapes "
                      f"do not match {width} neurons of {terms} monomials")

@@ -10,10 +10,9 @@ sparsity masks.  Every way of making a Netlist checks the layer chain
 and that each entry fits its layer's output bits.  Simulation is a pure
 integer path (one packed-address gather per layer, no floating point),
 one pipeline stage per layer.  The equivalence check makes the same
-gather per layer at the model's own codes of the layer before, so that a
-table that disagrees with its neuron is named even where later layers
-mask it; the model's codes come from model.memo_layer_eval, which
-evaluates each source-code tuple the check reaches once.
+gather per layer at the model's own codes of the layer before, from
+model.layer_codes, so that a table that disagrees with its neuron is
+named even where later layers mask it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PORT_BITS, TrainedModel, forward_chunks, memo_layer_eval, row_chunks
+from .model import PORT_BITS, TrainedModel, layer_codes, row_chunks
 from .quantize import decode_bits, encode_bits
 from .tables import decode_address, dump_tables, load_tables, pack_address
 
@@ -165,60 +164,48 @@ def equivalence_check(netlist: Netlist, model: TrainedModel) -> EquivalenceRepor
 
     The stimuli are every input vector when input_count * input_bits is
     within EXHAUSTIVE_LIMIT_BITS, else RANDOM_VECTORS seeded random
-    vectors.  They stream through in forward_chunks row chunks.  For each
-    chunk and layer, the model's codes at the previous layer's model codes
-    are compared with the layer's tables looked up at those same codes
-    through the netlist's own sources.  When no layer disagrees, the
-    netlist equals the model on every vector, by induction over the
-    layers.  The report counts the vectors on which any layer disagrees
-    and names every (layer, neuron) that did.
-
-    The model's codes are layer_eval's, through memo_layer_eval with a
-    memo that lives for this call (none when the stimuli are one chunk):
-    a chunk whose new source-code tuples are no more than its vectors has
-    them evaluated once for all neurons and stored, one byte per tuple
-    and neuron, else it is evaluated per neuron.  So no chunk evaluates
-    more codes than per neuron.  On jsc-narrow's 10 000 vectors, layers 1
-    and 2 reach a few hundred tuples and layer 0 stays per neuron.  The
-    memo keys its tuples with its own packing, not pack_address, which
-    the table side uses.  A non-finite pre-activation may be named at a
-    tuple that only another neuron reaches, as tabulation would name it.
+    vectors.  For each model.layer_codes row chunk and layer, the model's
+    codes at the previous layer's model codes are compared with the
+    layer's tables looked up at those same codes through the netlist's
+    own sources.  When no layer disagrees, the netlist equals the model on
+    every vector, by induction over the layers.  The report counts the
+    vectors on which any layer disagrees and names every (layer, neuron)
+    that did.  The memo keys its tuples with its own packing, not
+    pack_address, so a packing fault on either side shows; its errors
+    are model.memo_layer_eval's.
     """
     spec = model.spec
     if netlist.n_layers != spec.n_layers:
         raise ValueError(f"a netlist of {netlist.n_layers} layers for a model of {spec.n_layers}")
-    n_checked = n_mismatches = 0
-    chunks, stimuli = _stimuli(netlist, model)
-    faulty, memo = set(), [None] * spec.n_layers if len(chunks) > 1 else None
-    for stim in stimuli:
-        codes, vals, bits = decode_bits(stim, model.input_quantizer), stim, netlist.input_bits
-        bad = np.zeros(len(stim), dtype=bool)
+    count, draw = _stimuli(netlist, model)
+    bits = [netlist.input_bits] + [lut.output_bits for lut in netlist.layers]
+    n_mismatches, faulty = 0, set()
+    for _, codes in layer_codes(model, count,
+                                lambda rows: decode_bits(draw(rows), model.input_quantizer)):
+        bad = np.zeros(len(codes[0]), dtype=bool)
         for layer, lut in enumerate(netlist.layers):
-            codes = memo_layer_eval(model, memo, layer, codes)
-            want = encode_bits(codes, model.layer_quantizer(layer))
-            diff = _lookup(lut, vals, bits) != want
+            vals = encode_bits(codes[layer], model.source_quantizer(layer))
+            want = encode_bits(codes[layer + 1], model.layer_quantizer(layer))
+            diff = _lookup(lut, vals, bits[layer]) != want
             bad |= diff.any(axis=1)
             faulty.update((layer, int(j)) for j in np.flatnonzero(diff.any(axis=0)))
-            vals, bits = want, lut.output_bits
-        n_checked, n_mismatches = n_checked + len(stim), n_mismatches + int(bad.sum())
-    return EquivalenceReport(n_checked=n_checked, n_mismatches=n_mismatches,
+        n_mismatches += int(bad.sum())
+    return EquivalenceReport(n_checked=count, n_mismatches=n_mismatches,
                              faulty_nodes=sorted(faulty))
 
 
 def _stimuli(netlist: Netlist, model: TrainedModel):
-    """The forward_chunks row chunks of equivalence_check's input patterns,
-    and an iterator of each chunk's patterns: every input vector when the
-    input space is within EXHAUSTIVE_LIMIT_BITS bits, else RANDOM_VECTORS
-    seeded random vectors, drawn one chunk at a time."""
+    """equivalence_check's pattern count and draw(rows), the patterns of
+    the slice rows, called on consecutive slices: every input vector when
+    the input space is within EXHAUSTIVE_LIMIT_BITS bits, else
+    RANDOM_VECTORS seeded random vectors, drawn as asked."""
     bits, count = netlist.input_bits, model.spec.input_count
     if count * bits <= EXHAUSTIVE_LIMIT_BITS:
-        chunks = forward_chunks(model, 1 << (count * bits))
-        return chunks, (decode_address(np.arange(rows.start, rows.stop, dtype=np.int64),
-                                       bits, count) for rows in chunks)
+        return 1 << (count * bits), lambda rows: decode_address(
+            np.arange(rows.start, rows.stop, dtype=np.int64), bits, count)
     rng = np.random.default_rng(np.random.PCG64(0))
-    chunks = forward_chunks(model, RANDOM_VECTORS)
-    return chunks, (rng.integers(0, 1 << bits, size=(rows.stop - rows.start, count))
-                    for rows in chunks)
+    return RANDOM_VECTORS, lambda rows: rng.integers(
+        0, 1 << bits, size=(rows.stop - rows.start, count))
 
 
 # ---------------------------------------------------------------------------

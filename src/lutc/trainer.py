@@ -73,7 +73,6 @@ class TrainConfig:
     restart_period: int = 50
     restart_mult: int = 2
     seed: int = 0
-    loss_kind: str = "softmax"  # "softmax" | "bce"
 
     def __post_init__(self):
         for key in ("epochs", "batch_size", "restart_period", "restart_mult", "seed"):
@@ -88,8 +87,6 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.restart_period < 1 or self.restart_mult < 1:
             raise ValueError("restart_period and restart_mult must be >= 1")
-        if self.loss_kind not in ("softmax", "bce"):
-            raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
 
 
 def sgdr_lr(step: int, config: TrainConfig) -> float:
@@ -288,10 +285,19 @@ def bce_logit(logits: np.ndarray, labels: np.ndarray):
     return loss, ((sig - y) / z.shape[0])[:, None]
 
 
-def compute_loss(logits, labels, loss_kind: str):
-    if loss_kind == "bce":
+def compute_loss(logits, labels):
+    """Binary cross-entropy on one output column, softmax over several."""
+    if logits.shape[1] == 1:
         return bce_logit(logits, labels)
     return softmax_ce(logits, labels)
+
+
+def check_classes(width: int, *datasets) -> None:
+    """Raise ValueError if a dataset (or None) has more classes than width
+    outputs hold: 2 on one output, by its sign, else width, by argmax."""
+    most, held = max(ds.n_classes for ds in datasets if ds is not None), max(2, width)
+    if most > held:
+        raise ValueError(f"{most} classes, but an output layer of width {width} holds {held}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +364,10 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig):
     """Train a copy of the model; returns (trained_model, history).
 
     history holds one dict per epoch: epoch, lr, train_loss,
-    test_accuracy.  Deterministic given (model, data, config).
+    test_accuracy.  Deterministic given (model, data, config).  Raises
+    ValueError on more classes than the outputs hold (check_classes).
     """
+    check_classes(model.spec.layer_widths[-1], train_ds, test_ds)
     # a copy of the model whose weights and batch-norm gammas and shifts are
     # views of theta; theta holds the scales too, which quant_scale mirrors
     theta = np.concatenate([np.ravel(value) for _, value in _trained(model)])
@@ -390,7 +398,7 @@ def train(model: TrainedModel, train_ds, test_ds, config: TrainConfig):
             idx = order[start : start + config.batch_size]
             logits, caches = forward_layers(model, a0[idx], quant_bypass=False,
                                             context=f"at epoch {epoch}")
-            loss, dlogits = compute_loss(logits, labels[idx], config.loss_kind)
+            loss, dlogits = compute_loss(logits, labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             backward(model, caches, dlogits, out=grads)

@@ -152,7 +152,7 @@ def test_criterion_4_gradient_checks():
 
     def loss_of(m):
         logits, caches = forward(m, x, quant_bypass=True)
-        loss, d = compute_loss(logits, y, "softmax")
+        loss, d = compute_loss(logits, y)
         return loss, caches, d
 
     loss, caches, dlogits = loss_of(model)
@@ -186,7 +186,7 @@ def test_criterion_4_gradient_checks():
     def scale_loss(s):
         m1.params[0].quant_scale = s
         logits, caches = forward(m1, x1)
-        loss, d = compute_loss(logits, y1, "softmax")
+        loss, d = compute_loss(logits, y1)
         return loss, caches, d
 
     base_s = 0.37

@@ -165,6 +165,29 @@ def test_train_data_errors_exit_2(tmp_path, capsys, cells, fraction, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("widths", [[8, 1], [8, 2]])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_more_classes_than_the_outputs_hold_exit_2_before_training(
+        tmp_path, capsys, monkeypatch, command, widths):
+    # 3 classes used to end in an IndexError traceback on 2 outputs (exit 1),
+    # and to train labels 0, 1 and 2 as binary targets on 1 output (exit 0)
+    def no_training(*args, **kwargs):
+        raise AssertionError("the command trained")
+
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    rows = "".join(f"{i / 10},{(i * 7 % 10) / 10},{i % 3}\n" for i in range(12))
+    (tmp_path / "d.csv").write_text("f0,f1,y\n" + rows, encoding="utf-8")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral", "spec": {"layer_widths": widths},
+                                "dataset": {"kind": "csv", "path": str(tmp_path / "d.csv"),
+                                            "label_column": "y"}}), encoding="utf-8")
+    grid = ["--depths", "2", "--degrees", "1"] if command == "sweep" else []
+    assert run([command, "--config", path, "--out", tmp_path / "o"] + grid) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset: 3 classes, but an output layer of width {widths[-1]} holds 2"), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("test_key", ["test_images", "test_labels"])
 def test_idx_test_split_needs_both_files(tmp_path, capsys, test_key):
     # test_images alone used to end in a KeyError traceback (exit 1), and
@@ -440,12 +463,19 @@ SCALARS = ("version", "scale_1", "bn_eps_0", "input_scale", "clock_period_ns")
     *[(replace_array(name, lambda a: np.array([1.0, 2.0])), f"{name} is float64 (2,)")
       for name in SCALARS],
     (replace_array("bn_1", lambda a: a[:3]), "layer 1: bn_1 is float64 (3, 2)"),
-], ids=["directory", "empty", "cut-to-300-bytes", *[f"{name}-of-two" for name in SCALARS], "bn-of-3-rows"])
+    (replace_array("w_0", lambda a: a.astype(str)),
+     "layer 0: weights and batch-norm statistics must be real floating arrays, got <U"),
+    (replace_array("bn_1", lambda a: a + 1j),
+     "layer 1: weights and batch-norm statistics must be real floating arrays, got complex128"),
+], ids=["directory", "empty", "cut-to-300-bytes", *[f"{name}-of-two" for name in SCALARS],
+        "bn-of-3-rows", "string-weights", "complex-bn"])
 def test_compile_rejects_an_unreadable_checkpoint(pipeline_dirs, tmp_path, capsys,
                                                   write, where):
     """A directory, an empty or cut file, a scalar saved as a length-2
-    array and a batch-norm array of 3 rows exit 2, naming the file, the
-    array or the layer."""
+    array, a batch-norm array of 3 rows, string weights and complex
+    batch-norm statistics exit 2, naming the file, the array or the
+    layer (string weights used to end in a TypeError traceback, complex
+    statistics to compile without their imaginary part)."""
     ck = tmp_path / "bad.npz"
     write(pipeline_dirs / "run" / "checkpoint.npz", ck)
     code = run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"])

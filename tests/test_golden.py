@@ -169,7 +169,7 @@ def training_runs(tmp_path):
     (tmp_path / "wide").mkdir()
     got.update({"wide/" + k: v for k, v in training_digests(
         init_model(spec), tr6, te6,
-        TrainConfig(epochs=2, batch_size=12, weight_decay=1e-2, loss_kind="bce", seed=5),
+        TrainConfig(epochs=2, batch_size=12, weight_decay=1e-2, seed=5),
         tmp_path / "wide").items()})
     return got
 

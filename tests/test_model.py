@@ -302,6 +302,30 @@ def test_forward_codes_memory_is_flat_in_rows():
     assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
+def test_layer_codes_draws_each_chunk_once_in_order(monkeypatch):
+    """30 spiral rows in 7-row chunks: layer_codes asks for each chunk's
+    inputs once, in order, yields each layer's codes at the layer before,
+    and empties a chunk's codes before it makes the next chunk's."""
+    model = init_model(spec_from_profile("spiral", seed=1))
+    monkeypatch.setattr(model_mod, "CHUNK_ELEMENTS", 7 * max(
+        row_elements(b, w, w) for w, b in zip(model.spec.layer_widths, model.bases)))
+    codes0 = np.random.default_rng(0).integers(-8, 8, size=(30, 2))
+    asked, seen = [], []
+
+    def inputs(rows):
+        asked.append(rows)
+        return codes0[rows]
+
+    for rows, codes in model_mod.layer_codes(model, 30, inputs):
+        assert asked[-1] == rows and all(not c for c in seen)
+        for layer, mask in enumerate(model.masks):
+            want = layer_eval(model, layer, codes[layer][:, mask])
+            assert np.array_equal(codes[layer + 1], want)
+        seen.append(codes)
+    assert asked == model_mod.forward_chunks(model, 30) and len(asked) == 5
+    assert all(not c for c in seen)
+
+
 def test_forward_codes_runs_a_call_of_one_chunk_per_neuron(monkeypatch):
     """200 copies of one spiral row are one row chunk: no later chunk could
     reuse a tuple, so every layer evaluates its 200 x W codes per neuron."""

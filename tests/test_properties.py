@@ -136,7 +136,9 @@ def per_neuron_equivalence(netlist, model):
     time."""
     n_checked = n_mismatches = 0
     faulty = set()
-    for stim in netlist_mod._stimuli(netlist, model)[1]:
+    count, draw = netlist_mod._stimuli(netlist, model)
+    for rows in forward_chunks(model, count):
+        stim = draw(rows)
         codes, vals, bits = decode_bits(stim, model.input_quantizer), stim, netlist.input_bits
         bad = np.zeros(len(stim), dtype=bool)
         for layer, (lut, mask) in enumerate(zip(netlist.layers, model.masks)):
@@ -221,7 +223,8 @@ def test_memoised_equivalence_equals_a_per_neuron_reference(model, n, chunk, dat
     path serves the layer."""
     net = build_netlist(model, tabulate_model(model))
     with patched(netlist_mod, RANDOM_VECTORS=n, EXHAUSTIVE_LIMIT_BITS=0), chunk_rows(model, chunk):
-        vals, bits = next(netlist_mod._stimuli(net, model)[1])[:1], net.input_bits
+        count, draw = netlist_mod._stimuli(net, model)
+        vals, bits = draw(forward_chunks(model, count)[0])[:1], net.input_bits
         codes = decode_bits(vals, model.input_quantizer)
         for layer, (lut, mask) in enumerate(zip(net.layers, model.masks)):
             for _ in range(data.draw(st.integers(0, 3), label=f"layer {layer} edits")):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lutc.data import gen_spirals, split_normalize
+from lutc.data import Dataset, gen_spirals, split_normalize
 from lutc.basis import count_monomials, expand
 from lutc.model import NetworkSpec, forward_codes, init_model
 from lutc.quantize import bn_identity, quantize
@@ -16,6 +16,7 @@ from lutc.trainer import (
     adamw_step,
     backward,
     bce_logit,
+    compute_loss,
     forward,
     sgdr_lr,
     softmax_ce,
@@ -329,6 +330,37 @@ def test_train_does_not_mutate_input_model():
         assert np.array_equal(b, p.weights)
 
 
+def test_default_config_trains_a_one_output_net():
+    """The loss follows the output width: one column takes binary
+    cross-entropy under the default config (it used to take softmax and
+    fail at the first batch), several take softmax."""
+    z, y = np.array([[0.3], [-1.2], [2.0]]), np.array([1, 0, 0])
+    assert compute_loss(z, y)[0] == bce_logit(z, y)[0]
+    z2 = np.column_stack([z[:, 0], -z[:, 0]])
+    assert compute_loss(z2, y)[0] == softmax_ce(z2, y)[0]
+    model, tr, te = spiral_problem(widths=(8, 1))
+    _, history = train(model, tr, te, TrainConfig(epochs=3, batch_size=64))
+    assert len(history) == 3
+    assert all(np.isfinite(h["train_loss"]) for h in history)
+    assert 0.0 <= history[-1]["test_accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("widths, classes, fits", [
+    ((8, 1), 2, True), ((8, 1), 3, False), ((8, 2), 3, False), ((8, 3), 3, True),
+    ((8, 3), 4, False),
+])
+def test_train_rejects_more_classes_than_the_outputs_hold(widths, classes, fits):
+    """One output holds 2 classes, by its sign; W > 1 outputs hold W."""
+    model, tr, te = spiral_problem(n=20, widths=widths)
+    wide = Dataset(te.features, te.labels, classes)
+    if fits:
+        train(model, tr, wide, TrainConfig(epochs=1))
+    else:
+        with pytest.raises(ValueError, match=f"{classes} classes, but an output layer of "
+                                             f"width {widths[-1]} holds {max(2, widths[-1])}"):
+            train(model, tr, wide, TrainConfig(epochs=1))
+
+
 def test_d1_linear_reference_bitwise_short(linear_reference):
     # quick version of the strict-generalization check (5 epochs)
     ds = gen_spirals(60, noise_sd=0.05, turns=1.5, seed=1)
@@ -350,8 +382,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(base_lr=0.1, min_lr=0.2)
-    with pytest.raises(ValueError):
-        TrainConfig(loss_kind="hinge")
 
 
 def test_training_diverged_carries_epoch():
