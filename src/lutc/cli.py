@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
+import typing
 
 from . import data as data_mod
 from .model import (
@@ -38,10 +40,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 
-SPIRAL_DATASET = dict(kind="spirals", n_per_class=500, noise_sd=0.08,
-                      turns=1.75, seed=1, train_fraction=0.8)
-
-
 class ConfigError(Exception):
     pass
 
@@ -56,39 +54,32 @@ def _load_json(path) -> dict:
 
 def resolve_config(args) -> dict:
     """Merge profile defaults, config file, and CLI overrides."""
-    cfg: dict = {"spec": {}, "dataset": None, "train": {}}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = _load_json(args.config)
-    elif getattr(args, "profile", None):
+    elif args.profile:
         file_cfg = {"profile": args.profile}
     else:
         raise ConfigError("one of --config or --profile is required")
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"config {args.config}: not a JSON object")
+    unknown = sorted(set(file_cfg) - {"profile", "spec", "dataset", "train"})
+    if unknown:
+        raise ConfigError(f"config: unknown keys {unknown}; a config holds "
+                          "profile, spec, dataset and train")
     for key in ("spec", "dataset", "train"):
         if key in file_cfg and not isinstance(file_cfg[key], dict):
             raise ConfigError(f"config: {key} is not a JSON object")
     profile = file_cfg.get("profile")
-    if profile is not None:
-        if not isinstance(profile, str) or profile not in PROFILES:
-            raise ConfigError(f"config: unknown profile {profile!r}; "
-                              f"available: {sorted(PROFILES)}")
-        cfg["spec"].update(PROFILES[profile])
-        if profile == "spiral":
-            cfg["dataset"] = dict(SPIRAL_DATASET)
-    cfg["spec"].update(file_cfg.get("spec", {}))
-    if "dataset" in file_cfg:
-        cfg["dataset"] = file_cfg["dataset"]
-    cfg["train"].update(file_cfg.get("train", {}))
-
-    if getattr(args, "degree", None) is not None:
-        cfg["spec"]["degree"] = args.degree
-    if getattr(args, "layers", None):
-        cfg["spec"]["layer_widths"] = args.layers
-    if getattr(args, "clock_ns", None) is not None:
-        cfg["spec"]["clock_period_ns"] = args.clock_ns
-    if getattr(args, "seed", None) is not None:
-        cfg["spec"]["seed"] = args.seed
+    if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
+        raise ConfigError(f"config: unknown profile {profile!r}; available: {sorted(PROFILES)}")
+    cfg = {"spec": {**PROFILES.get(profile, {}), **file_cfg.get("spec", {})},
+           "dataset": file_cfg.get("dataset",
+                                   dict(SPIRAL_DATASET) if profile == "spiral" else None),
+           "train": dict(file_cfg.get("train", {}))}
+    overrides = dict(degree=args.degree, layer_widths=args.layers,
+                     clock_period_ns=args.clock_ns, seed=args.seed)
+    cfg["spec"].update((k, v) for k, v in overrides.items() if v is not None)
+    if args.seed is not None:
         cfg["train"]["seed"] = args.seed
     return cfg
 
@@ -99,114 +90,123 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()[:16]
 
 
-def build_spec(cfg: dict) -> NetworkSpec:
-    fields = {k: v for k, v in cfg["spec"].items()
-              if k in NetworkSpec.__dataclass_fields__}
+def _build(section: str, make, kwargs: dict):
+    """make(**kwargs), the object a config section builds; a key make does
+    not take, a required key that is absent or a value it rejects is a
+    configuration error naming the section."""
     try:
-        return NetworkSpec(**fields)
+        return make(**kwargs)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"spec: {e}") from None
+        raise ConfigError(f"{section}: {e}") from None
 
 
-def load_dataset(cfg: dict, output_width: int):
-    """The (train, test) datasets the config names.  A malformed file, a
-    bad split, a split with an empty side or more classes than
-    output_width outputs hold is a configuration error."""
+def load_dataset(cfg: dict, spec: NetworkSpec):
+    """The (train, test) datasets the config names, checked against spec.
+    A malformed file, a bad split, a split with an empty side, more
+    classes than the output layer holds or a feature count other than
+    spec.input_count is a configuration error."""
     try:
-        train_ds, test_ds = _load_dataset(cfg)
-        check_classes(output_width, train_ds, test_ds)
+        train_ds, test_ds = _read_dataset(cfg["dataset"])
+        check_classes(spec.layer_widths[-1], train_ds, test_ds)
     except (OSError, ValueError) as e:  # DataFormatError is a ValueError
         raise ConfigError(f"dataset: {e}") from None
     if train_ds.n == 0 or test_ds.n == 0:
         raise ConfigError(f"dataset: the split has {train_ds.n} training and {test_ds.n} "
                           f"test rows; both need at least one")
+    if {train_ds.d, test_ds.d} != {spec.input_count}:
+        raise ConfigError(f"dataset: the training rows have {train_ds.d} features and the "
+                          f"test rows {test_ds.d}, but spec.input_count is {spec.input_count}")
     return train_ds, test_ds
 
 
-def _load_dataset(cfg: dict):
-    ds_cfg = cfg.get("dataset")
-    if not ds_cfg:
-        raise ConfigError("dataset: missing configuration "
-                          "(only the spiral profile bundles data)")
-
-    def get(key, kind, default=None):
-        """ds_cfg[key], or default, as kind; a value that kind does not
-        take (a list for a number, anything but a string for str) is a
-        configuration error naming the key."""
-        value = ds_cfg.get(key, default)
-        try:
-            if kind is str and not isinstance(value, str):
-                raise TypeError
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"dataset: {key} must be {kind.__name__}, got {value!r}") from None
-
-    kind = ds_cfg.get("kind")
-    if kind == "spirals":
-        ds = data_mod.gen_spirals(
-            n_per_class=get("n_per_class", int, 500),
-            noise_sd=get("noise_sd", float, 0.08),
-            turns=get("turns", float, 1.75),
-            seed=get("seed", int, 1),
-        )
-        return data_mod.split_normalize(ds, get("train_fraction", float, 0.8),
-                                        seed=get("seed", int, 1))
-    if kind == "csv":
-        if "path" not in ds_cfg or "label_column" not in ds_cfg:
-            raise ConfigError("dataset.csv: 'path' and 'label_column' are required")
-        path, columns = get("path", str), ds_cfg.get("feature_columns")
-        if not os.path.exists(path):
-            raise ConfigError(f"dataset path not found: {path}")
-        if columns is not None and not (isinstance(columns, list)
-                                        and all(isinstance(c, str) for c in columns)):
-            raise ConfigError(f"dataset: feature_columns must be a list of str, got {columns!r}")
-        ds = data_mod.load_csv(path, get("label_column", str), columns)
-        return data_mod.split_normalize(ds, get("train_fraction", float, 0.8),
-                                        seed=get("seed", int, 0))
-    if kind == "idx":
-        for key in ("images", "labels"):
-            if key not in ds_cfg:
-                raise ConfigError(f"dataset.idx: '{key}' is required")
-            if not os.path.exists(get(key, str)):
-                raise ConfigError(f"dataset path not found: {ds_cfg[key]}")
-        if ("test_images" in ds_cfg) != ("test_labels" in ds_cfg):
-            raise ConfigError("dataset.idx: 'test_images' and 'test_labels' go together")
-        train_ds = data_mod.load_idx(ds_cfg["images"], ds_cfg["labels"])
-        if "test_images" in ds_cfg:
-            test_ds = data_mod.load_idx(get("test_images", str), get("test_labels", str))
-            return train_ds, test_ds
-        return data_mod.split_normalize(train_ds, get("train_fraction", float, 0.85),
-                                        seed=get("seed", int, 0))
-    raise ConfigError(f"dataset: unknown kind {kind!r}")
+# One function per dataset kind: its keyword arguments are the keys that
+# kind's config section takes, with their defaults.
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
+def _spirals(*, n_per_class: int = 500, noise_sd: float = 0.08, turns: float = 1.75,
+             seed: int = 1, train_fraction: float = 0.8):
+    ds = data_mod.gen_spirals(n_per_class, noise_sd, turns, seed)
+    return data_mod.split_normalize(ds, train_fraction, seed=seed)
+
+
+def _csv(*, path: str, label_column: str, feature_columns: list | None = None,
+         train_fraction: float = 0.8, seed: int = 0):
+    if feature_columns is not None and not all(isinstance(c, str) for c in feature_columns):
+        raise ConfigError(f"dataset: feature_columns must be a list of str, "
+                          f"got {feature_columns!r}")
+    ds = data_mod.load_csv(path, label_column, feature_columns)
+    return data_mod.split_normalize(ds, train_fraction, seed=seed)
+
+
+def _idx(*, images: str, labels: str, test_images: str | None = None,
+         test_labels: str | None = None, train_fraction: float = 0.85, seed: int = 0):
+    if (test_images is None) != (test_labels is None):
+        raise ConfigError("dataset.idx: 'test_images' and 'test_labels' go together")
+    train_ds = data_mod.load_idx(images, labels)
+    if test_images is None:
+        return data_mod.split_normalize(train_ds, train_fraction, seed=seed)
+    return train_ds, data_mod.load_idx(test_images, test_labels)
+
+
+DATASET_KINDS = {"spirals": _spirals, "csv": _csv, "idx": _idx}
+SPIRAL_DATASET = dict(kind="spirals", **_spirals.__kwdefaults__)
+
+
+def _read_dataset(ds_cfg):
+    """The kind function's (train, test) at the other keys of ds_cfg.  A
+    key it does not take, a required key that is absent, or a value that
+    is not of the key's JSON type (an int key takes integers only, a
+    float key integers and reals) is a configuration error naming it."""
+    args = dict(ds_cfg or {})
+    kind = args.pop("kind", None)
+    if not (isinstance(kind, str) and kind in DATASET_KINDS):
+        raise ConfigError(f"dataset: kind {kind!r} is not one of {sorted(DATASET_KINDS)} "
+                          "(only the spiral profile has a default dataset)")
+    make = DATASET_KINDS[kind]
     try:
-        return TrainConfig(**(cfg.get("train") or {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"train: {e}") from None
+        inspect.signature(make).bind(**args)
+    except TypeError as e:
+        raise ConfigError(f"dataset.{kind}: {e}") from None
+    hints = typing.get_type_hints(make)
+    for key, value in args.items():
+        takes = typing.get_args(hints[key]) or (hints[key],)  # str | None: (str, NoneType)
+        if float in takes:
+            takes += (int,)
+        if isinstance(value, bool) or not isinstance(value, takes):
+            raise ConfigError(f"dataset: {key} must be {takes[0].__name__}, got {value!r}")
+    return make(**args)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args):
+    """The resolved config, its spec and TrainConfig, and the (train, test)
+    datasets checked against the spec: what train and sweep start from."""
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
-    train_ds, test_ds = load_dataset(cfg, spec.layer_widths[-1])
-    if train_ds.d != spec.input_count:
-        raise ConfigError(
-            f"dataset has {train_ds.d} features but spec.input_count is {spec.input_count}"
-        )
-    tc = build_train_config(cfg)
+    spec = _build("spec", NetworkSpec, cfg["spec"])
+    tc = _build("train", TrainConfig, cfg["train"])
+    return cfg, spec, tc, *load_dataset(cfg, spec)
 
-    model = init_model(spec)
+
+def _train_or_none(spec, train_ds, test_ds, tc, label: str):
+    """train's (model, history) from init_model(spec), or None after
+    printing label and the error when training diverges or meets a
+    non-finite activation."""
     try:
-        trained, history = train(model, train_ds, test_ds, tc)
+        return train(init_model(spec), train_ds, test_ds, tc)
     except (TrainingDiverged, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"{label}: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_train(args) -> int:
+    cfg, spec, tc, train_ds, test_ds = _training_inputs(args)
+    result = _train_or_none(spec, train_ds, test_ds, tc, "error")
+    if result is None:
         return EXIT_VERIFY
+    trained, history = result
 
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(trained, os.path.join(args.out, "checkpoint.npz"))
@@ -270,38 +270,34 @@ def cmd_emit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    base_spec = build_spec(cfg)
+    cfg, base_spec, tc, train_ds, test_ds = _training_inputs(args)
     widths = list(base_spec.layer_widths)
     hidden, out_width = widths[:-1], widths[-1]
     if not hidden and max(args.depths) > 1:
         raise ConfigError(f"sweep: depth {max(args.depths)} repeats the last hidden width, "
                           f"but layer_widths {widths} has only the output layer")
-    train_ds, test_ds = load_dataset(cfg, out_width)
-    tc = build_train_config(cfg)
-
-    rows, nan = [], float("nan")
+    cells = []  # every cell's spec is built, and so checked, before the first cell trains
     for depth in args.depths:
         layer_widths = (hidden + hidden[-1:] * depth)[: depth - 1] + [out_width]
-        for degree in args.degrees:
-            spec = build_spec({"spec": dict(cfg["spec"], layer_widths=layer_widths,
-                                            degree=degree)})
-            row = dict(depth=depth, degree=degree, status="failed", train_loss=nan,
-                       test_accuracy=nan, test_error=nan,
-                       est_luts=sum(layer_luts(w, spec.beta, spec.table_address_bits(l),
-                                               args.target_k)
-                                    for l, w in enumerate(spec.layer_widths)),
-                       latency_ns=spec.n_layers * spec.clock_period_ns)
-            try:
-                _, history = train(init_model(spec), train_ds, test_ds, tc)
-            except (TrainingDiverged, FloatingPointError) as e:
-                print(f"depth={depth} degree={degree}: {e}", file=sys.stderr)
-            else:
-                final = history[-1]
-                row.update(status="ok", train_loss=final["train_loss"],
-                           test_accuracy=final["test_accuracy"],
-                           test_error=1.0 - final["test_accuracy"])
-            rows.append(row)
+        cells += [(depth, degree, _build("spec", NetworkSpec, dict(
+                      cfg["spec"], degree=degree, layer_widths=layer_widths)))
+                  for degree in args.degrees]
+
+    rows, nan = [], float("nan")
+    for depth, degree, spec in cells:
+        row = dict(depth=depth, degree=degree, status="failed", train_loss=nan,
+                   test_accuracy=nan, test_error=nan,
+                   est_luts=sum(layer_luts(w, spec.beta, spec.table_address_bits(l),
+                                           args.target_k)
+                                for l, w in enumerate(spec.layer_widths)),
+                   latency_ns=spec.n_layers * spec.clock_period_ns)
+        result = _train_or_none(spec, train_ds, test_ds, tc, f"depth={depth} degree={degree}")
+        if result is not None:
+            final = result[1][-1]
+            row.update(status="ok", train_loss=final["train_loss"],
+                       test_accuracy=final["test_accuracy"],
+                       test_error=1.0 - final["test_accuracy"])
+        rows.append(row)
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "results.csv"), "w", encoding="utf-8") as f:

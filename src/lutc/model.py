@@ -29,7 +29,7 @@ import numpy as np
 
 # expand is not called here, but lutc.model.expand stays bound: perfbench's
 # tracer test wraps and restores it through this module
-from .basis import MonomialBasis, count_monomials, enumerate_basis, expand, weighted_expand  # noqa: F401
+from .basis import MAX_TERMS, MonomialBasis, count_monomials, enumerate_basis, expand, weighted_expand  # noqa: F401
 from .quantize import (
     BatchNormParams,
     Quantizer,
@@ -85,10 +85,10 @@ class NetworkSpec:
     clock_period_ns: float = 1.6
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         violations = validate_spec(self)
         if violations:
             raise ValueError("invalid NetworkSpec: " + "; ".join(violations))
+        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
 
     @property
     def n_layers(self) -> int:
@@ -113,9 +113,17 @@ class NetworkSpec:
 
 
 def validate_spec(spec) -> list[str]:
-    """Return every violated invariant (empty list means the spec is valid)."""
-    v: list[str] = []
+    """Return every violated invariant (empty list means the spec is valid).
+    A field other than clock_period_ns that is not an integer (a bool or a
+    float included) is reported alone, before any invariant is checked."""
     widths = tuple(spec.layer_widths)
+    ints = [(k, getattr(spec, k)) for k in ("beta", "fan_in", "degree", "input_count",
+                                            "input_beta", "input_fan_in", "seed")]
+    ints += [(f"layer_widths[{i}]", w) for i, w in enumerate(widths)]
+    v = [f"{k} must be an integer, got {x!r}" for k, x in ints
+         if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer)))]
+    if v:
+        return v
     if len(widths) < 1:
         v.append("at least one layer required")
     if any(w < 1 for w in widths):
@@ -154,6 +162,13 @@ def validate_spec(spec) -> list[str]:
                     f"layer {layer}: enumeration guard violated "
                     f"({bits} address bits > cap {ENUM_GUARD_BITS})"
                 )
+            try:
+                too_many = count_monomials(fan, spec.degree) > MAX_TERMS
+            except OverflowError:
+                too_many = True
+            if too_many:
+                v.append(f"layer {layer}: a degree-{spec.degree} basis in {fan} inputs has "
+                         f"more than the cap of {MAX_TERMS} monomials")
     return v
 
 
@@ -351,7 +366,9 @@ def layer_codes(model: TrainedModel, n: int, inputs):
     memo_layer_eval with a memo for this call.  A call of one chunk has
     none: no later chunk could reuse a tuple, and on its few rows
     layer_eval's cost is mostly per call.  codes is emptied before the
-    next chunk, so that no two chunks' codes are alive at once."""
+    next chunk, so that no two chunks' codes are alive at once.  The
+    input codes must lie in the input quantizer's range; nothing here
+    checks them."""
     chunks = forward_chunks(model, n)
     memo = [None] * model.spec.n_layers if len(chunks) > 1 else None
     for rows in chunks:
@@ -383,8 +400,11 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     whose first chunk goes per neuron stays so for the call: jsc-narrow's
     layer 0 reaches 9 774 tuples on the check's first 936 rows, and the
     trained hdr-train checkpoint's layers 1-4 reach 400-650 on 18 rows.  A
-    layer whose memo would exceed 8 * CHUNK_ELEMENTS bytes, and a chunk
-    with a code out of range (which layer_eval rejects), go per neuron.
+    layer whose memo would exceed 8 * CHUNK_ELEMENTS bytes goes per neuron
+    too.  Those are all the rules.  acts must lie in the source
+    quantizer's range, or a key would address another tuple: layer_codes'
+    callers see to it (forward_codes checks its inputs, hidden codes come
+    from the quantizer, and the equivalence check decodes bit patterns).
 
     The codes are layer_eval's bit for bit.  Its errors are not quite: a
     fill evaluates every neuron at each new tuple, so a neuron that is
@@ -396,8 +416,7 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
     qin = model.source_quantizer(layer)
     size = 1 << (qin.bits * fan)
     entry = False if memo is None else memo[layer]
-    if (entry is False or width * size > 8 * CHUNK_ELEMENTS or not acts.size
-            or acts.min() < qin.code_min or acts.max() > qin.code_max):
+    if entry is False or width * size > 8 * CHUNK_ELEMENTS:
         return layer_eval(model, layer, acts[:, mask])
     keys = acts[:, mask[:, 0]] - qin.code_min
     for j in range(1, fan):
@@ -423,10 +442,16 @@ def memo_layer_eval(model: TrainedModel, memo: list | None, layer: int,
 
 def forward_codes(model: TrainedModel, codes0: np.ndarray) -> np.ndarray:
     """Layer-by-layer quantized inference from input codes to output codes:
-    the last layer's codes from layer_codes (see memo_layer_eval)."""
+    the last layer's codes from layer_codes (see memo_layer_eval).  Input
+    codes that layer 0 reads are checked once per call, a column's
+    extremes at a time; a code outside the input quantizer's range raises
+    ValueError."""
     acts = np.asarray(codes0, dtype=np.int64)
     if acts.ndim != 2 or acts.shape[1] != model.spec.input_count:
         raise ValueError(f"expected (n, {model.spec.input_count}) input codes")
+    if len(acts):  # dequantize raises on a code outside the input range
+        dequantize(np.stack([acts.min(axis=0), acts.max(axis=0)])[:, model.masks[0]],
+                   model.input_quantizer)
     out = np.empty((acts.shape[0], model.spec.layer_widths[-1]), dtype=np.int64)
     for rows, codes in layer_codes(model, acts.shape[0], acts.__getitem__):
         out[rows] = codes[-1]

@@ -172,7 +172,9 @@ def equivalence_check(netlist: Netlist, model: TrainedModel) -> EquivalenceRepor
     vectors on which any layer disagrees and names every (layer, neuron)
     that did.  The memo keys its tuples with its own packing, not
     pack_address, so a packing fault on either side shows; its errors
-    are model.memo_layer_eval's.
+    are model.memo_layer_eval's.  The memo's rules are listed there; it
+    checks no code ranges, and needs none here: the stimuli are decoded
+    bit patterns, in the input range by construction.
     """
     spec = model.spec
     if netlist.n_layers != spec.n_layers:

@@ -205,6 +205,91 @@ def test_idx_test_split_needs_both_files(tmp_path, capsys, test_key):
     assert not (tmp_path / "o").exists()
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("the command trained")
+
+
+SPIRALS = {"kind": "spirals", "n_per_class": 20}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"spec": {"layer_widht": [4, 2]}}, "error: spec: NetworkSpec.__init__() got an "
+                                        "unexpected keyword argument 'layer_widht'"),
+    ({"spec": {"layer_widths": [4.7, 2]}},
+     "error: spec: invalid NetworkSpec: layer_widths[0] must be an integer, got 4.7"),
+    ({"spec": {"seed": True}}, "error: spec: invalid NetworkSpec: seed must be an integer, "
+                               "got True"),
+    ({"dataset": {"kind": "spirals", "n_per_clas": 10}},
+     "error: dataset.spirals: got an unexpected keyword argument 'n_per_clas'"),
+    ({"datset": SPIRALS}, "error: config: unknown keys ['datset']"),
+    ({"dataset": dict(SPIRALS, n_per_class=20.7)},
+     "error: dataset: n_per_class must be int, got 20.7"),
+    ({"dataset": dict(SPIRALS, seed=True)}, "error: dataset: seed must be int, got True"),
+    ({"dataset": dict(SPIRALS, noise_sd="0.1")},
+     "error: dataset: noise_sd must be float, got '0.1'"),
+    ({"dataset": {"kind": "csv", "path": "d.csv"}},
+     "error: dataset.csv: missing a required argument: 'label_column'"),
+    ({"dataset": {"kind": "idx", "images": "i.idx", "labels": "l.idx", "test_images": 3,
+                  "test_labels": "l.idx"}},
+     "error: dataset: test_images must be str, got 3"),
+    ({"dataset": {"kind": "parquet"}},
+     "error: dataset: kind 'parquet' is not one of ['csv', 'idx', 'spirals']"),
+], ids=["spec-key", "spec-float-width", "spec-bool-seed", "dataset-key", "top-level-key",
+        "float-int", "bool-int", "string-float", "csv-without-label-column", "int-path",
+        "unknown-kind"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_config_keys_and_types_exit_2_before_training(tmp_path, monkeypatch, capsys,
+                                                      command, cfg, message):
+    # the first eight used to train and exit 0: an unknown key was dropped,
+    # a float width or count truncated, a bool read as 1 and a string parsed
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("f0,f1,y\n0.1,0.2,a\n0.3,0.4,b\n", encoding="utf-8")
+    (tmp_path / "c.json").write_text(json.dumps(dict(cfg, profile="spiral")), encoding="utf-8")
+    grid = ["--depths", "2", "--degrees", "1"] if command == "sweep" else []
+    assert run([command, "--config", "c.json", "--out", "o"] + grid) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(message), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_dataset_features_other_than_the_spec_inputs_exit_2(tmp_path, monkeypatch, capsys,
+                                                            command):
+    # sweep used to take a 3-feature CSV under the 2-input spiral profile
+    # and end in a traceback (exit 1)
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    rows = "".join(f"{i / 10},{i / 20},{i / 30},{i % 2}\n" for i in range(10))
+    (tmp_path / "d.csv").write_text("f0,f1,f2,y\n" + rows, encoding="utf-8")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral", "dataset": {
+        "kind": "csv", "path": str(tmp_path / "d.csv"), "label_column": "y"}}),
+        encoding="utf-8")
+    grid = ["--depths", "2", "--degrees", "1"] if command == "sweep" else []
+    assert run([command, "--config", path, "--out", tmp_path / "o"] + grid) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: the training rows have 3 features and the test "
+                          "rows 3, but spec.input_count is 2"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--degree", "1500"],
+    ["sweep", "--depths", "2", "--degrees", "1,1500"],
+], ids=["train", "sweep"])
+def test_a_basis_past_the_term_cap_exits_2_before_training(tmp_path, monkeypatch, capsys,
+                                                           argv):
+    # C(1502, 2) = 1127251 monomials used to end in enumerate_basis's
+    # ValueError traceback (exit 1); the sweep now checks its degree-1500
+    # cells before it trains the degree-1 one
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    assert run(argv + ["--profile", "spiral", "--out", tmp_path / "o"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec: invalid NetworkSpec: layer 0: a degree-1500 basis "
+                          "in 2 inputs has more than the cap of 1048576 monomials"), err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # Train
 
@@ -276,6 +361,68 @@ def test_out_through_a_file_exits_2_before_any_work(pipeline_dirs, tmp_path, cap
     assert (f"error: argument --out: {taken} exists and is not a directory"
             in capsys.readouterr().err)
     assert taken.read_text(encoding="utf-8") == "keep\n"
+
+
+def write_idx(path, images, labels):
+    """An IDX image file at path.images.idx and a label file at
+    path.labels.idx of (n, rows, cols) uint8 images and n labels."""
+    n, rows, cols = images.shape
+    img, lab = path.with_suffix(".images.idx"), path.with_suffix(".labels.idx")
+    img.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols)
+                    + images.astype(np.uint8).tobytes())
+    lab.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, n) + labels.astype(np.uint8).tobytes())
+    return str(img), str(lab)
+
+
+@pytest.mark.parametrize("test_pair", [False, True], ids=["split", "test-files"])
+def test_train_on_idx_images(tmp_path, test_pair):
+    rng = np.random.default_rng(0)
+    labels = np.arange(40) % 2
+    images = rng.integers(0, 100, size=(40, 2, 2)) + 150 * labels[:, None, None]
+    ds = dict(zip(("images", "labels"), write_idx(tmp_path / "train", images, labels)))
+    if test_pair:
+        ds.update(zip(("test_images", "test_labels"),
+                      write_idx(tmp_path / "test", images[:10], labels[:10])))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral",
+                                "spec": {"layer_widths": [4, 2], "input_count": 4},
+                                "dataset": dict(ds, kind="idx"),
+                                "train": {"epochs": 2, "batch_size": 16}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
+    assert "layers 4,2" in (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_train_on_selected_csv_columns(tmp_path):
+    rows = "".join(f"{i / 10},{i % 3},{(i * 7 % 10) / 10},{i % 2}\n" for i in range(20))
+    (tmp_path / "d.csv").write_text("f0,f1,f2,y\n" + rows, encoding="utf-8")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral", "spec": {"layer_widths": [4, 2]},
+                                "dataset": {"kind": "csv", "path": str(tmp_path / "d.csv"),
+                                            "label_column": "y",
+                                            "feature_columns": ["f2", "f0"]},
+                                "train": {"epochs": 2}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
+    assert (tmp_path / "o" / "checkpoint.npz").exists()
+
+
+def test_clock_ns_sets_the_checkpoint_clock(tmp_path):
+    assert run(["train", "--config", write_config(tmp_path), "--clock-ns", "2.5",
+                "--out", tmp_path / "o"]) == EXIT_OK
+    with np.load(tmp_path / "o" / "checkpoint.npz") as z:
+        assert float(z["clock_period_ns"]) == 2.5
+
+
+def nan_loss(logits, labels):
+    return float("nan"), np.zeros_like(logits)
+
+
+def test_train_exit1_when_the_loss_diverges(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("lutc.trainer.compute_loss", nan_loss)
+    code = run(["train", "--config", write_config(tmp_path), "--out", tmp_path / "o"])
+    assert code == EXIT_VERIFY
+    assert capsys.readouterr().err == ("error: training diverged (non-finite loss) "
+                                       "at epoch 0\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_changes_model(tmp_path):
@@ -675,6 +822,16 @@ def test_sweep_grid(tmp_path):
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     lat = {(r["depth"], r["degree"]): float(r["latency_ns"]) for r in rows}
     assert lat[("2", "1")] < lat[("3", "1")]
+
+
+def test_sweep_records_a_diverged_cell_as_failed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("lutc.trainer.compute_loss", nan_loss)
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--config", write_config(tmp_path), "--depths", "2",
+                "--degrees", "1", "--out", out]) == EXIT_OK
+    assert "depth=2 degree=1: training diverged" in capsys.readouterr().err
+    row = (out / "results.csv").read_text().splitlines()[1]
+    assert row.startswith("2,1,failed,nan,nan,nan,"), row
 
 
 def test_sweep_deeper_than_an_output_only_spec_exits_2(tmp_path, capsys, monkeypatch):

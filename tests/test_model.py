@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -367,6 +368,22 @@ def test_memo_keeps_a_layer_per_neuron_after_its_first_chunk_went_so(monkeypatch
         counts.clear()
         model_mod.memo_layer_eval(model, memo, 0, rows)
         assert counts == {0: [len(rows) * 16, 0]}
+
+
+def test_spec_rejects_a_basis_past_the_term_cap():
+    with pytest.raises(ValueError, match="layer 0: a degree-1500 basis in 2 inputs has more "
+                                         "than the cap of 1048576 monomials"):
+        small_spec(degree=1500)
+    # C(10**6 + 12, 12) is past int64: count_monomials' OverflowError counts too
+    with pytest.raises(ValueError, match="layer 0: a degree-1000000 basis in 12 inputs"):
+        NetworkSpec(layer_widths=[1], beta=2, fan_in=12, degree=10**6, input_count=12)
+
+
+def test_forward_codes_rejects_inputs_of_another_width():
+    model = init_model(small_spec())
+    for bad in (np.zeros((4, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError, match=re.escape("expected (n, 3) input codes")):
+            forward_codes(model, bad)
 
 
 def test_forward_codes_rejects_out_of_range_codes_it_reads():

@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,6 +159,13 @@ def test_simulate_constant_tables():
         lut.tables[:] = 2
     out = simulate(net, np.array([[0, 0], [3, 1], [2, 2]]))
     assert np.all(out == 2)
+
+
+def test_simulate_rejects_inputs_of_another_width():
+    _, _, net = compiled()
+    for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ValueError, match=re.escape("expected (n, 2) input patterns")):
+            simulate(net, bad)
 
 
 def test_simulate_rejects_out_of_range():
@@ -437,4 +446,19 @@ def test_load_rejects_bad_format(tmp_path):
     path = tmp_path / "netlist.json"
     path.write_text(path.read_text().replace("lut-netlist v2", "v0"))
     with pytest.raises(ValueError, match="format"):
+        load_netlist(tmp_path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("clock_period_ns", "1.6", 'clock_period_ns "1.6" is not a number'),
+    ("layers", {"0": []}, 'layers {"0": []} is not a list'),
+], ids=["string-clock", "layers-object"])
+def test_load_rejects_mistyped_fields(tmp_path, key, value, message):
+    _, _, net = compiled()
+    save_netlist(net, tmp_path)
+    path = tmp_path / "netlist.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"netlist.json: {re.escape(message)}"):
         load_netlist(tmp_path)
