@@ -14,7 +14,8 @@ plain affine neuron exactly.
 One index table, MonomialBasis.lowered, drives evaluation and
 differentiation: term i is its parent lowered[i, v] times x_v (v the last
 variable of the term), and d m_i / d x_j is e_ij * m[lowered[i, j]], a
-gather of computed terms.  No power is taken.
+computed term; over the terms that hold x_j, lowered[i, j] runs through
+the degree < D prefix in order.  No power is taken.
 
 A neuron's value is sum_i w_i * m_i, summed term by term in basis order
 with elementwise multiply-adds, so that it depends on neither the batch
@@ -34,7 +35,9 @@ size nor the BLAS kernel.  Two kernels give those bits:
   backward pass needs every term of the layer anyway: the forward pass
   expands a layer once, as expand stores it, and sums it in a few whole-
   array calls instead of three calls per term.  expand_vjp reads the
-  same term-major layout, gathering whole term rows.
+  same term-major layout without a gather: each variable's parents are
+  the basis prefix, so it forms each variable's products from the
+  weights, the sums' gradient and the rows terms[:parents].
 """
 
 from __future__ import annotations
@@ -82,9 +85,9 @@ class MonomialBasis:
 
     @cached_property
     def vjp_terms(self) -> list:
-        """(i, lowered[i, j], e_ij) per variable j over the terms i holding x_j."""
-        return [(i, self.lowered[i, j], e[i]) for j, e in enumerate(self.exponents.T)
-                for i in [np.flatnonzero(e)]]
+        """(i, e_ij) per variable j over the terms i holding x_j, whose
+        parents lowered[i, j] are arange(parents) (see expand_vjp)."""
+        return [(i, e[i]) for e in self.exponents.T for i in [np.flatnonzero(e)]]
 
     @cached_property
     def parents(self) -> int:
@@ -164,21 +167,36 @@ def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     return out.transpose(tuple(range(1, x.ndim)) + (0,))
 
 
-def expand_vjp(terms: np.ndarray, dterms: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """Pull a gradient dterms with respect to the term-major monomials
-    terms (M, ...), np.moveaxis(expand(x), -1, 0), back to x: the result
-    is (..., F), and entry j is sum_i dm_i * e_ij * m[lowered[i, j]].
+def expand_vjp(terms: np.ndarray, w: np.ndarray, dz: np.ndarray,
+               basis: MonomialBasis) -> np.ndarray:
+    """Pull the gradient dz (..., W) of a layer's sums z = sum_i w[:, i] *
+    m_i back to its inputs x, given the term-major monomials terms
+    (M, ..., W), np.moveaxis(expand(x), -1, 0), and the weights w (W, M):
+    the result is (..., W, F), and entry j is sum_i dm_i * e_ij *
+    m[lowered[i, j]] with dm_i = w[:, i] * dz.
 
-    The gathered product dterms[i] * terms[parent] holds whole term rows,
-    terms outermost, so einsum adds (dm_i * m_parent) * e_ij into a
+    Every variable's parents are the basis prefix: dividing the terms
+    that hold x_j by x_j maps them one-to-one onto the basis.parents
+    terms of degree < D, in basis order, so lowered[i, j] over those i
+    is arange(parents) and terms[:parents] is their parent rows, read
+    without a gather.  For each variable one (parents, ..., W) buffer,
+    reused across variables, is filled with dm_i and multiplied in place
+    by the parents, so no (M, ..., W) gradient and no gathered monomial
+    rows are built.  einsum then adds (dm_i * m_parent) * e_ij into a
     zeroed sum one term at a time, in basis order, when a row has more
     than one element.  When it has one, the product is one contiguous
     row and einsum takes its dot path instead, which may round
     differently.
     """
+    wt = np.asarray(w, dtype=np.float64).T
+    wt = wt.reshape(wt.shape[:1] + (1,) * (dz.ndim - 1) + wt.shape[1:])
+    parents = terms[:basis.parents]
+    dm = np.empty(parents.shape, dtype=np.float64)
     out = np.empty(terms.shape[1:] + (basis.fan_in,), dtype=np.float64)
-    for j, (i, parent, e) in enumerate(basis.vjp_terms):
-        out[..., j] = np.einsum("k...,k->...", dterms[i] * terms[parent], e)
+    for j, (i, e) in enumerate(basis.vjp_terms):
+        np.multiply(wt[i], dz, out=dm)
+        dm *= parents
+        out[..., j] = np.einsum("k...,k->...", dm, e)
     return out
 
 

@@ -145,7 +145,7 @@ def _idx(*, images: str, labels: str, test_images: str | None = None,
     train_ds = data_mod.load_idx(images, labels)
     if test_images is None:
         return data_mod.split_normalize(train_ds, train_fraction, seed=seed)
-    return train_ds, data_mod.load_idx(test_images, test_labels)
+    return data_mod.fit_normalize(train_ds, data_mod.load_idx(test_images, test_labels))
 
 
 DATASET_KINDS = {"spirals": _spirals, "csv": _csv, "idx": _idx}

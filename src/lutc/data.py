@@ -171,11 +171,9 @@ def gen_spirals(n_per_class: int, noise_sd: float = 0.1, turns: float = 1.75,
 
 
 def split_normalize(ds: Dataset, train_fraction: float, seed: int = 0):
-    """Seeded shuffle-split, then min-max map to [-1, 1] fitted on train only.
-
-    Test values may fall outside [-1, 1]; the input quantizer clamps them.
-    Constant features map to 0 with a warning.  The test split may be
-    empty; a training split without rows, which fits nothing, is an error.
+    """Seeded shuffle-split, then fit_normalize: a min-max map to [-1, 1]
+    fitted on train only.  The test split may be empty; a training split
+    without rows, which fits nothing, is an error.
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
@@ -185,25 +183,36 @@ def split_normalize(ds: Dataset, train_fraction: float, seed: int = 0):
                          f"0 training and {ds.n} test rows")
     rng = np.random.default_rng(np.random.PCG64(seed))
     order = rng.permutation(ds.n)
-    tr_idx, te_idx = order[:n_train], order[n_train:]
+    train, test = (Dataset(features=ds.features[idx], labels=ds.labels[idx],
+                           n_classes=ds.n_classes)
+                   for idx in (order[:n_train], order[n_train:]))
+    return fit_normalize(train, test)
 
-    lo = ds.features[tr_idx].min(axis=0)
-    hi = ds.features[tr_idx].max(axis=0)
+
+def fit_normalize(train: Dataset, test: Dataset):
+    """Min-max map both datasets' features to [-1, 1] with the per-feature
+    min and max of train's rows, which both results carry as norm_min and
+    norm_max.  Test values may fall outside [-1, 1]; the input quantizer
+    clamps them.  Constant training features map to 0 with a warning.  The
+    two need the same feature count.
+    """
+    if test.d != train.d:
+        raise DataFormatError(f"the training rows have {train.d} features and the test "
+                              f"rows {test.d}")
+    lo = train.features.min(axis=0)
+    hi = train.features.max(axis=0)
     span = hi - lo
     degenerate = span == 0
     if np.any(degenerate):
         warnings.warn(
             f"{int(degenerate.sum())} constant feature(s) mapped to 0",
-            stacklevel=2,
+            stacklevel=3,
         )
     safe_span = np.where(degenerate, 1.0, span)
 
-    def norm(x):
-        out = 2.0 * (x - lo) / safe_span - 1.0
-        return np.where(degenerate, 0.0, out)
-
-    def mk(idx):
-        return Dataset(features=norm(ds.features[idx]), labels=ds.labels[idx],
+    def mk(ds):
+        out = 2.0 * (ds.features - lo) / safe_span - 1.0
+        return Dataset(features=np.where(degenerate, 0.0, out), labels=ds.labels,
                        n_classes=ds.n_classes, norm_min=lo.copy(), norm_max=hi.copy())
 
-    return mk(tr_idx), mk(te_idx)
+    return mk(train), mk(test)

@@ -22,6 +22,7 @@ layer's other arrays keep per row (row_elements), not by W * M.
 
 from __future__ import annotations
 
+import numbers
 import zipfile
 from dataclasses import dataclass, field
 
@@ -114,14 +115,18 @@ class NetworkSpec:
 
 def validate_spec(spec) -> list[str]:
     """Return every violated invariant (empty list means the spec is valid).
-    A field other than clock_period_ns that is not an integer (a bool or a
-    float included) is reported alone, before any invariant is checked."""
+    A field of the wrong type (an integer field given a bool or a float,
+    clock_period_ns given a bool or a non-real) is reported alone, before
+    any invariant is checked."""
     widths = tuple(spec.layer_widths)
     ints = [(k, getattr(spec, k)) for k in ("beta", "fan_in", "degree", "input_count",
                                             "input_beta", "input_fan_in", "seed")]
     ints += [(f"layer_widths[{i}]", w) for i, w in enumerate(widths)]
     v = [f"{k} must be an integer, got {x!r}" for k, x in ints
          if x is not None and (isinstance(x, bool) or not isinstance(x, (int, np.integer)))]
+    clock = spec.clock_period_ns
+    if isinstance(clock, bool) or not isinstance(clock, numbers.Real):
+        v.append(f"clock_period_ns must be a real number, got {clock!r}")
     if v:
         return v
     if len(widths) < 1:

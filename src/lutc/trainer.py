@@ -17,8 +17,10 @@ per-epoch test accuracy, tabulation and the equivalence check all run it.
 Training runs on expand's own storage: the terms of a layer as a
 contiguous term-major (M, n, W) array.  The forward pass weighs that
 array in place and adds its rows with one ordered reduce, which gives
-the bits of inference's basis.weighted_expand; backward builds the
-monomial gradient term-major too, so expand_vjp gathers whole term rows.
+the bits of inference's basis.weighted_expand; backward passes the same
+term-major array, the weights and the sums' gradient to expand_vjp, which
+forms each variable's products from the weights and the degree < D prefix
+of the terms, with no (M, n, W) gradient and no gathered rows.
 Inference keeps weighted_expand, which never holds all M terms and so
 bounds its row chunks; a training batch needs every term in backward
 anyway, and one expansion with a few whole-array calls beats three
@@ -45,6 +47,7 @@ seed, the trained model and history are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +82,10 @@ class TrainConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("base_lr", "min_lr", "weight_decay"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (0 < self.min_lr <= self.base_lr):
@@ -239,9 +246,8 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
 
         if layer == 0:
             continue
-        dterms = p.weights.T[:, None, :] * dz
-        dxg = expand_vjp(terms, dterms, model.bases[layer])
-        del terms, dterms  # one layer's monomials are alive at a time, freed before the scatter
+        dxg = expand_vjp(terms, p.weights, dz, model.bases[layer])
+        del terms  # one layer's monomials are alive at a time, freed before the scatter
         da = _scatter_sources(dxg, model.masks[layer], spec.layer_widths[layer - 1])
         del dxg  # freed before the layer below expands its monomials
     return grads

@@ -28,10 +28,10 @@ def _bias_and_inputs(xg, basis):
     return np.moveaxis(terms, 0, -1)
 
 
-def _input_gradient(terms, dterms, basis):
+def _input_gradient(terms, w, dz, basis):
     """The gradient of the inputs of a bias + linear map: each input's
-    own term gradient, the bias's dropped, on the last axis."""
-    return np.moveaxis(dterms[1:], 0, -1)
+    own term gradient w.T * dz, the bias's dropped, on the last axis."""
+    return np.moveaxis(w.T[1:, None, :] * dz, 0, -1)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,11 +181,44 @@ def test_expand_multiplies_left_to_right():
 def test_expand_vjp_matches_jacobian():
     rng = np.random.default_rng(2)
     basis = enumerate_basis(3, 3)
-    x = rng.normal(size=(4, 3))
-    dm = rng.normal(size=(4, len(basis)))
-    got = expand_vjp(np.moveaxis(expand(x, basis), -1, 0), dm.T, basis)  # term-major
-    want = np.stack([dm[r] @ expand_grad(x[r], basis) for r in range(4)])
+    x = rng.normal(size=(4, 2, 3))  # 4 rows of 2 neurons
+    w = rng.normal(size=(2, len(basis)))
+    dz = rng.normal(size=(4, 2))
+    got = expand_vjp(np.moveaxis(expand(x, basis), -1, 0), w, dz, basis)  # term-major
+    want = np.array([[(dz[r, k] * w[k]) @ expand_grad(x[r, k], basis) for k in range(2)]
+                     for r in range(4)])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_each_variables_parents_are_the_basis_prefix():
+    """Dividing the terms that hold x_j by x_j gives the degree < D terms in
+    basis order, so expand_vjp reads their parents as terms[:parents]."""
+    for fan_in in range(1, 8):
+        for degree in range(1, 7):
+            basis = enumerate_basis(fan_in, degree)
+            for j in range(fan_in):
+                holds = np.flatnonzero(basis.exponents[:, j])
+                assert np.array_equal(basis.lowered[holds, j], np.arange(basis.parents)), (
+                    fan_in, degree, j)
+
+
+def test_expand_vjp_holds_one_buffer_of_parent_products():
+    """On an hdr-shaped layer (F 6, D 4, 16 rows, 100 neurons) one call
+    peaks under 1.5 (parents, n, W) float arrays plus its (n, W, F)
+    result: no (M, n, W) gradient and no gathered monomial rows."""
+    rng = np.random.default_rng(4)
+    basis, n, width = enumerate_basis(6, 4), 16, 100
+    terms = np.moveaxis(expand(rng.uniform(-1, 1, size=(n, width, 6)), basis), -1, 0)
+    w, dz = rng.normal(size=(width, len(basis))), rng.normal(size=(n, width))
+    expand_vjp(terms, w, dz, basis)  # warm the basis' cached tables
+    tracemalloc.start()
+    try:
+        expand_vjp(terms, w, dz, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = basis.parents * n * width * 8
+    assert peak < 1.5 * buffer + n * width * basis.fan_in * 8, (peak, buffer)
 
 
 def test_weighted_sum_is_sequential_in_basis_order():

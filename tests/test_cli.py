@@ -11,6 +11,7 @@ from lutc.cli import (
     EXIT_VERIFY,
     build_parser,
     config_hash,
+    load_dataset,
     main,
 )
 from lutc.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
@@ -82,10 +83,17 @@ def test_config_shapes_exit_2(tmp_path, capsys, cfg, message):
      "error: dataset: n_per_class must be int, got [5]"),
     ({"profile": "spiral", "dataset": dict(kind="csv", path="d.csv", label_column=["y"])},
      "error: dataset: label_column must be str, got ['y']"),
-], ids=["profile-list", "profile-0", "n-per-class-list", "label-column-list"])
+    ({"profile": "spiral", "spec": {"clock_period_ns": True}, "train": {"base_lr": True}},
+     "error: spec: invalid NetworkSpec: clock_period_ns must be a real number, got True"),
+    ({"profile": "spiral", "train": {"base_lr": True}},
+     "error: train: base_lr must be a real number, got True"),
+    ({"profile": "spiral", "train": {"base_lr": "0.1"}},
+     "error: train: base_lr must be a real number, got '0.1'"),
+], ids=["profile-list", "profile-0", "n-per-class-list", "label-column-list", "clock-bool",
+        "base-lr-bool", "base-lr-str"])
 def test_config_value_types_exit_2(tmp_path, monkeypatch, capsys, cfg, message):
-    # the lists used to end in a TypeError traceback (exit 1), and a profile
-    # of 0 was ignored
+    # the lists used to end in a TypeError traceback (exit 1), a profile of 0
+    # was ignored, a bool trained as 1.0 and a str failed a comparison
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.csv").write_text("f0,f1,y\n0.1,0.2,a\n0.3,0.4,b\n", encoding="utf-8")
     (tmp_path / "c.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -390,6 +398,26 @@ def test_train_on_idx_images(tmp_path, test_pair):
                                 "train": {"epochs": 2, "batch_size": 16}}), encoding="utf-8")
     assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
     assert "layers 4,2" in (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
+
+
+def test_idx_test_files_are_normalized_by_the_training_rows(tmp_path):
+    rng = np.random.default_rng(1)
+    labels = np.arange(30) % 2
+    images = rng.integers(10, 200, size=(30, 2, 2))
+    ds = dict(zip(("images", "labels"), write_idx(tmp_path / "train", images[:20],
+                                                   labels[:20])))
+    ds.update(zip(("test_images", "test_labels"),
+                  write_idx(tmp_path / "test", images[20:], labels[20:])))
+    spec = NetworkSpec(layer_widths=(4, 2), beta=4, fan_in=2, degree=3, input_count=4)
+    train_ds, test_ds = load_dataset({"dataset": dict(ds, kind="idx")}, spec)
+    raw = images[:20].reshape(20, 4) / 255.0
+    assert np.array_equal(train_ds.features.min(axis=0), [-1.0] * 4)
+    assert np.array_equal(train_ds.features.max(axis=0), [1.0] * 4)
+    for got in (train_ds, test_ds):
+        assert np.array_equal(got.norm_min, raw.min(axis=0))
+        assert np.array_equal(got.norm_max, raw.max(axis=0))
+    want = 2.0 * (images[20:].reshape(10, 4) / 255.0 - raw.min(axis=0)) / np.ptp(raw, axis=0) - 1
+    assert np.array_equal(test_ds.features, want)
 
 
 def test_train_on_selected_csv_columns(tmp_path):

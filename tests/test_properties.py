@@ -314,23 +314,33 @@ def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, le
     assert np.array_equal(bits_of(got), bits_of(weighted_sum(terms, w)))
 
 
+def lowered_terms(basis):
+    """(j, i, lowered[i, j], e_ij) per variable j over the terms i holding
+    x_j, read from the basis tables themselves."""
+    for j, e in enumerate(basis.exponents.T):
+        i = np.flatnonzero(e)
+        yield j, i, basis.lowered[i, j], e[i]
+
+
 @SETTINGS
 @given(fan_in=st.integers(1, 6), degree=st.integers(1, 5), n=st.integers(1, 6),
        width=st.integers(1, 6), seed=st.integers(0, 2**16))
 def test_expand_vjp_adds_terms_in_basis_order(fan_in, degree, n, width, seed):
     """For n * W > 1, entry j of expand_vjp is a zeroed sum that adds
-    (dm_i * m_parent) * e_ij one term at a time in basis order (einsum's
-    dot path at n * W == 1 may round otherwise; see its docstring)."""
+    (dm_i * m_parent) * e_ij, dm = w.T * dz, one term at a time in basis
+    order (einsum's dot path at n * W == 1 may round otherwise; see its
+    docstring)."""
     assume(n * width > 1)
     basis = enumerate_basis(fan_in, degree)
     rng = np.random.default_rng(seed)
     m = np.moveaxis(expand(awkward_floats(rng, (n, width, fan_in)), basis), -1, 0)
-    dm = awkward_floats(rng, m.shape)
+    dz, w = awkward_floats(rng, (n, width)), awkward_floats(rng, (width, len(basis)))
+    dm = w.T[:, None, :] * dz
     want = np.zeros((n, width, fan_in))
-    for j, (terms, parents, exps) in enumerate(basis.vjp_terms):
+    for j, terms, parents, exps in lowered_terms(basis):
         for i, parent, e in zip(terms, parents, exps):
             want[..., j] += (dm[i] * m[parent]) * float(e)
-    assert np.array_equal(bits_of(expand_vjp(m, dm, basis)), bits_of(want))
+    assert np.array_equal(bits_of(expand_vjp(m, w, dz, basis)), bits_of(want))
 
 
 def ordered_weighted_sum(terms, w):
@@ -377,7 +387,7 @@ def expand_vjp_last_axis(m, dm, basis):
     """expand_vjp over monomials on the last axis (..., M), each term
     gathered with dm[..., i]: the reference for the term-major kernel."""
     out = np.empty(m.shape[:-1] + (basis.fan_in,))
-    for j, (i, parent, e) in enumerate(basis.vjp_terms):
+    for j, i, parent, e in lowered_terms(basis):
         out[..., j] = np.einsum("...k,k->...", dm[..., i] * m[..., parent], e)
     return out
 
@@ -389,15 +399,15 @@ def expand_vjp_last_axis(m, dm, basis):
 @example(fan_in=3, degree=2, n=1, width=5, seed=1)
 @example(fan_in=3, degree=2, n=5, width=1, seed=2)
 def test_expand_vjp_term_major_equals_last_axis_reference(fan_in, degree, n, width, seed):
-    """backward's term-major dm = w.T * dz through expand_vjp gives the bits
-    of dm = dz * w laid out (n, W, M) through the last-axis reference, at
-    every n * W, 1 included."""
+    """expand_vjp of the weights and dz gives the bits of dm = dz * w laid
+    out (n, W, M) through the last-axis reference, at every n * W, 1
+    included."""
     basis = enumerate_basis(fan_in, degree)
     rng = np.random.default_rng(seed)
     m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
     dz, w = awkward_floats(rng, (n, width)), awkward_floats(rng, (width, len(basis)))
     want = expand_vjp_last_axis(m, dz[:, :, None] * w[None, :, :], basis)
-    got = expand_vjp(np.moveaxis(m, -1, 0), w.T[:, None, :] * dz, basis)
+    got = expand_vjp(np.moveaxis(m, -1, 0), w, dz, basis)
     assert np.array_equal(bits_of(got), bits_of(want))
 
 
