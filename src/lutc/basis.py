@@ -11,11 +11,13 @@ broken by descending lexicographic order on the exponent tuple.  For
 The constant term doubles as the bias, so a degree-1 basis reproduces the
 plain affine neuron exactly.
 
-One index table, MonomialBasis.lowered, drives evaluation and
-differentiation: term i is its parent lowered[i, v] times x_v (v the last
-variable of the term), and d m_i / d x_j is e_ij * m[lowered[i, j]], a
-computed term; over the terms that hold x_j, lowered[i, j] runs through
-the degree < D prefix in order.  No power is taken.
+Each term after the constant is an earlier term, its parent, times one
+variable x_v, v the last variable of the term.  Dividing the terms that
+hold x_j by x_j maps them one-to-one, in basis order, onto the
+basis.parents terms of degree < D (the prefix rule), so a term's parent
+is its rank among the terms that hold its last variable, and the parents
+of d m_i / d x_j = e_ij * m_parent, over the terms that hold x_j, are
+the basis prefix in order.  No power is taken and no index table is kept.
 
 A neuron's value is sum_i w_i * m_i, summed term by term in basis order
 with elementwise multiply-adds, so that it depends on neither the batch
@@ -33,11 +35,11 @@ size nor the BLAS kernel.  Two kernels give those bits:
 - weighted_sum weighs a term-major (M, ..., W) array in place and adds
   its rows with one outer-axis reduce.  It serves training, whose
   backward pass needs every term of the layer anyway: the forward pass
-  expands a layer once, as expand stores it, and sums it in a few whole-
-  array calls instead of three calls per term.  expand_vjp reads the
-  same term-major layout without a gather: each variable's parents are
-  the basis prefix, so it forms each variable's products from the
-  weights, the sums' gradient and the rows terms[:parents].
+  expands a layer once, term-major as expand returns it, and sums it in
+  a few whole-array calls instead of three calls per term.  expand_vjp
+  reads the same term-major layout without a gather: each variable's
+  parents are the basis prefix, so it forms each variable's products
+  from the weights, the sums' gradient and the rows terms[:parents].
 """
 
 from __future__ import annotations
@@ -56,14 +58,11 @@ _INT64_MAX = (1 << 63) - 1
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Ordered exponent vectors of degree <= degree over fan_in variables,
-    and lowered[i, j]: the index of term i with the exponent of variable
-    j lowered by one, or 0 when e_ij == 0."""
+    """Ordered exponent vectors of degree <= degree over fan_in variables."""
 
     fan_in: int
     degree: int
     exponents: np.ndarray  # (M, fan_in) non-negative ints
-    lowered: np.ndarray  # (M, fan_in) term indices
 
     def __len__(self) -> int:
         return self.exponents.shape[0]
@@ -78,15 +77,21 @@ class MonomialBasis:
 
     @cached_property
     def steps(self) -> list:
-        """(parent, v) per term after the constant: term i is term
-        lowered[i, v] times x_v, where v is the last variable of term i."""
-        last = [int(np.flatnonzero(e)[-1]) for e in self.exponents[1:]]
-        return [(int(self.lowered[i, v]), v) for i, v in enumerate(last, start=1)]
+        """(parent, v) per term after the constant: term i is its parent
+        times x_v, where v is the last variable of term i, and by the
+        prefix rule the parent is term i's rank among the terms that
+        hold x_v: the count of earlier terms that hold it."""
+        held, steps = [0] * self.fan_in, []  # per variable, the terms so far that hold it
+        for row in self.exponents[1:].tolist():
+            v = max(j for j, e in enumerate(row) if e)
+            steps.append((held[v], v))
+            held = [h + (e > 0) for h, e in zip(held, row)]
+        return steps
 
     @cached_property
     def vjp_terms(self) -> list:
         """(i, e_ij) per variable j over the terms i holding x_j, whose
-        parents lowered[i, j] are arange(parents) (see expand_vjp)."""
+        parents are the basis prefix arange(parents) (see expand_vjp)."""
         return [(i, e[i]) for e in self.exponents.T for i in [np.flatnonzero(e)]]
 
     @cached_property
@@ -123,37 +128,33 @@ def _gen_exponents(fan_in: int, total: int):
             yield (first,) + rest
 
 
-def enumerate_basis(fan_in: int, degree: int, max_terms: int = MAX_TERMS) -> MonomialBasis:
+def enumerate_basis(fan_in: int, degree: int) -> MonomialBasis:
     """Build the graded-lex monomial basis for (fan_in, degree).  The result
-    is frozen, with read-only arrays, so one object can serve every layer of
-    that shape."""
+    is frozen, with a read-only array, so one object can serve every layer
+    of that shape.  A basis of more than MAX_TERMS terms is refused before
+    any term is enumerated."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     n = count_monomials(fan_in, degree)
-    if n > max_terms:
-        raise ValueError(f"basis has {n} terms, exceeding cap {max_terms}")
+    if n > MAX_TERMS:
+        raise ValueError(f"basis has {n} terms, exceeding cap {MAX_TERMS}")
     rows = []
     for d in range(degree + 1):
         rows.extend(_gen_exponents(fan_in, d))
     exps = np.array(rows, dtype=np.int64)
     assert exps.shape == (n, fan_in)
-    index = {row: i for i, row in enumerate(rows)}  # a lowered 0 exponent is absent
-    lowered = np.array([[index.get(r[:j] + (r[j] - 1,) + r[j + 1 :], 0) for j in range(fan_in)]
-                        for r in rows], dtype=np.int64)
     exps.setflags(write=False)
-    lowered.setflags(write=False)
-    return MonomialBasis(fan_in=fan_in, degree=degree, exponents=exps, lowered=lowered)
+    return MonomialBasis(fan_in=fan_in, degree=degree, exponents=exps)
 
 
 def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Evaluate every basis monomial at x.
 
     x may be a length-F vector or any array whose last axis has length F;
-    the result appends an axis of length M in place of it.  Term 0 is 1;
-    every later term is one earlier term times one variable, which
-    multiplies out each monomial left to right (x0*x0*x1 for x0^2*x1).
-    The terms are stored one after another (the result is a view of an
-    (M, ...) array), so each term is contiguous.
+    the result is a C-contiguous term-major (M, ...) array, term i at
+    [i], so each term is contiguous.  Term 0 is 1; every later term is
+    its parent times one variable, which multiplies out each monomial
+    left to right (x0*x0*x1 for x0^2*x1).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != basis.fan_in:
@@ -164,22 +165,21 @@ def expand(x: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     rows[0][...] = 1.0
     for i, (parent, v) in enumerate(basis.steps, start=1):
         np.multiply(rows[parent], xt[v], out=rows[i])
-    return out.transpose(tuple(range(1, x.ndim)) + (0,))
+    return out
 
 
 def expand_vjp(terms: np.ndarray, w: np.ndarray, dz: np.ndarray,
                basis: MonomialBasis) -> np.ndarray:
     """Pull the gradient dz (..., W) of a layer's sums z = sum_i w[:, i] *
-    m_i back to its inputs x, given the term-major monomials terms
-    (M, ..., W), np.moveaxis(expand(x), -1, 0), and the weights w (W, M):
-    the result is (..., W, F), and entry j is sum_i dm_i * e_ij *
-    m[lowered[i, j]] with dm_i = w[:, i] * dz.
+    m_i back to its inputs x, given the monomials terms (M, ..., W),
+    expand(x), and the weights w (W, M): the result is (..., W, F), and
+    entry j is sum_i dm_i * e_ij * m_parent with dm_i = w[:, i] * dz and
+    m_parent the term m_i / x_j.
 
-    Every variable's parents are the basis prefix: dividing the terms
-    that hold x_j by x_j maps them one-to-one onto the basis.parents
-    terms of degree < D, in basis order, so lowered[i, j] over those i
-    is arange(parents) and terms[:parents] is their parent rows, read
-    without a gather.  For each variable one (parents, ..., W) buffer,
+    Every variable's parents are the basis prefix: by the prefix rule the
+    parents of the terms that hold x_j are the basis.parents terms of
+    degree < D, in basis order, so terms[:parents] is their parent rows,
+    read without a gather.  For each variable one (parents, ..., W) buffer,
     reused across variables, is filled with dm_i and multiplied in place
     by the parents, so no (M, ..., W) gradient and no gathered monomial
     rows are built.  einsum then adds (dm_i * m_parent) * e_ij into a
@@ -202,10 +202,10 @@ def expand_vjp(terms: np.ndarray, w: np.ndarray, dz: np.ndarray,
 
 def weighted_sum(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
     """z[..., k] = sum_i w[k, i] * terms[i, ..., k] over term-major terms
-    (M, ..., W), np.moveaxis(expand(x), -1, 0), or (M, ..., 1) when all W
-    neurons share them.  A C-contiguous (M, ..., W) array, such as
-    expand's storage, is overwritten with its weighted terms; other
-    terms are weighed into a new C-ordered array.
+    (M, ..., W), expand(x), or (M, ..., 1) when all W neurons share them.
+    A C-contiguous (M, ..., W) array, such as expand's result, is
+    overwritten with its weighted terms; other terms are weighed into a
+    new C-ordered array.
 
     The weighted terms are added in basis order, each sum starting from
     its first term, so a row's result depends on neither the batch size
@@ -229,8 +229,7 @@ def weighted_sum(terms: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def weighted_expand(x: np.ndarray, basis: MonomialBasis, w: np.ndarray) -> np.ndarray:
-    """weighted_sum(np.moveaxis(expand(x, basis), -1, 0), w), bit for bit,
-    without the monomials.
+    """weighted_sum(expand(x, basis), w), bit for bit, without the monomials.
 
     x is (..., K, F) with K the neuron count W of w (W, M), or 1 when all
     neurons share their inputs; the result is (..., W).  The terms read

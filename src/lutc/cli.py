@@ -53,13 +53,11 @@ def _load_json(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """Merge profile defaults, config file, and CLI overrides."""
-    if args.config:
-        file_cfg = _load_json(args.config)
-    elif args.profile:
-        file_cfg = {"profile": args.profile}
-    else:
+    """Merge profile defaults, config file, and CLI overrides (--profile
+    over the file's profile too)."""
+    if not (args.config or args.profile):
         raise ConfigError("one of --config or --profile is required")
+    file_cfg = _load_json(args.config) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ConfigError(f"config {args.config}: not a JSON object")
     unknown = sorted(set(file_cfg) - {"profile", "spec", "dataset", "train"})
@@ -69,7 +67,7 @@ def resolve_config(args) -> dict:
     for key in ("spec", "dataset", "train"):
         if key in file_cfg and not isinstance(file_cfg[key], dict):
             raise ConfigError(f"config: {key} is not a JSON object")
-    profile = file_cfg.get("profile")
+    profile = args.profile or file_cfg.get("profile")
     if profile is not None and not (isinstance(profile, str) and profile in PROFILES):
         raise ConfigError(f"config: unknown profile {profile!r}; available: {sorted(PROFILES)}")
     cfg = {"spec": {**PROFILES.get(profile, {}), **file_cfg.get("spec", {})},
@@ -139,12 +137,18 @@ def _csv(*, path: str, label_column: str, feature_columns: list | None = None,
 
 
 def _idx(*, images: str, labels: str, test_images: str | None = None,
-         test_labels: str | None = None, train_fraction: float = 0.85, seed: int = 0):
+         test_labels: str | None = None, train_fraction: float | None = None,
+         seed: int | None = None):
     if (test_images is None) != (test_labels is None):
         raise ConfigError("dataset.idx: 'test_images' and 'test_labels' go together")
     train_ds = data_mod.load_idx(images, labels)
     if test_images is None:
-        return data_mod.split_normalize(train_ds, train_fraction, seed=seed)
+        return data_mod.split_normalize(train_ds, 0.85 if train_fraction is None else
+                                        train_fraction, seed=seed or 0)
+    for key, value in (("train_fraction", train_fraction), ("seed", seed)):
+        if value is not None:
+            raise ConfigError(f"dataset.idx: '{key}' splits the images, so it does not go "
+                              "with 'test_images' and 'test_labels'")
     return data_mod.fit_normalize(train_ds, data_mod.load_idx(test_images, test_labels))
 
 

@@ -156,6 +156,8 @@ def gen_spirals(n_per_class: int, noise_sd: float = 0.1, turns: float = 1.75,
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     t = np.linspace(0.0, 1.0, n_per_class)
     theta = t * turns * 2.0 * np.pi
@@ -177,6 +179,8 @@ def split_normalize(ds: Dataset, train_fraction: float, seed: int = 0):
     """
     if not (0.0 < train_fraction < 1.0):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_train = int(round(ds.n * train_fraction))
     if n_train == 0:
         raise ValueError(f"train_fraction {train_fraction!r} splits {ds.n} rows into "

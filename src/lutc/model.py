@@ -146,6 +146,8 @@ def validate_spec(spec) -> list[str]:
         v.append(f"degree must be >= 1, got {spec.degree}")
     if spec.input_count < 1:
         v.append(f"input_count must be >= 1, got {spec.input_count}")
+    if not (0 <= spec.seed < 1 << 63):  # the checkpoint stores it as an int64
+        v.append(f"seed must be in [0, 2**63), got {spec.seed}")
     if not (0 < spec.clock_period_ns < np.inf):
         v.append(f"clock_period_ns must be positive and finite, got {spec.clock_period_ns}")
     if not v:

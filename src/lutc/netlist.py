@@ -304,11 +304,13 @@ def save_netlist(netlist: Netlist, out_dir) -> str:
 
 
 def load_netlist(in_dir) -> Netlist:
-    """Read netlist.json and the table dumps beside it.  Only what JSON can
-    get wrong and an int64 array cannot is checked here: the format line,
-    the types of the fields, the shape of each layer's source lists and
-    the layer count.  Netlist checks the wiring itself.  A malformed or
-    inconsistent file raises ValueError naming the layer and neuron."""
+    """Read netlist.json and, beside it, the table dump of each layer it
+    lists; no other dump is read.  Only what JSON can get wrong and an
+    int64 array cannot is checked here: the format line, the types of the
+    fields and the shape of each layer's source lists.  Netlist checks the
+    wiring itself.  A malformed or inconsistent file raises ValueError
+    naming the layer and neuron, and a missing dump FileNotFoundError
+    naming the file."""
     with open(os.path.join(in_dir, "netlist.json"), "r", encoding="utf-8") as f:
         doc = json.load(f)
     found = doc.get("format") if isinstance(doc, dict) else None
@@ -322,12 +324,10 @@ def load_netlist(in_dir) -> Netlist:
                          f"{json.dumps(bits)} are not both JSON integers")
     if not (type(clock) is float or _is_int64(clock)):
         raise ValueError(f"netlist.json: clock_period_ns {json.dumps(clock)} is not a number")
-    if not isinstance(doc_layers, list):
-        raise ValueError(f"netlist.json: layers {json.dumps(doc_layers)} is not a list")
-    tables = load_tables(in_dir)
-    if len(doc_layers) != len(tables):
-        raise ValueError(f"netlist.json has {len(doc_layers)} layers, "
-                         f"the table dumps {len(tables)}")
+    if not (isinstance(doc_layers, list) and doc_layers):
+        raise ValueError(f"netlist.json: layers {json.dumps(doc_layers)} is not a list of "
+                         "one or more layers")
+    tables = load_tables(in_dir, len(doc_layers))
     layers = [LutLayer(tables=layer_tables, sources=_sources(layer, rows), output_bits=out_bits)
               for layer, (rows, (layer_tables, out_bits)) in enumerate(zip(doc_layers, tables))]
     return Netlist(input_count=count, input_bits=bits, layers=layers,

@@ -16,9 +16,10 @@ hardware agree bit for bit.
 
 Table text is written and read one layer at a time.  dump_tables
 formats one neuron's row at a time as a byte grid.  load_tables reads
-back only what dump_tables writes, byte for byte: the header, then each
-neuron's line and value lines at fixed line numbers, one neuron at a
-time, its values through hex_tokens.
+the dumps of the layers it is asked for, by name (the netlist names its
+layer count), and each back only as dump_tables writes it, byte for
+byte: the header, then each neuron's line and value lines at fixed line
+numbers, one neuron at a time, its values through hex_tokens.
 """
 
 from __future__ import annotations
@@ -129,21 +130,13 @@ def dump_tables(layers: list, out_dir) -> list:
     return paths
 
 
-def load_tables(in_dir) -> list:
-    """Read back every layer{l}_tables.txt in layer order: one
+def load_tables(in_dir, n_layers: int) -> list:
+    """Read back layer{l}_tables.txt for each layer l < n_layers: one
     (tables, output_bits) pair per layer, tables a (W, 2**input_bits)
-    uint32 array.  Only the file names dump_tables writes are read."""
-    pattern = re.compile(r"layer(0|[1-9][0-9]*)_tables\.txt")
-    found = {}
-    for name in os.listdir(in_dir):
-        m = pattern.fullmatch(name)
-        if m:
-            found[int(m.group(1))] = os.path.join(in_dir, name)
-    if not found:
-        raise FileNotFoundError(f"no table dumps found in {in_dir}")
-    if sorted(found) != list(range(len(found))):
-        raise ValueError(f"non-contiguous layer dumps in {in_dir}: {sorted(found)}")
-    return [_load_layer(found[layer], layer) for layer in range(len(found))]
+    uint32 array.  No other file is read, and a missing dump is a
+    FileNotFoundError naming it."""
+    return [_load_layer(os.path.join(in_dir, f"layer{layer}_tables.txt"), layer)
+            for layer in range(n_layers)]
 
 
 def _load_layer(path, layer: int) -> tuple:

@@ -14,7 +14,7 @@ The trainer has this one mode.  Inference is model.layer_eval's alone,
 through forward_codes: it normalizes with the running statistics, and
 per-epoch test accuracy, tabulation and the equivalence check all run it.
 
-Training runs on expand's own storage: the terms of a layer as a
+Training runs on what expand returns: the terms of a layer as a
 contiguous term-major (M, n, W) array.  The forward pass weighs that
 array in place and adds its rows with one ordered reduce, which gives
 the bits of inference's basis.weighted_expand; backward passes the same
@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.restart_period < 1 or self.restart_mult < 1:
             raise ValueError("restart_period and restart_mult must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def sgdr_lr(step: int, config: TrainConfig) -> float:
@@ -162,13 +164,6 @@ def forward(model: TrainedModel, xb: np.ndarray, *, quant_bypass: bool = False,
     return forward_layers(model, a, quant_bypass=quant_bypass, context=context)
 
 
-def _terms(model: TrainedModel, layer: int, xg: np.ndarray) -> np.ndarray:
-    """The term-major (M, n, W) monomials of a layer's gathered inputs xg
-    (n, W, F): expand's own storage."""
-    # transpose, not np.moveaxis: this runs per layer and batch
-    return expand(xg, model.bases[layer]).transpose(2, 0, 1)
-
-
 def forward_layers(model: TrainedModel, a: np.ndarray, *, quant_bypass: bool,
                    context: str):
     """forward's layer loop from the dequantized inputs a (n, input_count),
@@ -180,7 +175,7 @@ def forward_layers(model: TrainedModel, a: np.ndarray, *, quant_bypass: bool,
     for layer in range(spec.n_layers):
         p = model.params[layer]
         xg = a[:, model.masks[layer]]  # (n, W, F)
-        z = weighted_sum(_terms(model, layer, xg), p.weights)
+        z = weighted_sum(expand(xg, model.bases[layer]), p.weights)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # the operation order of np.mean and np.var
@@ -240,7 +235,7 @@ def backward(model: TrainedModel, caches: list, dlogits: np.ndarray,
         dz -= xhat * (np.add.reduce(dxhat * xhat, axis=0) / n)
         dz *= cache["invstd"]
 
-        terms = _terms(model, layer, cache["xg"])
+        terms = expand(cache["xg"], model.bases[layer])
         # einsum's out= into the view runs ~10x slower than this copy
         grads[f"w{layer}"][...] = np.einsum("nwm,nw->wm", terms.transpose(1, 2, 0), dz)
 

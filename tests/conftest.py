@@ -18,14 +18,13 @@ from lutc.model import NetworkSpec, init_model, save_checkpoint
 
 
 def _bias_and_inputs(xg, basis):
-    """[1, x_0, ..., x_{F-1}] of xg (..., F), stored term-major like
-    expand's result: a view, with the terms on the last axis, of a
-    (F + 1, ...) array."""
+    """[1, x_0, ..., x_{F-1}] of xg (..., F), term-major like expand's
+    result: a C-contiguous (F + 1, ...) array."""
     assert basis.degree == 1, "the linear reference is a degree-1 map"
     xg = np.asarray(xg, dtype=np.float64)
     terms = np.empty((xg.shape[-1] + 1,) + xg.shape[:-1])
     terms[0], terms[1:] = 1.0, np.moveaxis(xg, -1, 0)
-    return np.moveaxis(terms, 0, -1)
+    return terms
 
 
 def _input_gradient(terms, w, dz, basis):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lutc.basis import (
+    MAX_TERMS,
     count_monomials,
     enumerate_basis,
     expand,
@@ -15,11 +16,14 @@ from lutc.basis import (
 
 
 def expand_grad(x, basis):
-    """Jacobian oracle of expand at a length-F vector: entry (i, j) is
-    d m_i / d x_j = e_ij * m[lowered[i, j]], an (M, F) matrix."""
+    """Jacobian oracle of expand at a length-F vector, from powers: entry
+    (i, j) is d m_i / d x_j = e_ij * prod_k x_k ** (e_ik - [k == j]), an
+    (M, F) matrix."""
     x = np.asarray(x, dtype=np.float64)
     assert x.shape == (basis.fan_in,)
-    return basis.exponents * expand(x, basis)[basis.lowered]
+    e = basis.exponents
+    lowered = np.maximum(e[:, None, :] - np.eye(basis.fan_in, dtype=np.int64), 0)  # (M, F, F)
+    return e * np.prod(x ** lowered, axis=-1)
 
 
 def brute_force_exponents(fan_in, degree):
@@ -87,8 +91,10 @@ def test_basis_invariants():
 
 
 def test_basis_cap():
-    with pytest.raises(ValueError):
-        enumerate_basis(8, 6, max_terms=100)
+    # C(30, 10) = 30045015 terms: refused before any term is enumerated
+    assert count_monomials(20, 10) > MAX_TERMS
+    with pytest.raises(ValueError, match=f"30045015 terms, exceeding cap {MAX_TERMS}"):
+        enumerate_basis(20, 10)
 
 
 def test_basis_order_is_pure():
@@ -121,8 +127,9 @@ def test_expand_batched():
     basis = enumerate_basis(2, 2)
     xs = np.array([[2.0, 3.0], [0.0, 1.0]])
     out = expand(xs, basis)
-    assert out.shape == (2, 6)
-    assert np.array_equal(out[0], [1, 2, 3, 4, 6, 9])
+    assert out.shape == (6, 2) and out.flags.c_contiguous  # term-major
+    assert np.array_equal(out[:, 0], [1, 2, 3, 4, 6, 9])
+    assert np.array_equal(out[:, 1], [1, 0, 1, 0, 0, 1])
 
 
 def test_expand_grad_product_rule():
@@ -157,17 +164,19 @@ def test_expand_grad_matches_finite_differences():
             assert rel.max() < 1e-6
 
 
-def test_lowered_table():
-    for fan_in, degree in [(1, 3), (2, 3), (4, 2)]:
-        basis = enumerate_basis(fan_in, degree)
-        rows = [tuple(r) for r in basis.exponents]
-        for i, row in enumerate(rows):
-            for j in range(fan_in):
-                if row[j] == 0:
-                    assert basis.lowered[i, j] == 0
-                else:
-                    down = row[:j] + (row[j] - 1,) + row[j + 1 :]
-                    assert rows[basis.lowered[i, j]] == down
+def test_each_step_is_its_parent_times_its_last_variable():
+    """steps[i - 1] = (parent, v): term i's exponents are its parent's plus
+    one in v, v is the last variable term i holds, and the parent comes
+    before the term."""
+    for fan_in in range(1, 8):
+        for degree in range(1, 7):
+            basis = enumerate_basis(fan_in, degree)
+            e = basis.exponents
+            parents, v = np.array(basis.steps).T
+            assert np.array_equal(e[1:], e[parents] + np.eye(fan_in, dtype=np.int64)[v]), (
+                fan_in, degree)
+            assert not (e[1:] * (np.arange(fan_in) > v[:, None])).any(), (fan_in, degree)
+            assert (parents < np.arange(1, len(e))).all(), (fan_in, degree)
 
 
 def test_expand_multiplies_left_to_right():
@@ -184,7 +193,7 @@ def test_expand_vjp_matches_jacobian():
     x = rng.normal(size=(4, 2, 3))  # 4 rows of 2 neurons
     w = rng.normal(size=(2, len(basis)))
     dz = rng.normal(size=(4, 2))
-    got = expand_vjp(np.moveaxis(expand(x, basis), -1, 0), w, dz, basis)  # term-major
+    got = expand_vjp(expand(x, basis), w, dz, basis)
     want = np.array([[(dz[r, k] * w[k]) @ expand_grad(x[r, k], basis) for k in range(2)]
                      for r in range(4)])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -196,10 +205,10 @@ def test_each_variables_parents_are_the_basis_prefix():
     for fan_in in range(1, 8):
         for degree in range(1, 7):
             basis = enumerate_basis(fan_in, degree)
+            e = basis.exponents
             for j in range(fan_in):
-                holds = np.flatnonzero(basis.exponents[:, j])
-                assert np.array_equal(basis.lowered[holds, j], np.arange(basis.parents)), (
-                    fan_in, degree, j)
+                lowered = e[e[:, j] > 0] - np.eye(fan_in, dtype=np.int64)[j]
+                assert np.array_equal(lowered, e[:basis.parents]), (fan_in, degree, j)
 
 
 def test_expand_vjp_holds_one_buffer_of_parent_products():
@@ -208,7 +217,7 @@ def test_expand_vjp_holds_one_buffer_of_parent_products():
     result: no (M, n, W) gradient and no gathered monomial rows."""
     rng = np.random.default_rng(4)
     basis, n, width = enumerate_basis(6, 4), 16, 100
-    terms = np.moveaxis(expand(rng.uniform(-1, 1, size=(n, width, 6)), basis), -1, 0)
+    terms = expand(rng.uniform(-1, 1, size=(n, width, 6)), basis)
     w, dz = rng.normal(size=(width, len(basis))), rng.normal(size=(n, width))
     expand_vjp(terms, w, dz, basis)  # warm the basis' cached tables
     tracemalloc.start()

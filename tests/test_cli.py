@@ -15,7 +15,7 @@ from lutc.cli import (
     main,
 )
 from lutc.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from lutc.model import NetworkSpec, init_model
+from lutc.model import NetworkSpec, init_model, save_checkpoint
 from lutc.netlist import build_netlist, load_netlist, save_netlist
 from lutc.tables import tabulate_model
 
@@ -242,14 +242,24 @@ SPIRALS = {"kind": "spirals", "n_per_class": 20}
      "error: dataset: test_images must be str, got 3"),
     ({"dataset": {"kind": "parquet"}},
      "error: dataset: kind 'parquet' is not one of ['csv', 'idx', 'spirals']"),
+    ({"spec": {"seed": -1}}, "error: spec: invalid NetworkSpec: seed must be in [0, 2**63), "
+                             "got -1"),
+    ({"spec": {"seed": 2**64}}, "error: spec: invalid NetworkSpec: seed must be in "
+                                "[0, 2**63), got 18446744073709551616"),
+    ({"train": {"seed": -5}}, "error: train: seed must be >= 0, got -5"),
+    ({"dataset": dict(SPIRALS, seed=-5)}, "error: dataset: seed must be >= 0, got -5"),
 ], ids=["spec-key", "spec-float-width", "spec-bool-seed", "dataset-key", "top-level-key",
         "float-int", "bool-int", "string-float", "csv-without-label-column", "int-path",
-        "unknown-kind"])
+        "unknown-kind", "spec-negative-seed", "spec-seed-past-int64", "train-negative-seed",
+        "dataset-negative-seed"])
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_config_keys_and_types_exit_2_before_training(tmp_path, monkeypatch, capsys,
                                                       command, cfg, message):
     # the first eight used to train and exit 0: an unknown key was dropped,
-    # a float width or count truncated, a bool read as 1 and a string parsed
+    # a float width or count truncated, a bool read as 1 and a string parsed;
+    # a negative spec or train seed ended in PCG64's traceback, a spec seed
+    # of 2**64 in save_checkpoint's after training, and a negative dataset
+    # seed's message named no key
     monkeypatch.setattr("lutc.cli.train", no_training)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.csv").write_text("f0,f1,y\n0.1,0.2,a\n0.3,0.4,b\n", encoding="utf-8")
@@ -296,6 +306,29 @@ def test_a_basis_past_the_term_cap_exits_2_before_training(tmp_path, monkeypatch
     assert err.startswith("error: spec: invalid NetworkSpec: layer 0: a degree-1500 basis "
                           "in 2 inputs has more than the cap of 1048576 monomials"), err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_negative_seed_flag_exits_2_before_training(tmp_path, monkeypatch, capsys, command):
+    # --seed -1 used to end in PCG64's ValueError traceback (exit 1)
+    monkeypatch.setattr("lutc.cli.train", no_training)
+    grid = ["--depths", "2", "--degrees", "1"] if command == "sweep" else []
+    assert run([command, "--profile", "spiral", "--seed", "-1",
+                "--out", tmp_path / "o"] + grid) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec: invalid NetworkSpec: seed must be in [0, 2**63), "
+                          "got -1"), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_profile_flag_overrides_the_config_profile(tmp_path):
+    # the file's jsc-m profile used to win, and its 16 inputs reject the spirals
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "jsc-m", "dataset": SPIRALS,
+                                "train": {"epochs": 1}}), encoding="utf-8")
+    assert run(["train", "--config", path, "--profile", "spiral",
+                "--out", tmp_path / "o"]) == EXIT_OK
+    assert "layers 8,8,2" in (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +431,31 @@ def test_train_on_idx_images(tmp_path, test_pair):
                                 "train": {"epochs": 2, "batch_size": 16}}), encoding="utf-8")
     assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_OK
     assert "layers 4,2" in (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("key, value", [("train_fraction", 0.3), ("seed", 5)])
+def test_idx_split_keys_do_not_go_with_test_files(tmp_path, capsys, key, value):
+    # the test files are not split, so these keys used to be ignored
+    rng = np.random.default_rng(2)
+    labels = np.arange(30) % 2
+    images = rng.integers(10, 200, size=(30, 2, 2))
+    ds = dict(zip(("images", "labels"), write_idx(tmp_path / "train", images, labels)))
+    spec = NetworkSpec(layer_widths=(4, 2), beta=4, fan_in=2, degree=3, input_count=4)
+    train_ds, test_ds = load_dataset({"dataset": dict(ds, kind="idx", train_fraction=0.5,
+                                                      seed=5)}, spec)
+    assert (train_ds.n, test_ds.n) == (15, 15)  # the split path takes both keys
+    ds.update(zip(("test_images", "test_labels"),
+                  write_idx(tmp_path / "test", images[:10], labels[:10])))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": "spiral",
+                                "spec": {"layer_widths": [4, 2], "input_count": 4},
+                                "dataset": dict(ds, kind="idx", **{key: value})}),
+                    encoding="utf-8")
+    assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: dataset.idx: '{key}' splits the images, so it does not go with "
+        "'test_images' and 'test_labels'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_idx_test_files_are_normalized_by_the_training_rows(tmp_path):
@@ -782,10 +840,10 @@ def as_v1(doc):
     (edit_netlist(lambda doc: doc["layers"][1].pop(0)), "layer 1: (1, 2) sources"),
     (edit_netlist(lambda doc: doc["layers"].__setitem__(1, [])), "layer 1: [] is not"),
     (edit_netlist(lambda doc: doc["layers"].__setitem__(1, 5)), "layer 1: 5 is not"),
-    (edit_netlist(lambda doc: doc["layers"].append(doc["layers"][1])),
-     "netlist.json has 3 layers, the table dumps 2"),
-    (lambda net_dir: (net_dir / "layer1_tables.txt").unlink(),
-     "netlist.json has 2 layers, the table dumps 1"),
+    (edit_netlist(lambda doc: doc["layers"].append(doc["layers"][1])), "layer2_tables.txt"),
+    (lambda net_dir: (net_dir / "layer1_tables.txt").unlink(), "layer1_tables.txt"),
+    (edit_netlist(lambda doc: doc.__setitem__("layers", [])),
+     "layers [] is not a list of one or more layers"),
     (truncate_dump, "layer 1 neuron 1"),
     (edit_netlist(lambda doc: doc.pop("input_bits")), "input_bits null"),
     (set_field("input_bits", 2.9), "input_bits 2.9"),
@@ -798,7 +856,7 @@ def as_v1(doc):
      "input_count 65537 of 1 bits exceeds the 65536-bit input port"),
 ], ids=["extra-source", "source-past-inputs", "source-past-layer", "duplicate-source",
         "float-source", "bool-source", "huge-source", "missing-sources", "empty-layer",
-        "layer-not-a-list", "extra-layer", "missing-dump", "truncated-dump",
+        "layer-not-a-list", "extra-layer", "missing-dump", "no-layers", "truncated-dump",
         "missing-input-bits", "float-input-bits", "string-input-count", "v1-file",
         "negative-clock", "nan-clock", "2**62-inputs", "2**16+1-one-bit-inputs"])
 def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt, where):
@@ -811,6 +869,21 @@ def test_emit_rejects_malformed_netlist(pipeline_dirs, tmp_path, capsys, corrupt
     assert err.startswith("error:")
     assert where in err
     assert not (tmp_path / "rtl").exists()
+
+
+def test_emit_reads_only_the_dumps_of_the_netlists_layers(tmp_path, capsys):
+    # a 3-layer net compiled over a 4-layer one leaves its layer3_tables.txt,
+    # which emit used to count and exit 2 on
+    for widths in ([4, 4, 4, 2], [4, 4, 2]):
+        model = init_model(NetworkSpec(layer_widths=widths, beta=2, fan_in=2, degree=2,
+                                       input_count=2))
+        save_checkpoint(model, tmp_path / "checkpoint.npz")
+        assert run(["compile", "--checkpoint", tmp_path / "checkpoint.npz",
+                    "--out", tmp_path / "net"]) == EXIT_OK
+    assert (tmp_path / "net" / "layer3_tables.txt").exists()
+    assert run(["emit", "--netlist", tmp_path / "net", "--out", tmp_path / "rtl"]) == EXIT_OK
+    assert "emitted 10 neuron modules" in capsys.readouterr().out
+    assert not (tmp_path / "rtl" / "layer3_n0.v").exists()
 
 
 # the first layer reads the 2 inputs, the second the 4 nodes of the first

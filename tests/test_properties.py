@@ -31,7 +31,7 @@ from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quan
                            round_half_away)
 from lutc.rtl import check_bundle, emit_bundle
 from lutc.tables import decode_address, dump_tables, load_tables, pack_address, tabulate_model
-from lutc.trainer import _scatter_sources, _terms, forward, init_scales
+from lutc.trainer import _scatter_sources, forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -271,7 +271,7 @@ def test_expand_matches_power_reference_on_integers(fan_in, degree, seed):
     basis = enumerate_basis(fan_in, degree)
     x = np.random.default_rng(seed).integers(-7, 8, size=(3, fan_in)).astype(np.float64)
     # integer-valued products below 2**53 are exact whatever the order
-    want = np.prod(x[:, None, :] ** basis.exponents[None, :, :], axis=2)
+    want = np.prod(x[None, :, :] ** basis.exponents[:, None, :], axis=2)  # term-major
     assert np.array_equal(expand(x, basis), want)
 
 
@@ -310,16 +310,18 @@ def test_weighted_expand_equals_weighted_sum_of_expand(fan_in, degree, width, le
     w = awkward_floats(rng, (width, len(basis)))
     got = weighted_expand(x, basis, w)
     assert got.shape == lead + (width,)
-    terms = np.moveaxis(expand(x, basis), -1, 0)
-    assert np.array_equal(bits_of(got), bits_of(weighted_sum(terms, w)))
+    assert np.array_equal(bits_of(got), bits_of(weighted_sum(expand(x, basis), w)))
 
 
 def lowered_terms(basis):
-    """(j, i, lowered[i, j], e_ij) per variable j over the terms i holding
-    x_j, read from the basis tables themselves."""
+    """(j, i, parents, e_ij) per variable j over the terms i holding x_j,
+    each parent found by looking up term i's exponents with e_ij lowered
+    by one: a reference that does not use the prefix rule."""
+    index = {tuple(row): k for k, row in enumerate(basis.exponents.tolist())}
     for j, e in enumerate(basis.exponents.T):
         i = np.flatnonzero(e)
-        yield j, i, basis.lowered[i, j], e[i]
+        lowered = basis.exponents[i] - np.eye(basis.fan_in, dtype=np.int64)[j]
+        yield j, i, np.array([index[tuple(row)] for row in lowered.tolist()]), e[i]
 
 
 @SETTINGS
@@ -333,7 +335,7 @@ def test_expand_vjp_adds_terms_in_basis_order(fan_in, degree, n, width, seed):
     assume(n * width > 1)
     basis = enumerate_basis(fan_in, degree)
     rng = np.random.default_rng(seed)
-    m = np.moveaxis(expand(awkward_floats(rng, (n, width, fan_in)), basis), -1, 0)
+    m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
     dz, w = awkward_floats(rng, (n, width)), awkward_floats(rng, (width, len(basis)))
     dm = w.T[:, None, :] * dz
     want = np.zeros((n, width, fan_in))
@@ -372,10 +374,8 @@ def test_training_weighing_is_the_ordered_sum(fan_in, degree, width, n, negative
     w = awkward_floats(rng, (width, len(model.bases[0])))
     if negative_zero:
         xg, w = np.abs(xg), np.full_like(w, -0.0)
-    terms = _terms(model, 0, xg)
+    terms = expand(xg, model.bases[0])
     assert terms.shape == (len(w.T), n, width) and terms.flags.c_contiguous
-    expanded = np.moveaxis(expand(xg, model.bases[0]), -1, 0)
-    assert np.array_equal(bits_of(terms), bits_of(expanded))
     want = ordered_weighted_sum(terms.copy(), w)
     got = weighted_sum(terms, w)
     assert np.array_equal(bits_of(got), bits_of(want))
@@ -406,8 +406,8 @@ def test_expand_vjp_term_major_equals_last_axis_reference(fan_in, degree, n, wid
     rng = np.random.default_rng(seed)
     m = expand(awkward_floats(rng, (n, width, fan_in)), basis)
     dz, w = awkward_floats(rng, (n, width)), awkward_floats(rng, (width, len(basis)))
-    want = expand_vjp_last_axis(m, dz[:, :, None] * w[None, :, :], basis)
-    got = expand_vjp(np.moveaxis(m, -1, 0), w, dz, basis)
+    want = expand_vjp_last_axis(np.moveaxis(m, 0, -1), dz[:, :, None] * w[None, :, :], basis)
+    got = expand_vjp(m, w, dz, basis)
     assert np.array_equal(bits_of(got), bits_of(want))
 
 
@@ -649,7 +649,7 @@ def test_dump_bytes_equal_a_per_entry_reference(layers):
 def test_dump_load_round_trip(layers):
     with tempfile.TemporaryDirectory() as out:
         dump_tables(layers, out)
-        back = load_tables(out)
+        back = load_tables(out, len(layers))
     assert [(t.dtype, t.tolist(), b) for t, b in back] == \
         [(np.uint32, lut.tables.tolist(), lut.output_bits) for lut in layers]
 
@@ -795,7 +795,7 @@ def read_edited_dump(layers, kind, rng):
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         try:
-            got = [(t.tolist(), b) for t, b in load_tables(out)]
+            got = [(t.tolist(), b) for t, b in load_tables(out, len(layers))]
         except ValueError as e:
             got = str(e)
     old, new = original.split("\n"), text.split("\n")

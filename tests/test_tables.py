@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,22 +179,34 @@ def test_dump_load_roundtrip(tmp_path):
     net = build_netlist(model, tabulate_model(model))
     paths = dump_tables(net.layers, tmp_path)
     assert [p.endswith("_tables.txt") for p in paths] == [True, True]
-    back = load_tables(tmp_path)
+    back = load_tables(tmp_path, 2)
     assert [(t.dtype, t.tolist(), b) for t, b in back] == \
         [(np.uint32, lut.tables.tolist(), 2) for lut in net.layers]
 
 
 def test_load_tables_missing_dir(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        load_tables(tmp_path)
+    with pytest.raises(FileNotFoundError, match="layer0_tables.txt"):
+        load_tables(tmp_path, 1)
 
 
 def test_load_tables_non_contiguous(tmp_path):
+    # the dumps are read by layer number, so a hole is a missing dump
     model = small_model()
     dump_tables(build_netlist(model, tabulate_model(model)).layers, tmp_path)
     (tmp_path / "layer0_tables.txt").rename(tmp_path / "layer9_tables.txt")
-    with pytest.raises(ValueError, match="non-contiguous"):
-        load_tables(tmp_path)
+    with pytest.raises(FileNotFoundError, match="layer0_tables.txt"):
+        load_tables(tmp_path, 2)
+
+
+def test_load_tables_reads_only_the_layers_asked_for(tmp_path):
+    # a stale dump of a deeper net, even a malformed one, is not read
+    model = small_model()
+    layers = build_netlist(model, tabulate_model(model)).layers
+    dump_tables(layers, tmp_path)
+    (tmp_path / "layer2_tables.txt").write_text("stale", encoding="utf-8")
+    assert [t.tolist() for t, _ in load_tables(tmp_path, 2)] == \
+        [lut.tables.tolist() for lut in layers]
+    assert [t.tolist() for t, _ in load_tables(tmp_path, 1)] == [layers[0].tables.tolist()]
 
 
 @pytest.mark.parametrize("name", ["layer01_tables.txt", "layer\u0661_tables.txt"],
@@ -201,7 +217,8 @@ def test_load_tables_reads_only_dumped_file_names(tmp_path, name):
     layers = build_netlist(model, tabulate_model(model)).layers
     dump_tables(layers, tmp_path)
     (tmp_path / "layer1_tables.txt").rename(tmp_path / name)
-    assert [t.tolist() for t, _ in load_tables(tmp_path)] == [layers[0].tables.tolist()]
+    with pytest.raises(FileNotFoundError, match="layer1_tables.txt"):
+        load_tables(tmp_path, 2)
 
 
 @pytest.mark.parametrize("text, where", [
@@ -215,7 +232,7 @@ def test_load_tables_reads_only_dumped_file_names(tmp_path, name):
 def test_load_tables_rejects_bad_header(tmp_path, text, where):
     (tmp_path / "layer0_tables.txt").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=where):
-        load_tables(tmp_path)
+        load_tables(tmp_path, 1)
 
 
 def test_load_tables_rejects_non_ascii(tmp_path):
@@ -227,7 +244,7 @@ def test_load_tables_rejects_non_ascii(tmp_path):
     path.write_text("\u00a0".join(path.read_text(encoding="utf-8").rsplit(" ", 1)),
                     encoding="utf-8")
     with pytest.raises(ValueError, match=r"^layer 1 neuron 1: .*one space apart"):
-        load_tables(tmp_path)
+        load_tables(tmp_path, 2)
 
 
 def test_load_tables_rejects_value_lines_not_cut_16_to_a_line(tmp_path):
@@ -242,7 +259,7 @@ def test_load_tables_rejects_value_lines_not_cut_16_to_a_line(tmp_path):
     lines[9:11] = [" ".join(values[:20]), " ".join(values[20:])]
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=r"^layer 0 neuron 1: .*16 to a line"):
-        load_tables(tmp_path)
+        load_tables(tmp_path, 1)
 
 
 def test_dump_tables_holds_about_one_row(tmp_path):
@@ -269,7 +286,7 @@ def test_load_tables_reads_a_wide_layer(tmp_path):
     dump_tables([lut], tmp_path)
     path = tmp_path / "layer0_tables.txt"
     text = path.read_text(encoding="utf-8")
-    (back, bits), = load_tables(tmp_path)
+    (back, bits), = load_tables(tmp_path, 1)
     assert back.tolist() == tables.tolist() and bits == 8
     # a bad token two thirds into the file is found, and its neuron named
     lines = text.split("\n")
@@ -278,4 +295,49 @@ def test_load_tables_reads_a_wide_layer(tmp_path):
     path.write_text("\n".join(lines), encoding="utf-8")
     neuron = sum(ln.startswith("neuron ") for ln in lines[:k]) - 1
     with pytest.raises(ValueError, match=rf"^layer 0 neuron {neuron}: .*'1g'"):
-        load_tables(tmp_path)
+        load_tables(tmp_path, 1)
+
+
+# ---------------------------------------------------------------------------
+# Independence from the BLAS and SIMD setup
+
+
+DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from lutc.model import eval_codes, init_model, spec_from_profile
+from lutc.tables import tabulate_model
+from lutc.trainer import init_scales
+
+digest = hashlib.sha256()
+for profile, widths in (("jsc-xl", (16, 16, 5)), ("hdr", (32, 16, 10)), ("jsc-m", None)):
+    spec = spec_from_profile(profile, seed=3, **({"layer_widths": widths} if widths else {}))
+    model, rng = init_model(spec), np.random.default_rng(7)
+    init_scales(model, rng.uniform(-1.0, 1.0, size=(128, spec.input_count)))
+    for tables in tabulate_model(model):
+        digest.update(tables.tobytes())
+    digest.update(eval_codes(model, rng.uniform(-1.0, 1.0, size=(256, spec.input_count))))
+print(digest.hexdigest())
+"""
+
+
+def test_tables_do_not_depend_on_blas_threads_or_simd_dispatch():
+    """Seeded, calibrated nets tabulate and evaluate to the same bits in a
+    child process whatever its BLAS thread count, OpenBLAS kernel or numpy
+    SIMD targets.  Disabling X86_V3 drops numpy's dispatch to its X86_V2
+    baseline on CPUs whose best numpy target is X86_V3."""
+    root = Path(__file__).resolve().parent.parent
+    settings = [{}, {"OPENBLAS_NUM_THREADS": "1"},
+                {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+                {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+                {"OPENBLAS_CORETYPE": "Haswell"}]
+    digests = []
+    for setting in settings:
+        env = dict(os.environ, **setting)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (setting, proc.stderr)
+        digests.append(proc.stdout)
+    assert len(set(digests)) == 1, list(zip(settings, digests))

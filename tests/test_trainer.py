@@ -153,7 +153,7 @@ def test_training_moves_running_stats_and_inference_keeps_them():
     before = [(p.bn.running_mean.copy(), p.bn.running_var.copy()) for p in model.params]
     _, caches = forward(model, x)
     for layer, (p, cache, (mean0, var0)) in enumerate(zip(model.params, caches, before)):
-        z = np.einsum("nwm,wm->nw", expand(cache["xg"], model.bases[layer]), p.weights)
+        z = np.einsum("mnw,wm->nw", expand(cache["xg"], model.bases[layer]), p.weights)
         assert np.allclose(p.bn.running_mean,
                            (1 - BN_MOMENTUM) * mean0 + BN_MOMENTUM * z.mean(axis=0),
                            rtol=1e-12, atol=1e-14)
