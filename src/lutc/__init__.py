@@ -26,8 +26,10 @@ from .netlist import (
     LutLayer,
     Netlist,
     build_netlist,
+    dump_tables,
     equivalence_check,
     load_netlist,
+    load_tables,
     lut_cost,
     pareto_front,
     report,
@@ -36,7 +38,7 @@ from .netlist import (
 )
 from .quantize import BatchNormParams, Quantizer, bn_apply, dequantize, quantize
 from .rtl import check_bundle, emit_bundle, emit_golden_vectors
-from .tables import dump_tables, load_tables, tabulate_layer, tabulate_model
+from .tables import tabulate_layer, tabulate_model
 from .trainer import TrainConfig, TrainingDiverged, sgdr_lr, train
 
 __version__ = "0.1.0"

@@ -45,8 +45,9 @@ class ConfigError(Exception):
 
 
 def _load_json(path) -> dict:
+    """The config file's JSON; a leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None

@@ -5,6 +5,7 @@ leakage-free min-max normalization."""
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -52,9 +53,10 @@ def load_csv(path, label_column: str, feature_columns: list | None = None) -> Da
 
     feature_columns defaults to every column except the label.  Errors
     (missing columns, non-numeric cells, ragged rows) carry the 1-based
-    line number.
+    line number.  A leading UTF-8 byte-order mark, as spreadsheet tools
+    write, is not part of the first column's name.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -95,55 +97,46 @@ def load_csv(path, label_column: str, feature_columns: list | None = None) -> Da
     return Dataset(features=features, labels=labels, n_classes=len(classes))
 
 
-def _read_be32(f, path) -> int:
-    data = f.read(4)
-    if len(data) != 4:
+def _read_idx(path, magic: int, kind: str) -> tuple:
+    """The dimension counts and the u8 payload of an IDX file whose
+    big-endian magic must be magic; its low byte is the number of counts
+    that follow it, one big-endian u32 each.  The payload must hold
+    exactly their product of bytes.  kind names the file in a bad magic's
+    message."""
+    with open(path, "rb") as f:
+        data = f.read()
+    found = int.from_bytes(data[:4], "big")
+    ndim = magic & 0xFF
+    if len(data) >= 4 and found != magic:
+        raise DataFormatError(f"{path}: bad {kind} magic 0x{found:08x} "
+                              f"(expected 0x{magic:08x})")
+    if len(data) < 4 + 4 * ndim:
         raise DataFormatError(f"{path}: truncated header")
-    return struct.unpack(">I", data)[0]
+    dims = struct.unpack_from(f">{ndim}I", data, 4)
+    payload = np.frombuffer(data, dtype=np.uint8, offset=4 + 4 * ndim)
+    if payload.size != math.prod(dims):
+        raise DataFormatError(f"{path}: truncated payload "
+                              f"({payload.size} bytes, expected {math.prod(dims)})")
+    return dims, payload
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair (big-endian headers, u8 payloads).
+    """Load an IDX image/label pair: big-endian headers, u8 payloads, the
+    images with magic IDX_IMAGE_MAGIC and three counts (images, rows,
+    columns), the labels with IDX_LABEL_MAGIC and one.
 
     Images are flattened row-wise and scaled to [0, 1]; the label count
-    must match the image count.
+    must match the image count.  The image file is read and checked
+    before the label file.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} "
-                f"(expected 0x{IDX_IMAGE_MAGIC:08x})"
-            )
-        count = _read_be32(f, images_path)
-        rows = _read_be32(f, images_path)
-        cols = _read_be32(f, images_path)
-        payload = f.read()
-        if len(payload) != count * rows * cols:
-            raise DataFormatError(
-                f"{images_path}: truncated payload "
-                f"({len(payload)} bytes, expected {count * rows * cols})"
-            )
-        images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} "
-                f"(expected 0x{IDX_LABEL_MAGIC:08x})"
-            )
-        lcount = _read_be32(f, labels_path)
-        labels = np.frombuffer(f.read(), dtype=np.uint8)
-        if labels.size != lcount:
-            raise DataFormatError(f"{labels_path}: truncated payload")
-
+    (count, rows, cols), images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    (lcount,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if lcount != count:
         raise DataFormatError(
             f"label count {lcount} does not match image count {count}"
         )
     n_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(features=images.astype(np.float64) / 255.0,
+    return Dataset(features=images.reshape(count, rows * cols).astype(np.float64) / 255.0,
                    labels=labels.astype(np.int64), n_classes=n_classes)
 
 

@@ -487,10 +487,12 @@ def accuracy(model: TrainedModel, features: np.ndarray, labels: np.ndarray) -> f
 
 
 def validate_model(model: TrainedModel) -> list[str]:
-    """Return every violated parameter invariant, naming the layer and the
-    neuron (empty list means the model is sound)."""
+    """Return every violated parameter invariant, naming input_scale or
+    the layer and the neuron (empty list means the model is sound)."""
     v: list[str] = []
     spec = model.spec
+    if not 0 < model.input_quantizer.scale < np.inf:
+        v.append(f"input_scale {model.input_quantizer.scale} is not positive and finite")
     for layer, (mask, p) in enumerate(zip(model.masks, model.params)):
         width, fan = spec.layer_widths[layer], spec.layer_fan_in(layer)
         prev, mask = spec.prev_width(layer), np.asarray(mask)
@@ -518,6 +520,8 @@ def validate_model(model: TrainedModel) -> list[str]:
               for j in np.flatnonzero(~np.isfinite(rows).all(axis=1))]
         v += [f"layer {layer} neuron {j}: batch-norm variance + eps is not positive"
               for j in np.flatnonzero(~(p.bn.running_var + p.bn.eps > 0))]
+        if not np.isfinite(p.bn.eps):
+            v.append(f"layer {layer}: batch-norm eps {p.bn.eps} is not finite")
         if not (np.isfinite(p.quant_scale) and p.quant_scale > 0):
             v.append(f"layer {layer}: quantizer scale {p.quant_scale} is not positive")
     return v
@@ -557,9 +561,9 @@ def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint written by save_checkpoint.  A path that is not an
     .npz archive, a missing array, a scalar array of another shape or
     kind, a scalars array that is not 8 integers, layer_widths that are
-    not a 1-d integer array, a bn array that is not 4 rows or a model
-    that fails validate_model raises ValueError naming the array or the
-    layer."""
+    not a 1-d integer array, a bn array that is not 4 rows, an
+    input_scale that is not positive and finite or a model that fails
+    validate_model raises ValueError naming the array or the layer."""
     try:
         with np.load(path) as z:
             version = int(_scalar(z, "version"))
@@ -589,7 +593,10 @@ def load_checkpoint(path) -> TrainedModel:
                                      f"{stats.shape}, expected 4 rows of batch-norm statistics")
                 bn = BatchNormParams(*stats, eps=_scalar(z, f"bn_eps_{layer}"))
                 params.append(LayerParams(z[f"w_{layer}"], bn, _scalar(z, f"scale_{layer}")))
-            iq = input_quantizer_for(spec).with_scale(_scalar(z, "input_scale"))
+            input_scale = _scalar(z, "input_scale")
+            if not 0 < input_scale < np.inf:  # before Quantizer rejects it unnamed
+                raise ValueError(f"input_scale {input_scale} is not positive and finite")
+            iq = input_quantizer_for(spec).with_scale(input_scale)
     except KeyError as e:  # np.load's "<name> is not a file in the archive"
         raise ValueError(f"missing array ({e.args[0]})") from None
     except (OSError, EOFError, zipfile.BadZipFile) as e:  # a directory, an empty or cut file

@@ -13,6 +13,7 @@ from lutc.cli import (
     config_hash,
     load_dataset,
     main,
+    resolve_config,
 )
 from lutc.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from lutc.model import NetworkSpec, init_model, save_checkpoint
@@ -57,6 +58,18 @@ def test_bad_config_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert run(["train", "--config", path, "--out", tmp_path / "o"]) == EXIT_USAGE
+
+
+def test_config_may_start_with_a_utf8_byte_order_mark(tmp_path):
+    # such a file used to exit 2 with "Unexpected UTF-8 BOM"
+    plain = write_config(tmp_path)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    parser = build_parser()
+    resolved = [resolve_config(parser.parse_args(["train", "--config", str(path),
+                                                  "--out", str(tmp_path / "o")]))
+                for path in (plain, bom)]
+    assert resolved[0] == resolved[1]
 
 
 @pytest.mark.parametrize("cfg, message", [
@@ -700,15 +713,23 @@ SCALARS = ("version", "scale_1", "bn_eps_0", "input_scale", "clock_period_ns")
      "layer 0: weights and batch-norm statistics must be real floating arrays, got <U"),
     (replace_array("bn_1", lambda a: a + 1j),
      "layer 1: weights and batch-norm statistics must be real floating arrays, got complex128"),
+    *[(replace_array("input_scale", lambda a, v=value: np.float64(v)),
+       f"input_scale {value} is not positive and finite") for value in (np.nan, -1.0, np.inf)],
+    (replace_array("bn_eps_0", lambda a: np.float64(np.inf)),
+     "layer 0: batch-norm eps inf is not finite"),
 ], ids=["directory", "empty", "cut-to-300-bytes", *[f"{name}-of-two" for name in SCALARS],
-        "bn-of-3-rows", "string-weights", "complex-bn"])
+        "bn-of-3-rows", "string-weights", "complex-bn", "input-scale-nan", "input-scale-minus-1",
+        "input-scale-inf", "bn-eps-0-inf"])
 def test_compile_rejects_an_unreadable_checkpoint(pipeline_dirs, tmp_path, capsys,
                                                   write, where):
     """A directory, an empty or cut file, a scalar saved as a length-2
-    array, a batch-norm array of 3 rows, string weights and complex
-    batch-norm statistics exit 2, naming the file, the array or the
-    layer (string weights used to end in a TypeError traceback, complex
-    statistics to compile without their imaginary part)."""
+    array, a batch-norm array of 3 rows, string weights, complex
+    batch-norm statistics, an input_scale that is not positive and finite
+    and an infinite batch-norm eps exit 2, naming the file, the array or
+    the layer (string weights used to end in a TypeError traceback,
+    complex statistics to compile without their imaginary part, an
+    input_scale of NaN or -1 in a message naming no array, one of inf in
+    a fault blamed on neuron 0, and an infinite eps to compile)."""
     ck = tmp_path / "bad.npz"
     write(pipeline_dirs / "run" / "checkpoint.npz", ck)
     code = run(["compile", "--checkpoint", ck, "--out", tmp_path / "net"])

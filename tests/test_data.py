@@ -40,6 +40,22 @@ def test_load_csv_fixture(tmp_path):
     assert ds.n_classes == 2
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet tools' "CSV UTF-8" starts with EF BB BF, which used to be
+    # read into the first column's name: "label column 'label' not in header"
+    text = "label,a,b\ncat,1.0,2.5\ndog,-3.0,0.5\ncat,4.0,-1.5\n"
+    plain = write_csv(tmp_path, text, name="plain.csv")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for columns in (None, ["a", "b"]):
+        want, got = load_csv(plain, "label", columns), load_csv(bom, "label", columns)
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.n_classes == want.n_classes == 2
+    bom.write_bytes(b"\xef\xbb\xbf" + CSV_FIXTURE.encode("utf-8"))
+    assert np.array_equal(load_csv(bom, "label", ["a"]).features, [[1.0], [-3.0], [4.0]])
+
+
 def test_load_csv_numeric_label_classes(tmp_path):
     ds = load_csv(write_csv(tmp_path, "x,label\n1,0\n2,1\n3,0\n"), "label")
     assert np.array_equal(ds.labels, [0, 1, 0])
@@ -128,6 +144,14 @@ def test_load_idx_fixture(tmp_path):
     assert np.array_equal(ds.features, images.reshape(2, 784) / 255.0)
     assert np.array_equal(ds.labels, [3, 7])
     assert ds.n_classes == 8
+
+
+def test_load_idx_count_zero_pair(tmp_path):
+    # an image file of 0 images still has rows * cols feature columns
+    ipath, lpath = write_idx_pair(tmp_path, np.zeros((0, 28, 28), dtype=np.uint8), [])
+    ds = load_idx(ipath, lpath)
+    assert ds.features.shape == (0, 784) and ds.labels.shape == (0,)
+    assert ds.n_classes == 1
 
 
 def test_load_idx_pixel_scaling(tmp_path):

@@ -26,11 +26,12 @@ import lutc.model as model_mod
 import lutc.netlist as netlist_mod
 from lutc.basis import enumerate_basis, expand, expand_vjp, weighted_expand, weighted_sum
 from lutc.model import NetworkSpec, forward_chunks, forward_codes, init_model, layer_eval
-from lutc.netlist import LutLayer, Netlist, build_netlist, equivalence_check, simulate
+from lutc.netlist import (LutLayer, Netlist, build_netlist, dump_tables, equivalence_check,
+                          load_tables, simulate)
 from lutc.quantize import (Quantizer, decode_bits, dequantize, encode_bits, quantize,
                            round_half_away)
 from lutc.rtl import check_bundle, emit_bundle
-from lutc.tables import decode_address, dump_tables, load_tables, pack_address, tabulate_model
+from lutc.tables import decode_address, pack_address, tabulate_model
 from lutc.trainer import _scatter_sources, forward, init_scales
 
 SETTINGS = settings(max_examples=25, deadline=None)

@@ -9,17 +9,10 @@ import numpy as np
 import pytest
 
 from lutc.model import NetworkSpec, init_model, layer_eval, load_checkpoint, spec_from_profile
-from lutc.netlist import LutLayer, build_netlist
+from lutc.netlist import LutLayer, build_netlist, dump_tables, load_tables
 from lutc.quantize import bn_identity, decode_bits, encode_bits
 from lutc.rtl import emit_bundle
-from lutc.tables import (
-    decode_address,
-    dump_tables,
-    load_tables,
-    pack_address,
-    tabulate_layer,
-    tabulate_model,
-)
+from lutc.tables import decode_address, pack_address, tabulate_layer, tabulate_model
 
 
 def small_model(**overrides):
